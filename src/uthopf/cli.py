@@ -39,6 +39,13 @@ def _nonnegative(text):
     return n
 
 
+def _positive(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not positive")
+    return n
+
+
 class _OperandAction(argparse.Action):
     """Collect --poset and --input operands in the order they appear."""
 
@@ -74,11 +81,14 @@ def _load_operands(parser, args, count):
             else:
                 with open(value) as fh:
                     data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("operand must be a JSON object")
             if "terms" in data:
                 out.append(ScfElement.from_dict(data))
             else:
                 out.append(ScfElement.basis(Nuio.from_dict(data)))
-        except (OSError, ValueError, KeyError, AssertionError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
+                AssertionError) as exc:
             parser.error(f"bad operand {value!r}: {exc}")
     return out
 
@@ -248,8 +258,8 @@ def build_parser():
     )
     ver.add_argument("--n", type=_nonnegative, default=3)
     ver.add_argument("--q", type=_prime, default=2)
-    ver.add_argument("--samples", type=int, default=0)
-    ver.add_argument("--size", type=int, default=4)
+    ver.add_argument("--samples", type=_nonnegative, default=0)
+    ver.add_argument("--size", type=_positive, default=4)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--extended", action="store_true")
     ver.add_argument("--format", choices=("json", "text"), default="text")

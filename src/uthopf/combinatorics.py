@@ -163,6 +163,16 @@ def refinements(comp):
         yield out
 
 
+def split_composition(n, inside):
+    """The labels inside, then the rest of {1, ..., n}; empty blocks dropped.
+
+    >>> split_composition(4, (1, 3)).blocks
+    ((1, 3), (2, 4))
+    """
+    outside = [j for j in range(1, n + 1) if j not in inside]
+    return SetComposition([b for b in (inside, outside) if b])
+
+
 class PartialOrder:
     """A partial order held as its full reflexive, transitive relation."""
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .combinatorics import SetComposition, chain_order, levi_pattern, \
-    parabolic_pattern, radical_pattern, natural_unit_interval_orders
+from .combinatorics import chain_order, natural_unit_interval_orders, \
+    parabolic_pattern, split_composition
 from .group_engine import (
     GroupTable,
     coset_rep_permutation,
@@ -39,19 +39,11 @@ from .hopf_core import (
     ScfElement,
     _report,
     specialize,
+    split_tables,
     ut_coproduct,
     ut_dagger,
     ut_product,
 )
-
-
-def _initial_split(n, i):
-    blocks = []
-    if i:
-        blocks.append(range(1, i + 1))
-    if i < n:
-        blocks.append(range(i + 1, n + 1))
-    return SetComposition(blocks)
 
 
 def _block_predicate(n, i):
@@ -70,14 +62,20 @@ def _block_predicate(n, i):
 
 @functools.lru_cache(maxsize=None)
 def parabolic_table(n, i, q):
-    """Invertible matrices with vanishing lower left block of shape (n-i) x i."""
+    """Invertible matrices with vanishing lower left block of shape (n-i) x i;
+    for i in (0, n) the block is empty and this is gl_table(n, q) itself."""
     gl = gl_table(n, q)
+    if i in (0, n):
+        return gl
     return gl.subtable(_block_predicate(n, i), name="GL%dP%dq%d" % (n, i, q))
 
 
 @functools.lru_cache(maxsize=None)
 def levi_table(n, i, q):
-    """Block diagonal invertible matrices, as direct sums of smaller groups."""
+    """Block diagonal invertible matrices, as direct sums of smaller groups;
+    for i in (0, n) there is one block and this is gl_table(n, q) itself."""
+    if i in (0, n):
+        return gl_table(n, q)
     shift = {k: k + i for k in range(1, n - i + 1)}
     elements = []
     for a in gl_table(i, q).elements:
@@ -86,12 +84,9 @@ def levi_table(n, i, q):
     return GroupTable(elements, name="GL%dL%dq%d" % (n, i, q))
 
 
-@functools.lru_cache(maxsize=None)
 def radical_table(n, i, q):
     """Unipotent matrices supported on the upper right block of shape i x (n-i)."""
-    return pattern_group(
-        radical_pattern(chain_order(range(1, n + 1)), _initial_split(n, i)), q
-    )
+    return split_tables(n, tuple(range(1, i + 1)), q)[1]
 
 
 def induce_to_gl(a):
@@ -221,20 +216,6 @@ def dagger_invariance_reports(degree, q):
     return reports
 
 
-def _subset_parabolic(n, labels, q):
-    comp_blocks = [b for b in (
-        tuple(sorted(labels)),
-        tuple(sorted(set(range(1, n + 1)) - set(labels))),
-    ) if b]
-    comp = SetComposition(comp_blocks)
-    chain = chain_order(range(1, n + 1))
-    return (
-        pattern_group(parabolic_pattern(chain, comp), q),
-        pattern_group(levi_pattern(chain, comp), q),
-        pattern_group(radical_pattern(chain, comp), q),
-    )
-
-
 def mackey_reports(n, i, q):
     """Restriction to a parabolic of an induced class function, against the
     sum over subset shaped double coset contributions."""
@@ -247,7 +228,9 @@ def mackey_reports(n, i, q):
         lhs = restrict_cf(induce_cf(psi, gl), parabolic)
         rhs = ClassFunction(parabolic, [0] * len(parabolic.class_reps))
         for labels in itertools.combinations(range(1, n + 1), i):
-            sub_parabolic, _, _ = _subset_parabolic(n, labels, q)
+            sub_parabolic = pattern_group(parabolic_pattern(
+                chain_order(range(1, n + 1)), split_composition(n, labels)
+            ), q)
             w = coset_rep_permutation(n, labels)
             wmat = permutation_matrix(w, q, gl.ground)
             winv = wmat.inverse()
@@ -315,16 +298,16 @@ def levi_conjugation_reports(n, labels, q):
     i = len(labels)
     ut = ut_table(n, q)
     w = coset_rep_permutation(n, labels)
+    sub_parabolic = pattern_group(parabolic_pattern(
+        chain_order(range(1, n + 1)), split_composition(n, labels)
+    ), q)
     reports = []
-    for kind, big in (
-        ("levi", levi_table(n, i, q)),
-        ("parabolic", parabolic_table(n, i, q)),
+    for kind, big, target in (
+        ("levi", levi_table(n, i, q), split_tables(n, labels, q)[0]),
+        ("parabolic", parabolic_table(n, i, q), sub_parabolic),
     ):
         moved = {m.relabel(w) for m in big.elements}
         lhs = sorted(m.to_digits() for m in moved if m in ut.index)
-        _, sub_levi, _ = _subset_parabolic(n, labels, q)
-        sub_parabolic, _, _ = _subset_parabolic(n, labels, q)
-        target = sub_levi if kind == "levi" else sub_parabolic
         rhs = sorted(m.to_digits() for m in target.elements)
         instance = "n=%d;I=%s;q=%d;%s" % (n, list(labels), q, kind)
         reports.append(_report("levi-conjugation", instance, lhs, rhs))
@@ -336,8 +319,8 @@ def straighten_transport_reports(n, labels, q):
     segment and straightening there."""
     labels = tuple(sorted(labels))
     i = len(labels)
-    _, levi_sub, _ = _subset_parabolic(n, labels, q)
-    _, levi_init, _ = _subset_parabolic(n, tuple(range(1, i + 1)), q)
+    levi_sub, _ = split_tables(n, labels, q)
+    levi_init, _ = split_tables(n, tuple(range(1, i + 1)), q)
     w = coset_rep_permutation(n, labels)
     wmat = permutation_matrix(w, q, tuple(range(1, n + 1)))
     winv = wmat.inverse()
@@ -356,7 +339,7 @@ def straighten_transport_reports(n, labels, q):
 
 def straighten_induction_reports(n, i, q):
     """Straightening commutes with induction up the two block factors."""
-    _, ul, _ = _subset_parabolic(n, tuple(range(1, i + 1)), q)
+    ul, _ = split_tables(n, tuple(range(1, i + 1)), q)
     levi = levi_table(n, i, q)
     reports = []
     for c in range(len(ul.class_reps)):

@@ -1,9 +1,10 @@
 """Brute-force matrix groups over prime fields.
 
-Groups are explicit sorted lists of immutable matrices; products, inverses,
-conjugacy classes and semidirect factorizations are all found by lookup in
-that list.  Matrices carry a sorted ground set of row/column labels, so a
-matrix on ground (2, 4) is 2x2 with label pairs drawn from {2, 4}.
+Groups are explicit sorted lists of immutable matrices; products, inverses
+and conjugacy classes are found by lookup in that list, and each Levi factor
+of a Levi-radical factorization is read off its element before the lookup.
+Matrices carry a sorted ground set of row/column labels, so a matrix on
+ground (2, 4) is 2x2 with label pairs drawn from {2, 4}.
 
 Enumeration order is always lexicographic on the row-major entry vector,
 and the enumeration budget (default 25000 elements, overridable through the
@@ -365,27 +366,39 @@ class GroupTable:
     def factorization(self, levi, radical):
         """For each element g return (i, j) with g = levi[i] * radical[j].
 
-        Requires order(levi) * order(radical) == order(self) and trivial
-        intersection, which makes the factorization unique; both are checked.
+        The Levi factor l is g with the cells outside the support of levi
+        zeroed, its block diagonal part (Diaconis-Isaacs); l is looked up in
+        levi and l^-1 * g in radical.  Raises ValueError unless the orders
+        multiply, levi and radical meet only in the identity (so the
+        factorization is unique) and both lookups succeed for every g.
         """
         key = (levi.name, radical.name)
         got = self._factorizations.get(key)
         if got is not None:
             return got
-        assert levi.order * radical.order == self.order
+        if levi.order * radical.order != self.order:
+            raise ValueError("levi and radical orders must multiply to %d" % self.order)
         overlap = sum(1 for m in radical.elements if m in levi.index)
-        assert overlap == 1, "levi and radical must meet only in the identity"
-        rad_inv = [(j, m.inverse()) for j, m in enumerate(radical.elements)]
+        if overlap != 1:
+            raise ValueError("levi and radical must meet only in the identity")
+        n = len(self.ground)
+        support = [
+            [any(m.rows[r][c] for m in levi.elements) for c in range(n)]
+            for r in range(n)
+        ]
         out = []
         for g in self.elements:
-            for j, rinv in rad_inv:
-                l = g * rinv
-                li = levi.index.get(l)
-                if li is not None:
-                    out.append((li, j))
-                    break
-            else:
-                raise AssertionError("element does not factor")
+            l = FqMatrix(self.p, self.ground, [
+                [e if keep else 0 for e, keep in zip(row, mask)]
+                for row, mask in zip(g.rows, support)
+            ])
+            li = levi.index.get(l)
+            if li is None:
+                raise ValueError("levi part of %r is not in levi" % (g,))
+            rj = radical.index.get(levi.elements[levi.inverse(li)] * g)
+            if rj is None:
+                raise ValueError("%r does not factor through levi" % (g,))
+            out.append((li, rj))
         self._factorizations[key] = out
         return out
 

@@ -33,6 +33,7 @@ from .combinatorics import (
     parabolic_pattern,
     radical_pattern,
     set_compositions,
+    split_composition,
     refinements,
     total_orders,
 )
@@ -505,23 +506,16 @@ def specialize(x, q):
     return out
 
 
-def _two_block(n, i):
-    blocks = []
-    if i:
-        blocks.append(range(1, i + 1))
-    if i < n:
-        blocks.append(range(i + 1, n + 1))
-    return SetComposition(blocks)
-
-
 @functools.lru_cache(maxsize=None)
-def _ut_split_tables(n, i, q):
-    """Levi and radical pattern tables for the initial segment split of size i."""
+def split_tables(n, inside, q):
+    """Levi and radical pattern tables of the unitriangular group on
+    {1, ..., n}, split into the labels inside (a tuple) and the rest."""
     chain = chain_order(range(1, n + 1))
-    comp = _two_block(n, i)
-    levi = pattern_group(levi_pattern(chain, comp), q)
-    radical = pattern_group(radical_pattern(chain, comp), q)
-    return levi, radical
+    comp = split_composition(n, inside)
+    return (
+        pattern_group(levi_pattern(chain, comp), q),
+        pattern_group(radical_pattern(chain, comp), q),
+    )
 
 
 def ut_product_component(psi_a, psi_b):
@@ -531,7 +525,7 @@ def ut_product_component(psi_a, psi_b):
     j = len(psi_b.group.ground)
     n = i + j
     big = ut_table(n, q)
-    levi, radical = _ut_split_tables(n, i, q)
+    levi, radical = split_tables(n, tuple(range(1, i + 1)), q)
     tensor = TensorFunction.outer(psi_a, psi_b)
     on_levi = unstraighten_cf(tensor, range(1, i + 1), levi)
     return inflate_cf(on_levi, big, levi, radical)
@@ -548,25 +542,13 @@ def ut_product(a, b):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _ut_subset_tables(n, inside, q):
-    """Levi and radical pattern tables for an arbitrary subset split."""
-    chain = chain_order(range(1, n + 1))
-    outside = tuple(j for j in range(1, n + 1) if j not in set(inside))
-    blocks = [b for b in (inside, outside) if b]
-    comp = SetComposition(blocks)
-    levi = pattern_group(levi_pattern(chain, comp), q)
-    radical = pattern_group(radical_pattern(chain, comp), q)
-    return levi, radical
-
-
 def ut_coproduct(a):
     """Parabolic deflations over all subsets, straightened and graded."""
     out = GradedTensor(a.q)
     for n, psi in a.components.items():
         for k in range(n + 1):
             for inside in itertools.combinations(range(1, n + 1), k):
-                levi, radical = _ut_subset_tables(n, inside, a.q)
+                levi, radical = split_tables(n, inside, a.q)
                 on_levi = deflate_cf(psi, levi, radical)
                 tensor = straighten_cf(
                     on_levi, inside, ut_table(k, a.q), ut_table(n - k, a.q)

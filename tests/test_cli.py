@@ -200,6 +200,25 @@ class TestErrors:
             run(capsys, "scf", "antipode", "--poset", '{"n": 3, "strict": [[2, 3]]}')
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("operand", [
+        '{"n": 2, "strict": 5}',
+        "[1]",
+        '"x"',
+        '{"terms": [{"coeff": {"0": "1/0"}, "n": 1, "strict": []}]}',
+    ])
+    def test_malformed_operand_exits_two(self, capsys, operand):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "scf", "antipode", "--poset", operand)
+        assert err.value.code == 2
+        assert "bad operand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "-5"), ("--size", "0")])
+    def test_bad_sampling_flags_exit_two(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "verify", "monoid-axioms", "--n", "2", flag, value)
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_composite_field_size(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "ut", "specialize", "--q", "4", "--poset", POSET_PT)

@@ -44,6 +44,10 @@ class TestParabolicTables:
     def test_extreme_splits_are_the_whole_group(self):
         assert parabolic_table(2, 0, 2).order == gl_order(2, 2)
         assert parabolic_table(2, 2, 2).order == gl_order(2, 2)
+        for n, q in [(2, 2), (3, 2), (2, 3)]:
+            for i in (0, n):
+                assert levi_table(n, i, q) is gl_table(n, q)
+                assert parabolic_table(n, i, q) is gl_table(n, q)
 
     def test_levi_blocks(self):
         levi = levi_table(3, 1, 2)

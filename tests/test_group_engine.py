@@ -5,16 +5,20 @@ import random
 import pytest
 
 from uthopf.combinatorics import (
+    PartialOrder,
     SetComposition,
     all_partial_orders,
     chain_order,
     levi_pattern,
     parabolic_pattern,
     radical_pattern,
+    split_composition,
 )
+from uthopf.gl_bridge import levi_table, parabolic_table, radical_table
 from uthopf.group_engine import (
     BudgetError,
     FqMatrix,
+    GroupTable,
     coset_rep_permutation,
     enumeration_budget,
     gl_order,
@@ -24,6 +28,7 @@ from uthopf.group_engine import (
     primitive_root,
     ut_table,
 )
+from uthopf.hopf_core import split_tables
 
 
 def random_matrix(rng, p, n):
@@ -226,6 +231,68 @@ class TestGroupTable:
                         nxt.append(j)
             frontier = nxt
         assert len(span) == g.order
+
+
+def search_factorization(big, levi, radical):
+    """Reference factorization: for each g, search the radical for the r
+    with g * r^-1 in levi."""
+    rad_inv = [(j, m.inverse()) for j, m in enumerate(radical.elements)]
+    out = []
+    for g in big.elements:
+        for j, rinv in rad_inv:
+            li = levi.index.get(g * rinv)
+            if li is not None:
+                out.append((li, j))
+                break
+        else:
+            raise AssertionError("%r does not factor" % (g,))
+    return out
+
+
+def strict_pattern_group(strict, q):
+    return pattern_group(PartialOrder.from_strict((1, 2, 3), strict), q)
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("n,i,q", [(2, 1, 3), (3, 1, 2), (3, 2, 3), (3, 0, 2)])
+    def test_gl_split_matches_search(self, n, i, q):
+        big = parabolic_table(n, i, q)
+        levi = levi_table(n, i, q)
+        radical = radical_table(n, i, q)
+        got = big.factorization(levi, radical)
+        assert got == search_factorization(big, levi, radical)
+
+    def test_subset_split_matches_search(self):
+        # {1, 3} is not an initial segment of the chain on 4 labels
+        chain = chain_order((1, 2, 3, 4))
+        big = pattern_group(parabolic_pattern(chain, split_composition(4, (1, 3))), 2)
+        levi, radical = split_tables(4, (1, 3), 2)
+        got = big.factorization(levi, radical)
+        assert got == search_factorization(big, levi, radical)
+
+    def test_order_mismatch_raises(self):
+        big = ut_table(3, 2)
+        with pytest.raises(ValueError):
+            big.factorization(big, big)
+
+    def test_overlap_raises(self):
+        levi = strict_pattern_group([(1, 2), (1, 3)], 2)
+        radical = strict_pattern_group([(1, 3)], 2)
+        with pytest.raises(ValueError):
+            ut_table(3, 2).factorization(levi, radical)
+
+    def test_complement_that_is_not_a_levi_raises(self):
+        # {1, x} meets the radical trivially and the orders multiply, so the
+        # search factors every element; but the part of I + e13 on the
+        # support of {1, x} is I + e13 itself, which is not in {1, x}
+        big = ut_table(3, 2)
+        ident = FqMatrix.identity(2, (1, 2, 3))
+        x = FqMatrix(2, (1, 2, 3), [[1, 1, 1], [0, 1, 0], [0, 0, 1]])
+        fake = GroupTable([ident, x], name="fake")
+        radical = strict_pattern_group([(1, 3), (2, 3)], 2)
+        assert len(search_factorization(big, fake, radical)) == big.order
+        with pytest.raises(ValueError):
+            big.factorization(fake, radical)
 
 
 class TestGl:
