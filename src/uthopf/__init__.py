@@ -3,13 +3,14 @@ groups over prime fields, with a brute-force finite group engine as an
 independent oracle and degreewise induction to the general linear side."""
 
 from .combinatorics import (
+    BudgetError,
     Nuio,
     PartialOrder,
     SetComposition,
     natural_unit_interval_orders,
 )
-from .group_engine import BudgetError, FqMatrix, GroupTable, gl_table, \
-    pattern_group, ut_table
+from .group_engine import FqMatrix, GroupTable, gl_table, pattern_group, \
+    ut_table
 from .class_functions import ClassFunction, TensorFunction
 from .hopf_core import (
     GradedClassFunction,

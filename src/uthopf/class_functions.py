@@ -5,6 +5,15 @@ goes through the class map of the owning GroupTable.  All transport maps
 (restriction, induction, inflation, deflation, pullback along a group
 isomorphism) return class functions on explicitly enumerated targets, and
 deflation is realized on a complement subgroup rather than on a quotient.
+
+Sparse data is a Combination: a finite linear combination held in its
+`terms` dict from keys to nonzero coefficients.  The base class owns the
+zero-dropping, the accumulation of (key, coefficient) pairs, the linear
+operations and equality; a subclass supplies coefficient coercion, its
+context (the two tensor factor groups here; the prime of a graded family in
+hopf_core), products and printing.  TensorFunction is the one defined here;
+hopf_core builds its Laurent polynomials, symbolic combinations and graded
+families on the same class.
 """
 
 from __future__ import annotations
@@ -13,8 +22,84 @@ from fractions import Fraction
 
 
 def _as_fraction(x):
-    assert isinstance(x, (int, Fraction)), f"inexact scalar {x!r}"
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"inexact scalar {x!r}")
     return Fraction(x)
+
+
+class Combination:
+    """Finite linear combination: `terms` maps keys to nonzero coefficients.
+
+    Zero coefficients are dropped on construction, so equality of the dicts
+    is equality of the combinations.  `context` is the tuple of leading
+    constructor arguments that two combinations must share to be added or
+    equal; `_coerce` turns a given coefficient or scalar into coefficient
+    form.
+    """
+
+    __slots__ = ("terms",)
+
+    context = ()
+
+    def __init__(self, terms=None):
+        coerce = self._coerce
+        clean = {}
+        for key, c in (terms or {}).items():
+            c = coerce(c)
+            if c:
+                clean[key] = c
+        self.terms = clean
+
+    @staticmethod
+    def _coerce(c):
+        return c
+
+    @classmethod
+    def zero(cls, *context):
+        return cls(*context)
+
+    @classmethod
+    def collect(cls, pairs, *context):
+        """Sum (key, coefficient) pairs; equal keys add their coefficients."""
+        coerce = cls._coerce
+        out = {}
+        for key, c in pairs:
+            c = coerce(c)
+            out[key] = out[key] + c if key in out else c
+        return cls(*context, out)
+
+    def _like(self, terms):
+        return type(self)(*self.context, terms)
+
+    def __add__(self, other):
+        if self.context != other.context:
+            raise ValueError("cannot add combinations in different contexts")
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out[key] + c if key in out else c
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scale(self, c):
+        c = self._coerce(c)
+        return self._like({key: c * v for key, v in self.terms.items()})
+
+    __rmul__ = scale
+
+    def __eq__(self, other):
+        return (
+            type(self) is type(other)
+            and self.context == other.context
+            and self.terms == other.terms
+        )
+
+    def __bool__(self):
+        return bool(self.terms)
 
 
 class ClassFunction:
@@ -116,66 +201,39 @@ class ClassFunction:
         return total / self.group.order
 
 
-class TensorFunction:
+class TensorFunction(Combination):
     """Element of the tensor square of two class function spaces.
 
-    Held as a dict over pairs of class labels; zero entries are dropped, so
-    equality of dicts is equality of tensors.
+    A combination over pairs of class labels; its context is the two groups.
     """
 
-    __slots__ = ("left_group", "right_group", "data")
+    __slots__ = ("left_group", "right_group")
 
-    def __init__(self, left_group, right_group, data=None):
+    _coerce = staticmethod(_as_fraction)
+
+    def __init__(self, left_group, right_group, terms=None):
         self.left_group = left_group
         self.right_group = right_group
-        self.data = {}
-        if data:
-            for key, v in data.items():
-                v = _as_fraction(v)
-                if v:
-                    self.data[key] = v
+        super().__init__(terms)
+
+    @property
+    def context(self):
+        return (self.left_group, self.right_group)
 
     @classmethod
     def outer(cls, f, g):
-        data = {}
+        terms = {}
         for c1, a in enumerate(f.values):
             if not a:
                 continue
             for c2, b in enumerate(g.values):
                 if b:
-                    data[(c1, c2)] = a * b
-        return cls(f.group, g.group, data)
-
-    def __add__(self, other):
-        assert self.left_group is other.left_group
-        assert self.right_group is other.right_group
-        data = dict(self.data)
-        for key, v in other.data.items():
-            data[key] = data.get(key, Fraction(0)) + v
-        return TensorFunction(self.left_group, self.right_group, data)
-
-    def scale(self, c):
-        c = _as_fraction(c)
-        return TensorFunction(
-            self.left_group,
-            self.right_group,
-            {k: c * v for k, v in self.data.items()},
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorFunction)
-            and self.left_group is other.left_group
-            and self.right_group is other.right_group
-            and self.data == other.data
-        )
-
-    def __bool__(self):
-        return bool(self.data)
+                    terms[(c1, c2)] = a * b
+        return cls(f.group, g.group, terms)
 
     def __repr__(self):
         body = ", ".join(
-            "%s: %s" % (k, v) for k, v in sorted(self.data.items())
+            "%s: %s" % (k, v) for k, v in sorted(self.terms.items())
         )
         return "TensorFunction(%s (x) %s, {%s})" % (
             self.left_group.name, self.right_group.name, body
@@ -273,15 +331,15 @@ def straighten_cf(psi, inside, left_table, right_table):
     outside = tuple(sorted(set(ground) - set(inside)))
     into_inside = {v: k for k, v in standardize(inside).items()}
     into_outside = {v: k for k, v in standardize(outside).items()}
-    data = {}
+    terms = {}
     for c1, r1 in enumerate(left_table.class_reps):
         m1 = left_table.elements[r1].relabel(into_inside)
         for c2, r2 in enumerate(right_table.class_reps):
             m2 = right_table.elements[r2].relabel(into_outside)
             v = psi.at_matrix(m1.direct_sum(m2))
             if v:
-                data[(c1, c2)] = v
-    return TensorFunction(left_table, right_table, data)
+                terms[(c1, c2)] = v
+    return TensorFunction(left_table, right_table, terms)
 
 
 def unstraighten_cf(tensor, inside, levi_table):
@@ -298,5 +356,5 @@ def unstraighten_cf(tensor, inside, levi_table):
         m = levi_table.elements[r]
         c1 = tensor.left_group.class_of_matrix(m.block(inside).relabel(std_in))
         c2 = tensor.right_group.class_of_matrix(m.block(outside).relabel(std_out))
-        values.append(tensor.data.get((c1, c2), Fraction(0)))
+        values.append(tensor.terms.get((c1, c2), Fraction(0)))
     return ClassFunction(levi_table, values)

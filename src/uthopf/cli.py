@@ -13,8 +13,7 @@ import json
 import math
 import sys
 
-from .combinatorics import Nuio, natural_unit_interval_orders
-from .group_engine import BudgetError
+from .combinatorics import BudgetError, Nuio, natural_unit_interval_orders
 from .hopf_core import (
     ScfElement,
     axiom_reports,
@@ -87,8 +86,7 @@ def _load_operands(parser, args, count):
                 out.append(ScfElement.from_dict(data))
             else:
                 out.append(ScfElement.basis(Nuio.from_dict(data)))
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
-                AssertionError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             parser.error(f"bad operand {value!r}: {exc}")
     return out
 

@@ -11,11 +11,38 @@ points numerically upward, and whenever i is strictly below j, every i' <= i
 is strictly below every j' >= j.  They are counted by the Catalan numbers,
 and they are exactly the patterns whose unitriangular groups are normal in
 the full unitriangular group.
+
+The enumeration budget (default 25000 items, overridable through the
+UTHOPF_BUDGET environment variable) lives here so that every module can
+check it before an enumeration starts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
+
+
+class BudgetError(RuntimeError):
+    """Raised when an enumeration would exceed the configured budget."""
+
+
+def enumeration_budget():
+    raw = os.environ.get("UTHOPF_BUDGET", "25000")
+    try:
+        value = int(raw)
+    except ValueError:
+        raise BudgetError(f"UTHOPF_BUDGET must be an integer, got {raw!r}")
+    if value < 1:
+        raise BudgetError(f"UTHOPF_BUDGET must be positive, got {value}")
+    return value
+
+
+def _check_budget(size, what):
+    cap = enumeration_budget()
+    if size > cap:
+        raise BudgetError(f"{what} needs {size} elements, budget is {cap}")
 
 
 def _relation_axioms(pairs):
@@ -43,9 +70,11 @@ class SetComposition:
 
     def __init__(self, blocks):
         blocks = tuple(tuple(sorted(int(i) for i in b)) for b in blocks)
-        assert all(blocks), "blocks must be nonempty"
+        if not all(blocks):
+            raise ValueError("blocks must be nonempty")
         seen = [i for b in blocks for i in b]
-        assert len(set(seen)) == len(seen), "blocks must be disjoint"
+        if len(set(seen)) != len(seen):
+            raise ValueError("blocks must be disjoint")
         self.blocks = blocks
         self.ground = tuple(sorted(seen))
 
@@ -75,7 +104,6 @@ class SetComposition:
         >>> SetComposition([[1]]).concat(SetComposition([[2, 3]])).blocks
         ((1,), (2, 3))
         """
-        assert not set(self.ground) & set(other.ground)
         return SetComposition(self.blocks + other.blocks)
 
     def restrict(self, labels):
@@ -83,35 +111,6 @@ class SetComposition:
         labels = set(labels)
         kept = [tuple(i for i in b if i in labels) for b in self.blocks]
         return SetComposition([b for b in kept if b])
-
-    def refines(self, other):
-        """Whether self arises by composing each block of other in place.
-
-        Equivalently, self equals the concatenation of its restrictions to
-        the blocks of other, taken in order.
-        """
-        assert self.ground == other.ground
-        stitched = SetComposition([])
-        for b in other.blocks:
-            stitched = stitched.concat(self.restrict(b))
-        return stitched == self
-
-    def tits(self, other):
-        """Concatenate the restrictions of other to the blocks of self.
-
-        This is the usual associative action on faces: the result refines
-        self, and equals other when other already refines self.
-
-        >>> a = SetComposition([[1, 2, 3], [4]])
-        >>> b = SetComposition([[2, 3, 4], [1]])
-        >>> a.tits(b).blocks
-        ((2, 3), (1,), (4,))
-        """
-        assert self.ground == other.ground
-        out = SetComposition([])
-        for b in self.blocks:
-            out = out.concat(other.restrict(b))
-        return out
 
 
 def equal_pairs(comp):
@@ -129,11 +128,6 @@ def ascent_pairs(comp):
         for bs in comp.blocks[r + 1:]:
             out.update(itertools.product(br, bs))
     return frozenset(out)
-
-
-def inversion_pairs(comp):
-    """All pairs (i, j) with the block of i strictly after the block of j."""
-    return frozenset((j, i) for i, j in ascent_pairs(comp))
 
 
 def set_compositions(ground):
@@ -180,13 +174,17 @@ class PartialOrder:
 
     def __init__(self, ground, pairs):
         ground = tuple(sorted(int(i) for i in ground))
-        assert len(set(ground)) == len(ground), "repeated labels"
+        if len(set(ground)) != len(ground):
+            raise ValueError("repeated labels")
         pairs = frozenset((int(i), int(j)) for i, j in pairs)
         labels = set(ground)
-        assert all(i in labels and j in labels for i, j in pairs), "stray label"
-        assert all((i, i) in pairs for i in ground), "relation must be reflexive"
+        if not all(i in labels and j in labels for i, j in pairs):
+            raise ValueError("stray label")
+        if not all((i, i) in pairs for i in ground):
+            raise ValueError("relation must be reflexive")
         ok, reason = _relation_axioms(pairs)
-        assert ok, reason
+        if not ok:
+            raise ValueError(reason)
         self.ground = ground
         self.pairs = pairs
         self._strict = tuple(sorted((i, j) for i, j in pairs if i != j))
@@ -256,10 +254,6 @@ class PartialOrder:
         return PartialOrder(
             self.ground + other.ground, self.pairs | other.pairs | cross
         )
-
-    def is_total(self):
-        n = len(self.ground)
-        return len(self.pairs) == n * (n + 1) // 2
 
 
 def chain_order(seq):
@@ -339,21 +333,20 @@ class Nuio:
 
     def __init__(self, n, strict=()):
         n = int(n)
-        assert n >= 0
+        if n < 0:
+            raise ValueError("size must be nonnegative, got %d" % n)
         self.n = n
         self.order = PartialOrder.from_strict(range(1, n + 1), strict)
         self.strict = self.order.strict_pairs
-        for i, j in self.strict:
-            assert i < j, "strict pairs must point numerically upward"
+        if any(i >= j for i, j in self.strict):
+            raise ValueError("strict pairs must point numerically upward")
         prof = self.profile()
         for i in range(1, n + 1):
             ups = {j for a, j in self.strict if a == i}
-            assert ups == set(range(prof[i - 1], n + 1)), (
-                "row %d is not an upper interval" % i
-            )
-        assert all(a <= b for a, b in zip(prof, prof[1:])), (
-            "row minima must be nondecreasing"
-        )
+            if ups != set(range(prof[i - 1], n + 1)):
+                raise ValueError("row %d is not an upper interval" % i)
+        if any(a > b for a, b in zip(prof, prof[1:])):
+            raise ValueError("row minima must be nondecreasing")
 
     def profile(self):
         out = []
@@ -397,9 +390,11 @@ class Nuio:
         >>> Nuio.from_dyck("EEESSESS").strict
         ((1, 4), (2, 4))
         """
-        assert set(word) <= {"E", "S"}, "word must use letters E and S only"
+        if not set(word) <= {"E", "S"}:
+            raise ValueError("word must use letters E and S only")
         n = word.count("S")
-        assert word.count("E") == n, "needs equally many E and S steps"
+        if word.count("E") != n:
+            raise ValueError("needs equally many E and S steps")
         prof = []
         seen = 0
         for ch in word:
@@ -408,7 +403,8 @@ class Nuio:
             else:
                 prof.append(seen + 1)
         for i, c in enumerate(prof, start=1):
-            assert c > i, "path dips below the staircase at step %d" % i
+            if c <= i:
+                raise ValueError("path dips below the staircase at step %d" % i)
         strict = [
             (i, j) for i in range(1, n + 1) for j in range(prof[i - 1], n + 1)
         ]
@@ -468,9 +464,14 @@ class Nuio:
 def natural_unit_interval_orders(n):
     """All such orders on {1, ..., n}, sorted by their strict pair lists.
 
+    There are Catalan(n) of them; that count is checked against the
+    enumeration budget first.
+
     >>> [len(natural_unit_interval_orders(k)) for k in range(5)]
     [1, 1, 2, 5, 14]
     """
+    catalan = math.comb(2 * n, n) // (n + 1)
+    _check_budget(catalan, "listing the orders of degree %d" % n)
     if n == 0:
         return [Nuio(0)]
     profiles = []

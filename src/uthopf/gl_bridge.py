@@ -14,6 +14,7 @@ import itertools
 from .combinatorics import chain_order, natural_unit_interval_orders, \
     parabolic_pattern, split_composition
 from .group_engine import (
+    FqMatrix,
     GroupTable,
     coset_rep_permutation,
     gl_table,
@@ -60,20 +61,44 @@ def _block_predicate(n, i):
     return pred
 
 
+def _levi_generators(n, i, q):
+    """Block embeddings of the generators of gl_table(i, q) and
+    gl_table(n - i, q), the second block shifted onto i+1, ..., n."""
+    shift = {k: k + i for k in range(1, n - i + 1)}
+    low, high = gl_table(i, q), gl_table(n - i, q)
+    one_low = low.elements[low.identity_index]
+    one_high = high.elements[high.identity_index].relabel(shift)
+    return [low.elements[g].direct_sum(one_high) for g in low.generators()] + [
+        one_low.direct_sum(high.elements[g].relabel(shift))
+        for g in high.generators()
+    ]
+
+
 @functools.lru_cache(maxsize=None)
 def parabolic_table(n, i, q):
     """Invertible matrices with vanishing lower left block of shape (n-i) x i;
-    for i in (0, n) the block is empty and this is gl_table(n, q) itself."""
+    for i in (0, n) the block is empty and this is gl_table(n, q) itself.
+
+    Generated by the Levi generators and one elementary radical matrix: the
+    Levi conjugates diag(A, B) of I + X are I + A X B^-1, so one nonzero X
+    yields every rank one X, and their products give the whole radical."""
     gl = gl_table(n, q)
     if i in (0, n):
         return gl
-    return gl.subtable(_block_predicate(n, i), name="GL%dP%dq%d" % (n, i, q))
+    pred = _block_predicate(n, i)
+    corner = FqMatrix.one_off(q, gl.ground, i, i + 1, 1)
+    return GroupTable(
+        [m for m in gl.elements if pred(m)],
+        generators=_levi_generators(n, i, q) + [corner],
+        name="GL%dP%dq%d" % (n, i, q),
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def levi_table(n, i, q):
-    """Block diagonal invertible matrices, as direct sums of smaller groups;
-    for i in (0, n) there is one block and this is gl_table(n, q) itself."""
+    """Block diagonal invertible matrices, as direct sums of smaller groups,
+    generated by the block embeddings of their generators; for i in (0, n)
+    there is one block and this is gl_table(n, q) itself."""
     if i in (0, n):
         return gl_table(n, q)
     shift = {k: k + i for k in range(1, n - i + 1)}
@@ -81,7 +106,10 @@ def levi_table(n, i, q):
     for a in gl_table(i, q).elements:
         for b in gl_table(n - i, q).elements:
             elements.append(a.direct_sum(b.relabel(shift)))
-    return GroupTable(elements, name="GL%dL%dq%d" % (n, i, q))
+    return GroupTable(
+        elements, generators=_levi_generators(n, i, q),
+        name="GL%dL%dq%d" % (n, i, q),
+    )
 
 
 def radical_table(n, i, q):
@@ -91,10 +119,9 @@ def radical_table(n, i, q):
 
 def induce_to_gl(a):
     """Degreewise induction of a graded unitriangular class function."""
-    out = GradedClassFunction(a.q)
-    for n, f in a.components.items():
-        out = out + GradedClassFunction(a.q, {n: induce_cf(f, gl_table(n, a.q))})
-    return out
+    return GradedClassFunction(
+        a.q, {n: induce_cf(f, gl_table(n, a.q)) for n, f in a.terms.items()}
+    )
 
 
 def gl_product_component(fa, fb):
@@ -113,33 +140,35 @@ def gl_product_component(fa, fb):
 
 def gl_product(a, b):
     assert a.q == b.q
-    out = GradedClassFunction(a.q)
-    for i, fa in a.components.items():
-        for j, fb in b.components.items():
-            out = out + GradedClassFunction(
-                a.q, {i + j: gl_product_component(fa, fb)}
-            )
-    return out
+    return GradedClassFunction.collect(
+        (
+            (i + j, gl_product_component(fa, fb))
+            for i, fa in a.terms.items()
+            for j, fb in b.terms.items()
+        ),
+        a.q,
+    )
 
 
 def gl_coproduct(a):
     """Parabolic deflations over all block splits, straightened and graded."""
-    out = GradedTensor(a.q)
-    for n, psi in a.components.items():
-        for i in range(n + 1):
-            levi = levi_table(n, i, a.q)
-            radical = radical_table(n, i, a.q)
-            on_levi = deflate_cf(psi, levi, radical)
-            tensor = straighten_cf(
-                on_levi, range(1, i + 1), gl_table(i, a.q), gl_table(n - i, a.q)
-            )
-            out = out.add_term(i, n - i, tensor)
-    return out
+
+    def pieces():
+        for n, psi in a.terms.items():
+            for i in range(n + 1):
+                levi = levi_table(n, i, a.q)
+                radical = radical_table(n, i, a.q)
+                on_levi = deflate_cf(psi, levi, radical)
+                yield (i, n - i), straighten_cf(
+                    on_levi, range(1, i + 1), gl_table(i, a.q), gl_table(n - i, a.q)
+                )
+
+    return GradedTensor.collect(pieces(), a.q)
 
 
 def gl_dagger(a):
     return GradedClassFunction(
-        a.q, {n: dagger_cf(f) for n, f in a.components.items()}
+        a.q, {n: dagger_cf(f) for n, f in a.terms.items()}
     )
 
 
@@ -159,10 +188,12 @@ def _induce_tensor(tensor, q):
     j = len(tensor.right_group.ground)
     left = _induced_class_indicators(i, q)
     right = _induced_class_indicators(j, q)
-    out = TensorFunction(gl_table(i, q), gl_table(j, q))
-    for (c1, c2), v in tensor.data.items():
-        out = out + TensorFunction.outer(left[c1], right[c2]).scale(v)
-    return out
+    pairs = (
+        (key, v * a)
+        for (c1, c2), v in tensor.terms.items()
+        for key, a in TensorFunction.outer(left[c1], right[c2]).terms.items()
+    )
+    return TensorFunction.collect(pairs, gl_table(i, q), gl_table(j, q))
 
 
 def product_hom_reports(total_degree, q):
@@ -195,9 +226,10 @@ def coproduct_hom_reports(degree, q):
         for pi in natural_unit_interval_orders(n):
             x = specialize(ScfElement.basis(pi), q)
             lhs = gl_coproduct(induce_to_gl(x))
-            rhs = GradedTensor(q)
-            for (i, j), tensor in ut_coproduct(x).components.items():
-                rhs = rhs.add_term(i, j, _induce_tensor(tensor, q))
+            rhs = GradedTensor(q, {
+                key: _induce_tensor(tensor, q)
+                for key, tensor in ut_coproduct(x).terms.items()
+            })
             instance = "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q)
             reports.append(_report("induction-coproduct", instance, lhs, rhs))
     return reports

@@ -7,40 +7,19 @@ Matrices carry a sorted ground set of row/column labels, so a matrix on
 ground (2, 4) is 2x2 with label pairs drawn from {2, 4}.
 
 Enumeration order is always lexicographic on the row-major entry vector,
-and the enumeration budget (default 25000 elements, overridable through the
-UTHOPF_BUDGET environment variable) is enforced before any scan starts.
+and the enumeration budget (combinatorics.enumeration_budget) is enforced
+before any scan starts.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 
-from .combinatorics import PartialOrder, chain_order
+from .combinatorics import BudgetError, PartialOrder, _check_budget, \
+    chain_order, enumeration_budget
 
 PRODUCT_CACHE_CAP = 4096
-
-
-class BudgetError(RuntimeError):
-    """Raised when an enumeration would exceed the configured budget."""
-
-
-def enumeration_budget():
-    raw = os.environ.get("UTHOPF_BUDGET", "25000")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise BudgetError(f"UTHOPF_BUDGET must be an integer, got {raw!r}")
-    if value < 1:
-        raise BudgetError(f"UTHOPF_BUDGET must be positive, got {value}")
-    return value
-
-
-def _check_budget(size, what):
-    cap = enumeration_budget()
-    if size > cap:
-        raise BudgetError(f"{what} needs {size} elements, budget is {cap}")
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,6 +13,11 @@ Species side: the same operations before quotienting by relabelling,
 realized on explicit pattern groups over a composition of the ground set.
 The axiom checks run the associativity, coassociativity, compatibility and
 naturality squares on concrete class function bases.
+
+Every sparse value here (LaurentT, ScfElement, TensorScf,
+GradedClassFunction, GradedTensor) is a class_functions.Combination: its
+`terms` dict maps exponents, orders, pairs of orders, degrees or bidegrees to
+nonzero coefficients, and sums of many pieces go through one `collect` call.
 """
 
 from __future__ import annotations
@@ -36,10 +41,12 @@ from .combinatorics import (
     split_composition,
     refinements,
     total_orders,
+    _check_budget,
 )
 from .group_engine import pattern_group, ut_table
 from .class_functions import (
     ClassFunction,
+    Combination,
     TensorFunction,
     deflate_cf,
     inflate_cf,
@@ -58,22 +65,15 @@ def frac_str(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-class LaurentT:
-    """Laurent polynomial in one variable t over the rationals."""
+class LaurentT(Combination):
+    """Laurent polynomial in one variable t over the rationals: a
+    combination of exponents with Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        for k, v in (coeffs or {}).items():
-            v = Fraction(v)
-            if v:
-                clean[int(k)] = v
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    @staticmethod
+    def _coerce(v):
+        return v if type(v) is Fraction else Fraction(v)
 
     @classmethod
     def one(cls):
@@ -87,52 +87,35 @@ class LaurentT:
     def scalar(cls, x):
         return cls({0: Fraction(x)})
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return LaurentT(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentT({k: -v for k, v in self.coeffs.items()})
+    __add__ = Combination.__add__
 
     def __mul__(self, other):
         if not isinstance(other, LaurentT):
             other = LaurentT.scalar(other)
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = k1 + k2
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return LaurentT(out)
+        return LaurentT.collect(
+            (k1 + k2, v1 * v2)
+            for k1, v1 in self.terms.items()
+            for k2, v2 in other.terms.items()
+        )
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return isinstance(other, LaurentT) and self.coeffs == other.coeffs
-
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        return hash(tuple(sorted(self.terms.items())))
 
     def evaluate(self, x):
         x = Fraction(x)
         total = Fraction(0)
-        for k, v in self.coeffs.items():
+        for k, v in self.terms.items():
             total += v * x ** k
         return total
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
-        for k in sorted(self.coeffs):
-            v = self.coeffs[k]
+        for k in sorted(self.terms):
+            v = self.terms[k]
             if k == 0:
                 bits.append(str(v))
             elif k == 1:
@@ -142,30 +125,23 @@ class LaurentT:
         return " + ".join(bits)
 
     def to_dict(self):
-        return {str(k): frac_str(v) for k, v in sorted(self.coeffs.items())}
+        return {str(k): frac_str(v) for k, v in sorted(self.terms.items())}
 
     @classmethod
     def from_dict(cls, data):
         return cls({int(k): Fraction(v) for k, v in data.items()})
 
 
-class ScfElement:
+def _laurent(c):
+    return c if isinstance(c, LaurentT) else LaurentT.scalar(c)
+
+
+class ScfElement(Combination):
     """Laurent-coefficient combination of natural unit interval orders."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        for pi, c in (terms or {}).items():
-            if not isinstance(c, LaurentT):
-                c = LaurentT.scalar(c)
-            if c:
-                clean[pi] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    _coerce = staticmethod(_laurent)
 
     @classmethod
     def basis(cls, pi):
@@ -178,37 +154,12 @@ class ScfElement:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].key())
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for pi, c in other.terms.items():
-            out[pi] = out.get(pi, LaurentT.zero()) + c
-        return ScfElement(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ScfElement({pi: -c for pi, c in self.terms.items()})
-
-    def scale(self, c):
-        if not isinstance(c, LaurentT):
-            c = LaurentT.scalar(c)
-        return ScfElement({pi: c * v for pi, v in self.terms.items()})
-
     def __mul__(self, other):
-        out = {}
-        for pi, a in self.terms.items():
-            for rho, b in other.terms.items():
-                key = pi.shifted_sum(rho)
-                c = a * b
-                out[key] = out.get(key, LaurentT.zero()) + c
-        return ScfElement(out)
-
-    def __eq__(self, other):
-        return isinstance(other, ScfElement) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+        return ScfElement.collect(
+            (pi.shifted_sum(rho), a * b)
+            for pi, a in self.terms.items()
+            for rho, b in other.terms.items()
+        )
 
     def __repr__(self):
         if not self.terms:
@@ -228,16 +179,18 @@ class ScfElement:
         return self.terms.get(Nuio(0), LaurentT.zero())
 
     def coproduct(self):
-        out = TensorScf()
-        for pi, c in self.terms.items():
-            out = out + _coproduct_basis(pi).scale(c)
-        return out
+        return TensorScf.collect(
+            (key, c * v)
+            for pi, c in self.terms.items()
+            for key, v in _coproduct_basis(pi).terms.items()
+        )
 
     def antipode(self):
-        out = ScfElement()
-        for pi, c in self.terms.items():
-            out = out + _antipode_basis(pi).scale(c)
-        return out
+        return ScfElement.collect(
+            (rho, c * v)
+            for pi, c in self.terms.items()
+            for rho, v in _antipode_basis(pi).terms.items()
+        )
 
     def dagger(self):
         return ScfElement({pi.dagger(): c for pi, c in self.terms.items()})
@@ -256,27 +209,21 @@ class ScfElement:
 
     @classmethod
     def from_dict(cls, data):
-        out = {}
-        for term in data.get("terms", []):
-            pi = Nuio(term["n"], [tuple(p) for p in term.get("strict", [])])
-            c = LaurentT.from_dict(term.get("coeff", {"0": "1/1"}))
-            out[pi] = out.get(pi, LaurentT.zero()) + c
-        return cls(out)
+        return cls.collect(
+            (
+                Nuio(term["n"], [tuple(p) for p in term.get("strict", [])]),
+                LaurentT.from_dict(term.get("coeff", {"0": "1/1"})),
+            )
+            for term in data.get("terms", [])
+        )
 
 
-class TensorScf:
+class TensorScf(Combination):
     """Combination of ordered pairs of unit interval orders."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        for key, c in (terms or {}).items():
-            if not isinstance(c, LaurentT):
-                c = LaurentT.scalar(c)
-            if c:
-                clean[key] = c
-        self.terms = clean
+    _coerce = staticmethod(_laurent)
 
     def sorted_terms(self):
         return sorted(
@@ -284,48 +231,25 @@ class TensorScf:
             key=lambda kv: (kv[0][0].n, kv[0][0].key(), kv[0][1].key()),
         )
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, LaurentT.zero()) + c
-        return TensorScf(out)
-
-    def __sub__(self, other):
-        return self + other.scale(LaurentT.scalar(-1))
-
-    def scale(self, c):
-        if not isinstance(c, LaurentT):
-            c = LaurentT.scalar(c)
-        return TensorScf({key: c * v for key, v in self.terms.items()})
-
     def __mul__(self, other):
-        acc = {}
-        for (l1, r1), a in self.terms.items():
-            for (l2, r2), b in other.terms.items():
-                key = (l1.shifted_sum(l2), r1.shifted_sum(r2))
-                acc[key] = acc.get(key, LaurentT.zero()) + a * b
-        return TensorScf(acc)
+        return TensorScf.collect(
+            ((l1.shifted_sum(l2), r1.shifted_sum(r2)), a * b)
+            for (l1, r1), a in self.terms.items()
+            for (l2, r2), b in other.terms.items()
+        )
 
     def swap(self):
         return TensorScf({(r, l): c for (l, r), c in self.terms.items()})
 
     def map_factors(self, f):
-        out = {}
-        for (l, r), c in self.terms.items():
-            key = (f(l), f(r))
-            out[key] = out.get(key, LaurentT.zero()) + c
-        return TensorScf(out)
+        return TensorScf.collect(
+            ((f(l), f(r)), c) for (l, r), c in self.terms.items()
+        )
 
     def component(self, i, j):
         return TensorScf(
             {k: c for k, c in self.terms.items() if k[0].n == i and k[1].n == j}
         )
-
-    def __eq__(self, other):
-        return isinstance(other, TensorScf) and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         bits = [
@@ -349,15 +273,17 @@ class TensorScf:
 
 @functools.lru_cache(maxsize=None)
 def _coproduct_basis(pi):
+    _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
     labels = range(1, pi.n + 1)
-    acc = {}
-    for k in range(pi.n + 1):
-        for inside in itertools.combinations(labels, k):
-            outside = tuple(j for j in labels if j not in set(inside))
-            key = (pi.shifted_restrict(inside), pi.shifted_restrict(outside))
-            c = LaurentT.t(pi.ascent_count(inside))
-            acc[key] = acc.get(key, LaurentT.zero()) + c
-    return TensorScf(acc)
+
+    def splits():
+        for k in range(pi.n + 1):
+            for inside in itertools.combinations(labels, k):
+                outside = tuple(j for j in labels if j not in set(inside))
+                key = (pi.shifted_restrict(inside), pi.shifted_restrict(outside))
+                yield key, LaurentT.t(pi.ascent_count(inside))
+
+    return TensorScf.collect(splits())
 
 
 _ANTIPODE_CACHE = {}
@@ -371,59 +297,51 @@ def _antipode_basis(pi):
     if pi.n == 0:
         out = ScfElement.unit()
     else:
-        out = -ScfElement.basis(pi)
-        for (left, right), c in _coproduct_basis(pi).terms.items():
-            if left.n == pi.n or right.n == pi.n:
-                continue
-            out = out - (_antipode_basis(left) * ScfElement.basis(right)).scale(c)
+        out = -ScfElement.collect(itertools.chain(
+            [(pi, 1)],
+            (
+                (rho, c * v)
+                for (left, right), c in _coproduct_basis(pi).terms.items()
+                if left.n != pi.n and right.n != pi.n
+                for rho, v in (
+                    _antipode_basis(left) * ScfElement.basis(right)
+                ).terms.items()
+            ),
+        ))
     _ANTIPODE_CACHE[pi] = out
     return out
 
 
-class GradedClassFunction:
-    """Finitely supported graded family of class functions at one prime."""
+class _AtPrime(Combination):
+    """A combination whose context is one prime q."""
 
-    __slots__ = ("q", "components")
+    __slots__ = ("q",)
 
-    def __init__(self, q, components=None):
+    def __init__(self, q, terms=None):
         self.q = q
-        self.components = {}
-        for n, f in (components or {}).items():
-            if f:
-                self.components[n] = f
+        super().__init__(terms)
 
-    def __add__(self, other):
-        assert self.q == other.q
-        out = dict(self.components)
-        for n, f in other.components.items():
-            out[n] = out[n] + f if n in out else f
-        return GradedClassFunction(self.q, out)
+    @property
+    def context(self):
+        return (self.q,)
 
-    def scale(self, c):
-        return GradedClassFunction(
-            self.q, {n: f * Fraction(c) for n, f in self.components.items()}
-        )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedClassFunction)
-            and self.q == other.q
-            and self.components == other.components
-        )
+class GradedClassFunction(_AtPrime):
+    """Finitely supported graded family of class functions at one prime: a
+    combination of degrees with ClassFunction coefficients."""
 
-    def __bool__(self):
-        return bool(self.components)
+    __slots__ = ()
 
     def __repr__(self):
         return "GradedClassFunction(q=%d, %s)" % (
             self.q,
-            {n: list(f.values) for n, f in sorted(self.components.items())},
+            {n: list(f.values) for n, f in sorted(self.terms.items())},
         )
 
     def to_dict(self):
         comps = []
-        for n in sorted(self.components):
-            f = self.components[n]
+        for n in sorted(self.terms):
+            f = self.terms[n]
             comps.append({
                 "n": n,
                 "group": f.group.name,
@@ -438,39 +356,14 @@ class GradedClassFunction:
         return {"q": self.q, "components": comps}
 
 
-class GradedTensor:
-    """Graded family of two factor tensors at one prime."""
+class GradedTensor(_AtPrime):
+    """Graded family of two factor tensors at one prime: a combination of
+    bidegrees (i, j) with TensorFunction coefficients."""
 
-    __slots__ = ("q", "components")
-
-    def __init__(self, q, components=None):
-        self.q = q
-        self.components = {}
-        for key, t in (components or {}).items():
-            if t:
-                self.components[key] = t
-
-    def add_term(self, i, j, tensor):
-        out = dict(self.components)
-        if (i, j) in out:
-            tensor = out[(i, j)] + tensor
-        if tensor:
-            out[(i, j)] = tensor
-        elif (i, j) in out:
-            del out[(i, j)]
-        return GradedTensor(self.q, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedTensor)
-            and self.q == other.q
-            and self.components == other.components
-        )
+    __slots__ = ()
 
     def __repr__(self):
-        return "GradedTensor(q=%d, %s)" % (
-            self.q, sorted(self.components.items())
-        )
+        return "GradedTensor(q=%d, %s)" % (self.q, sorted(self.terms.items()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -496,14 +389,10 @@ def pattern_indicator(pi, q):
 def specialize(x, q):
     """Evaluate coefficients at t = 1/q and realize basis elements as indicators."""
     point = Fraction(1, q)
-    out = GradedClassFunction(q)
-    for pi, c in x.terms.items():
-        val = c.evaluate(point)
-        if val:
-            out = out + GradedClassFunction(
-                q, {pi.n: pattern_indicator(pi, q) * val}
-            )
-    return out
+    values = ((pi, c.evaluate(point)) for pi, c in x.terms.items())
+    return GradedClassFunction.collect(
+        ((pi.n, pattern_indicator(pi, q) * v) for pi, v in values if v), q
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -533,49 +422,55 @@ def ut_product_component(psi_a, psi_b):
 
 def ut_product(a, b):
     assert a.q == b.q
-    out = GradedClassFunction(a.q)
-    for i, fa in a.components.items():
-        for j, fb in b.components.items():
-            out = out + GradedClassFunction(
-                a.q, {i + j: ut_product_component(fa, fb)}
-            )
-    return out
+    return GradedClassFunction.collect(
+        (
+            (i + j, ut_product_component(fa, fb))
+            for i, fa in a.terms.items()
+            for j, fb in b.terms.items()
+        ),
+        a.q,
+    )
 
 
 def ut_coproduct(a):
     """Parabolic deflations over all subsets, straightened and graded."""
-    out = GradedTensor(a.q)
-    for n, psi in a.components.items():
-        for k in range(n + 1):
-            for inside in itertools.combinations(range(1, n + 1), k):
-                levi, radical = split_tables(n, inside, a.q)
-                on_levi = deflate_cf(psi, levi, radical)
-                tensor = straighten_cf(
-                    on_levi, inside, ut_table(k, a.q), ut_table(n - k, a.q)
-                )
-                out = out.add_term(k, n - k, tensor)
-    return out
+
+    def pieces():
+        for n, psi in a.terms.items():
+            for k in range(n + 1):
+                for inside in itertools.combinations(range(1, n + 1), k):
+                    levi, radical = split_tables(n, inside, a.q)
+                    on_levi = deflate_cf(psi, levi, radical)
+                    yield (k, n - k), straighten_cf(
+                        on_levi, inside, ut_table(k, a.q), ut_table(n - k, a.q)
+                    )
+
+    return GradedTensor.collect(pieces(), a.q)
 
 
 def specialize_tensor(tx, q):
     point = Fraction(1, q)
-    out = GradedTensor(q)
-    for (l, r), c in tx.terms.items():
-        val = c.evaluate(point)
-        if not val:
-            continue
-        tensor = TensorFunction.outer(
-            pattern_indicator(l, q), pattern_indicator(r, q)
-        ).scale(val)
-        out = out.add_term(l.n, r.n, tensor)
-    return out
+    values = ((key, c.evaluate(point)) for key, c in tx.terms.items())
+    return GradedTensor.collect(
+        (
+            (
+                (l.n, r.n),
+                TensorFunction.outer(
+                    pattern_indicator(l, q), pattern_indicator(r, q)
+                ).scale(v),
+            )
+            for (l, r), v in values
+            if v
+        ),
+        q,
+    )
 
 
 def ut_dagger(a):
     from .class_functions import dagger_cf
 
     return GradedClassFunction(
-        a.q, {n: dagger_cf(f) for n, f in a.components.items()}
+        a.q, {n: dagger_cf(f) for n, f in a.terms.items()}
     )
 
 

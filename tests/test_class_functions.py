@@ -220,7 +220,7 @@ class TestTensorFunction:
         a = ClassFunction.trivial(g1)
         b = ClassFunction.class_indicator(g2, 0)
         t = TensorFunction.outer(a, b)
-        assert t.data == {(0, 0): 1, (1, 0): 1}
+        assert t.terms == {(0, 0): 1, (1, 0): 1}
 
     def test_addition_drops_zeros(self):
         g1, g2 = ut_table(2, 2), ut_table(2, 2)
@@ -230,4 +230,9 @@ class TestTensorFunction:
         )
         z = a + a.scale(-1)
         assert not z
-        assert z.data == {}
+        assert z.terms == {}
+
+    def test_inexact_coefficient_raises(self):
+        g = ut_table(2, 2)
+        with pytest.raises(TypeError):
+            TensorFunction(g, g, {(0, 0): 0.5})

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from uthopf import cli
+from uthopf import cli, hopf_core
 
 
 def run(capsys, *argv):
@@ -205,6 +205,10 @@ class TestErrors:
         "[1]",
         '"x"',
         '{"terms": [{"coeff": {"0": "1/0"}, "n": 1, "strict": []}]}',
+        '{"n": 3, "strict": [[1, 2]]}',
+        '{"n": 3, "strict": [[2, 1]]}',
+        '{"n": 3, "strict": [[1, 5]]}',
+        '{"n": -1}',
     ])
     def test_malformed_operand_exits_two(self, capsys, operand):
         with pytest.raises(SystemExit) as err:
@@ -238,4 +242,19 @@ class TestErrors:
             "--poset", '{"n": 3, "strict": [[1, 2], [1, 3], [2, 3]]}',
         )
         assert code == 2
+        assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("argv", [
+        # Catalan(3) = 5 orders
+        ("nuio", "list", "--n", "3"),
+        # 2^3 subsets
+        ("scf", "coproduct", "--poset", '{"n": 3, "strict": [[1, 3]]}'),
+    ])
+    def test_symbolic_budget_exceeded(self, capsys, monkeypatch, argv):
+        # a cached coproduct would skip the enumeration and its budget check
+        hopf_core._coproduct_basis.cache_clear()
+        monkeypatch.setenv("UTHOPF_BUDGET", "4")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
         assert "budget exceeded" in err

@@ -20,7 +20,6 @@ from uthopf.combinatorics import (
     ascent_pairs,
     chain_order,
     equal_pairs,
-    inversion_pairs,
     levi_pattern,
     natural_unit_interval_orders,
     parabolic_pattern,
@@ -38,6 +37,42 @@ def strict_set(order):
 
 def comp(*blocks):
     return SetComposition(blocks)
+
+
+def inversion_pairs(comp):
+    """All pairs (i, j) with the block of i strictly after the block of j."""
+    return frozenset((j, i) for i, j in ascent_pairs(comp))
+
+
+def refines(fine, coarse):
+    """Whether fine arises by composing each block of coarse in place.
+
+    Equivalently, fine equals the concatenation of its restrictions to
+    the blocks of coarse, taken in order.
+    """
+    assert fine.ground == coarse.ground
+    stitched = SetComposition([])
+    for b in coarse.blocks:
+        stitched = stitched.concat(fine.restrict(b))
+    return stitched == fine
+
+
+def tits(a, b):
+    """Concatenate the restrictions of b to the blocks of a.
+
+    This is the usual associative action on faces: the result refines
+    a, and equals b when b already refines a.
+    """
+    assert a.ground == b.ground
+    out = SetComposition([])
+    for block in a.blocks:
+        out = out.concat(b.restrict(block))
+    return out
+
+
+def is_total(order):
+    n = len(order.ground)
+    return len(order.pairs) == n * (n + 1) // 2
 
 
 @st.composite
@@ -76,11 +111,11 @@ class TestSetComposition:
         assert a.ground == (1, 2, 3)
 
     def test_rejects_repeated_labels(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             SetComposition([(1, 2), (2, 3)])
 
     def test_concat_requires_disjoint_grounds(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             comp((1,)).concat(comp((1, 2)))
 
     def test_concat(self):
@@ -94,11 +129,11 @@ class TestSetComposition:
     def test_refines(self):
         fine = comp((2,), (1,), (3,))
         coarse = comp((1, 2), (3,))
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
-        assert comp((1, 3), (2,)).refines(comp((1, 3), (2,)))
+        assert refines(fine, coarse)
+        assert not refines(coarse, fine)
+        assert refines(comp((1, 3), (2,)), comp((1, 3), (2,)))
         # same blocks in a different order is not a refinement
-        assert not comp((3,), (1, 2)).refines(coarse)
+        assert not refines(comp((3,), (1, 2)), coarse)
 
     def test_counts(self):
         # ordered set partitions: 1, 1, 3, 13, 75
@@ -109,7 +144,7 @@ class TestSetComposition:
         a = comp((1, 3), (2, 4))
         fine = sorted(r.blocks for r in refinements(a))
         brute = sorted(
-            b.blocks for b in set_compositions(a.ground) if b.refines(a)
+            b.blocks for b in set_compositions(a.ground) if refines(b, a)
         )
         assert fine == brute
 
@@ -123,17 +158,22 @@ class TestSetComposition:
         assert (1, 2) in asc and (2, 1) in inv
         assert (4, 3) in asc
 
+    def test_tits_example(self):
+        a = SetComposition([[1, 2, 3], [4]])
+        b = SetComposition([[2, 3, 4], [1]])
+        assert tits(a, b).blocks == ((2, 3), (1,), (4,))
+
     def test_tits_pinned(self):
         a = comp((1, 2, 3), (4,))
         b = comp((2, 4), (1, 3))
-        assert a.tits(b) == comp((2,), (1, 3), (4,))
-        assert b.tits(a) == comp((2,), (4,), (1, 3))
+        assert tits(a, b) == comp((2,), (1, 3), (4,))
+        assert tits(b, a) == comp((2,), (4,), (1, 3))
 
     def test_tits_identity_element(self):
         a = comp((2, 3), (1,))
         one = comp((1, 2, 3))
-        assert one.tits(a) == a
-        assert a.tits(one) == a
+        assert tits(one, a) == a
+        assert tits(a, one) == a
 
 
 @settings(max_examples=150, deadline=None)
@@ -142,12 +182,12 @@ def test_tits_statistics(a, b):
     """Blockwise description of the Tits product, stated on pair statistics."""
     if a.ground != b.ground:
         return
-    ab = a.tits(b)
+    ab = tits(a, b)
     assert equal_pairs(ab) == equal_pairs(a) & equal_pairs(b)
     assert ascent_pairs(ab) == ascent_pairs(a) | (
         equal_pairs(a) & ascent_pairs(b)
     )
-    assert ab.refines(a)
+    assert refines(ab, a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,7 +195,7 @@ def test_tits_statistics(a, b):
 def test_tits_is_associative(a, b, c):
     if not (a.ground == b.ground == c.ground):
         return
-    assert a.tits(b).tits(c) == a.tits(b.tits(c))
+    assert tits(tits(a, b), c) == tits(a, tits(b, c))
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,10 +203,10 @@ def test_tits_is_associative(a, b, c):
 def test_tits_band_laws(a, b):
     if a.ground != b.ground:
         return
-    assert a.tits(a) == a
-    assert a.tits(b).tits(b) == a.tits(b)
+    assert tits(a, a) == a
+    assert tits(tits(a, b), b) == tits(a, b)
     # the product only depends on b through its fibers over a
-    assert a.tits(b).tits(a) == a.tits(b)
+    assert tits(tits(a, b), a) == tits(a, b)
 
 
 class TestPartialOrder:
@@ -176,12 +216,12 @@ class TestPartialOrder:
         assert strict_set(p) == frozenset({(1, 2), (2, 3), (1, 3)})
 
     def test_rejects_cycles(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             PartialOrder.from_strict((1, 2), [(1, 2), (2, 1)])
 
     def test_rejects_non_transitive_pairs(self):
         diag = {(i, i) for i in (1, 2, 3)}
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             PartialOrder((1, 2, 3), frozenset(diag | {(1, 2), (2, 3)}))
 
     def test_restrict(self):
@@ -202,12 +242,12 @@ class TestPartialOrder:
         assert strict_set(o) == frozenset(
             {(1, 2), (3, 4), (1, 3), (1, 4), (2, 3), (2, 4)}
         )
-        assert o.is_total()
-        assert not d.is_total()
+        assert is_total(o)
+        assert not is_total(d)
 
     def test_total_orders_count(self):
         assert sum(1 for _ in total_orders((1, 2, 3))) == 6
-        assert all(t.is_total() for t in total_orders((1, 2, 3)))
+        assert all(is_total(t) for t in total_orders((1, 2, 3)))
 
     def test_all_partial_orders_counts(self):
         # labeled posets: 1, 1, 3, 19, 219
@@ -288,11 +328,11 @@ class TestNuio:
 
     def test_rejects_non_closed_order(self):
         # 2 < 3 forces 1 < 3
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             Nuio(3, [(2, 3)])
 
     def test_rejects_backwards_pair(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             Nuio(2, [(2, 1)])
 
     def test_profile(self):
@@ -313,7 +353,7 @@ class TestNuio:
 
     def test_from_dyck_rejects_bad_words(self):
         for word in ("ES" * 2 + "E", "SE", "EESS ", "EXSS"):
-            with pytest.raises((AssertionError, KeyError, ValueError)):
+            with pytest.raises(ValueError):
                 Nuio.from_dyck(word)
 
     def test_dagger_pin(self):

@@ -5,6 +5,7 @@ import pytest
 from uthopf.class_functions import ClassFunction, induce_cf
 from uthopf.combinatorics import Nuio
 from uthopf.gl_bridge import (
+    _levi_generators,
     bruhat_reports,
     coproduct_hom_reports,
     dagger_invariance_reports,
@@ -21,7 +22,8 @@ from uthopf.gl_bridge import (
     straighten_induction_reports,
     straighten_transport_reports,
 )
-from uthopf.group_engine import gl_order, gl_table, ut_table
+from uthopf.group_engine import FqMatrix, GroupTable, gl_order, gl_table, \
+    ut_table
 from uthopf.hopf_core import ScfElement, specialize
 
 
@@ -48,6 +50,19 @@ class TestParabolicTables:
             for i in (0, n):
                 assert levi_table(n, i, q) is gl_table(n, q)
                 assert parabolic_table(n, i, q) is gl_table(n, q)
+
+    @pytest.mark.parametrize("n,i,q", [(2, 1, 3), (3, 1, 2), (3, 2, 2)])
+    def test_known_generators_are_kept(self, n, i, q):
+        # the given generators generate (none appended), and the classes
+        # match those found under a searched generating set
+        levi_gens = _levi_generators(n, i, q)
+        corner = FqMatrix.one_off(q, tuple(range(1, n + 1)), i, i + 1, 1)
+        for table, given in (
+            (levi_table(n, i, q), levi_gens),
+            (parabolic_table(n, i, q), levi_gens + [corner]),
+        ):
+            assert [table.elements[g] for g in table.generators()] == given
+            assert table.classes == GroupTable(table.elements).classes
 
     def test_levi_blocks(self):
         levi = levi_table(3, 1, 2)
@@ -80,19 +95,19 @@ class TestInduction:
         a2 = induce_to_gl(specialize(ScfElement.basis(Nuio(2, [])), q))
         cop = gl_coproduct(a2)
         # the (2, 0) component tensors the original with the empty group
-        part = cop.components[(2, 0)]
+        part = cop.terms[(2, 0)]
         assert part.left_group is gl_table(2, q)
         back = ClassFunction(
             part.left_group,
             [
                 sum(
-                    (v for (c1, c2), v in part.data.items() if c1 == c),
+                    (v for (c1, c2), v in part.terms.items() if c1 == c),
                     start=0,
                 )
                 for c in range(len(part.left_group.class_reps))
             ],
         )
-        assert back == a2.components[2]
+        assert back == a2.terms[2]
 
     def test_dagger_fixes_inductions(self):
         q = 2

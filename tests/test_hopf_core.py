@@ -57,7 +57,7 @@ class TestLaurentT:
     def test_zero_coefficients_are_dropped(self):
         x = T + ONE - T
         assert x == ONE
-        assert x.coeffs == {0: Fraction(1)}
+        assert x.terms == {0: Fraction(1)}
 
     def test_evaluate(self):
         x = T2 + T + ONE
@@ -273,7 +273,7 @@ class TestSpecialize:
 
     def test_unit(self):
         one = specialize(ScfElement.unit(), 2)
-        assert list(one.components) == [0]
+        assert list(one.terms) == [0]
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_product_oracle_small(self, q):
