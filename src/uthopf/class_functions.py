@@ -116,16 +116,15 @@ class ClassFunction:
     def from_function(cls, group, fn, check=False):
         """Evaluate fn at class representatives.
 
-        With check=True, fn is evaluated at every element and constancy on
-        classes is asserted; use this when fn is not known to be a class
-        function in advance.
+        With check=True, fn is evaluated at every element and a ValueError
+        is raised unless it is constant on classes; use this when fn is not
+        known to be a class function in advance.
         """
         values = [_as_fraction(fn(group.elements[r])) for r in group.class_reps]
         if check:
             for i, m in enumerate(group.elements):
-                assert fn(m) == values[group.class_of[i]], (
-                    f"not constant on classes at {m!r}"
-                )
+                if fn(m) != values[group.class_of[i]]:
+                    raise ValueError(f"not constant on classes at {m!r}")
         return cls(group, values)
 
     @classmethod

@@ -10,7 +10,9 @@ Natural unit interval orders live on {1, ..., n}: every strict relation
 points numerically upward, and whenever i is strictly below j, every i' <= i
 is strictly below every j' >= j.  They are counted by the Catalan numbers,
 and they are exactly the patterns whose unitriangular groups are normal in
-the full unitriangular group.
+the full unitriangular group.  Each one is held as its row profile, the
+nondecreasing list of the least label strictly above each row, which is its
+Dyck path; sums, restrictions and the flip are closed formulas on profiles.
 
 The enumeration budget (default 25000 items, overridable through the
 UTHOPF_BUDGET environment variable) lives here so that every module can
@@ -19,6 +21,7 @@ check it before an enumeration starts.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -321,48 +324,84 @@ def standardize(labels):
 
 
 class Nuio:
-    """Natural unit interval order on {1, ..., n}.
+    """Natural unit interval order on {1, ..., n}, held as its row profile.
 
-    Stored through the row profile view: row i is strictly below exactly
-    the labels c(i), c(i) + 1, ..., n, where the profile c is nondecreasing
-    and c(i) > i.  Construction validates this shape after taking the
-    reflexive transitive closure of the given strict pairs.
+    Row i is strictly below exactly the labels c(i), c(i) + 1, ..., n, where
+    the profile c is nondecreasing with i < c(i) <= n + 1; it is the Dyck
+    path of the order.  The sorted strict pairs are derived from the profile
+    once.  Every operation computes the profile of its result directly and
+    builds it with from_profile; Nuio(n, strict) is the validating entry for
+    outside input.
     """
 
-    __slots__ = ("n", "order", "strict")
+    __slots__ = ("n", "_profile", "strict")
 
     def __init__(self, n, strict=()):
+        """Accept strict pairs whose transitive closure is such an order.
+
+        >>> Nuio(3, [(1, 2), (2, 3)]).strict
+        ((1, 2), (1, 3), (2, 3))
+        """
         n = int(n)
         if n < 0:
             raise ValueError("size must be nonnegative, got %d" % n)
-        self.n = n
-        self.order = PartialOrder.from_strict(range(1, n + 1), strict)
-        self.strict = self.order.strict_pairs
-        if any(i >= j for i, j in self.strict):
-            raise ValueError("strict pairs must point numerically upward")
-        prof = self.profile()
-        for i in range(1, n + 1):
-            ups = {j for a, j in self.strict if a == i}
-            if ups != set(range(prof[i - 1], n + 1)):
+        above = {i: set() for i in range(1, n + 1)}
+        for i, j in strict:
+            i, j = int(i), int(j)
+            if i not in above or j not in above:
+                raise ValueError("stray label in %s" % ((i, j),))
+            if i > j:
+                raise ValueError("strict pairs must point numerically upward")
+            if i < j:
+                above[i].add(j)
+        prof = [n + 1] * n
+        # Every pair points upward, so the rows above i are closed before
+        # row i is: one downward pass takes the transitive closure.
+        for i in range(n, 0, -1):
+            row = above[i]
+            for j in list(row):
+                row |= above[j]
+            prof[i - 1] = min(row, default=n + 1)
+            if row != set(range(prof[i - 1], n + 1)):
                 raise ValueError("row %d is not an upper interval" % i)
+        self._assign(tuple(prof))
+
+    @classmethod
+    def from_profile(cls, prof):
+        """The order with the given profile tuple, checked in O(n).
+
+        >>> Nuio.from_profile((4, 4, 5, 5)).strict
+        ((1, 4), (2, 4))
+        """
+        self = cls.__new__(cls)
+        self._assign(prof)
+        return self
+
+    def _assign(self, prof):
+        n = len(prof)
+        for i, c in enumerate(prof, start=1):
+            if not i < c <= n + 1:
+                raise ValueError("row %d has minimum %d, outside (%d, %d]"
+                                 % (i, c, i, n + 1))
         if any(a > b for a, b in zip(prof, prof[1:])):
             raise ValueError("row minima must be nondecreasing")
+        self.n = n
+        self._profile = prof
+        self.strict = tuple(
+            (i, j) for i, c in enumerate(prof, start=1) for j in range(c, n + 1)
+        )
 
     def profile(self):
-        out = []
-        for i in range(1, self.n + 1):
-            ups = [j for a, j in self.strict if a == i]
-            out.append(min(ups) if ups else self.n + 1)
-        return tuple(out)
+        return self._profile
 
     def key(self):
         return (self.n, self.strict)
 
     def __eq__(self, other):
-        return isinstance(other, Nuio) and self.key() == other.key()
+        return isinstance(other, Nuio) and self._profile == other._profile
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._profile)
 
     def __repr__(self):
         return "Nuio(%d, %s)" % (self.n, list(self.strict))
@@ -377,7 +416,7 @@ class Nuio:
         """
         out = []
         prev = 1
-        for c in self.profile():
+        for c in self._profile:
             out.append("E" * (c - prev))
             out.append("S")
             prev = c
@@ -392,8 +431,7 @@ class Nuio:
         """
         if not set(word) <= {"E", "S"}:
             raise ValueError("word must use letters E and S only")
-        n = word.count("S")
-        if word.count("E") != n:
+        if word.count("E") != word.count("S"):
             raise ValueError("needs equally many E and S steps")
         prof = []
         seen = 0
@@ -402,13 +440,7 @@ class Nuio:
                 seen += 1
             else:
                 prof.append(seen + 1)
-        for i, c in enumerate(prof, start=1):
-            if c <= i:
-                raise ValueError("path dips below the staircase at step %d" % i)
-        strict = [
-            (i, j) for i in range(1, n + 1) for j in range(prof[i - 1], n + 1)
-        ]
-        return cls(n, strict)
+        return cls.from_profile(tuple(prof))
 
     def dagger(self):
         """Reverse both coordinates through i -> n + 1 - i.
@@ -416,42 +448,39 @@ class Nuio:
         >>> Nuio(4, [(1, 4), (2, 4)]).dagger().strict
         ((1, 3), (1, 4))
         """
-        n = self.n
-        return Nuio(n, [(n + 1 - j, n + 1 - i) for i, j in self.strict])
+        n, prof = self.n, self._profile
+        return Nuio.from_profile(tuple(
+            n + 1 - bisect.bisect_right(prof, n + 1 - i) for i in range(1, n + 1)
+        ))
 
     def shifted_sum(self, other):
         """Ordinal sum with the labels of other shifted up past self."""
-        shift = self.n
-        strict = list(self.strict)
-        strict.extend((i + shift, j + shift) for i, j in other.strict)
-        strict.extend(
-            (i, j + shift)
-            for i in range(1, self.n + 1)
-            for j in range(1, other.n + 1)
+        return Nuio.from_profile(
+            self._profile + tuple(c + self.n for c in other._profile)
         )
-        return Nuio(self.n + other.n, strict)
 
     def shifted_restrict(self, labels):
         """Restrict to labels, then standardize down to an initial segment."""
-        labels = tuple(sorted(labels))
-        assert set(labels) <= set(range(1, self.n + 1))
-        std = standardize(labels)
-        inside = set(labels)
-        strict = [
-            (std[i], std[j]) for i, j in self.strict if i in inside and j in inside
-        ]
-        return Nuio(len(labels), strict)
+        labels = self._labels(labels)
+        return Nuio.from_profile(tuple(
+            bisect.bisect_left(labels, self._profile[i - 1]) + 1 for i in labels
+        ))
 
     def ascent_count(self, labels):
         """Number of upward noncomparabilities from labels to the complement."""
-        inside = set(labels)
-        assert inside <= set(range(1, self.n + 1))
-        count = 0
-        for i in inside:
-            for j in range(i + 1, self.n + 1):
-                if j not in inside and (i, j) not in self.order.pairs:
-                    count += 1
-        return count
+        inside = set(self._labels(labels))
+        return sum(
+            1
+            for i in inside
+            for j in range(i + 1, self._profile[i - 1])
+            if j not in inside
+        )
+
+    def _labels(self, labels):
+        labels = tuple(sorted(labels))
+        if labels and not (1 <= labels[0] and labels[-1] <= self.n):
+            raise ValueError("labels must lie in 1, ..., %d" % self.n)
+        return labels
 
     def to_dict(self):
         return {"n": self.n, "strict": [list(p) for p in self.strict]}
@@ -472,8 +501,6 @@ def natural_unit_interval_orders(n):
     """
     catalan = math.comb(2 * n, n) // (n + 1)
     _check_budget(catalan, "listing the orders of degree %d" % n)
-    if n == 0:
-        return [Nuio(0)]
     profiles = []
 
     def grow(prefix):
@@ -486,11 +513,4 @@ def natural_unit_interval_orders(n):
             grow(prefix + (c,))
 
     grow(())
-    out = []
-    for prof in profiles:
-        strict = [
-            (i, j) for i in range(1, n + 1) for j in range(prof[i - 1], n + 1)
-        ]
-        out.append(Nuio(n, strict))
-    out.sort(key=lambda x: x.key())
-    return out
+    return sorted(map(Nuio.from_profile, profiles), key=Nuio.key)

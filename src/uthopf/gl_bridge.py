@@ -1,27 +1,17 @@
 """Induction from unitriangular groups to general linear groups.
 
-Degreewise induction of class functions, the parabolic product and coproduct
-on the general linear side, and the cross checks (Bruhat coset reps, Mackey
-decomposition, straightening against block permutations) that tie the two
-sides together.  Everything runs on explicitly enumerated groups.
+Degreewise induction of class functions, the parabolic Levi and radical
+tables, the parabolic product and coproduct on the general linear side, and
+the report suites checking that induction carries the unitriangular product,
+coproduct and flip to them.  Everything runs on explicitly enumerated groups.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 
-from .combinatorics import chain_order, natural_unit_interval_orders, \
-    parabolic_pattern, split_composition
-from .group_engine import (
-    FqMatrix,
-    GroupTable,
-    coset_rep_permutation,
-    gl_table,
-    pattern_group,
-    permutation_matrix,
-    ut_table,
-)
+from .combinatorics import natural_unit_interval_orders
+from .group_engine import FqMatrix, GroupTable, gl_table, ut_table
 from .class_functions import (
     ClassFunction,
     TensorFunction,
@@ -29,8 +19,6 @@ from .class_functions import (
     deflate_cf,
     induce_cf,
     inflate_cf,
-    pullback_cf,
-    restrict_cf,
     straighten_cf,
     unstraighten_cf,
 )
@@ -245,145 +233,4 @@ def dagger_invariance_reports(degree, q):
             rhs = induce_to_gl(x)
             instance = "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q)
             reports.append(_report("induction-dagger", instance, lhs, rhs))
-    return reports
-
-
-def mackey_reports(n, i, q):
-    """Restriction to a parabolic of an induced class function, against the
-    sum over subset shaped double coset contributions."""
-    gl = gl_table(n, q)
-    ut = ut_table(n, q)
-    parabolic = parabolic_table(n, i, q)
-    reports = []
-    for c in range(len(ut.class_reps)):
-        psi = ClassFunction.class_indicator(ut, c)
-        lhs = restrict_cf(induce_cf(psi, gl), parabolic)
-        rhs = ClassFunction(parabolic, [0] * len(parabolic.class_reps))
-        for labels in itertools.combinations(range(1, n + 1), i):
-            sub_parabolic = pattern_group(parabolic_pattern(
-                chain_order(range(1, n + 1)), split_composition(n, labels)
-            ), q)
-            w = coset_rep_permutation(n, labels)
-            wmat = permutation_matrix(w, q, gl.ground)
-            winv = wmat.inverse()
-            conjugated = GroupTable(
-                sorted(
-                    (winv * u * wmat for u in sub_parabolic.elements),
-                    key=lambda m: m.to_digits(),
-                ),
-                name="w*UP[%s]w/%d/%d" % (",".join(map(str, labels)), n, q),
-            )
-            pulled = pullback_cf(psi, conjugated, lambda m: wmat * m * winv)
-            rhs = rhs + induce_cf(pulled, parabolic)
-        instance = "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c)
-        reports.append(_report("mackey", instance, lhs, rhs))
-    return reports
-
-
-def bruhat_reports(n, i, q):
-    """The subset permutations hit every double coset exactly once."""
-    gl = gl_table(n, q)
-    ut = ut_table(n, q)
-    parabolic = parabolic_table(n, i, q)
-    ut_gens = [ut.elements[g] for g in ut.generators()]
-    p_gens = [parabolic.elements[g] for g in parabolic.generators()]
-    seen = [False] * gl.order
-    cosets = []
-    for start in range(gl.order):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for k in frontier:
-                m = gl.elements[k]
-                for u in ut_gens:
-                    idx = gl.index[u * m]
-                    if idx not in orbit:
-                        orbit.add(idx)
-                        new.append(idx)
-                for p in p_gens:
-                    idx = gl.index[m * p]
-                    if idx not in orbit:
-                        orbit.add(idx)
-                        new.append(idx)
-            frontier = new
-        for k in orbit:
-            seen[k] = True
-        cosets.append(orbit)
-    rep_indices = set()
-    for labels in itertools.combinations(range(1, n + 1), i):
-        w = coset_rep_permutation(n, labels)
-        rep_indices.add(gl.index[permutation_matrix(w, q, gl.ground)])
-    hits = [len(coset & rep_indices) for coset in cosets]
-    lhs = sorted(hits)
-    rhs = [1] * len(cosets)
-    instance = "n=%d;i=%d;q=%d;cosets=%d" % (n, i, q, len(cosets))
-    return [_report("bruhat-cosets", instance, lhs, rhs)]
-
-
-def levi_conjugation_reports(n, labels, q):
-    """Conjugating the block Levi onto an arbitrary subset picks out the
-    same pattern subgroups inside the unitriangular group."""
-    labels = tuple(sorted(labels))
-    i = len(labels)
-    ut = ut_table(n, q)
-    w = coset_rep_permutation(n, labels)
-    sub_parabolic = pattern_group(parabolic_pattern(
-        chain_order(range(1, n + 1)), split_composition(n, labels)
-    ), q)
-    reports = []
-    for kind, big, target in (
-        ("levi", levi_table(n, i, q), split_tables(n, labels, q)[0]),
-        ("parabolic", parabolic_table(n, i, q), sub_parabolic),
-    ):
-        moved = {m.relabel(w) for m in big.elements}
-        lhs = sorted(m.to_digits() for m in moved if m in ut.index)
-        rhs = sorted(m.to_digits() for m in target.elements)
-        instance = "n=%d;I=%s;q=%d;%s" % (n, list(labels), q, kind)
-        reports.append(_report("levi-conjugation", instance, lhs, rhs))
-    return reports
-
-
-def straighten_transport_reports(n, labels, q):
-    """Straightening over a subset agrees with conjugating onto the initial
-    segment and straightening there."""
-    labels = tuple(sorted(labels))
-    i = len(labels)
-    levi_sub, _ = split_tables(n, labels, q)
-    levi_init, _ = split_tables(n, tuple(range(1, i + 1)), q)
-    w = coset_rep_permutation(n, labels)
-    wmat = permutation_matrix(w, q, tuple(range(1, n + 1)))
-    winv = wmat.inverse()
-    reports = []
-    for c in range(len(levi_sub.class_reps)):
-        psi = ClassFunction.class_indicator(levi_sub, c)
-        lhs = straighten_cf(psi, labels, ut_table(i, q), ut_table(n - i, q))
-        pulled = pullback_cf(psi, levi_init, lambda m: wmat * m * winv)
-        rhs = straighten_cf(
-            pulled, range(1, i + 1), ut_table(i, q), ut_table(n - i, q)
-        )
-        instance = "n=%d;I=%s;q=%d;basis=%d" % (n, list(labels), q, c)
-        reports.append(_report("straighten-transport", instance, lhs, rhs))
-    return reports
-
-
-def straighten_induction_reports(n, i, q):
-    """Straightening commutes with induction up the two block factors."""
-    ul, _ = split_tables(n, tuple(range(1, i + 1)), q)
-    levi = levi_table(n, i, q)
-    reports = []
-    for c in range(len(ul.class_reps)):
-        psi = ClassFunction.class_indicator(ul, c)
-        lifted = induce_cf(psi, levi)
-        lhs = straighten_cf(
-            lifted, range(1, i + 1), gl_table(i, q), gl_table(n - i, q)
-        )
-        rhs = _induce_tensor(
-            straighten_cf(psi, range(1, i + 1), ut_table(i, q), ut_table(n - i, q)),
-            q,
-        )
-        instance = "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c)
-        reports.append(_report("straighten-induction", instance, lhs, rhs))
     return reports

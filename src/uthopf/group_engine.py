@@ -23,8 +23,9 @@ PRODUCT_CACHE_CAP = 4096
 
 
 @functools.lru_cache(maxsize=None)
-def _assert_prime(p):
-    assert p >= 2 and all(p % d for d in range(2, p)), f"{p} is not prime"
+def _check_prime(p):
+    if p < 2 or not all(p % d for d in range(2, p)):
+        raise ValueError(f"{p} is not prime")
 
 
 @functools.lru_cache(maxsize=None)
@@ -38,7 +39,7 @@ class FqMatrix:
     __slots__ = ("p", "ground", "rows", "_hash")
 
     def __init__(self, p, ground, rows):
-        _assert_prime(p)
+        _check_prime(p)
         ground = tuple(ground)
         rows = tuple(tuple(int(e) % p for e in row) for row in rows)
         n = len(ground)
@@ -148,9 +149,6 @@ class FqMatrix:
         return FqMatrix(self.p, self.ground, tuple(
             tuple(row[n:]) for row in aug
         ))
-
-    def transpose(self):
-        return FqMatrix(self.p, self.ground, tuple(zip(*self.rows)))
 
     def relabel(self, mapping):
         """Push forward along a bijection of labels: entry (i, j) moves to
@@ -398,7 +396,7 @@ def pattern_group(order, p):
     The order must be a PartialOrder; transitivity of its relation is what
     makes the matrix set a group.
     """
-    _assert_prime(p)
+    _check_prime(p)
     assert isinstance(order, PartialOrder)
     ground = order.ground
     cells = list(order.strict_pairs)
@@ -451,7 +449,7 @@ def primitive_root(p):
 @functools.lru_cache(maxsize=None)
 def gl_table(n, p):
     """The full general linear group on {1, ..., n}, by scanning all matrices."""
-    _assert_prime(p)
+    _check_prime(p)
     _check_budget(gl_order(n, p), f"general linear group of degree {n}")
     ground = tuple(range(1, n + 1))
     elements = []

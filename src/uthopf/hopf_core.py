@@ -172,9 +172,6 @@ class ScfElement(Combination):
     def degrees(self):
         return sorted({pi.n for pi in self.terms})
 
-    def graded_component(self, n):
-        return ScfElement({pi: c for pi, c in self.terms.items() if pi.n == n})
-
     def counit(self):
         return self.terms.get(Nuio(0), LaurentT.zero())
 

@@ -3,7 +3,8 @@
 Everything here is small enough to check against brute-force alternatives:
 statistics of the Tits product against its blockwise definition, the unit
 interval enumeration against the closure characterization of their strict
-pair sets, Dyck words against pinned examples.
+pair sets, the profile formulas against their strict-pair definitions, Dyck
+words against pinned examples.
 """
 
 import itertools
@@ -314,6 +315,87 @@ def brute_nuio_strict_sets(n):
         if ok:
             out.append(frozenset(chosen))
     return set(out)
+
+
+def ref_dagger(pi):
+    """The flip on strict pairs, rebuilt through the validating constructor."""
+    n = pi.n
+    return Nuio(n, [(n + 1 - j, n + 1 - i) for i, j in pi.strict])
+
+
+def ref_shifted_sum(a, b):
+    shift = a.n
+    strict = list(a.strict)
+    strict.extend((i + shift, j + shift) for i, j in b.strict)
+    strict.extend(
+        (i, j + shift) for i in range(1, a.n + 1) for j in range(1, b.n + 1)
+    )
+    return Nuio(a.n + b.n, strict)
+
+
+def ref_shifted_restrict(pi, labels):
+    labels = tuple(sorted(labels))
+    std = standardize(labels)
+    inside = set(labels)
+    strict = [
+        (std[i], std[j]) for i, j in pi.strict if i in inside and j in inside
+    ]
+    return Nuio(len(labels), strict)
+
+
+def ref_ascent_count(pi, labels):
+    inside = set(labels)
+    related = set(pi.strict)
+    return sum(
+        1
+        for i in inside
+        for j in range(i + 1, pi.n + 1)
+        if j not in inside and (i, j) not in related
+    )
+
+
+class TestProfileAgainstStrictPairs:
+    """The closed profile formulas against their strict-pair definitions."""
+
+    ORDERS = [pi for n in range(7) for pi in natural_unit_interval_orders(n)]
+
+    def test_dagger(self):
+        for pi in self.ORDERS:
+            assert pi.dagger().key() == ref_dagger(pi).key()
+
+    def test_shifted_sum(self):
+        for a in self.ORDERS:
+            for b in self.ORDERS:
+                if a.n + b.n <= 6:
+                    got = a.shifted_sum(b)
+                    assert got.key() == ref_shifted_sum(a, b).key()
+
+    def test_shifted_restrict_and_ascent_count(self):
+        for pi in self.ORDERS:
+            for k in range(pi.n + 1):
+                for labels in itertools.combinations(range(1, pi.n + 1), k):
+                    got = pi.shifted_restrict(labels)
+                    assert got.key() == ref_shifted_restrict(pi, labels).key()
+                    assert pi.ascent_count(labels) == ref_ascent_count(pi, labels)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_constructor_accepts_exactly_closures_that_are_nuios(self, n):
+        # every set of off-diagonal pairs: accepted exactly when its
+        # transitive closure is a unit interval order, then stored closed
+        accepted = brute_nuio_strict_sets(n)
+        ground = range(1, n + 1)
+        cells = [(i, j) for i in ground for j in ground if i != j]
+        for bits in itertools.product((0, 1), repeat=len(cells)):
+            chosen = [c for c, b in zip(cells, bits) if b]
+            try:
+                closure = PartialOrder.from_strict(ground, chosen).strict_pairs
+            except ValueError:
+                closure = None
+            if closure is None or frozenset(closure) not in accepted:
+                with pytest.raises(ValueError):
+                    Nuio(n, chosen)
+            else:
+                assert Nuio(n, chosen).strict == closure
 
 
 class TestNuio:

@@ -1,36 +1,182 @@
-"""General linear realization: parabolic structure and the induction bridge."""
+"""General linear realization: parabolic structure and the induction bridge.
+
+The cross checks below (Mackey decomposition, Bruhat double cosets, Levi
+conjugation and two straightening compatibilities) build their report lists
+here; the library itself needs none of them.
+"""
+
+import itertools
 
 import pytest
 
-from uthopf.class_functions import ClassFunction, induce_cf
-from uthopf.combinatorics import Nuio
+from uthopf.class_functions import ClassFunction, induce_cf, pullback_cf, \
+    restrict_cf, straighten_cf
+from uthopf.combinatorics import Nuio, chain_order, parabolic_pattern, \
+    split_composition
 from uthopf.gl_bridge import (
+    _induce_tensor,
     _levi_generators,
-    bruhat_reports,
     coproduct_hom_reports,
     dagger_invariance_reports,
     gl_coproduct,
     gl_dagger,
     gl_product,
     induce_to_gl,
-    levi_conjugation_reports,
     levi_table,
-    mackey_reports,
     parabolic_table,
     product_hom_reports,
     radical_table,
-    straighten_induction_reports,
-    straighten_transport_reports,
 )
-from uthopf.group_engine import FqMatrix, GroupTable, gl_order, gl_table, \
-    ut_table
-from uthopf.hopf_core import ScfElement, specialize
+from uthopf.group_engine import FqMatrix, GroupTable, coset_rep_permutation, \
+    gl_order, gl_table, pattern_group, permutation_matrix, ut_table
+from uthopf.hopf_core import ScfElement, _report, specialize, split_tables
 
 
 def assert_all_ok(reports):
     assert reports
     bad = [r for r in reports if r["status"] != "ok"]
     assert not bad, bad[:3]
+
+
+def mackey_reports(n, i, q):
+    """Restriction to a parabolic of an induced class function, against the
+    sum over subset shaped double coset contributions."""
+    gl = gl_table(n, q)
+    ut = ut_table(n, q)
+    parabolic = parabolic_table(n, i, q)
+    reports = []
+    for c in range(len(ut.class_reps)):
+        psi = ClassFunction.class_indicator(ut, c)
+        lhs = restrict_cf(induce_cf(psi, gl), parabolic)
+        rhs = ClassFunction(parabolic, [0] * len(parabolic.class_reps))
+        for labels in itertools.combinations(range(1, n + 1), i):
+            sub_parabolic = pattern_group(parabolic_pattern(
+                chain_order(range(1, n + 1)), split_composition(n, labels)
+            ), q)
+            w = coset_rep_permutation(n, labels)
+            wmat = permutation_matrix(w, q, gl.ground)
+            winv = wmat.inverse()
+            conjugated = GroupTable(
+                sorted(
+                    (winv * u * wmat for u in sub_parabolic.elements),
+                    key=lambda m: m.to_digits(),
+                ),
+                name="w*UP[%s]w/%d/%d" % (",".join(map(str, labels)), n, q),
+            )
+            pulled = pullback_cf(psi, conjugated, lambda m: wmat * m * winv)
+            rhs = rhs + induce_cf(pulled, parabolic)
+        instance = "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c)
+        reports.append(_report("mackey", instance, lhs, rhs))
+    return reports
+
+
+def bruhat_reports(n, i, q):
+    """The subset permutations hit every double coset exactly once."""
+    gl = gl_table(n, q)
+    ut = ut_table(n, q)
+    parabolic = parabolic_table(n, i, q)
+    ut_gens = [ut.elements[g] for g in ut.generators()]
+    p_gens = [parabolic.elements[g] for g in parabolic.generators()]
+    seen = [False] * gl.order
+    cosets = []
+    for start in range(gl.order):
+        if seen[start]:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            new = []
+            for k in frontier:
+                m = gl.elements[k]
+                for u in ut_gens:
+                    idx = gl.index[u * m]
+                    if idx not in orbit:
+                        orbit.add(idx)
+                        new.append(idx)
+                for p in p_gens:
+                    idx = gl.index[m * p]
+                    if idx not in orbit:
+                        orbit.add(idx)
+                        new.append(idx)
+            frontier = new
+        for k in orbit:
+            seen[k] = True
+        cosets.append(orbit)
+    rep_indices = set()
+    for labels in itertools.combinations(range(1, n + 1), i):
+        w = coset_rep_permutation(n, labels)
+        rep_indices.add(gl.index[permutation_matrix(w, q, gl.ground)])
+    hits = [len(coset & rep_indices) for coset in cosets]
+    lhs = sorted(hits)
+    rhs = [1] * len(cosets)
+    instance = "n=%d;i=%d;q=%d;cosets=%d" % (n, i, q, len(cosets))
+    return [_report("bruhat-cosets", instance, lhs, rhs)]
+
+
+def levi_conjugation_reports(n, labels, q):
+    """Conjugating the block Levi onto an arbitrary subset picks out the
+    same pattern subgroups inside the unitriangular group."""
+    labels = tuple(sorted(labels))
+    i = len(labels)
+    ut = ut_table(n, q)
+    w = coset_rep_permutation(n, labels)
+    sub_parabolic = pattern_group(parabolic_pattern(
+        chain_order(range(1, n + 1)), split_composition(n, labels)
+    ), q)
+    reports = []
+    for kind, big, target in (
+        ("levi", levi_table(n, i, q), split_tables(n, labels, q)[0]),
+        ("parabolic", parabolic_table(n, i, q), sub_parabolic),
+    ):
+        moved = {m.relabel(w) for m in big.elements}
+        lhs = sorted(m.to_digits() for m in moved if m in ut.index)
+        rhs = sorted(m.to_digits() for m in target.elements)
+        instance = "n=%d;I=%s;q=%d;%s" % (n, list(labels), q, kind)
+        reports.append(_report("levi-conjugation", instance, lhs, rhs))
+    return reports
+
+
+def straighten_transport_reports(n, labels, q):
+    """Straightening over a subset agrees with conjugating onto the initial
+    segment and straightening there."""
+    labels = tuple(sorted(labels))
+    i = len(labels)
+    levi_sub, _ = split_tables(n, labels, q)
+    levi_init, _ = split_tables(n, tuple(range(1, i + 1)), q)
+    w = coset_rep_permutation(n, labels)
+    wmat = permutation_matrix(w, q, tuple(range(1, n + 1)))
+    winv = wmat.inverse()
+    reports = []
+    for c in range(len(levi_sub.class_reps)):
+        psi = ClassFunction.class_indicator(levi_sub, c)
+        lhs = straighten_cf(psi, labels, ut_table(i, q), ut_table(n - i, q))
+        pulled = pullback_cf(psi, levi_init, lambda m: wmat * m * winv)
+        rhs = straighten_cf(
+            pulled, range(1, i + 1), ut_table(i, q), ut_table(n - i, q)
+        )
+        instance = "n=%d;I=%s;q=%d;basis=%d" % (n, list(labels), q, c)
+        reports.append(_report("straighten-transport", instance, lhs, rhs))
+    return reports
+
+
+def straighten_induction_reports(n, i, q):
+    """Straightening commutes with induction up the two block factors."""
+    ul, _ = split_tables(n, tuple(range(1, i + 1)), q)
+    levi = levi_table(n, i, q)
+    reports = []
+    for c in range(len(ul.class_reps)):
+        psi = ClassFunction.class_indicator(ul, c)
+        lifted = induce_cf(psi, levi)
+        lhs = straighten_cf(
+            lifted, range(1, i + 1), gl_table(i, q), gl_table(n - i, q)
+        )
+        rhs = _induce_tensor(
+            straighten_cf(psi, range(1, i + 1), ut_table(i, q), ut_table(n - i, q)),
+            q,
+        )
+        instance = "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c)
+        reports.append(_report("straighten-induction", instance, lhs, rhs))
+    return reports
 
 
 class TestParabolicTables:

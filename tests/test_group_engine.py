@@ -128,9 +128,9 @@ class TestFqMatrix:
             assert FqMatrix.from_digits(m.to_digits(), p, m.ground) == m
 
     def test_prime_field_required(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             FqMatrix.identity(4, (1, 2))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             FqMatrix.identity(9, (1, 2))
 
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from uthopf.combinatorics import Nuio, SetComposition, natural_unit_interval_orders
+from uthopf.combinatorics import Nuio, PartialOrder, SetComposition, \
+    natural_unit_interval_orders
 from uthopf.group_engine import ut_table
 from uthopf.hopf_core import (
     LaurentT,
@@ -188,7 +189,7 @@ class TestAntipode:
     def test_unit(self):
         assert ScfElement.unit().antipode() == ScfElement.unit()
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_convolution_identities(self, n):
         for pi in natural_unit_interval_orders(n):
             x = basis(pi)
@@ -258,7 +259,8 @@ class TestSpecialize:
         for n in range(4):
             big = ut_table(n, q)
             for pi in natural_unit_interval_orders(n):
-                sub = pattern_group(pi.order, q)
+                order = PartialOrder.from_strict(range(1, n + 1), pi.strict)
+                sub = pattern_group(order, q)
                 induced = induce_cf(ClassFunction.trivial(sub), big)
                 index = Fraction(big.order, sub.order)
                 assert induced == pattern_indicator(pi, q) * index

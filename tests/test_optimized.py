@@ -28,6 +28,11 @@ NODE_IDS = [
     "tests/test_combinatorics.py::TestNuio::test_from_dyck_rejects_bad_words",
     "tests/test_class_functions.py::TestTensorFunction::"
     "test_inexact_coefficient_raises",
+    "tests/test_class_functions.py::TestClassFunction::"
+    "test_from_function_check_rejects_non_class_function",
+    "tests/test_class_functions.py::TestClassFunction::"
+    "test_subgroup_indicator_requires_normality",
+    "tests/test_group_engine.py::TestFqMatrix::test_prime_field_required",
 ]
 
 
@@ -42,5 +47,5 @@ def test_validation_survives_optimize():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "21 passed" in proc.stdout, proc.stdout[-3000:]
+    assert "24 passed" in proc.stdout, proc.stdout[-3000:]
     assert "python -O" in proc.stdout, "the subprocess did not run optimized"
