@@ -113,18 +113,16 @@ class ClassFunction:
         self.values = values
 
     @classmethod
-    def from_function(cls, group, fn, check=False):
+    def from_function(cls, group, fn):
         """Evaluate fn at class representatives.
 
-        With check=True, fn is evaluated at every element and a ValueError
-        is raised unless it is constant on classes; use this when fn is not
-        known to be a class function in advance.
+        fn is evaluated at every element, and a ValueError is raised unless
+        it is constant on classes.
         """
         values = [_as_fraction(fn(group.elements[r])) for r in group.class_reps]
-        if check:
-            for i, m in enumerate(group.elements):
-                if fn(m) != values[group.class_of[i]]:
-                    raise ValueError(f"not constant on classes at {m!r}")
+        for i, m in enumerate(group.elements):
+            if fn(m) != values[group.class_of[i]]:
+                raise ValueError(f"not constant on classes at {m!r}")
         return cls(group, values)
 
     @classmethod
@@ -142,7 +140,7 @@ class ClassFunction:
         Checked for class constancy, so this only succeeds on unions of
         conjugacy classes (for subgroups: exactly the normal ones).
         """
-        return cls.from_function(group, lambda m: int(bool(member(m))), check=True)
+        return cls.from_function(group, lambda m: int(bool(member(m))))
 
     def at_class(self, c):
         return self.values[c]
@@ -246,34 +244,21 @@ def restrict_cf(psi, sub):
     )
 
 
-def induce_cf(psi, big, method="classwise"):
+def induce_cf(psi, big):
     """Induction from the group of psi up to big.
 
-    classwise: walk the subgroup once, binning its elements by their class
-    in big; the conjugation sum collapses since every member of a class c is
-    hit equally often, |big| / |c| times.
-    naive: the textbook sum over conjugators, kept as an independent check.
+    Walks the subgroup once, binning its elements by their class in big; the
+    conjugation sum collapses since every member of a class c is hit equally
+    often, |big| / |c| times.  The textbook sum over conjugators is the
+    reference it is tested against.
     """
     small = psi.group
-    if method == "classwise":
-        sums = [Fraction(0)] * len(big.class_reps)
-        for i, m in enumerate(small.elements):
-            sums[big.class_of[big.index[m]]] += psi.at_index(i)
-        values = []
-        for c, s in enumerate(sums):
-            values.append(Fraction(big.order, small.order * big.class_sizes[c]) * s)
-        return ClassFunction(big, values)
-    assert method == "naive"
-    inverses = [m.inverse() for m in big.elements]
+    sums = [Fraction(0)] * len(big.class_reps)
+    for i, m in enumerate(small.elements):
+        sums[big.class_of[big.index[m]]] += psi.at_index(i)
     values = []
-    for r in big.class_reps:
-        g = big.elements[r]
-        total = Fraction(0)
-        for x, xinv in zip(big.elements, inverses):
-            conj = x * g * xinv
-            if conj in small.index:
-                total += psi.at_matrix(conj)
-        values.append(total / small.order)
+    for c, s in enumerate(sums):
+        values.append(Fraction(big.order, small.order * big.class_sizes[c]) * s)
     return ClassFunction(big, values)
 
 

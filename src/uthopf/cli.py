@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .combinatorics import BudgetError, Nuio, natural_unit_interval_orders
+from .group_engine import _check_prime
 from .hopf_core import (
     ScfElement,
     axiom_reports,
@@ -26,8 +26,10 @@ from . import gl_bridge
 
 def _prime(text):
     p = int(text)
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        raise argparse.ArgumentTypeError(f"{p} is not prime")
+    try:
+        _check_prime(p)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return p
 
 

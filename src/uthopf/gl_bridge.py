@@ -15,7 +15,6 @@ from .group_engine import FqMatrix, GroupTable, gl_table, ut_table
 from .class_functions import (
     ClassFunction,
     TensorFunction,
-    dagger_cf,
     deflate_cf,
     induce_cf,
     inflate_cf,
@@ -30,7 +29,6 @@ from .hopf_core import (
     specialize,
     split_tables,
     ut_coproduct,
-    ut_dagger,
     ut_product,
 )
 
@@ -154,12 +152,6 @@ def gl_coproduct(a):
     return GradedTensor.collect(pieces(), a.q)
 
 
-def gl_dagger(a):
-    return GradedClassFunction(
-        a.q, {n: dagger_cf(f) for n, f in a.terms.items()}
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _induced_class_indicators(m, q):
     """Induction to the general linear group of each unitriangular class."""
@@ -229,7 +221,7 @@ def dagger_invariance_reports(degree, q):
     for n in range(degree + 1):
         for pi in natural_unit_interval_orders(n):
             x = specialize(ScfElement.basis(pi), q)
-            lhs = induce_to_gl(ut_dagger(x))
+            lhs = induce_to_gl(x.dagger())
             rhs = induce_to_gl(x)
             instance = "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q)
             reports.append(_report("induction-dagger", instance, lhs, rhs))

@@ -1,8 +1,9 @@
 """Brute-force matrix groups over prime fields.
 
-Groups are explicit sorted lists of immutable matrices; products, inverses
-and conjugacy classes are found by lookup in that list, and each Levi factor
-of a Levi-radical factorization is read off its element before the lookup.
+Groups are explicit sorted lists of immutable matrices, each built from
+given generators that are checked to generate it.  Products (never cached),
+inverses and conjugacy classes are found by lookup in that list, and each
+Levi factor of a Levi-radical factorization is read off its element first.
 Matrices carry a sorted ground set of row/column labels, so a matrix on
 ground (2, 4) is 2x2 with label pairs drawn from {2, 4}.
 
@@ -15,16 +16,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .combinatorics import BudgetError, PartialOrder, _check_budget, \
     chain_order, enumeration_budget
 
-PRODUCT_CACHE_CAP = 4096
-
 
 @functools.lru_cache(maxsize=None)
 def _check_prime(p):
-    if p < 2 or not all(p % d for d in range(2, p)):
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
 
 
@@ -43,8 +43,10 @@ class FqMatrix:
         ground = tuple(ground)
         rows = tuple(tuple(int(e) % p for e in row) for row in rows)
         n = len(ground)
-        assert len(rows) == n and all(len(r) == n for r in rows)
-        assert ground == tuple(sorted(set(ground))), "ground must be sorted"
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ValueError("rows must form a %dx%d matrix" % (n, n))
+        if ground != tuple(sorted(set(ground))):
+            raise ValueError("ground must be sorted")
         self.p = p
         self.ground = ground
         self.rows = rows
@@ -206,48 +208,37 @@ class GroupTable:
     """A finite matrix group held as an explicit element list.
 
     The element list order is preserved as given; constructors in this
-    module always supply lexicographic row-major order.  Conjugacy data is
-    computed on demand by orbit search under a verified generating set, and
-    the product table is memoized only up to PRODUCT_CACHE_CAP elements.
+    module always supply lexicographic row-major order.  The generators are
+    given and checked to generate the whole list; there is no product cache.
+    Conjugacy data is computed on demand by orbit search under them.
     """
 
-    def __init__(self, elements, generators=None, name=""):
+    def __init__(self, elements, generators, name=""):
         self.elements = list(elements)
-        assert self.elements, "a group needs at least the identity"
+        if not self.elements:
+            raise ValueError("a group needs at least the identity")
         self.index = {m: i for i, m in enumerate(self.elements)}
-        assert len(self.index) == len(self.elements), "repeated elements"
+        if len(self.index) != len(self.elements):
+            raise ValueError("repeated elements")
         self.order = len(self.elements)
         self.p = self.elements[0].p
         self.ground = self.elements[0].ground
         self.name = name or "group/%d/%d" % (self.p, self.order)
         ident = FqMatrix.identity(self.p, self.ground)
-        assert ident in self.index, "identity missing"
+        if ident not in self.index:
+            raise ValueError("identity missing")
         self.identity_index = self.index[ident]
         self._inverses = [None] * self.order
-        self._product_cache = {} if self.order <= PRODUCT_CACHE_CAP else None
-        self._generators = None
         self._classes = None
         self._factorizations = {}
-        if generators is not None:
-            gens = [self.index[g] for g in generators]
-            self._generators = self._ensure_generating(gens)
+        gens = [self.index[g] for g in generators]
+        self._generators = self._ensure_generating(gens)
 
     def __repr__(self):
         return "GroupTable(%s, order=%d)" % (self.name, self.order)
 
     def __contains__(self, matrix):
         return matrix in self.index
-
-    def mult(self, i, j):
-        cache = self._product_cache
-        if cache is not None:
-            got = cache.get((i, j))
-            if got is not None:
-                return got
-        k = self.index[self.elements[i] * self.elements[j]]
-        if cache is not None:
-            cache[(i, j)] = k
-        return k
 
     def inverse(self, i):
         got = self._inverses[i]
@@ -256,33 +247,26 @@ class GroupTable:
             self._inverses[i] = got
         return got
 
-    def _closure(self, gens):
+    def _ensure_generating(self, gens):
+        """Return gens after one closure under right products by them;
+        raises ValueError unless the closure is the whole table."""
         seen = {self.identity_index}
         frontier = [self.identity_index]
         while frontier:
             new = []
             for i in frontier:
                 for g in gens:
-                    j = self.mult(i, g)
+                    j = self.index[self.elements[i] * self.elements[g]]
                     if j not in seen:
                         seen.add(j)
                         new.append(j)
             frontier = new
-        return seen
-
-    def _ensure_generating(self, gens):
-        """Extend gens until they generate the whole table."""
-        gens = list(gens)
-        seen = self._closure(gens)
-        while len(seen) < self.order:
-            missing = min(i for i in range(self.order) if i not in seen)
-            gens.append(missing)
-            seen = self._closure(gens)
+        if len(seen) < self.order:
+            raise ValueError("the generators of %s reach %d of its %d elements"
+                             % (self.name, len(seen), self.order))
         return gens
 
     def generators(self):
-        if self._generators is None:
-            self._generators = self._ensure_generating([])
         return self._generators
 
     def _conjugacy(self):
@@ -335,11 +319,6 @@ class GroupTable:
     def class_of_matrix(self, m):
         return self.class_of[self.index[m]]
 
-    def subtable(self, predicate, name=""):
-        """Subgroup table of all elements satisfying the predicate, in order."""
-        kept = [m for m in self.elements if predicate(m)]
-        return GroupTable(kept, name=name)
-
     def factorization(self, levi, radical):
         """For each element g return (i, j) with g = levi[i] * radical[j].
 
@@ -378,15 +357,6 @@ class GroupTable:
             out.append((li, rj))
         self._factorizations[key] = out
         return out
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "order": self.order,
-            "generators": [self.elements[g].to_digits() for g in self.generators()],
-            "class_sizes": list(self.class_sizes),
-            "class_reps": [self.elements[r].to_digits() for r in self.class_reps],
-        }
 
 
 @functools.lru_cache(maxsize=None)

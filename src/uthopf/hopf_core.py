@@ -48,6 +48,7 @@ from .class_functions import (
     ClassFunction,
     Combination,
     TensorFunction,
+    dagger_cf,
     deflate_cf,
     inflate_cf,
     pullback_cf,
@@ -352,6 +353,11 @@ class GradedClassFunction(_AtPrime):
             })
         return {"q": self.q, "components": comps}
 
+    def dagger(self):
+        return GradedClassFunction(
+            self.q, {n: dagger_cf(f) for n, f in self.terms.items()}
+        )
+
 
 class GradedTensor(_AtPrime):
     """Graded family of two factor tensors at one prime: a combination of
@@ -460,14 +466,6 @@ def specialize_tensor(tx, q):
             if v
         ),
         q,
-    )
-
-
-def ut_dagger(a):
-    from .class_functions import dagger_cf
-
-    return GradedClassFunction(
-        a.q, {n: dagger_cf(f) for n, f in a.terms.items()}
     )
 
 

@@ -19,7 +19,6 @@ from uthopf.gl_bridge import (
     coproduct_hom_reports,
     dagger_invariance_reports,
     gl_coproduct,
-    gl_dagger,
     gl_product,
     induce_to_gl,
     levi_table,
@@ -30,6 +29,8 @@ from uthopf.gl_bridge import (
 from uthopf.group_engine import FqMatrix, GroupTable, coset_rep_permutation, \
     gl_order, gl_table, pattern_group, permutation_matrix, ut_table
 from uthopf.hopf_core import ScfElement, _report, specialize, split_tables
+
+from test_group_engine import search_generators
 
 
 def assert_all_ok(reports):
@@ -61,6 +62,8 @@ def mackey_reports(n, i, q):
                     (winv * u * wmat for u in sub_parabolic.elements),
                     key=lambda m: m.to_digits(),
                 ),
+                [winv * sub_parabolic.elements[g] * wmat
+                 for g in sub_parabolic.generators()],
                 name="w*UP[%s]w/%d/%d" % (",".join(map(str, labels)), n, q),
             )
             pulled = pullback_cf(psi, conjugated, lambda m: wmat * m * winv)
@@ -208,7 +211,8 @@ class TestParabolicTables:
             (parabolic_table(n, i, q), levi_gens + [corner]),
         ):
             assert [table.elements[g] for g in table.generators()] == given
-            assert table.classes == GroupTable(table.elements).classes
+            searched = search_generators(table.elements)
+            assert table.classes == GroupTable(table.elements, searched).classes
 
     def test_levi_blocks(self):
         levi = levi_table(3, 1, 2)
@@ -259,7 +263,7 @@ class TestInduction:
         q = 2
         for pi in (Nuio(2, []), Nuio(3, [(1, 3)])):
             ind = induce_to_gl(specialize(ScfElement.basis(pi), q))
-            assert gl_dagger(ind) == induce_to_gl(
+            assert ind.dagger() == induce_to_gl(
                 specialize(ScfElement.basis(pi.dagger()), q)
             )
 

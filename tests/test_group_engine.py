@@ -133,6 +133,41 @@ class TestFqMatrix:
         with pytest.raises(ValueError):
             FqMatrix.identity(9, (1, 2))
 
+    def test_rows_must_match_the_ground(self):
+        with pytest.raises(ValueError):
+            FqMatrix(2, (1, 2), [[1, 0]])
+        with pytest.raises(ValueError):
+            FqMatrix(2, (1, 2), [[1, 0], [0]])
+
+    def test_ground_must_be_sorted_and_distinct(self):
+        with pytest.raises(ValueError):
+            FqMatrix(2, (2, 1), [[1, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            FqMatrix(2, (1, 1), [[1, 0], [0, 1]])
+
+
+def search_generators(elements):
+    """Reference generating set: starting from none, append the first element
+    outside the closure of the generators so far until nothing is outside."""
+    ident = FqMatrix.identity(elements[0].p, elements[0].ground)
+    gens = []
+    while True:
+        seen = {ident}
+        frontier = [ident]
+        while frontier:
+            new = []
+            for m in frontier:
+                for g in gens:
+                    h = m * g
+                    if h not in seen:
+                        seen.add(h)
+                        new.append(h)
+            frontier = new
+        missing = [m for m in elements if m not in seen]
+        if not missing:
+            return gens
+        gens.append(missing[0])
+
 
 def brute_conjugacy(table):
     """Partition by conjugating with every group element."""
@@ -211,10 +246,33 @@ class TestGroupTable:
 
     def test_subtable_keeps_order(self):
         g = ut_table(3, 2)
-        center = g.subtable(
-            lambda m: all(m * x == x * m for x in g.elements), name="Z"
-        )
+        kept = [m for m in g.elements if all(m * x == x * m for x in g.elements)]
+        center = GroupTable(kept, search_generators(kept), name="Z")
         assert center.order == 2
+
+    def test_generators_are_required(self):
+        with pytest.raises(TypeError):
+            GroupTable(ut_table(2, 2).elements)
+
+    def test_bad_element_lists_raise(self):
+        ident = FqMatrix.identity(2, (1, 2))
+        x = FqMatrix.one_off(2, (1, 2), 1, 2, 1)
+        with pytest.raises(ValueError):
+            GroupTable([], [])
+        with pytest.raises(ValueError):
+            GroupTable([ident, x, x], [x])
+        with pytest.raises(ValueError):
+            GroupTable([x], [x])
+
+    def test_generators_that_do_not_generate_raise(self):
+        g = ut_table(3, 2)
+        corner = FqMatrix.one_off(2, g.ground, 1, 3, 1)
+        with pytest.raises(ValueError):
+            GroupTable(g.elements, [])
+        with pytest.raises(ValueError):
+            GroupTable(g.elements, [corner])
+        gens = [g.elements[i] for i in g.generators()]
+        assert GroupTable(g.elements, gens).order == g.order
 
     def test_generators_generate(self):
         g = gl_table(2, 3)
@@ -288,7 +346,7 @@ class TestFactorization:
         big = ut_table(3, 2)
         ident = FqMatrix.identity(2, (1, 2, 3))
         x = FqMatrix(2, (1, 2, 3), [[1, 1, 1], [0, 1, 0], [0, 0, 1]])
-        fake = GroupTable([ident, x], name="fake")
+        fake = GroupTable([ident, x], [x], name="fake")
         radical = strict_pattern_group([(1, 3), (2, 3)], 2)
         assert len(search_factorization(big, fake, radical)) == big.order
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from uthopf.hopf_core import (
     specialize,
     specialize_tensor,
     ut_coproduct,
-    ut_dagger,
     ut_product,
 )
 
@@ -300,7 +299,7 @@ class TestSpecialize:
 
     def test_ut_dagger_matches_symbolic(self):
         x = basis(W4)
-        assert ut_dagger(specialize(x, 2)) == specialize(x.dagger(), 2)
+        assert specialize(x, 2).dagger() == specialize(x.dagger(), 2)
 
 
 class TestMonoidLevel:

@@ -33,6 +33,13 @@ NODE_IDS = [
     "tests/test_class_functions.py::TestClassFunction::"
     "test_subgroup_indicator_requires_normality",
     "tests/test_group_engine.py::TestFqMatrix::test_prime_field_required",
+    "tests/test_group_engine.py::TestFqMatrix::test_rows_must_match_the_ground",
+    "tests/test_group_engine.py::TestFqMatrix::"
+    "test_ground_must_be_sorted_and_distinct",
+    "tests/test_group_engine.py::TestGroupTable::test_generators_are_required",
+    "tests/test_group_engine.py::TestGroupTable::test_bad_element_lists_raise",
+    "tests/test_group_engine.py::TestGroupTable::"
+    "test_generators_that_do_not_generate_raise",
 ]
 
 
@@ -47,5 +54,5 @@ def test_validation_survives_optimize():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "24 passed" in proc.stdout, proc.stdout[-3000:]
+    assert "29 passed" in proc.stdout, proc.stdout[-3000:]
     assert "python -O" in proc.stdout, "the subprocess did not run optimized"
