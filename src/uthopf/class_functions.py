@@ -3,8 +3,10 @@
 Values are Fractions indexed by conjugacy class; evaluation at an element
 goes through the class map of the owning GroupTable.  All transport maps
 (restriction, induction, inflation, deflation, pullback along a group
-isomorphism) return class functions on explicitly enumerated targets, and
-deflation is realized on a complement subgroup rather than on a quotient.
+isomorphism) return class functions on explicitly enumerated targets.
+Restriction and induction are the adjoint pair read off one class fusion
+map, and deflation is realized on a complement subgroup rather than on a
+quotient.
 
 Sparse data is a Combination: a finite linear combination held in its
 `terms` dict from keys to nonzero coefficients.  The base class owns the
@@ -237,29 +239,52 @@ class TensorFunction(Combination):
         )
 
 
+def _fusion(small, big):
+    """Where each class of small lands in big, with its induction weight.
+
+    For each class c of small, the pair (b, w): b is the class of big that
+    contains c, and w = |big| |c| / (|small| |b|) is the value at b of the
+    indicator of c induced up to big (zero at every other class).  Raises
+    ValueError unless every element of small is in big.
+    """
+    if not all(m in big.index for m in small.elements):
+        raise ValueError("%s is not a subgroup of %s" % (small.name, big.name))
+    out = []
+    for r, size in zip(small.class_reps, small.class_sizes):
+        b = big.class_of_matrix(small.elements[r])
+        out.append((b, Fraction(big.order * size, small.order * big.class_sizes[b])))
+    return out
+
+
 def restrict_cf(psi, sub):
-    """Restriction along an inclusion of element sets."""
-    return ClassFunction(
-        sub, [psi.at_matrix(sub.elements[r]) for r in sub.class_reps]
-    )
+    """Restriction to a subgroup, read off the class fusion; the adjoint of
+    induce_cf."""
+    return ClassFunction(sub, [psi.values[b] for b, _ in _fusion(sub, psi.group)])
 
 
 def induce_cf(psi, big):
-    """Induction from the group of psi up to big.
-
-    Walks the subgroup once, binning its elements by their class in big; the
-    conjugation sum collapses since every member of a class c is hit equally
-    often, |big| / |c| times.  The textbook sum over conjugators is the
-    reference it is tested against.
-    """
-    small = psi.group
-    sums = [Fraction(0)] * len(big.class_reps)
-    for i, m in enumerate(small.elements):
-        sums[big.class_of[big.index[m]]] += psi.at_index(i)
-    values = []
-    for c, s in enumerate(sums):
-        values.append(Fraction(big.order, small.order * big.class_sizes[c]) * s)
+    """Induction from the group of psi up to big, summed along the class
+    fusion.  The textbook sum over conjugators is the reference it is tested
+    against."""
+    values = [Fraction(0)] * len(big.class_reps)
+    for v, (b, w) in zip(psi.values, _fusion(psi.group, big)):
+        values[b] += w * v
     return ClassFunction(big, values)
+
+
+def induce_tensor(tensor, left, right):
+    """Induce both factors of a tensor, up to left and right, along the class
+    fusions: each class indicator goes to its weighted fused indicator."""
+    into_left = _fusion(tensor.left_group, left)
+    into_right = _fusion(tensor.right_group, right)
+    return TensorFunction.collect(
+        (
+            ((into_left[c1][0], into_right[c2][0]),
+             v * into_left[c1][1] * into_right[c2][1])
+            for (c1, c2), v in tensor.terms.items()
+        ),
+        left, right,
+    )
 
 
 def inflate_cf(psi, group, levi, radical):

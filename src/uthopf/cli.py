@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 from .combinatorics import BudgetError, Nuio, natural_unit_interval_orders
 from .group_engine import _check_prime
 from .hopf_core import (
     ScfElement,
+    _report,
     axiom_reports,
     coproduct_oracle_reports,
     product_oracle_reports,
@@ -190,31 +192,16 @@ def _cmd_verify(parser, args):
 
 
 def _noncocommutativity_reports():
-    from .hopf_core import short_hash
-
     pi = Nuio(4, [(1, 4), (2, 4)])
     split = ScfElement.basis(pi).coproduct()
-    lhs = split.component(3, 1)
-    rhs = split.component(1, 3).swap()
     point = ScfElement.basis(Nuio(1))
     pair = ScfElement.basis(Nuio(2))
-    left = point * pair
-    right = pair * point
     return [
-        {
-            "check": "noncocommutativity",
-            "instance": "pi=%s" % (list(pi.strict),),
-            "status": "ok" if lhs != rhs else "fail",
-            "lhs_hash": short_hash(repr(lhs)),
-            "rhs_hash": short_hash(repr(rhs)),
-        },
-        {
-            "check": "noncommutativity",
-            "instance": "point,antichain",
-            "status": "ok" if left != right else "fail",
-            "lhs_hash": short_hash(repr(left)),
-            "rhs_hash": short_hash(repr(right)),
-        },
+        _report("noncocommutativity", "pi=%s" % (list(pi.strict),),
+                split.component(3, 1), split.component(1, 3).swap(),
+                operator.ne),
+        _report("noncommutativity", "point,antichain",
+                point * pair, pair * point, operator.ne),
     ]
 
 

@@ -145,7 +145,8 @@ def set_compositions(ground):
         return
     for k in range(1, len(ground) + 1):
         for first in itertools.combinations(ground, k):
-            rest = tuple(i for i in ground if i not in set(first))
+            chosen = set(first)
+            rest = tuple(i for i in ground if i not in chosen)
             for tail in set_compositions(rest):
                 yield SetComposition((first,) + tail.blocks)
 
@@ -192,28 +193,9 @@ class PartialOrder:
         self.pairs = pairs
         self._strict = tuple(sorted((i, j) for i, j in pairs if i != j))
 
-    @classmethod
-    def from_strict(cls, ground, strict):
-        """Reflexive transitive closure of the given strict pairs."""
-        ground = tuple(sorted(int(i) for i in ground))
-        pairs = {(i, i) for i in ground}
-        pairs.update((int(i), int(j)) for i, j in strict)
-        changed = True
-        while changed:
-            changed = False
-            for i, j in list(pairs):
-                for k, l in list(pairs):
-                    if k == j and (i, l) not in pairs:
-                        pairs.add((i, l))
-                        changed = True
-        return cls(ground, pairs)
-
     @property
     def strict_pairs(self):
         return self._strict
-
-    def less(self, i, j):
-        return i != j and (i, j) in self.pairs
 
     def __eq__(self, other):
         return (
@@ -274,22 +256,6 @@ def total_orders(ground):
     """All total orders on the ground set, bottom label varying slowest."""
     for perm in itertools.permutations(sorted(ground)):
         yield chain_order(perm)
-
-
-def all_partial_orders(ground):
-    """Every partial order on the ground set, by brute filtering.
-
-    Quadratic in the number of candidate relations per candidate; meant for
-    tiny ground sets only.
-    """
-    ground = tuple(sorted(ground))
-    diag = {(i, i) for i in ground}
-    offdiag = sorted((i, j) for i in ground for j in ground if i != j)
-    for bits in itertools.product((0, 1), repeat=len(offdiag)):
-        pairs = frozenset(diag | {p for p, b in zip(offdiag, bits) if b})
-        ok, _ = _relation_axioms(pairs)
-        if ok:
-            yield PartialOrder(ground, pairs)
 
 
 def levi_pattern(order, comp):

@@ -11,12 +11,12 @@ from __future__ import annotations
 import functools
 
 from .combinatorics import natural_unit_interval_orders
-from .group_engine import FqMatrix, GroupTable, gl_table, ut_table
+from .group_engine import FqMatrix, GroupTable, gl_table
 from .class_functions import (
-    ClassFunction,
     TensorFunction,
     deflate_cf,
     induce_cf,
+    induce_tensor,
     inflate_cf,
     straighten_cf,
     unstraighten_cf,
@@ -31,20 +31,6 @@ from .hopf_core import (
     ut_coproduct,
     ut_product,
 )
-
-
-def _block_predicate(n, i):
-    low = range(i + 1, n + 1)
-    high = range(1, i + 1)
-
-    def pred(m):
-        for r in low:
-            for c in high:
-                if m.entry(r, c):
-                    return False
-        return True
-
-    return pred
 
 
 def _levi_generators(n, i, q):
@@ -62,8 +48,9 @@ def _levi_generators(n, i, q):
 
 @functools.lru_cache(maxsize=None)
 def parabolic_table(n, i, q):
-    """Invertible matrices with vanishing lower left block of shape (n-i) x i;
-    for i in (0, n) the block is empty and this is gl_table(n, q) itself.
+    """Invertible matrices with vanishing lower left block of shape (n-i) x i,
+    kept from the elements of gl_table(n, q) by a slice of their rows; for
+    i in (0, n) the block is empty and this is gl_table(n, q) itself.
 
     Generated by the Levi generators and one elementary radical matrix: the
     Levi conjugates diag(A, B) of I + X are I + A X B^-1, so one nonzero X
@@ -71,10 +58,10 @@ def parabolic_table(n, i, q):
     gl = gl_table(n, q)
     if i in (0, n):
         return gl
-    pred = _block_predicate(n, i)
     corner = FqMatrix.one_off(q, gl.ground, i, i + 1, 1)
     return GroupTable(
-        [m for m in gl.elements if pred(m)],
+        [m for m in gl.elements
+         if not any(e for row in m.rows[i:] for e in row[:i])],
         generators=_levi_generators(n, i, q) + [corner],
         name="GL%dP%dq%d" % (n, i, q),
     )
@@ -152,30 +139,6 @@ def gl_coproduct(a):
     return GradedTensor.collect(pieces(), a.q)
 
 
-@functools.lru_cache(maxsize=None)
-def _induced_class_indicators(m, q):
-    """Induction to the general linear group of each unitriangular class."""
-    small = ut_table(m, q)
-    big = gl_table(m, q)
-    out = []
-    for c in range(len(small.class_reps)):
-        out.append(induce_cf(ClassFunction.class_indicator(small, c), big))
-    return tuple(out)
-
-
-def _induce_tensor(tensor, q):
-    i = len(tensor.left_group.ground)
-    j = len(tensor.right_group.ground)
-    left = _induced_class_indicators(i, q)
-    right = _induced_class_indicators(j, q)
-    pairs = (
-        (key, v * a)
-        for (c1, c2), v in tensor.terms.items()
-        for key, a in TensorFunction.outer(left[c1], right[c2]).terms.items()
-    )
-    return TensorFunction.collect(pairs, gl_table(i, q), gl_table(j, q))
-
-
 def product_hom_reports(total_degree, q):
     """Induction against the parabolic product, on the indicator basis."""
     reports = []
@@ -207,8 +170,8 @@ def coproduct_hom_reports(degree, q):
             x = specialize(ScfElement.basis(pi), q)
             lhs = gl_coproduct(induce_to_gl(x))
             rhs = GradedTensor(q, {
-                key: _induce_tensor(tensor, q)
-                for key, tensor in ut_coproduct(x).terms.items()
+                (i, j): induce_tensor(tensor, gl_table(i, q), gl_table(j, q))
+                for (i, j), tensor in ut_coproduct(x).terms.items()
             })
             instance = "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q)
             reports.append(_report("induction-coproduct", instance, lhs, rhs))

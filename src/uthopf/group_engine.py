@@ -9,7 +9,7 @@ ground (2, 4) is 2x2 with label pairs drawn from {2, 4}.
 
 Enumeration order is always lexicographic on the row-major entry vector,
 and the enumeration budget (combinatorics.enumeration_budget) is enforced
-before any scan starts.
+before any element is built.
 """
 
 from __future__ import annotations
@@ -100,15 +100,6 @@ class FqMatrix:
     def to_digits(self):
         return "".join(str(e) for row in self.rows for e in row)
 
-    @classmethod
-    def from_digits(cls, digits, p, ground):
-        n = len(tuple(ground))
-        assert len(digits) == n * n
-        vals = [int(ch) for ch in digits]
-        assert all(v < p for v in vals), "digit out of range for the field"
-        rows = [vals[r * n:(r + 1) * n] for r in range(n)]
-        return cls(p, tuple(ground), rows)
-
     def _echelon(self, augmented):
         """Row reduce; returns (rank, reduced rows).  Destroys its argument."""
         p = self.p
@@ -133,13 +124,6 @@ class FqMatrix:
             rank += 1
         return rank, augmented
 
-    def rank(self):
-        rank, _ = self._echelon([list(row) for row in self.rows])
-        return rank
-
-    def is_invertible(self):
-        return self.rank() == len(self.rows)
-
     def inverse(self):
         n = len(self.rows)
         aug = [
@@ -147,7 +131,8 @@ class FqMatrix:
             for r, row in enumerate(self.rows)
         ]
         rank, aug = self._echelon(aug)
-        assert rank == n, "matrix is singular"
+        if rank != n:
+            raise ValueError("matrix is singular")
         return FqMatrix(self.p, self.ground, tuple(
             tuple(row[n:]) for row in aug
         ))
@@ -231,7 +216,11 @@ class GroupTable:
         self._inverses = [None] * self.order
         self._classes = None
         self._factorizations = {}
-        gens = [self.index[g] for g in generators]
+        try:
+            gens = [self.index[g] for g in generators]
+        except KeyError:
+            raise ValueError("a generator of %s is not in its element list"
+                             % self.name) from None
         self._generators = self._ensure_generating(gens)
 
     def __repr__(self):
@@ -249,14 +238,18 @@ class GroupTable:
 
     def _ensure_generating(self, gens):
         """Return gens after one closure under right products by them;
-        raises ValueError unless the closure is the whole table."""
+        raises ValueError unless the closure stays in the table and is all
+        of it."""
         seen = {self.identity_index}
         frontier = [self.identity_index]
         while frontier:
             new = []
             for i in frontier:
                 for g in gens:
-                    j = self.index[self.elements[i] * self.elements[g]]
+                    j = self.index.get(self.elements[i] * self.elements[g])
+                    if j is None:
+                        raise ValueError("%s is not closed under products"
+                                         % self.name)
                     if j not in seen:
                         seen.add(j)
                         new.append(j)
@@ -418,16 +411,31 @@ def primitive_root(p):
 
 @functools.lru_cache(maxsize=None)
 def gl_table(n, p):
-    """The full general linear group on {1, ..., n}, by scanning all matrices."""
+    """The full general linear group on {1, ..., n}, built row by row.
+
+    Each row is a vector outside the span of the rows before it.  Prefixes
+    grow one level at a time through the candidates in lexicographic order,
+    so the elements come out in lexicographic row-major order.  A prefix
+    keeps its span only while more rows remain: the last row completes each
+    matrix directly.  For n = 0 the group is the one empty matrix.
+    """
     _check_prime(p)
     _check_budget(gl_order(n, p), f"general linear group of degree {n}")
     ground = tuple(range(1, n + 1))
-    elements = []
-    for entries in itertools.product(range(p), repeat=n * n):
-        rows = tuple(entries[r * n:(r + 1) * n] for r in range(n))
-        m = FqMatrix(p, ground, rows)
-        if m.is_invertible():
-            elements.append(m)
+    vectors = list(itertools.product(range(p), repeat=n))
+    level = [((), {(0,) * n})]
+    for k in range(n - 1):
+        level = [
+            (rows + (v,), {
+                tuple((x + a * y) % p for x, y in zip(w, v))
+                for w in span for a in range(p)
+            })
+            for rows, span in level for v in vectors if v not in span
+        ]
+    elements = [
+        FqMatrix(p, ground, rows + (v,))
+        for rows, span in level for v in vectors if v not in span
+    ] if n else [FqMatrix(p, ground, ())]
     gens = []
     if n >= 2:
         gens.append(FqMatrix.one_off(p, ground, 1, 2, 1))
@@ -452,15 +460,3 @@ def permutation_matrix(perm, p, ground):
     for i in ground:
         rows[pos[perm[i]]][pos[i]] = 1
     return FqMatrix(p, ground, rows)
-
-
-def coset_rep_permutation(n, labels):
-    """The permutation pushing 1..k onto sorted(labels), k+1..n onto the rest.
-
-    >>> coset_rep_permutation(4, (2, 4))
-    {1: 2, 2: 4, 3: 1, 4: 3}
-    """
-    labels = sorted(labels)
-    rest = sorted(set(range(1, n + 1)) - set(labels))
-    seq = labels + rest
-    return {k: seq[k - 1] for k in range(1, n + 1)}

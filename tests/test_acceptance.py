@@ -13,7 +13,6 @@ from uthopf.class_functions import ClassFunction, deflate_cf, induce_cf, inflate
 from uthopf.combinatorics import (
     Nuio,
     SetComposition,
-    all_partial_orders,
     chain_order,
     levi_pattern,
     natural_unit_interval_orders,
@@ -33,6 +32,9 @@ from uthopf.hopf_core import (
     coproduct_oracle_reports,
     product_oracle_reports,
 )
+
+from test_combinatorics import all_partial_orders
+from test_hopf_core import map_factors
 
 ONE = LaurentT.one()
 T = LaurentT.t(1)
@@ -129,7 +131,7 @@ def test_criterion_6_duality():
         for pi in natural_unit_interval_orders(n):
             x = ScfElement.basis(pi)
             assert x.dagger().dagger() == x
-            flipped = x.coproduct().swap().map_factors(lambda e: e.dagger())
+            flipped = map_factors(x.coproduct().swap(), lambda e: e.dagger())
             assert x.dagger().coproduct() == flipped
     for n1 in range(5):
         for n2 in range(5 - n1):

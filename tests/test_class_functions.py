@@ -1,7 +1,8 @@
 """Class functions and their transport maps, checked against first principles.
 
-Inductions are computed two ways (classwise binning and the textbook
-conjugation sum), adjunctions are checked as literal inner product
+Inductions are computed two ways (along the class fusion map and by the
+textbook conjugation sum), restriction along the fusion is checked against
+evaluation at elements, adjunctions are checked as literal inner product
 identities, and straightening is checked as a round trip.
 """
 
@@ -12,6 +13,7 @@ import pytest
 from uthopf.class_functions import (
     ClassFunction,
     TensorFunction,
+    _fusion,
     dagger_cf,
     deflate_cf,
     induce_cf,
@@ -29,6 +31,7 @@ from uthopf.combinatorics import (
     parabolic_pattern,
     radical_pattern,
 )
+from uthopf.gl_bridge import levi_table, parabolic_table
 from uthopf.group_engine import gl_table, pattern_group, ut_table
 
 
@@ -102,6 +105,13 @@ def naive_induce_cf(psi, big):
     return ClassFunction(big, values)
 
 
+def elementwise_restrict_cf(psi, sub):
+    """Reference restriction: psi evaluated at each class representative."""
+    return ClassFunction(
+        sub, [psi.at_matrix(sub.elements[r]) for r in sub.class_reps]
+    )
+
+
 class TestInduction:
     @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 5)])
     def test_classwise_equals_naive(self, n, q):
@@ -110,6 +120,28 @@ class TestInduction:
         for c in range(len(ut.class_reps)):
             psi = ClassFunction.class_indicator(ut, c)
             assert induce_cf(psi, gl) == naive_induce_cf(psi, gl)
+
+    @pytest.mark.parametrize("n,i,q", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2)])
+    def test_fusion_equals_naive_on_ut_levi_and_parabolic(self, n, i, q):
+        gl = gl_table(n, q)
+        for sub in (ut_table(n, q), levi_table(n, i, q), parabolic_table(n, i, q)):
+            for c in range(len(sub.class_reps)):
+                psi = ClassFunction.class_indicator(sub, c)
+                assert induce_cf(psi, gl) == naive_induce_cf(psi, gl)
+            for c in range(len(gl.class_reps)):
+                phi = ClassFunction.class_indicator(gl, c)
+                assert restrict_cf(phi, sub) == elementwise_restrict_cf(phi, sub)
+
+    def test_fusion_rejects_a_non_subgroup(self):
+        # the lower unitriangular group of degree 2 is not inside the upper one
+        ut = ut_table(2, 2)
+        lower = pattern_group(chain_order((2, 1)), 2)
+        with pytest.raises(ValueError):
+            _fusion(lower, ut)
+        with pytest.raises(ValueError):
+            induce_cf(ClassFunction.trivial(lower), ut)
+        with pytest.raises(ValueError):
+            restrict_cf(ClassFunction.trivial(ut), lower)
 
     def test_induced_trivial_at_identity_is_the_index(self):
         ut = ut_table(3, 2)

@@ -17,7 +17,7 @@ from uthopf.combinatorics import (
     Nuio,
     PartialOrder,
     SetComposition,
-    all_partial_orders,
+    _relation_axioms,
     ascent_pairs,
     chain_order,
     equal_pairs,
@@ -34,6 +34,43 @@ from uthopf.combinatorics import (
 
 def strict_set(order):
     return frozenset(order.strict_pairs)
+
+
+def from_strict(ground, strict):
+    """The partial order generated by the given strict pairs: their
+    reflexive transitive closure."""
+    ground = tuple(sorted(int(i) for i in ground))
+    pairs = {(i, i) for i in ground}
+    pairs.update((int(i), int(j)) for i, j in strict)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in list(pairs):
+            for k, l in list(pairs):
+                if k == j and (i, l) not in pairs:
+                    pairs.add((i, l))
+                    changed = True
+    return PartialOrder(ground, pairs)
+
+
+def less(order, i, j):
+    return i != j and (i, j) in order.pairs
+
+
+def all_partial_orders(ground):
+    """Every partial order on the ground set, by brute filtering.
+
+    Quadratic in the number of candidate relations per candidate; meant for
+    tiny ground sets only.
+    """
+    ground = tuple(sorted(ground))
+    diag = {(i, i) for i in ground}
+    offdiag = sorted((i, j) for i in ground for j in ground if i != j)
+    for bits in itertools.product((0, 1), repeat=len(offdiag)):
+        pairs = frozenset(diag | {p for p, b in zip(offdiag, bits) if b})
+        ok, _ = _relation_axioms(pairs)
+        if ok:
+            yield PartialOrder(ground, pairs)
 
 
 def comp(*blocks):
@@ -212,13 +249,13 @@ def test_tits_band_laws(a, b):
 
 class TestPartialOrder:
     def test_from_strict_takes_transitive_closure(self):
-        p = PartialOrder.from_strict((1, 2, 3), [(1, 2), (2, 3)])
-        assert p.less(1, 3)
+        p = from_strict((1, 2, 3), [(1, 2), (2, 3)])
+        assert less(p, 1, 3)
         assert strict_set(p) == frozenset({(1, 2), (2, 3), (1, 3)})
 
     def test_rejects_cycles(self):
         with pytest.raises(ValueError):
-            PartialOrder.from_strict((1, 2), [(1, 2), (2, 1)])
+            from_strict((1, 2), [(1, 2), (2, 1)])
 
     def test_rejects_non_transitive_pairs(self):
         diag = {(i, i) for i in (1, 2, 3)}
@@ -230,7 +267,7 @@ class TestPartialOrder:
         assert p.restrict((2, 4)) == chain_order((2, 4))
 
     def test_relabel_pushforward(self):
-        p = PartialOrder.from_strict((1, 2, 3), [(1, 3)])
+        p = from_strict((1, 2, 3), [(1, 3)])
         sigma = {1: 2, 2: 3, 3: 1}
         assert strict_set(p.relabel(sigma)) == frozenset({(2, 1)})
 
@@ -388,7 +425,7 @@ class TestProfileAgainstStrictPairs:
         for bits in itertools.product((0, 1), repeat=len(cells)):
             chosen = [c for c, b in zip(cells, bits) if b]
             try:
-                closure = PartialOrder.from_strict(ground, chosen).strict_pairs
+                closure = from_strict(ground, chosen).strict_pairs
             except ValueError:
                 closure = None
             if closure is None or frozenset(closure) not in accepted:

@@ -2,19 +2,20 @@
 
 The cross checks below (Mackey decomposition, Bruhat double cosets, Levi
 conjugation and two straightening compatibilities) build their report lists
-here; the library itself needs none of them.
+here; the library itself needs none of them.  The parabolic row slice and
+the fused tensor induction are compared with the cell-by-cell filter and
+the factorwise outer product of induced indicators they replace.
 """
 
 import itertools
 
 import pytest
 
-from uthopf.class_functions import ClassFunction, induce_cf, pullback_cf, \
-    restrict_cf, straighten_cf
+from uthopf.class_functions import ClassFunction, TensorFunction, induce_cf, \
+    induce_tensor, pullback_cf, restrict_cf, straighten_cf
 from uthopf.combinatorics import Nuio, chain_order, parabolic_pattern, \
     split_composition
 from uthopf.gl_bridge import (
-    _induce_tensor,
     _levi_generators,
     coproduct_hom_reports,
     dagger_invariance_reports,
@@ -26,11 +27,47 @@ from uthopf.gl_bridge import (
     product_hom_reports,
     radical_table,
 )
-from uthopf.group_engine import FqMatrix, GroupTable, coset_rep_permutation, \
-    gl_order, gl_table, pattern_group, permutation_matrix, ut_table
-from uthopf.hopf_core import ScfElement, _report, specialize, split_tables
+from uthopf.group_engine import FqMatrix, GroupTable, gl_order, gl_table, \
+    pattern_group, permutation_matrix, ut_table
+from uthopf.hopf_core import ScfElement, _report, specialize, split_tables, \
+    ut_coproduct
 
-from test_group_engine import search_generators
+from test_group_engine import coset_rep_permutation, search_generators
+
+
+def block_predicate(n, i):
+    """Reference parabolic membership: every cell of the lower left
+    (n-i) x i block is zero, read with entry()."""
+    low = range(i + 1, n + 1)
+    high = range(1, i + 1)
+
+    def pred(m):
+        for r in low:
+            for c in high:
+                if m.entry(r, c):
+                    return False
+        return True
+
+    return pred
+
+
+def factorwise_induce_tensor(tensor, left, right):
+    """Reference tensor induction: the outer product of the induced class
+    indicators of each pair of classes."""
+    up_left = [
+        induce_cf(ClassFunction.class_indicator(tensor.left_group, c), left)
+        for c in range(len(tensor.left_group.class_reps))
+    ]
+    up_right = [
+        induce_cf(ClassFunction.class_indicator(tensor.right_group, c), right)
+        for c in range(len(tensor.right_group.class_reps))
+    ]
+    pairs = (
+        (key, v * a)
+        for (c1, c2), v in tensor.terms.items()
+        for key, a in TensorFunction.outer(up_left[c1], up_right[c2]).terms.items()
+    )
+    return TensorFunction.collect(pairs, left, right)
 
 
 def assert_all_ok(reports):
@@ -173,9 +210,9 @@ def straighten_induction_reports(n, i, q):
         lhs = straighten_cf(
             lifted, range(1, i + 1), gl_table(i, q), gl_table(n - i, q)
         )
-        rhs = _induce_tensor(
+        rhs = induce_tensor(
             straighten_cf(psi, range(1, i + 1), ut_table(i, q), ut_table(n - i, q)),
-            q,
+            gl_table(i, q), gl_table(n - i, q),
         )
         instance = "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c)
         reports.append(_report("straighten-induction", instance, lhs, rhs))
@@ -214,6 +251,12 @@ class TestParabolicTables:
             searched = search_generators(table.elements)
             assert table.classes == GroupTable(table.elements, searched).classes
 
+    @pytest.mark.parametrize("n,i,q", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 3)])
+    def test_row_slice_equals_cell_filter(self, n, i, q):
+        pred = block_predicate(n, i)
+        kept = [m for m in gl_table(n, q).elements if pred(m)]
+        assert parabolic_table(n, i, q).elements == kept
+
     def test_levi_blocks(self):
         levi = levi_table(3, 1, 2)
         for m in levi.elements:
@@ -222,6 +265,15 @@ class TestParabolicTables:
 
 
 class TestInduction:
+    @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_fused_tensor_induction_equals_factorwise(self, n, q):
+        for pi in (Nuio(n, []), Nuio(n, [(1, n)])):
+            x = specialize(ScfElement.basis(pi), q)
+            for (i, j), tensor in ut_coproduct(x).terms.items():
+                left, right = gl_table(i, q), gl_table(j, q)
+                assert induce_tensor(tensor, left, right) == \
+                    factorwise_induce_tensor(tensor, left, right)
+
     def test_unit_and_point_products(self):
         q = 2
         x = specialize(ScfElement.basis(Nuio(1, [])), q)

@@ -1,13 +1,12 @@
 """Finite matrix groups over prime fields: enumeration, conjugacy, budgets."""
 
+import itertools
 import random
 
 import pytest
 
 from uthopf.combinatorics import (
-    PartialOrder,
     SetComposition,
-    all_partial_orders,
     chain_order,
     levi_pattern,
     parabolic_pattern,
@@ -19,7 +18,6 @@ from uthopf.group_engine import (
     BudgetError,
     FqMatrix,
     GroupTable,
-    coset_rep_permutation,
     enumeration_budget,
     gl_order,
     gl_table,
@@ -29,6 +27,51 @@ from uthopf.group_engine import (
     ut_table,
 )
 from uthopf.hopf_core import split_tables
+
+from test_combinatorics import all_partial_orders, from_strict
+
+
+def rank(m):
+    """Rank by row reduction."""
+    return m._echelon([list(row) for row in m.rows])[0]
+
+
+def is_invertible(m):
+    return rank(m) == len(m.rows)
+
+
+def from_digits(digits, p, ground):
+    """Parse the row-major digit string that FqMatrix.to_digits writes."""
+    n = len(tuple(ground))
+    assert len(digits) == n * n
+    vals = [int(ch) for ch in digits]
+    assert all(v < p for v in vals), "digit out of range for the field"
+    rows = [vals[r * n:(r + 1) * n] for r in range(n)]
+    return FqMatrix(p, tuple(ground), rows)
+
+
+def coset_rep_permutation(n, labels):
+    """The permutation pushing 1..k onto sorted(labels), k+1..n onto the rest.
+
+    >>> coset_rep_permutation(4, (2, 4))
+    {1: 2, 2: 4, 3: 1, 4: 3}
+    """
+    labels = sorted(labels)
+    rest = sorted(set(range(1, n + 1)) - set(labels))
+    seq = labels + rest
+    return {k: seq[k - 1] for k in range(1, n + 1)}
+
+
+def scan_gl_elements(n, p):
+    """Reference general linear group: every matrix in lexicographic
+    row-major order, kept when it has full rank."""
+    ground = tuple(range(1, n + 1))
+    out = []
+    for entries in itertools.product(range(p), repeat=n * n):
+        m = FqMatrix(p, ground, [entries[r * n:(r + 1) * n] for r in range(n)])
+        if is_invertible(m):
+            out.append(m)
+    return out
 
 
 def random_matrix(rng, p, n):
@@ -69,17 +112,20 @@ class TestFqMatrix:
             found = 0
             while found < 10:
                 m = random_matrix(rng, p, 3)
-                if not m.is_invertible():
+                if not is_invertible(m):
                     continue
                 found += 1
                 assert m * m.inverse() == e
                 assert m.inverse() * m == e
+        singular = FqMatrix(3, (1, 2), [[1, 2], [2, 1]])
+        with pytest.raises(ValueError):
+            singular.inverse()
 
     def test_rank(self):
         g = (1, 2, 3)
-        assert FqMatrix.identity(2, g).rank() == 3
-        assert FqMatrix(2, g, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]).rank() == 2
-        assert FqMatrix(3, g, [[0] * 3] * 3).rank() == 0
+        assert rank(FqMatrix.identity(2, g)) == 3
+        assert rank(FqMatrix(2, g, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])) == 2
+        assert rank(FqMatrix(3, g, [[0] * 3] * 3)) == 0
 
     def test_dagger_pin(self):
         m = FqMatrix(5, (1, 2, 3), [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
@@ -125,7 +171,7 @@ class TestFqMatrix:
         rng = random.Random(19)
         for p in (2, 5):
             m = random_matrix(rng, p, 3)
-            assert FqMatrix.from_digits(m.to_digits(), p, m.ground) == m
+            assert from_digits(m.to_digits(), p, m.ground) == m
 
     def test_prime_field_required(self):
         with pytest.raises(ValueError):
@@ -263,6 +309,14 @@ class TestGroupTable:
             GroupTable([ident, x, x], [x])
         with pytest.raises(ValueError):
             GroupTable([x], [x])
+        # a generator outside the list
+        with pytest.raises(ValueError):
+            GroupTable([ident], [x])
+        # not closed: (I + e12)^2 = I + 2 e12 over F_3
+        ident3 = FqMatrix.identity(3, (1, 2))
+        x3 = FqMatrix.one_off(3, (1, 2), 1, 2, 1)
+        with pytest.raises(ValueError):
+            GroupTable([ident3, x3], [x3])
 
     def test_generators_that_do_not_generate_raise(self):
         g = ut_table(3, 2)
@@ -308,7 +362,7 @@ def search_factorization(big, levi, radical):
 
 
 def strict_pattern_group(strict, q):
-    return pattern_group(PartialOrder.from_strict((1, 2, 3), strict), q)
+    return pattern_group(from_strict((1, 2, 3), strict), q)
 
 
 class TestFactorization:
@@ -366,7 +420,14 @@ class TestGl:
             assert gl_table(n, q).order == gl_order(n, q)
 
     def test_all_elements_invertible(self):
-        assert all(m.is_invertible() for m in gl_table(2, 3).elements)
+        assert all(is_invertible(m) for m in gl_table(2, 3).elements)
+
+    @pytest.mark.parametrize("n,q", [
+        (0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3),
+        (2, 5),
+    ])
+    def test_row_built_elements_equal_the_scan(self, n, q):
+        assert gl_table(n, q).elements == scan_gl_elements(n, q)
 
     def test_primitive_root(self):
         for p in (2, 3, 5, 7, 11, 13):

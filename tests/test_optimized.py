@@ -40,6 +40,9 @@ NODE_IDS = [
     "tests/test_group_engine.py::TestGroupTable::test_bad_element_lists_raise",
     "tests/test_group_engine.py::TestGroupTable::"
     "test_generators_that_do_not_generate_raise",
+    "tests/test_group_engine.py::TestFqMatrix::test_inverse",
+    "tests/test_class_functions.py::TestInduction::"
+    "test_fusion_rejects_a_non_subgroup",
 ]
 
 
@@ -54,5 +57,5 @@ def test_validation_survives_optimize():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "29 passed" in proc.stdout, proc.stdout[-3000:]
+    assert "31 passed" in proc.stdout, proc.stdout[-3000:]
     assert "python -O" in proc.stdout, "the subprocess did not run optimized"
