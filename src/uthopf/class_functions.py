@@ -110,7 +110,8 @@ class ClassFunction:
 
     def __init__(self, group, values):
         values = tuple(_as_fraction(v) for v in values)
-        assert len(values) == len(group.class_reps)
+        if len(values) != len(group.class_reps):
+            raise ValueError("one value per class of %s is needed" % group.name)
         self.group = group
         self.values = values
 
@@ -160,14 +161,18 @@ class ClassFunction:
             and self.values == other.values
         )
 
+    def _same_group(self, other):
+        if self.group is not other.group:
+            raise ValueError("class functions on different groups")
+
     def __add__(self, other):
-        assert self.group is other.group
+        self._same_group(other)
         return ClassFunction(
             self.group, [a + b for a, b in zip(self.values, other.values)]
         )
 
     def __sub__(self, other):
-        assert self.group is other.group
+        self._same_group(other)
         return ClassFunction(
             self.group, [a - b for a, b in zip(self.values, other.values)]
         )
@@ -177,7 +182,7 @@ class ClassFunction:
 
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
-            assert self.group is other.group
+            self._same_group(other)
             return ClassFunction(
                 self.group, [a * b for a, b in zip(self.values, other.values)]
             )
@@ -193,7 +198,7 @@ class ClassFunction:
 
     def inner(self, other):
         """Averaged pairing; values here are rational, so no conjugation."""
-        assert self.group is other.group
+        self._same_group(other)
         total = Fraction(0)
         for size, a, b in zip(self.group.class_sizes, self.values, other.values):
             total += size * a * b
@@ -289,6 +294,8 @@ def induce_tensor(tensor, left, right):
 
 def inflate_cf(psi, group, levi, radical):
     """Pull back along the projection killing the radical factor."""
+    if psi.group is not levi:
+        raise ValueError("%s is not the levi %s" % (psi.group.name, levi.name))
     fact = group.factorization(levi, radical)
     values = []
     for r in group.class_reps:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 
-from .combinatorics import natural_unit_interval_orders
 from .group_engine import FqMatrix, GroupTable, gl_table
 from .class_functions import (
     TensorFunction,
@@ -25,6 +24,8 @@ from .hopf_core import (
     GradedClassFunction,
     GradedTensor,
     ScfElement,
+    _order_instances,
+    _pair_instances,
     _report,
     specialize,
     split_tables,
@@ -112,7 +113,8 @@ def gl_product_component(fa, fb):
 
 
 def gl_product(a, b):
-    assert a.q == b.q
+    if a.q != b.q:
+        raise ValueError("factors at different primes %d and %d" % (a.q, b.q))
     return GradedClassFunction.collect(
         (
             (i + j, gl_product_component(fa, fb))
@@ -142,50 +144,34 @@ def gl_coproduct(a):
 def product_hom_reports(total_degree, q):
     """Induction against the parabolic product, on the indicator basis."""
     reports = []
-    by_degree = {
-        n: natural_unit_interval_orders(n) for n in range(total_degree + 1)
-    }
-    for i in range(total_degree + 1):
-        for j in range(total_degree + 1 - i):
-            for pi in by_degree[i]:
-                for rho in by_degree[j]:
-                    xa = specialize(ScfElement.basis(pi), q)
-                    xb = specialize(ScfElement.basis(rho), q)
-                    lhs = induce_to_gl(ut_product(xa, xb))
-                    rhs = gl_product(induce_to_gl(xa), induce_to_gl(xb))
-                    instance = "pi=%s;rho=%s;q=%d" % (
-                        list(pi.strict), list(rho.strict), q
-                    )
-                    reports.append(
-                        _report("induction-product", instance, lhs, rhs)
-                    )
+    for instance, pi, rho in _pair_instances(total_degree, q):
+        xa = specialize(ScfElement.basis(pi), q)
+        xb = specialize(ScfElement.basis(rho), q)
+        lhs = induce_to_gl(ut_product(xa, xb))
+        rhs = gl_product(induce_to_gl(xa), induce_to_gl(xb))
+        reports.append(_report("induction-product", instance, lhs, rhs))
     return reports
 
 
 def coproduct_hom_reports(degree, q):
     """Induction against the parabolic coproduct, on the indicator basis."""
     reports = []
-    for n in range(degree + 1):
-        for pi in natural_unit_interval_orders(n):
-            x = specialize(ScfElement.basis(pi), q)
-            lhs = gl_coproduct(induce_to_gl(x))
-            rhs = GradedTensor(q, {
-                (i, j): induce_tensor(tensor, gl_table(i, q), gl_table(j, q))
-                for (i, j), tensor in ut_coproduct(x).terms.items()
-            })
-            instance = "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q)
-            reports.append(_report("induction-coproduct", instance, lhs, rhs))
+    for instance, pi in _order_instances(degree, q):
+        x = specialize(ScfElement.basis(pi), q)
+        lhs = gl_coproduct(induce_to_gl(x))
+        rhs = GradedTensor(q, {
+            (i, j): induce_tensor(tensor, gl_table(i, q), gl_table(j, q))
+            for (i, j), tensor in ut_coproduct(x).terms.items()
+        })
+        reports.append(_report("induction-coproduct", instance, lhs, rhs))
     return reports
 
 
 def dagger_invariance_reports(degree, q):
     """Induction composed with the flip equals plain induction."""
     reports = []
-    for n in range(degree + 1):
-        for pi in natural_unit_interval_orders(n):
-            x = specialize(ScfElement.basis(pi), q)
-            lhs = induce_to_gl(x.dagger())
-            rhs = induce_to_gl(x)
-            instance = "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q)
-            reports.append(_report("induction-dagger", instance, lhs, rhs))
+    for instance, pi in _order_instances(degree, q):
+        x = specialize(ScfElement.basis(pi), q)
+        lhs = induce_to_gl(x.dagger())
+        reports.append(_report("induction-dagger", instance, lhs, induce_to_gl(x)))
     return reports

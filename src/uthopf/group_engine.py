@@ -98,7 +98,9 @@ class FqMatrix:
         )
 
     def to_digits(self):
-        return "".join(str(e) for row in self.rows for e in row)
+        """Row-major entries: digits for p < 11, comma-separated for p >= 11."""
+        sep = "," if self.p >= 11 else ""
+        return sep.join(str(e) for row in self.rows for e in row)
 
     def _echelon(self, augmented):
         """Row reduce; returns (rank, reduced rows).  Destroys its argument."""

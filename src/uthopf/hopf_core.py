@@ -11,8 +11,11 @@ checks in this module verify.
 
 Species side: the same operations before quotienting by relabelling,
 realized on explicit pattern groups over a composition of the ground set.
-The axiom checks run the associativity, coassociativity, compatibility and
-naturality squares on concrete class function bases.
+`pattern_split` is the one builder of their Levi and radical tables.  The
+axiom checks run the associativity, coassociativity, compatibility and
+naturality squares on concrete class function bases.  Each of the five
+square families is declared once; one driver checks the exhaustive stream
+of squares and the seeded sampled stream alike.
 
 Every sparse value here (LaurentT, ScfElement, TensorScf,
 GradedClassFunction, GradedTensor) is a class_functions.Combination: its
@@ -25,6 +28,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -36,7 +40,6 @@ from .combinatorics import (
     chain_order,
     levi_pattern,
     natural_unit_interval_orders,
-    parabolic_pattern,
     radical_pattern,
     set_compositions,
     split_composition,
@@ -388,14 +391,21 @@ def specialize(x, q):
 
 
 @functools.lru_cache(maxsize=None)
+def pattern_split(ambient, comp, q):
+    """Levi and radical pattern tables of the pattern group of ambient,
+    split along the set composition comp."""
+    return (
+        pattern_group(levi_pattern(ambient, comp), q),
+        pattern_group(radical_pattern(ambient, comp), q),
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def split_tables(n, inside, q):
     """Levi and radical pattern tables of the unitriangular group on
     {1, ..., n}, split into the labels inside (a tuple) and the rest."""
-    chain = chain_order(range(1, n + 1))
-    comp = split_composition(n, inside)
-    return (
-        pattern_group(levi_pattern(chain, comp), q),
-        pattern_group(radical_pattern(chain, comp), q),
+    return pattern_split(
+        chain_order(range(1, n + 1)), split_composition(n, inside), q
     )
 
 
@@ -413,7 +423,8 @@ def ut_product_component(psi_a, psi_b):
 
 
 def ut_product(a, b):
-    assert a.q == b.q
+    if a.q != b.q:
+        raise ValueError("factors at different primes %d and %d" % (a.q, b.q))
     return GradedClassFunction.collect(
         (
             (i + j, ut_product_component(fa, fb))
@@ -486,24 +497,16 @@ def _disjoint_fold(orders):
 def monoid_inflate(ambient, comp, psi):
     """Inflation from the blockwise diagonal up the whole pattern group.
 
-    ambient must have no pairs descending against comp, which is exactly
-    when the parabolic of the pair is the whole group.
+    Raises ValueError unless ambient has no pairs descending against comp,
+    which is exactly when the parabolic of the pair is the whole group.
     """
     q = psi.group.p
-    assert parabolic_pattern(ambient, comp) == ambient
-    big = pattern_group(ambient, q)
-    levi = pattern_group(levi_pattern(ambient, comp), q)
-    radical = pattern_group(radical_pattern(ambient, comp), q)
-    assert psi.group is levi
-    return inflate_cf(psi, big, levi, radical)
+    return inflate_cf(psi, pattern_group(ambient, q), *pattern_split(ambient, comp, q))
 
 
 def monoid_deflate(ambient, comp, psi):
     """Parabolic restriction then radical averaging, blockwise over comp."""
-    q = psi.group.p
-    levi = pattern_group(levi_pattern(ambient, comp), q)
-    radical = pattern_group(radical_pattern(ambient, comp), q)
-    return deflate_cf(psi, levi, radical)
+    return deflate_cf(psi, *pattern_split(ambient, comp, psi.group.p))
 
 
 def monoid_relabel(psi, mapping):
@@ -514,147 +517,130 @@ def monoid_relabel(psi, mapping):
     return pullback_cf(psi, target, lambda m: m.relabel(inverse))
 
 
-def _relabel_comp(comp, mapping):
-    return SetComposition([[mapping[i] for i in b] for b in comp.blocks])
+# Each square family returns (check, instance, source, sides): the square is
+# checked on class functions psi of pattern_group(source, q), and sides(psi)
+# is the pair (lhs, rhs) that it says are equal.
 
-
-def check_product_associativity(A, B, taus, class_idx, q):
+def _associativity(A, B, taus):
     """taus: one total order per block of B, in block order; B refines A."""
-    source = pattern_group(_disjoint_fold(taus), q)
-    psi = ClassFunction.class_indicator(source, class_idx)
-    lhs = monoid_inflate(_ordinal_fold(taus), B, psi)
-    mid_orders = []
-    for part in A.blocks:
-        pieces = [t for blk, t in zip(B.blocks, taus) if set(blk) <= set(part)]
-        mid_orders.append(_ordinal_fold(pieces))
-    mid = monoid_inflate(_disjoint_fold(mid_orders), B, psi)
-    rhs = monoid_inflate(_ordinal_fold(taus), A, mid)
-    instance = "A=%s;B=%s;taus=%s;basis=%d" % (
-        A.blocks, B.blocks, [t.strict_pairs for t in taus], class_idx
+    top = _ordinal_fold(taus)
+    mid = _disjoint_fold(
+        _ordinal_fold([t for blk, t in zip(B.blocks, taus) if set(blk) <= set(part)])
+        for part in A.blocks
     )
-    return _report("associativity", instance, lhs, rhs)
+    instance = "A=%s;B=%s;taus=%s" % (
+        A.blocks, B.blocks, [t.strict_pairs for t in taus]
+    )
+    return "associativity", instance, _disjoint_fold(taus), lambda psi: (
+        monoid_inflate(top, B, psi),
+        monoid_inflate(top, A, monoid_inflate(mid, B, psi)),
+    )
 
 
-def check_coproduct_coassociativity(tau, A, B, class_idx, q):
+def _coassociativity(tau, A, B):
     """tau: total order on the ground; B refines A."""
-    source = pattern_group(tau, q)
-    psi = ClassFunction.class_indicator(source, class_idx)
-    lhs = monoid_deflate(tau, B, psi)
-    mid = monoid_deflate(tau, A, psi)
     split = _disjoint_fold([tau.restrict(part) for part in A.blocks])
-    rhs = monoid_deflate(split, B, mid)
-    instance = "tau=%s;A=%s;B=%s;basis=%d" % (
-        tau.strict_pairs, A.blocks, B.blocks, class_idx
+    instance = "tau=%s;A=%s;B=%s" % (tau.strict_pairs, A.blocks, B.blocks)
+    return "coassociativity", instance, tau, lambda psi: (
+        monoid_deflate(tau, B, psi),
+        monoid_deflate(split, B, monoid_deflate(tau, A, psi)),
     )
-    return _report("coassociativity", instance, lhs, rhs)
 
 
-def check_compatibility(A, taus, B, class_idx, q):
+def _compatibility(A, taus, B):
     """taus: one total order per block of A; A and B arbitrary."""
-    source = pattern_group(_disjoint_fold(taus), q)
-    psi = ClassFunction.class_indicator(source, class_idx)
-    merged = monoid_inflate(_ordinal_fold(taus), A, psi)
-    lhs = monoid_deflate(_ordinal_fold(taus), B, merged)
-    step1 = monoid_deflate(_disjoint_fold(taus), B, psi)
-    piece_orders = []
-    for bpart in B.blocks:
-        inner = [
-            t.restrict(set(bpart) & set(apart))
-            for apart, t in zip(A.blocks, taus)
-        ]
-        piece_orders.append(_ordinal_fold(inner))
-    rhs = monoid_inflate(_disjoint_fold(piece_orders), A, step1)
-    assert lhs.group is rhs.group
-    instance = "A=%s;taus=%s;B=%s;basis=%d" % (
-        A.blocks, [t.strict_pairs for t in taus], B.blocks, class_idx
+    top, source = _ordinal_fold(taus), _disjoint_fold(taus)
+    pieces = _disjoint_fold(
+        _ordinal_fold([t.restrict(set(bp) & set(ap)) for ap, t in zip(A.blocks, taus)])
+        for bp in B.blocks
     )
-    return _report("compatibility", instance, lhs, rhs)
-
-
-def check_product_naturality(sigma, A, taus, class_idx, q):
-    source = pattern_group(_disjoint_fold(taus), q)
-    psi = ClassFunction.class_indicator(source, class_idx)
-    lhs = monoid_relabel(monoid_inflate(_ordinal_fold(taus), A, psi), sigma)
-    rhs = monoid_inflate(
-        _ordinal_fold(taus).relabel(sigma),
-        _relabel_comp(A, sigma),
-        monoid_relabel(psi, sigma),
+    instance = "A=%s;taus=%s;B=%s" % (
+        A.blocks, [t.strict_pairs for t in taus], B.blocks
     )
-    instance = "sigma=%s;A=%s;taus=%s;basis=%d" % (
-        sorted(sigma.items()), A.blocks, [t.strict_pairs for t in taus], class_idx
+    return "compatibility", instance, source, lambda psi: (
+        monoid_deflate(top, B, monoid_inflate(top, A, psi)),
+        monoid_inflate(pieces, A, monoid_deflate(source, B, psi)),
     )
-    return _report("naturality-product", instance, lhs, rhs)
 
 
-def check_coproduct_naturality(sigma, A, tau, class_idx, q):
-    source = pattern_group(tau, q)
-    psi = ClassFunction.class_indicator(source, class_idx)
-    lhs = monoid_relabel(monoid_deflate(tau, A, psi), sigma)
-    rhs = monoid_deflate(
-        tau.relabel(sigma), _relabel_comp(A, sigma), monoid_relabel(psi, sigma)
+def _naturality(sigma, A, op, order):
+    """Both sides of relabelling op(order, A, psi) along sigma."""
+    moved = SetComposition([[sigma[i] for i in b] for b in A.blocks])
+    return lambda psi: (
+        monoid_relabel(op(order, A, psi), sigma),
+        op(order.relabel(sigma), moved, monoid_relabel(psi, sigma)),
     )
-    instance = "sigma=%s;A=%s;tau=%s;basis=%d" % (
-        sorted(sigma.items()), A.blocks, tau.strict_pairs, class_idx
+
+
+def _product_naturality(sigma, A, taus):
+    instance = "sigma=%s;A=%s;taus=%s" % (
+        sorted(sigma.items()), A.blocks, [t.strict_pairs for t in taus]
     )
-    return _report("naturality-coproduct", instance, lhs, rhs)
+    return "naturality-product", instance, _disjoint_fold(taus), _naturality(
+        sigma, A, monoid_inflate, _ordinal_fold(taus)
+    )
 
 
-def axiom_reports(n_max, q, samples=0, sample_size=4, seed=0):
-    """Run the four axiom square families.
+def _coproduct_naturality(sigma, A, tau):
+    instance = "sigma=%s;A=%s;tau=%s" % (
+        sorted(sigma.items()), A.blocks, tau.strict_pairs
+    )
+    return "naturality-coproduct", instance, tau, _naturality(
+        sigma, A, monoid_deflate, tau
+    )
 
-    All instances with ground size up to n_max are checked over full class
-    indicator bases; on top of that, `samples` random instances of ground
-    size sample_size are drawn with the seeded generator.
-    """
+
+def _square_reports(squares, classes, q, prefix=""):
+    """One report per square and class index; classes maps the class count
+    of the square's source group to the indices whose indicators to check."""
     reports = []
+    for check, instance, source, sides in squares:
+        table = pattern_group(source, q)
+        for c in classes(len(table.class_reps)):
+            lhs, rhs = sides(ClassFunction.class_indicator(table, c))
+            text = "%s%s;basis=%d" % (prefix, instance, c)
+            reports.append(_report(check, text, lhs, rhs))
+    return reports
+
+
+def _fubini(n):
+    """Number of set compositions of an n-set, by a(m) = sum C(m, k) a(m - k)."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
+
+
+def _all_squares(n_max):
+    """Every square on the ground sets {1, ..., n} for n up to n_max."""
     for n in range(1, n_max + 1):
         ground = tuple(range(1, n + 1))
         comps = list(set_compositions(ground))
         orders = {b: list(total_orders(b)) for c in comps for b in c.blocks}
+
+        def blockwise(comp):
+            return itertools.product(*[orders[b] for b in comp.blocks])
+
         for A in comps:
             for B in refinements(A):
-                for taus in itertools.product(*[orders[b] for b in B.blocks]):
-                    source = pattern_group(_disjoint_fold(taus), q)
-                    for c in range(len(source.class_reps)):
-                        reports.append(
-                            check_product_associativity(A, B, list(taus), c, q)
-                        )
-        for tau in total_orders(ground):
-            table = pattern_group(tau, q)
+                for taus in blockwise(B):
+                    yield _associativity(A, B, taus)
+        for tau in orders[ground]:
             for A in comps:
                 for B in refinements(A):
-                    for c in range(len(table.class_reps)):
-                        reports.append(
-                            check_coproduct_coassociativity(tau, A, B, c, q)
-                        )
+                    yield _coassociativity(tau, A, B)
         for A in comps:
-            for taus in itertools.product(*[orders[b] for b in A.blocks]):
-                source = pattern_group(_disjoint_fold(taus), q)
+            for taus in blockwise(A):
                 for B in comps:
-                    for c in range(len(source.class_reps)):
-                        reports.append(
-                            check_compatibility(A, list(taus), B, c, q)
-                        )
+                    yield _compatibility(A, taus, B)
         for perm in itertools.permutations(ground):
-            sigma = {k: perm[k - 1] for k in ground}
+            sigma = dict(zip(ground, perm))
             for A in comps:
-                for taus in itertools.product(*[orders[b] for b in A.blocks]):
-                    source = pattern_group(_disjoint_fold(taus), q)
-                    for c in range(len(source.class_reps)):
-                        reports.append(
-                            check_product_naturality(sigma, A, list(taus), c, q)
-                        )
-            for tau in total_orders(ground):
-                table = pattern_group(tau, q)
+                for taus in blockwise(A):
+                    yield _product_naturality(sigma, A, taus)
+            for tau in orders[ground]:
                 for A in comps:
-                    for c in range(len(table.class_reps)):
-                        reports.append(
-                            check_coproduct_naturality(sigma, A, tau, c, q)
-                        )
-    if samples:
-        rng = random.Random(seed)
-        reports.extend(_sampled_reports(rng, samples, sample_size, q))
-    return reports
+                    yield _coproduct_naturality(sigma, A, tau)
 
 
 def _random_composition(rng, labels):
@@ -682,82 +668,89 @@ def _random_refinement(rng, comp):
     return out
 
 
-def _sampled_reports(rng, samples, n, q):
+def _sampled_squares(rng, samples, n):
+    """samples squares on {1, ..., n}, each drawn as a family, then A, then
+    the family's own choices."""
     ground = tuple(range(1, n + 1))
-    reports = []
-    while len(reports) < samples:
+    for _ in range(samples):
         family = rng.randrange(5)
         A = _random_composition(rng, ground)
         if family == 0:
             B = _random_refinement(rng, A)
-            taus = [_random_total(rng, b) for b in B.blocks]
-            source = pattern_group(_disjoint_fold(taus), q)
-            c = rng.randrange(len(source.class_reps))
-            reports.append(check_product_associativity(A, B, taus, c, q))
+            yield _associativity(A, B, [_random_total(rng, b) for b in B.blocks])
         elif family == 1:
             B = _random_refinement(rng, A)
-            tau = _random_total(rng, ground)
-            table = pattern_group(tau, q)
-            c = rng.randrange(len(table.class_reps))
-            reports.append(check_coproduct_coassociativity(tau, A, B, c, q))
+            yield _coassociativity(_random_total(rng, ground), A, B)
         elif family == 2:
             B = _random_composition(rng, ground)
-            taus = [_random_total(rng, b) for b in A.blocks]
-            source = pattern_group(_disjoint_fold(taus), q)
-            c = rng.randrange(len(source.class_reps))
-            reports.append(check_compatibility(A, taus, B, c, q))
-        elif family == 3:
-            perm = list(ground)
-            rng.shuffle(perm)
-            sigma = {k: perm[k - 1] for k in ground}
-            taus = [_random_total(rng, b) for b in A.blocks]
-            source = pattern_group(_disjoint_fold(taus), q)
-            c = rng.randrange(len(source.class_reps))
-            reports.append(check_product_naturality(sigma, A, taus, c, q))
+            yield _compatibility(A, [_random_total(rng, b) for b in A.blocks], B)
         else:
             perm = list(ground)
             rng.shuffle(perm)
-            sigma = {k: perm[k - 1] for k in ground}
-            tau = _random_total(rng, ground)
-            table = pattern_group(tau, q)
-            c = rng.randrange(len(table.class_reps))
-            reports.append(check_coproduct_naturality(sigma, A, tau, c, q))
-        reports[-1]["instance"] = "sample;" + reports[-1]["instance"]
-    return reports
+            sigma = dict(zip(ground, perm))
+            if family == 3:
+                taus = [_random_total(rng, b) for b in A.blocks]
+                yield _product_naturality(sigma, A, taus)
+            else:
+                yield _coproduct_naturality(sigma, A, _random_total(rng, ground))
+
+
+def axiom_reports(n_max, q, samples=0, sample_size=4, seed=0):
+    """Run the four axiom square families.
+
+    All instances with ground size up to n_max are checked over full class
+    indicator bases; on top of that, `samples` random instances of ground
+    size sample_size are drawn with the seeded generator, each checked on
+    one drawn class indicator.  Before any group is built, the budget is
+    checked against the largest family, the n!^2 Fubini(n) coproduct
+    naturality squares at n = n_max.
+    """
+    size = math.factorial(n_max) ** 2 * _fubini(n_max)
+    _check_budget(size, "coproduct naturality squares on %d labels" % n_max)
+    rng = random.Random(seed)
+    return _square_reports(_all_squares(n_max), range, q) + _square_reports(
+        _sampled_squares(rng, samples, sample_size),
+        lambda k: [rng.randrange(k)], q, prefix="sample;",
+    )
+
+
+def _pair_instances(max_total_degree, q):
+    """(instance, pi, rho) for the ordered pairs of natural unit interval
+    orders of total degree at most max_total_degree."""
+    by_degree = [natural_unit_interval_orders(n) for n in range(max_total_degree + 1)]
+    for i, left in enumerate(by_degree):
+        for right in by_degree[:len(by_degree) - i]:
+            for pi, rho in itertools.product(left, right):
+                instance = "pi=%s;rho=%s;q=%d" % (list(pi.strict), list(rho.strict), q)
+                yield instance, pi, rho
+
+
+def _order_instances(max_degree, q):
+    """(instance, pi) for the natural unit interval orders of degree at most
+    max_degree."""
+    for n in range(max_degree + 1):
+        for pi in natural_unit_interval_orders(n):
+            yield "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q), pi
 
 
 def product_oracle_reports(max_total_degree, q):
     """Symbolic shifted ordinal sums against brute-force inflation."""
     reports = []
-    by_degree = {
-        n: natural_unit_interval_orders(n) for n in range(max_total_degree + 1)
-    }
-    for i in range(max_total_degree + 1):
-        for j in range(max_total_degree + 1 - i):
-            for pi in by_degree[i]:
-                for rho in by_degree[j]:
-                    lhs = specialize(
-                        ScfElement.basis(pi) * ScfElement.basis(rho), q
-                    )
-                    rhs = ut_product(
-                        specialize(ScfElement.basis(pi), q),
-                        specialize(ScfElement.basis(rho), q),
-                    )
-                    instance = "pi=%s;rho=%s;q=%d" % (
-                        list(pi.strict), list(rho.strict), q
-                    )
-                    reports.append(_report("product-oracle", instance, lhs, rhs))
+    for instance, pi, rho in _pair_instances(max_total_degree, q):
+        lhs = specialize(ScfElement.basis(pi) * ScfElement.basis(rho), q)
+        rhs = ut_product(
+            specialize(ScfElement.basis(pi), q), specialize(ScfElement.basis(rho), q)
+        )
+        reports.append(_report("product-oracle", instance, lhs, rhs))
     return reports
 
 
 def coproduct_oracle_reports(max_degree, q):
     """Symbolic subset splitting against brute-force parabolic deflation."""
     reports = []
-    for n in range(max_degree + 1):
-        for pi in natural_unit_interval_orders(n):
-            x = ScfElement.basis(pi)
-            lhs = specialize_tensor(x.coproduct(), q)
-            rhs = ut_coproduct(specialize(x, q))
-            instance = "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q)
-            reports.append(_report("coproduct-oracle", instance, lhs, rhs))
+    for instance, pi in _order_instances(max_degree, q):
+        x = ScfElement.basis(pi)
+        lhs = specialize_tensor(x.coproduct(), q)
+        rhs = ut_coproduct(specialize(x, q))
+        reports.append(_report("coproduct-oracle", instance, lhs, rhs))
     return reports

@@ -56,6 +56,16 @@ class TestClassFunction:
         assert (a * Fraction(3, 2)).at_class(0) == Fraction(3, 2)
         assert (a * b).at_class(0) == 0
 
+    def test_caller_errors_raise(self):
+        g, h = ut_table(3, 2), ut_table(2, 2)
+        with pytest.raises(ValueError):
+            ClassFunction(g, [1])
+        a = ClassFunction.trivial(g)
+        b = ClassFunction.trivial(h)
+        for op in (a.__add__, a.__sub__, a.__mul__, a.inner):
+            with pytest.raises(ValueError):
+                op(b)
+
     def test_from_function_check_rejects_non_class_function(self):
         # the corner entry moves under conjugation once a superdiagonal
         # entry is set; the superdiagonal entries themselves stay fixed
@@ -179,6 +189,11 @@ class TestInflationDeflation:
         for c in range(len(levi.class_reps)):
             psi = ClassFunction.class_indicator(levi, c)
             assert deflate_cf(inflate_cf(psi, para, levi, radical), levi, radical) == psi
+
+    def test_inflate_requires_a_function_on_the_levi(self):
+        para, levi, radical = split_tables(4, ((1, 2), (3, 4)), 2)
+        with pytest.raises(ValueError):
+            inflate_cf(ClassFunction.trivial(para), para, levi, radical)
 
     def test_inflate_deflate_adjoint(self):
         para, levi, radical = split_tables(4, ((1, 2), (3, 4)), 2)

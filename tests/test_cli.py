@@ -1,5 +1,6 @@
 """Command line behaviour: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -143,6 +144,17 @@ class TestVerify:
         assert data["failures"] == 0
         assert data["total"] > 0
 
+    def test_monoid_axioms_output_is_pinned(self, capsys):
+        # pins the order of the squares and of the seeded draws
+        code, out, _ = run(
+            capsys, "verify", "monoid-axioms", "--n", "2", "--q", "3",
+            "--samples", "40", "--size", "3", "--seed", "5", "--format", "json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cdd062107d052dcf1a0843dd54c12bb028a5dd05e2c26d88d70561eeed04a3a4"
+        )
+
     def test_oracle_small_text(self, capsys):
         code, out, _ = run(
             capsys, "verify", "oracle", "--n", "2", "--q", "2",
@@ -243,6 +255,16 @@ class TestErrors:
         )
         assert code == 2
         assert "budget exceeded" in err
+
+    def test_axiom_budget_counts_the_largest_family(self, capsys, monkeypatch):
+        # n!^2 Fubini(n) coproduct naturality squares: 12 at n = 2, 468 at n = 3
+        monkeypatch.setenv("UTHOPF_BUDGET", "400")
+        code, out, err = run(capsys, "verify", "monoid-axioms", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "budget exceeded" in err
+        code, _, _ = run(capsys, "verify", "monoid-axioms", "--n", "2")
+        assert code == 0
 
     @pytest.mark.parametrize("argv", [
         # Catalan(3) = 5 orders

@@ -284,6 +284,11 @@ class TestInduction:
         )
         assert doubled == direct
 
+    def test_product_rejects_mixed_primes(self):
+        pt = ScfElement.basis(Nuio(1, []))
+        with pytest.raises(ValueError):
+            gl_product(induce_to_gl(specialize(pt, 2)), induce_to_gl(specialize(pt, 3)))
+
     def test_product_is_commutative_on_induced_elements(self):
         # induction products on the general linear tower commute even
         # though the unitriangular product does not

@@ -41,10 +41,11 @@ def is_invertible(m):
 
 
 def from_digits(digits, p, ground):
-    """Parse the row-major digit string that FqMatrix.to_digits writes."""
+    """Parse the row-major entries that FqMatrix.to_digits writes: a digit
+    string for p < 11, comma-separated entries for p >= 11."""
     n = len(tuple(ground))
-    assert len(digits) == n * n
-    vals = [int(ch) for ch in digits]
+    vals = [int(e) for e in (digits.split(",") if p >= 11 else digits)]
+    assert len(vals) == n * n
     assert all(v < p for v in vals), "digit out of range for the field"
     rows = [vals[r * n:(r + 1) * n] for r in range(n)]
     return FqMatrix(p, tuple(ground), rows)
@@ -169,9 +170,17 @@ class TestFqMatrix:
 
     def test_digit_round_trip(self):
         rng = random.Random(19)
-        for p in (2, 5):
+        for p in (2, 5, 11, 13):
             m = random_matrix(rng, p, 3)
             assert from_digits(m.to_digits(), p, m.ground) == m
+
+    def test_class_reps_are_unambiguous_at_large_primes(self):
+        # one digit per entry would print 1101 and 11001 for q = 11
+        g = ut_table(2, 11)
+        reps = [g.elements[r] for r in g.class_reps]
+        digits = [m.to_digits() for m in reps]
+        assert len(set(digits)) == len(reps) == 11
+        assert [from_digits(d, 11, (1, 2)) for d in digits] == reps
 
     def test_prime_field_required(self):
         with pytest.raises(ValueError):

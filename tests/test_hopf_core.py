@@ -16,6 +16,7 @@ from uthopf.hopf_core import (
     LaurentT,
     ScfElement,
     TensorScf,
+    _fubini,
     axiom_reports,
     coproduct_oracle_reports,
     monoid_deflate,
@@ -301,6 +302,10 @@ class TestSpecialize:
         lhs = ut_product(specialize(x, 2), specialize(y, 2))
         assert lhs == specialize(x * y, 2)
 
+    def test_ut_product_rejects_mixed_primes(self):
+        with pytest.raises(ValueError):
+            ut_product(specialize(basis(A2), 2), specialize(basis(A2), 3))
+
     def test_ut_coproduct_matches_symbolic(self):
         x = basis(J3)
         assert ut_coproduct(specialize(x, 2)) == specialize_tensor(
@@ -326,6 +331,18 @@ class TestMonoidLevel:
             up = monoid_inflate(ambient, comp, psi)
             assert monoid_deflate(ambient, comp, up) == psi
 
+    def test_inflate_needs_the_parabolic_to_be_everything(self):
+        from uthopf.class_functions import ClassFunction
+        from uthopf.combinatorics import chain_order, levi_pattern
+        from uthopf.group_engine import pattern_group
+
+        # 3 below 1 descends against the blocks (1,), (2, 3)
+        ambient = chain_order((3, 1, 2))
+        comp = SetComposition([(1,), (2, 3)])
+        levi = pattern_group(levi_pattern(ambient, comp), 2)
+        with pytest.raises(ValueError):
+            monoid_inflate(ambient, comp, ClassFunction.trivial(levi))
+
     def test_relabel_round_trip(self):
         from uthopf.class_functions import ClassFunction
         from uthopf.group_engine import pattern_group
@@ -340,6 +357,12 @@ class TestMonoidLevel:
     def test_axiom_reports_small(self):
         reports = axiom_reports(2, 2)
         assert reports and all(r["status"] == "ok" for r in reports)
+
+    def test_fubini_counts_set_compositions(self):
+        from uthopf.combinatorics import set_compositions
+
+        for n in range(6):
+            assert _fubini(n) == sum(1 for _ in set_compositions(range(1, n + 1)))
 
     def test_sampled_reports_are_deterministic(self):
         a = axiom_reports(1, 2, samples=6, sample_size=3, seed=9)
