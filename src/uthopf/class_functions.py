@@ -6,7 +6,11 @@ goes through the class map of the owning GroupTable.  All transport maps
 isomorphism) return class functions on explicitly enumerated targets.
 Restriction and induction are the adjoint pair read off one class fusion
 map, and deflation is realized on a complement subgroup rather than on a
-quotient.
+quotient.  The class maps behind them are built once and cached with
+lru_cache, keyed on the identity of their tables like the tables
+themselves: the fusion (_fusion), the coset class counts of deflation
+(_deflation) and the block bijection Levi = left x right (_block_classes),
+which straightening and unstraightening read in opposite directions.
 
 Sparse data is a Combination: a finite linear combination held in its
 `terms` dict from keys to nonzero coefficients.  The base class owns the
@@ -20,7 +24,11 @@ families on the same class.
 
 from __future__ import annotations
 
+import collections
+import functools
 from fractions import Fraction
+
+from .combinatorics import standardize
 
 
 def _as_fraction(x):
@@ -244,6 +252,7 @@ class TensorFunction(Combination):
         )
 
 
+@functools.lru_cache(maxsize=None)
 def _fusion(small, big):
     """Where each class of small lands in big, with its induction weight.
 
@@ -258,7 +267,7 @@ def _fusion(small, big):
     for r, size in zip(small.class_reps, small.class_sizes):
         b = big.class_of_matrix(small.elements[r])
         out.append((b, Fraction(big.order * size, small.order * big.class_sizes[b])))
-    return out
+    return tuple(out)
 
 
 def restrict_cf(psi, sub):
@@ -303,21 +312,28 @@ def inflate_cf(psi, group, levi, radical):
     return ClassFunction(group, values)
 
 
+@functools.lru_cache(maxsize=None)
+def _deflation(group, levi, radical):
+    """For each class representative l of levi, the (class in group, count)
+    pairs of the products l * x as x runs over radical."""
+    return tuple(
+        tuple(collections.Counter(
+            group.class_of_matrix(levi.elements[r] * x) for x in radical.elements
+        ).items())
+        for r in levi.class_reps
+    )
+
+
 def deflate_cf(psi, levi, radical):
     """Average psi over radical cosets, landing on the complement levi.
 
     psi may live on the semidirect product itself or on any enumerated
-    overgroup of it; only the products levi * radical are evaluated.
+    overgroup of it; only the products levi * radical are read.
     """
-    scale = Fraction(1, radical.order)
-    values = []
-    for r in levi.class_reps:
-        l = levi.elements[r]
-        total = Fraction(0)
-        for x in radical.elements:
-            total += psi.at_matrix(l * x)
-        values.append(scale * total)
-    return ClassFunction(levi, values)
+    return ClassFunction(levi, [
+        Fraction(sum(k * psi.values[c] for c, k in row), radical.order)
+        for row in _deflation(psi.group, levi, radical)
+    ])
 
 
 def pullback_cf(psi, target, matrix_map):
@@ -333,44 +349,33 @@ def dagger_cf(psi):
     return pullback_cf(psi, psi.group, lambda m: m.dagger())
 
 
+@functools.lru_cache(maxsize=None)
+def _block_classes(levi, inside, left, right):
+    """For each class of levi, the pair (class in left of its inside block,
+    class in right of its outside block), each block standardized onto an
+    initial segment.  Raises ValueError unless this is a bijection onto all
+    class pairs, that is unless levi is the product of the two blocks."""
+    outside = tuple(k for k in levi.ground if k not in inside)
+    std_in, std_out = standardize(inside), standardize(outside)
+    pairs = tuple(
+        (left.class_of_matrix(m.block(inside).relabel(std_in)),
+         right.class_of_matrix(m.block(outside).relabel(std_out)))
+        for m in (levi.elements[r] for r in levi.class_reps)
+    )
+    if not len(set(pairs)) == len(pairs) == len(left.classes) * len(right.classes):
+        raise ValueError("%s is not the block product of %s and %s"
+                         % (levi.name, left.name, right.name))
+    return pairs
+
+
 def straighten_cf(psi, inside, left_table, right_table):
-    """Split a block diagonal class function into a two factor tensor.
-
-    psi lives on a group of block matrices supported on inside and its
-    complement; each factor is standardized onto an initial segment so the
-    tensor factors live on the canonical tables.
-    """
-    from .combinatorics import standardize
-
-    ground = psi.group.ground
-    inside = tuple(sorted(inside))
-    outside = tuple(sorted(set(ground) - set(inside)))
-    into_inside = {v: k for k, v in standardize(inside).items()}
-    into_outside = {v: k for k, v in standardize(outside).items()}
-    terms = {}
-    for c1, r1 in enumerate(left_table.class_reps):
-        m1 = left_table.elements[r1].relabel(into_inside)
-        for c2, r2 in enumerate(right_table.class_reps):
-            m2 = right_table.elements[r2].relabel(into_outside)
-            v = psi.at_matrix(m1.direct_sum(m2))
-            if v:
-                terms[(c1, c2)] = v
-    return TensorFunction(left_table, right_table, terms)
+    """Split a block diagonal class function into a two factor tensor on the
+    canonical tables, along the bijection of _block_classes."""
+    pairs = _block_classes(psi.group, tuple(inside), left_table, right_table)
+    return TensorFunction(left_table, right_table, dict(zip(pairs, psi.values)))
 
 
 def unstraighten_cf(tensor, inside, levi_table):
-    """Inverse of straighten_cf, evaluated blockwise."""
-    from .combinatorics import standardize
-
-    ground = levi_table.ground
-    inside = tuple(sorted(inside))
-    outside = tuple(sorted(set(ground) - set(inside)))
-    std_in = standardize(inside)
-    std_out = standardize(outside)
-    values = []
-    for r in levi_table.class_reps:
-        m = levi_table.elements[r]
-        c1 = tensor.left_group.class_of_matrix(m.block(inside).relabel(std_in))
-        c2 = tensor.right_group.class_of_matrix(m.block(outside).relabel(std_out))
-        values.append(tensor.terms.get((c1, c2), Fraction(0)))
-    return ClassFunction(levi_table, values)
+    """Inverse of straighten_cf, read along the same bijection."""
+    pairs = _block_classes(levi_table, tuple(inside), *tensor.context)
+    return ClassFunction(levi_table, [tensor.terms.get(pair, 0) for pair in pairs])

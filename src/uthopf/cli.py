@@ -118,6 +118,14 @@ def _cmd_nuio_list(parser, args):
     return 0
 
 
+def _print_result(result, fmt):
+    if fmt == "json":
+        _emit(result.to_dict())
+    else:
+        print(repr(result))
+    return 0
+
+
 def _cmd_scf(parser, args):
     if args.verb == "product":
         x, y = _load_operands(parser, args, 2)
@@ -130,31 +138,16 @@ def _cmd_scf(parser, args):
             result = x.antipode()
         else:
             result = x.dagger()
-    if args.format == "json":
-        _emit(result.to_dict())
-    else:
-        print(repr(result))
-    return 0
+    return _print_result(result, args.format)
 
 
-def _cmd_ut_specialize(parser, args):
+def _cmd_realize(parser, args):
+    """ut specialize, and gl induce: the specialization induced up to GL."""
     (x,) = _load_operands(parser, args, 1)
     result = specialize(x, args.q)
-    if args.format == "json":
-        _emit(result.to_dict())
-    else:
-        print(repr(result))
-    return 0
-
-
-def _cmd_gl_induce(parser, args):
-    (x,) = _load_operands(parser, args, 1)
-    result = gl_bridge.induce_to_gl(specialize(x, args.q))
-    if args.format == "json":
-        _emit(result.to_dict())
-    else:
-        print(repr(result))
-    return 0
+    if args.command == "gl":
+        result = gl_bridge.induce_to_gl(result)
+    return _print_result(result, args.format)
 
 
 def _print_reports(reports, fmt):
@@ -262,10 +255,8 @@ def main(argv=None):
             return _cmd_nuio_list(parser, args)
         if args.command == "scf":
             return _cmd_scf(parser, args)
-        if args.command == "ut":
-            return _cmd_ut_specialize(parser, args)
-        if args.command == "gl":
-            return _cmd_gl_induce(parser, args)
+        if args.command in ("ut", "gl"):
+            return _cmd_realize(parser, args)
         return _cmd_verify(parser, args)
     except BudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)

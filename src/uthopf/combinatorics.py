@@ -223,18 +223,18 @@ class PartialOrder:
 
     def relabel(self, mapping):
         """Push forward along a bijection given as a dict on the ground set."""
-        assert set(mapping) == set(self.ground)
         images = list(mapping.values())
-        assert len(set(images)) == len(images), "relabelling must be injective"
+        if set(mapping) != set(self.ground) or len(set(images)) != len(images):
+            raise ValueError("relabelling must be a bijection on the ground")
         return PartialOrder(images, {(mapping[i], mapping[j]) for i, j in self.pairs})
 
     def disjoint_union(self, other):
-        assert not set(self.ground) & set(other.ground)
+        """Raises ValueError, as a repeated label, if the grounds overlap."""
         return PartialOrder(self.ground + other.ground, self.pairs | other.pairs)
 
     def ordinal_sum(self, other):
-        """Disjoint union with every label of self placed below every label of other."""
-        assert not set(self.ground) & set(other.ground)
+        """Disjoint union with every label of self placed below every label of
+        other; raises ValueError, as a repeated label, if the grounds overlap."""
         cross = set(itertools.product(self.ground, other.ground))
         return PartialOrder(
             self.ground + other.ground, self.pairs | other.pairs | cross
@@ -260,14 +260,16 @@ def total_orders(ground):
 
 def levi_pattern(order, comp):
     """The part of the order lying within single blocks of the composition."""
-    assert set(comp.ground) == set(order.ground)
+    if set(comp.ground) != set(order.ground):
+        raise ValueError("composition and order on different grounds")
     eq = equal_pairs(comp)
     return PartialOrder(order.ground, order.pairs & eq)
 
 
 def radical_pattern(order, comp):
     """The part of the order pointing from earlier blocks into later ones."""
-    assert set(comp.ground) == set(order.ground)
+    if set(comp.ground) != set(order.ground):
+        raise ValueError("composition and order on different grounds")
     asc = ascent_pairs(comp)
     diag = {(i, i) for i in order.ground}
     return PartialOrder(order.ground, (order.pairs & asc) | diag)
@@ -275,7 +277,8 @@ def radical_pattern(order, comp):
 
 def parabolic_pattern(order, comp):
     """The part of the order not pointing from later blocks into earlier ones."""
-    assert set(comp.ground) == set(order.ground)
+    if set(comp.ground) != set(order.ground):
+        raise ValueError("composition and order on different grounds")
     keep = equal_pairs(comp) | ascent_pairs(comp)
     return PartialOrder(order.ground, order.pairs & keep)
 

@@ -72,7 +72,8 @@ class FqMatrix:
         return self.rows[pos[i]][pos[j]]
 
     def __mul__(self, other):
-        assert self.p == other.p and self.ground == other.ground
+        if self.p != other.p or self.ground != other.ground:
+            raise ValueError("factors over different fields or grounds")
         p = self.p
         cols = tuple(zip(*other.rows))
         rows = tuple(

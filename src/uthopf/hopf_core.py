@@ -369,16 +369,11 @@ def pattern_indicator(pi, q):
     certificate that the pattern subgroup is normal.
     """
     table = ut_table(pi.n, q)
-    allowed = set(pi.strict)
-
-    def member(m):
-        for i in table.ground:
-            for j in table.ground:
-                if i != j and m.entry(i, j) and (i, j) not in allowed:
-                    return False
-        return True
-
-    return ClassFunction.subgroup_indicator(table, member)
+    cells = [(i - 1, j - 1) for i, j in itertools.combinations(table.ground, 2)
+             if (i, j) not in pi.strict]
+    return ClassFunction.subgroup_indicator(
+        table, lambda m: not any(m.rows[r][c] for r, c in cells)
+    )
 
 
 def specialize(x, q):

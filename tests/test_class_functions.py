@@ -3,9 +3,12 @@
 Inductions are computed two ways (along the class fusion map and by the
 textbook conjugation sum), restriction along the fusion is checked against
 evaluation at elements, adjunctions are checked as literal inner product
-identities, and straightening is checked as a round trip.
+identities, and straightening is checked as a round trip.  Deflation and
+(un)straightening read class maps built once per split; the per-call loops
+they replaced are kept here as references.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,9 +33,11 @@ from uthopf.combinatorics import (
     levi_pattern,
     parabolic_pattern,
     radical_pattern,
+    standardize,
 )
-from uthopf.gl_bridge import levi_table, parabolic_table
+from uthopf.gl_bridge import levi_table, parabolic_table, radical_table
 from uthopf.group_engine import gl_table, pattern_group, ut_table
+from uthopf.hopf_core import split_tables as ut_split_tables
 
 
 def split_tables(n, blocks, q):
@@ -273,6 +278,118 @@ class TestStraightening:
             psi = ClassFunction.class_indicator(levi, c)
             tensor = straighten_cf(psi, (1, 3), left, right)
             assert unstraighten_cf(tensor, (1, 3), levi) == psi
+
+
+def reference_deflate_cf(psi, levi, radical):
+    """Reference deflation: psi summed over the products levi * radical."""
+    scale = Fraction(1, radical.order)
+    values = []
+    for r in levi.class_reps:
+        l = levi.elements[r]
+        total = Fraction(0)
+        for x in radical.elements:
+            total += psi.at_matrix(l * x)
+        values.append(scale * total)
+    return ClassFunction(levi, values)
+
+
+def reference_straighten_cf(psi, inside, left_table, right_table):
+    """Reference straightening: psi at the direct sum of every pair of class
+    representatives, moved onto inside and its complement."""
+    ground = psi.group.ground
+    inside = tuple(sorted(inside))
+    outside = tuple(sorted(set(ground) - set(inside)))
+    into_inside = {v: k for k, v in standardize(inside).items()}
+    into_outside = {v: k for k, v in standardize(outside).items()}
+    terms = {}
+    for c1, r1 in enumerate(left_table.class_reps):
+        m1 = left_table.elements[r1].relabel(into_inside)
+        for c2, r2 in enumerate(right_table.class_reps):
+            m2 = right_table.elements[r2].relabel(into_outside)
+            v = psi.at_matrix(m1.direct_sum(m2))
+            if v:
+                terms[(c1, c2)] = v
+    return TensorFunction(left_table, right_table, terms)
+
+
+def reference_unstraighten_cf(tensor, inside, levi_table):
+    """Reference unstraightening: the tensor read at the classes of the two
+    standardized blocks of each levi class representative."""
+    ground = levi_table.ground
+    inside = tuple(sorted(inside))
+    outside = tuple(sorted(set(ground) - set(inside)))
+    std_in = standardize(inside)
+    std_out = standardize(outside)
+    values = []
+    for r in levi_table.class_reps:
+        m = levi_table.elements[r]
+        c1 = tensor.left_group.class_of_matrix(m.block(inside).relabel(std_in))
+        c2 = tensor.right_group.class_of_matrix(m.block(outside).relabel(std_out))
+        values.append(tensor.terms.get((c1, c2), Fraction(0)))
+    return ClassFunction(levi_table, values)
+
+
+def coproduct_splits(family, top, q):
+    """(ambient, levi, radical, inside, left, right) for every split that
+    ut_coproduct ("ut") or gl_coproduct ("gl") deflates and straightens
+    along, in every degree up to top; the products unstraighten along the
+    initial segment splits among them."""
+    for n in range(top + 1):
+        if family == "gl":
+            for i in range(n + 1):
+                yield (gl_table(n, q), levi_table(n, i, q), radical_table(n, i, q),
+                       tuple(range(1, i + 1)), gl_table(i, q), gl_table(n - i, q))
+            continue
+        for k in range(n + 1):
+            for inside in itertools.combinations(range(1, n + 1), k):
+                yield (ut_table(n, q), *ut_split_tables(n, inside, q), inside,
+                       ut_table(k, q), ut_table(n - k, q))
+
+
+SPLIT_FAMILIES = [("ut", 4, 2), ("ut", 3, 3), ("gl", 3, 2)]
+
+
+def indicators(group):
+    return [ClassFunction.class_indicator(group, c) for c in range(len(group.classes))]
+
+
+class TestClassMapsAgainstReference:
+    @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
+    def test_deflate(self, family, top, q):
+        for ambient, levi, radical, _, _, _ in coproduct_splits(family, top, q):
+            for psi in indicators(ambient):
+                assert deflate_cf(psi, levi, radical) == reference_deflate_cf(
+                    psi, levi, radical
+                )
+
+    @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
+    def test_straighten(self, family, top, q):
+        for _, levi, _, inside, left, right in coproduct_splits(family, top, q):
+            for psi in indicators(levi):
+                assert straighten_cf(psi, inside, left, right) == (
+                    reference_straighten_cf(psi, inside, left, right)
+                )
+
+    @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
+    def test_unstraighten(self, family, top, q):
+        for _, levi, _, inside, left, right in coproduct_splits(family, top, q):
+            for f, g in itertools.product(indicators(left), indicators(right)):
+                tensor = TensorFunction.outer(f, g)
+                assert unstraighten_cf(tensor, inside, levi) == (
+                    reference_unstraighten_cf(tensor, inside, levi)
+                )
+
+    def test_straightening_needs_a_block_product(self):
+        # UT_3 is not UT_1 x UT_2: its entries (1, 2) and (1, 3) join the blocks
+        g = ut_table(3, 2)
+        left, right = ut_table(1, 2), ut_table(2, 2)
+        with pytest.raises(ValueError):
+            straighten_cf(ClassFunction.trivial(g), (1,), left, right)
+        tensor = TensorFunction.outer(
+            ClassFunction.trivial(left), ClassFunction.trivial(right)
+        )
+        with pytest.raises(ValueError):
+            unstraighten_cf(tensor, (1,), g)
 
 
 class TestTensorFunction:

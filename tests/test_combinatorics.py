@@ -271,6 +271,20 @@ class TestPartialOrder:
         sigma = {1: 2, 2: 3, 3: 1}
         assert strict_set(p.relabel(sigma)) == frozenset({(2, 1)})
 
+    def test_relabel_needs_a_bijection_on_the_ground(self):
+        p = chain_order((1, 2, 3))
+        for mapping in ({1: 2, 2: 3}, {1: 2, 2: 3, 4: 1}, {1: 2, 2: 2, 3: 1}):
+            with pytest.raises(ValueError):
+                p.relabel(mapping)
+
+    def test_disjoint_union_rejects_overlapping_grounds(self):
+        with pytest.raises(ValueError):
+            chain_order((1, 2)).disjoint_union(chain_order((2, 3)))
+
+    def test_ordinal_sum_rejects_overlapping_grounds(self):
+        with pytest.raises(ValueError):
+            chain_order((1, 2)).ordinal_sum(chain_order((2, 3)))
+
     def test_ordinal_sum_and_disjoint_union(self):
         a = chain_order((1, 2))
         b = chain_order((3, 4))
@@ -316,6 +330,15 @@ class TestSplitPatterns:
         assert levi_pattern(order, a) == order
         assert parabolic_pattern(order, a) == order
         assert strict_set(radical_pattern(order, a)) == frozenset()
+
+    @pytest.mark.parametrize(
+        "split", [levi_pattern, radical_pattern, parabolic_pattern]
+    )
+    def test_split_needs_the_ground_of_the_order(self, split):
+        # a composition of a larger ground; without the check each split
+        # of this order returns a valid PartialOrder
+        with pytest.raises(ValueError):
+            split(chain_order((1, 2, 3)), comp((1, 2), (3, 4)))
 
     def test_subset_split(self):
         order = chain_order((1, 2, 3))

@@ -182,6 +182,15 @@ class TestFqMatrix:
         assert len(set(digits)) == len(reps) == 11
         assert [from_digits(d, 11, (1, 2)) for d in digits] == reps
 
+    def test_product_needs_one_field_and_ground(self):
+        # an F_2 matrix times an F_3 matrix on the same ground, and two
+        # grounds of the same size over one field
+        a = FqMatrix.one_off(2, (1, 2), 1, 2, 1)
+        with pytest.raises(ValueError):
+            a * FqMatrix.one_off(3, (1, 2), 1, 2, 1)
+        with pytest.raises(ValueError):
+            a * FqMatrix.one_off(2, (1, 3), 1, 3, 1)
+
     def test_prime_field_required(self):
         with pytest.raises(ValueError):
             FqMatrix.identity(4, (1, 2))
