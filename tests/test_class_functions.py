@@ -339,11 +339,11 @@ def coproduct_splits(family, top, q):
             for i in range(n + 1):
                 yield (gl_table(n, q), levi_table(n, i, q), radical_table(n, i, q),
                        tuple(range(1, i + 1)), gl_table(i, q), gl_table(n - i, q))
-            continue
-        for k in range(n + 1):
-            for inside in itertools.combinations(range(1, n + 1), k):
-                yield (ut_table(n, q), *ut_split_tables(n, inside, q), inside,
-                       ut_table(k, q), ut_table(n - k, q))
+        else:
+            for k in range(n + 1):
+                for inside in itertools.combinations(range(1, n + 1), k):
+                    yield (ut_table(n, q), *ut_split_tables(n, inside, q), inside,
+                           ut_table(k, q), ut_table(n - k, q))
 
 
 SPLIT_FAMILIES = [("ut", 4, 2), ("ut", 3, 3), ("gl", 3, 2)]
