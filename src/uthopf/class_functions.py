@@ -4,13 +4,14 @@ Values are Fractions indexed by conjugacy class; evaluation at an element
 goes through the class map of the owning GroupTable.  All transport maps
 (restriction, induction, inflation, deflation, pullback along a group
 isomorphism) return class functions on explicitly enumerated targets.
-Restriction and induction are the adjoint pair read off one class fusion
-map, and deflation is realized on a complement subgroup rather than on a
-quotient.  The class maps behind them are built once and cached with
-lru_cache, keyed on the identity of their tables like the tables
-themselves: the fusion (_fusion), the coset class counts of deflation
-(_deflation) and the block bijection Levi = left x right (_block_classes),
-which straightening and unstraightening read in opposite directions.
+They form two adjoint pairs: restriction and induction read the class
+fusion (_fusion), and deflation and inflation read the coset class counts
+of a Levi and a radical inside a group (_deflation).  Deflation lands on
+the Levi as a complement rather than on a quotient; inflation is
+parabolic induction, plain inflation when the group is Levi * radical.
+Straightening and unstraightening read the block bijection Levi = left x
+right (_block_classes) both ways.  Each map is built once and cached with
+lru_cache, keyed on the identity of its tables like the tables themselves.
 
 Sparse data is a Combination: a finite linear combination held in its
 `terms` dict from keys to nonzero coefficients.  The base class owns the
@@ -156,9 +157,6 @@ class ClassFunction:
     def at_class(self, c):
         return self.values[c]
 
-    def at_index(self, i):
-        return self.values[self.group.class_of[i]]
-
     def at_matrix(self, m):
         return self.values[self.group.class_of[self.group.index[m]]]
 
@@ -301,27 +299,41 @@ def induce_tensor(tensor, left, right):
     )
 
 
-def inflate_cf(psi, group, levi, radical):
-    """Pull back along the projection killing the radical factor."""
-    if psi.group is not levi:
-        raise ValueError("%s is not the levi %s" % (psi.group.name, levi.name))
-    fact = group.factorization(levi, radical)
-    values = []
-    for r in group.class_reps:
-        values.append(psi.at_index(fact[r][0]))
-    return ClassFunction(group, values)
-
-
 @functools.lru_cache(maxsize=None)
 def _deflation(group, levi, radical):
     """For each class representative l of levi, the (class in group, count)
-    pairs of the products l * x as x runs over radical."""
+    pairs of the products l * x as x runs over radical.  Raises ValueError
+    unless levi and radical lie in group and meet only in the identity."""
+    if not all(m in group.index for m in levi.elements + radical.elements):
+        raise ValueError("%s and %s do not both lie in %s"
+                         % (levi.name, radical.name, group.name))
+    if sum(1 for m in radical.elements if m in levi.index) != 1:
+        raise ValueError("%s and %s must meet only in the identity"
+                         % (levi.name, radical.name))
     return tuple(
         tuple(collections.Counter(
             group.class_of_matrix(levi.elements[r] * x) for x in radical.elements
         ).items())
         for r in levi.class_reps
     )
+
+
+def inflate_cf(psi, group, levi, radical):
+    """Parabolic induction: inflate psi from levi over radical, then induce
+    up to group; plain inflation when group is levi * radical.  The adjoint
+    of deflate_cf, read off the same counts K: the value at a class b of
+    group is |group| / (|levi| |radical| |b|) sum_c |c| K[c][b] psi(c)."""
+    if psi.group is not levi:
+        raise ValueError("%s is not the levi %s" % (psi.group.name, levi.name))
+    totals = [Fraction(0)] * len(group.class_reps)
+    for v, size, row in zip(psi.values, levi.class_sizes,
+                            _deflation(group, levi, radical)):
+        for b, k in row:
+            totals[b] += size * k * v
+    scale = Fraction(group.order, levi.order * radical.order)
+    return ClassFunction(group, [
+        scale * t / size for t, size in zip(totals, group.class_sizes)
+    ])
 
 
 def deflate_cf(psi, levi, radical):

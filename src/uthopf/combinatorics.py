@@ -215,7 +215,8 @@ class PartialOrder:
 
     def restrict(self, labels):
         labels = set(labels)
-        assert labels <= set(self.ground)
+        if not labels <= set(self.ground):
+            raise ValueError("restriction labels must lie in the ground")
         return PartialOrder(
             sorted(labels),
             {(i, j) for i, j in self.pairs if i in labels and j in labels},
@@ -297,13 +298,13 @@ class Nuio:
 
     Row i is strictly below exactly the labels c(i), c(i) + 1, ..., n, where
     the profile c is nondecreasing with i < c(i) <= n + 1; it is the Dyck
-    path of the order.  The sorted strict pairs are derived from the profile
-    once.  Every operation computes the profile of its result directly and
-    builds it with from_profile; Nuio(n, strict) is the validating entry for
-    outside input.
+    path of the order, and the sorted strict pairs are derived from it on
+    each read.  Every operation computes the profile of its result directly
+    and builds it with from_profile; Nuio(n, strict) is the validating entry
+    for outside input.
     """
 
-    __slots__ = ("n", "_profile", "strict")
+    __slots__ = ("n", "_profile")
 
     def __init__(self, n, strict=()):
         """Accept strict pairs whose transitive closure is such an order.
@@ -356,9 +357,12 @@ class Nuio:
             raise ValueError("row minima must be nondecreasing")
         self.n = n
         self._profile = prof
-        self.strict = tuple(
-            (i, j) for i, c in enumerate(prof, start=1) for j in range(c, n + 1)
-        )
+
+    @property
+    def strict(self):
+        n = self.n
+        return tuple((i, j) for i, c in enumerate(self._profile, start=1)
+                     for j in range(c, n + 1))
 
     def profile(self):
         return self._profile

@@ -1,25 +1,20 @@
 """Induction from unitriangular groups to general linear groups.
 
-Degreewise induction of class functions, the parabolic Levi and radical
-tables, the parabolic product and coproduct on the general linear side, and
-the report suites checking that induction carries the unitriangular product,
-coproduct and flip to them.  Everything runs on explicitly enumerated groups.
+Degreewise induction of class functions, the block Levi and radical tables,
+the parabolic product and coproduct on the general linear side, and the
+report suites checking that induction carries the unitriangular product,
+coproduct and flip to them.  Everything runs on explicitly enumerated
+groups.  The product is hopf_core.parabolic_product, the body the
+unitriangular product runs too: parabolic induction is read off the
+deflation counts of the block split, so no parabolic group is built.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .group_engine import FqMatrix, GroupTable, gl_table
-from .class_functions import (
-    TensorFunction,
-    deflate_cf,
-    induce_cf,
-    induce_tensor,
-    inflate_cf,
-    straighten_cf,
-    unstraighten_cf,
-)
+from .group_engine import FqMatrix, GroupTable, _gl_generators, gl_table
+from .class_functions import deflate_cf, induce_cf, induce_tensor, straighten_cf
 from .hopf_core import (
     GradedClassFunction,
     GradedTensor,
@@ -27,6 +22,7 @@ from .hopf_core import (
     _order_instances,
     _pair_instances,
     _report,
+    parabolic_product,
     specialize,
     split_tables,
     ut_coproduct,
@@ -35,16 +31,11 @@ from .hopf_core import (
 
 
 def _levi_generators(n, i, q):
-    """Block embeddings of the generators of gl_table(i, q) and
-    gl_table(n - i, q), the second block shifted onto i+1, ..., n."""
-    shift = {k: k + i for k in range(1, n - i + 1)}
-    low, high = gl_table(i, q), gl_table(n - i, q)
-    one_low = low.elements[low.identity_index]
-    one_high = high.elements[high.identity_index].relabel(shift)
-    return [low.elements[g].direct_sum(one_high) for g in low.generators()] + [
-        one_low.direct_sum(high.elements[g].relabel(shift))
-        for g in high.generators()
-    ]
+    """The generators of gl_table(i, q) on the labels 1, ..., i followed by
+    those of gl_table(n - i, q) on i+1, ..., n, each in the identity of
+    degree n."""
+    ground = tuple(range(1, n + 1))
+    return _gl_generators(q, ground, ground[:i]) + _gl_generators(q, ground, ground[i:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,6 +43,9 @@ def parabolic_table(n, i, q):
     """Invertible matrices with vanishing lower left block of shape (n-i) x i,
     kept from the elements of gl_table(n, q) by a slice of their rows; for
     i in (0, n) the block is empty and this is gl_table(n, q) itself.
+
+    The product builds no parabolic group; this table is a reference for
+    the tests, and perfbench/tracer.py wraps it by name.
 
     Generated by the Levi generators and one elementary radical matrix: the
     Levi conjugates diag(A, B) of I + X are I + A X B^-1, so one nonzero X
@@ -70,18 +64,18 @@ def parabolic_table(n, i, q):
 
 @functools.lru_cache(maxsize=None)
 def levi_table(n, i, q):
-    """Block diagonal invertible matrices, as direct sums of smaller groups,
-    generated by the block embeddings of their generators; for i in (0, n)
-    there is one block and this is gl_table(n, q) itself."""
+    """Block diagonal invertible matrices, blocks of sizes i and n - i, kept
+    from the elements of gl_table(n, q) whose two off diagonal blocks
+    vanish; for i in (0, n) there is one block and this is gl_table(n, q)
+    itself."""
+    gl = gl_table(n, q)
     if i in (0, n):
-        return gl_table(n, q)
-    shift = {k: k + i for k in range(1, n - i + 1)}
-    elements = []
-    for a in gl_table(i, q).elements:
-        for b in gl_table(n - i, q).elements:
-            elements.append(a.direct_sum(b.relabel(shift)))
+        return gl
     return GroupTable(
-        elements, generators=_levi_generators(n, i, q),
+        [m for m in gl.elements
+         if not any(e for row in m.rows[i:] for e in row[:i])
+         and not any(e for row in m.rows[:i] for e in row[i:])],
+        generators=_levi_generators(n, i, q),
         name="GL%dL%dq%d" % (n, i, q),
     )
 
@@ -98,31 +92,9 @@ def induce_to_gl(a):
     )
 
 
-def gl_product_component(fa, fb):
-    q = fa.group.p
-    i = len(fa.group.ground)
-    j = len(fb.group.ground)
-    n = i + j
-    levi = levi_table(n, i, q)
-    radical = radical_table(n, i, q)
-    parabolic = parabolic_table(n, i, q)
-    tensor = TensorFunction.outer(fa, fb)
-    on_levi = unstraighten_cf(tensor, range(1, i + 1), levi)
-    on_parabolic = inflate_cf(on_levi, parabolic, levi, radical)
-    return induce_cf(on_parabolic, gl_table(n, q))
-
-
 def gl_product(a, b):
-    if a.q != b.q:
-        raise ValueError("factors at different primes %d and %d" % (a.q, b.q))
-    return GradedClassFunction.collect(
-        (
-            (i + j, gl_product_component(fa, fb))
-            for i, fa in a.terms.items()
-            for j, fb in b.terms.items()
-        ),
-        a.q,
-    )
+    """Parabolic induction of each pair of components up the block splits."""
+    return parabolic_product(a, b, gl_table, levi_table)
 
 
 def gl_coproduct(a):

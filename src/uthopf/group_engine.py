@@ -1,11 +1,14 @@
 """Brute-force matrix groups over prime fields.
 
 Groups are explicit sorted lists of immutable matrices, each built from
-given generators that are checked to generate it.  Products (never cached),
-inverses and conjugacy classes are found by lookup in that list, and each
-Levi factor of a Levi-radical factorization is read off its element first.
-Matrices carry a sorted ground set of row/column labels, so a matrix on
-ground (2, 4) is 2x2 with label pairs drawn from {2, 4}.
+given generators that are checked to generate it.  Products (never cached)
+and conjugacy classes are found by lookup in that list.  Matrices carry a
+sorted ground set of row/column labels, so a matrix on ground (2, 4) is 2x2
+with label pairs drawn from {2, 4}.
+
+The library does not read GroupTable.factorization: inflation reads the
+coset class counts of class_functions._deflation.  It is a reference for
+the tests, and perfbench/tracer.py wraps it by name.
 
 Enumeration order is always lexicographic on the row-major entry vector,
 and the enumeration budget (combinatorics.enumeration_budget) is enforced
@@ -143,9 +146,9 @@ class FqMatrix:
     def relabel(self, mapping):
         """Push forward along a bijection of labels: entry (i, j) moves to
         (mapping[i], mapping[j])."""
-        assert set(mapping) == set(self.ground)
-        new_ground = tuple(sorted(mapping.values()))
-        assert len(new_ground) == len(self.ground), "relabelling must be injective"
+        new_ground = tuple(sorted(set(mapping.values())))
+        if set(mapping) != set(self.ground) or len(new_ground) != len(self.ground):
+            raise ValueError("relabelling must be a bijection from the ground")
         pos_old = _positions(self.ground)
         pos_new = _positions(new_ground)
         n = len(new_ground)
@@ -169,27 +172,13 @@ class FqMatrix:
     def block(self, labels):
         """Square submatrix on the given labels, keeping those labels."""
         labels = tuple(sorted(labels))
-        assert set(labels) <= set(self.ground)
+        if not set(labels) <= set(self.ground):
+            raise ValueError("block labels must lie in the ground")
         pos = _positions(self.ground)
         rows = tuple(
             tuple(self.rows[pos[i]][pos[j]] for j in labels) for i in labels
         )
         return FqMatrix(self.p, labels, rows)
-
-    def direct_sum(self, other):
-        """Block diagonal join on the disjoint union of the grounds."""
-        assert self.p == other.p
-        assert not set(self.ground) & set(other.ground)
-        ground = tuple(sorted(self.ground + other.ground))
-        pos = _positions(ground)
-        n = len(ground)
-        out = [[0] * n for _ in range(n)]
-        for m in (self, other):
-            mpos = _positions(m.ground)
-            for i in m.ground:
-                for j in m.ground:
-                    out[pos[i]][pos[j]] = m.rows[mpos[i]][mpos[j]]
-        return FqMatrix(self.p, ground, out)
 
 
 class GroupTable:
@@ -216,7 +205,6 @@ class GroupTable:
         if ident not in self.index:
             raise ValueError("identity missing")
         self.identity_index = self.index[ident]
-        self._inverses = [None] * self.order
         self._classes = None
         self._factorizations = {}
         try:
@@ -231,13 +219,6 @@ class GroupTable:
 
     def __contains__(self, matrix):
         return matrix in self.index
-
-    def inverse(self, i):
-        got = self._inverses[i]
-        if got is None:
-            got = self.index[self.elements[i].inverse()]
-            self._inverses[i] = got
-        return got
 
     def _ensure_generating(self, gens):
         """Return gens after one closure under right products by them;
@@ -347,7 +328,7 @@ class GroupTable:
             li = levi.index.get(l)
             if li is None:
                 raise ValueError("levi part of %r is not in levi" % (g,))
-            rj = radical.index.get(levi.elements[levi.inverse(li)] * g)
+            rj = radical.index.get(l.inverse() * g)
             if rj is None:
                 raise ValueError("%r does not factor through levi" % (g,))
             out.append((li, rj))
@@ -363,7 +344,8 @@ def pattern_group(order, p):
     makes the matrix set a group.
     """
     _check_prime(p)
-    assert isinstance(order, PartialOrder)
+    if not isinstance(order, PartialOrder):
+        raise TypeError("a pattern group needs a PartialOrder, got %r" % (order,))
     ground = order.ground
     cells = list(order.strict_pairs)
     _check_budget(p ** len(cells), f"pattern group on {len(cells)} cells")
@@ -439,24 +421,34 @@ def gl_table(n, p):
         FqMatrix(p, ground, rows + (v,))
         for rows, span in level for v in vectors if v not in span
     ] if n else [FqMatrix(p, ground, ())]
+    return GroupTable(elements, generators=_gl_generators(p, ground, ground),
+                      name="GL%dq%d" % (n, p))
+
+
+def _gl_generators(p, ground, block):
+    """Generators of the invertible matrices on the labels of block, a
+    tuple, embedded into the identity on ground: the transvection at the
+    first two labels, the matrix of the cycle through block in order, and
+    for p > 2 the primitive root scaling the first label (the identity
+    when block is empty)."""
     gens = []
-    if n >= 2:
-        gens.append(FqMatrix.one_off(p, ground, 1, 2, 1))
-        cycle = {k: (k % n) + 1 for k in ground}
+    if len(block) >= 2:
+        gens.append(FqMatrix.one_off(p, ground, block[0], block[1], 1))
+        cycle = dict(zip(ground, ground))
+        cycle.update(zip(block, block[1:] + block[:1]))
         gens.append(permutation_matrix(cycle, p, ground))
     if p > 2:
-        r = primitive_root(p)
-        scalar = [[0] * n for _ in range(n)]
-        for k in range(n):
-            scalar[k][k] = r if k == 0 else 1
-        gens.append(FqMatrix(p, ground, scalar))
-    return GroupTable(elements, generators=gens, name="GL%dq%d" % (n, p))
+        gens.append(FqMatrix.one_off(
+            p, ground, block[0], block[0], primitive_root(p) - 1
+        ) if block else FqMatrix.identity(p, ground))
+    return gens
 
 
 def permutation_matrix(perm, p, ground):
     """Matrix acting as the relabelling by perm under conjugation."""
     ground = tuple(ground)
-    assert set(perm) == set(ground)
+    if set(perm) != set(ground) or set(perm.values()) != set(ground):
+        raise ValueError("perm must be a permutation of the ground")
     pos = _positions(ground)
     n = len(ground)
     rows = [[0] * n for _ in range(n)]

@@ -369,8 +369,9 @@ def pattern_indicator(pi, q):
     certificate that the pattern subgroup is normal.
     """
     table = ut_table(pi.n, q)
+    prof = pi.profile()
     cells = [(i - 1, j - 1) for i, j in itertools.combinations(table.ground, 2)
-             if (i, j) not in pi.strict]
+             if j < prof[i - 1]]
     return ClassFunction.subgroup_indicator(
         table, lambda m: not any(m.rows[r][c] for r, c in cells)
     )
@@ -404,30 +405,34 @@ def split_tables(n, inside, q):
     )
 
 
-def ut_product_component(psi_a, psi_b):
-    """Inflation of the block diagonal join up the initial segment split."""
-    q = psi_a.group.p
-    i = len(psi_a.group.ground)
-    j = len(psi_b.group.ground)
-    n = i + j
-    big = ut_table(n, q)
-    levi, radical = split_tables(n, tuple(range(1, i + 1)), q)
-    tensor = TensorFunction.outer(psi_a, psi_b)
-    on_levi = unstraighten_cf(tensor, range(1, i + 1), levi)
-    return inflate_cf(on_levi, big, levi, radical)
+def parabolic_product(a, b, ambient, levi_table):
+    """The product of ambient(n, q), the unitriangular or general linear
+    tower: each pair of components, of degrees i and j, is unstraightened
+    onto the block Levi levi_table(i + j, i, q) and parabolically induced
+    over the initial segment radical up to ambient(i + j, q)."""
+    if a.q != b.q:
+        raise ValueError("factors at different primes %d and %d" % (a.q, b.q))
+    q = a.q
+
+    def component(i, fa, j, fb):
+        inside = tuple(range(1, i + 1))
+        levi = levi_table(i + j, i, q)
+        on_levi = unstraighten_cf(TensorFunction.outer(fa, fb), inside, levi)
+        radical = split_tables(i + j, inside, q)[1]
+        return inflate_cf(on_levi, ambient(i + j, q), levi, radical)
+
+    return GradedClassFunction.collect((
+        (i + j, component(i, fa, j, fb))
+        for i, fa in a.terms.items() for j, fb in b.terms.items()
+    ), q)
+
+
+def _ut_levi(n, i, q):
+    return split_tables(n, tuple(range(1, i + 1)), q)[0]
 
 
 def ut_product(a, b):
-    if a.q != b.q:
-        raise ValueError("factors at different primes %d and %d" % (a.q, b.q))
-    return GradedClassFunction.collect(
-        (
-            (i + j, ut_product_component(fa, fb))
-            for i, fa in a.terms.items()
-            for j, fb in b.terms.items()
-        ),
-        a.q,
-    )
+    return parabolic_product(a, b, ut_table, _ut_levi)
 
 
 def ut_coproduct(a):
@@ -496,7 +501,12 @@ def monoid_inflate(ambient, comp, psi):
     which is exactly when the parabolic of the pair is the whole group.
     """
     q = psi.group.p
-    return inflate_cf(psi, pattern_group(ambient, q), *pattern_split(ambient, comp, q))
+    group = pattern_group(ambient, q)
+    levi, radical = pattern_split(ambient, comp, q)
+    if levi.order * radical.order != group.order:
+        raise ValueError("%s is not the parabolic %s * %s"
+                         % (group.name, levi.name, radical.name))
+    return inflate_cf(psi, group, levi, radical)
 
 
 def monoid_deflate(ambient, comp, psi):

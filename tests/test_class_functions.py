@@ -3,9 +3,11 @@
 Inductions are computed two ways (along the class fusion map and by the
 textbook conjugation sum), restriction along the fusion is checked against
 evaluation at elements, adjunctions are checked as literal inner product
-identities, and straightening is checked as a round trip.  Deflation and
-(un)straightening read class maps built once per split; the per-call loops
-they replaced are kept here as references.
+identities, and straightening is checked as a round trip.  Deflation,
+inflation and (un)straightening read class maps built once per split; the
+per-call loops they replaced are kept here as references, and so are the
+products that inflated through GroupTable.factorization and, on the general
+linear side, induced up from a built parabolic table.
 """
 
 import itertools
@@ -35,9 +37,12 @@ from uthopf.combinatorics import (
     radical_pattern,
     standardize,
 )
-from uthopf.gl_bridge import levi_table, parabolic_table, radical_table
+from uthopf.gl_bridge import gl_product, levi_table, parabolic_table, radical_table
 from uthopf.group_engine import gl_table, pattern_group, ut_table
+from uthopf.hopf_core import GradedClassFunction, ut_product
 from uthopf.hopf_core import split_tables as ut_split_tables
+
+from test_group_engine import direct_sum
 
 
 def split_tables(n, blocks, q):
@@ -209,6 +214,36 @@ class TestInflationDeflation:
                 phi = ClassFunction.class_indicator(para, c2)
                 assert up.inner(phi) == psi.inner(deflate_cf(phi, levi, radical))
 
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_parabolic_induction_deflate_adjoint(self, i):
+        # GL_3 is strictly bigger than the parabolic levi * radical, so
+        # inflate_cf induces up from it
+        gl, levi, radical = gl_table(3, 2), levi_table(3, i, 2), radical_table(3, i, 2)
+        assert gl.order > levi.order * radical.order
+        for psi in indicators(levi):
+            up = inflate_cf(psi, gl, levi, radical)
+            for chi in indicators(gl):
+                assert up.inner(chi) == psi.inner(deflate_cf(chi, levi, radical))
+
+    def test_levi_and_radical_must_lie_in_the_group(self):
+        # the lower unitriangular group of degree 2 is not inside UT_2,
+        # although the orders multiply and the two meet only in 1
+        big = ut_table(2, 2)
+        levi = pattern_group(PartialOrder((1, 2), [(1, 1), (2, 2)]), 2)
+        lower = pattern_group(chain_order((2, 1)), 2)
+        with pytest.raises(ValueError):
+            inflate_cf(ClassFunction.trivial(levi), big, levi, lower)
+        with pytest.raises(ValueError):
+            deflate_cf(ClassFunction.trivial(big), levi, lower)
+
+    def test_levi_and_radical_must_meet_only_in_the_identity(self):
+        big = ut_table(3, 2)
+        radical = ut_split_tables(3, (1,), 2)[1]
+        with pytest.raises(ValueError):
+            inflate_cf(ClassFunction.trivial(big), big, big, radical)
+        with pytest.raises(ValueError):
+            deflate_cf(ClassFunction.trivial(big), big, radical)
+
     def test_deflate_from_overgroup(self):
         # deflating a function on the ambient group only reads the coset
         # products, so restricting to the parabolic first changes nothing
@@ -293,6 +328,39 @@ def reference_deflate_cf(psi, levi, radical):
     return ClassFunction(levi, values)
 
 
+def reference_inflate_cf(psi, group, levi, radical):
+    """Reference inflation onto group = levi * radical: psi at the Levi
+    factor of each class representative, read off group.factorization."""
+    fact = group.factorization(levi, radical)
+    return ClassFunction(group, [
+        psi.values[levi.class_of[fact[r][0]]] for r in group.class_reps
+    ])
+
+
+def reference_ut_product_component(fa, fb):
+    """Reference unitriangular product of two components: the join on the
+    Levi of the initial segment split, inflated by reference_inflate_cf."""
+    q, i = fa.group.p, len(fa.group.ground)
+    n = i + len(fb.group.ground)
+    levi, radical = ut_split_tables(n, tuple(range(1, i + 1)), q)
+    on_levi = unstraighten_cf(TensorFunction.outer(fa, fb), range(1, i + 1), levi)
+    return reference_inflate_cf(on_levi, ut_table(n, q), levi, radical)
+
+
+def reference_gl_product_component(fa, fb):
+    """Reference general linear product of two components: the join on the
+    block Levi, inflated onto the built parabolic table by
+    reference_inflate_cf, then induced up to GL along the class fusion."""
+    q, i = fa.group.p, len(fa.group.ground)
+    n = i + len(fb.group.ground)
+    levi = levi_table(n, i, q)
+    on_levi = unstraighten_cf(TensorFunction.outer(fa, fb), range(1, i + 1), levi)
+    on_parabolic = reference_inflate_cf(
+        on_levi, parabolic_table(n, i, q), levi, radical_table(n, i, q)
+    )
+    return induce_cf(on_parabolic, gl_table(n, q))
+
+
 def reference_straighten_cf(psi, inside, left_table, right_table):
     """Reference straightening: psi at the direct sum of every pair of class
     representatives, moved onto inside and its complement."""
@@ -306,7 +374,7 @@ def reference_straighten_cf(psi, inside, left_table, right_table):
         m1 = left_table.elements[r1].relabel(into_inside)
         for c2, r2 in enumerate(right_table.class_reps):
             m2 = right_table.elements[r2].relabel(into_outside)
-            v = psi.at_matrix(m1.direct_sum(m2))
+            v = psi.at_matrix(direct_sum(m1, m2))
             if v:
                 terms[(c1, c2)] = v
     return TensorFunction(left_table, right_table, terms)
@@ -378,6 +446,23 @@ class TestClassMapsAgainstReference:
                 assert unstraighten_cf(tensor, inside, levi) == (
                     reference_unstraighten_cf(tensor, inside, levi)
                 )
+
+    @pytest.mark.parametrize("family,top,q", [
+        ("ut", 4, 2), ("ut", 3, 3), ("gl", 3, 2), ("gl", 3, 3),
+    ])
+    def test_product(self, family, top, q):
+        product, ambient, reference = {
+            "ut": (ut_product, ut_table, reference_ut_product_component),
+            "gl": (gl_product, gl_table, reference_gl_product_component),
+        }[family]
+        for n in range(top + 1):
+            for i in range(n + 1):
+                for f, g in itertools.product(
+                    indicators(ambient(i, q)), indicators(ambient(n - i, q))
+                ):
+                    got = product(GradedClassFunction(q, {i: f}),
+                                  GradedClassFunction(q, {n - i: g}))
+                    assert got == GradedClassFunction(q, {n: reference(f, g)})
 
     def test_straightening_needs_a_block_product(self):
         # UT_3 is not UT_1 x UT_2: its entries (1, 2) and (1, 3) join the blocks

@@ -266,6 +266,10 @@ class TestPartialOrder:
         p = chain_order((1, 2, 3, 4))
         assert p.restrict((2, 4)) == chain_order((2, 4))
 
+    def test_restrict_needs_labels_in_the_ground(self):
+        with pytest.raises(ValueError):
+            chain_order((1, 2, 3)).restrict((2, 4))
+
     def test_relabel_pushforward(self):
         p = from_strict((1, 2, 3), [(1, 3)])
         sigma = {1: 2, 2: 3, 3: 1}

@@ -4,7 +4,8 @@ The cross checks below (Mackey decomposition, Bruhat double cosets, Levi
 conjugation and two straightening compatibilities) build their report lists
 here; the library itself needs none of them.  The parabolic row slice and
 the fused tensor induction are compared with the cell-by-cell filter and
-the factorwise outer product of induced indicators they replace.
+the factorwise outer product of induced indicators they replace; the Levi
+slice and the generator recipe with the block direct sums they replace.
 """
 
 import itertools
@@ -28,11 +29,11 @@ from uthopf.gl_bridge import (
     radical_table,
 )
 from uthopf.group_engine import FqMatrix, GroupTable, gl_order, gl_table, \
-    pattern_group, permutation_matrix, ut_table
+    pattern_group, permutation_matrix, primitive_root, ut_table
 from uthopf.hopf_core import ScfElement, _report, specialize, split_tables, \
     ut_coproduct
 
-from test_group_engine import coset_rep_permutation, search_generators
+from test_group_engine import coset_rep_permutation, direct_sum, search_generators
 
 
 def block_predicate(n, i):
@@ -49,6 +50,39 @@ def block_predicate(n, i):
         return True
 
     return pred
+
+
+def listed_gl_generators(n, p):
+    """Reference generators of GL_n(F_p), listed for the whole group: the
+    transvection at (1, 2) and the n-cycle for n >= 2, then for p > 2 the
+    diagonal matrix scaling label 1 by the primitive root."""
+    ground = tuple(range(1, n + 1))
+    gens = []
+    if n >= 2:
+        gens.append(FqMatrix.one_off(p, ground, 1, 2, 1))
+        gens.append(permutation_matrix({k: k % n + 1 for k in ground}, p, ground))
+    if p > 2:
+        gens.append(FqMatrix(p, ground, [
+            [(primitive_root(p) if r == 0 else 1) if r == c else 0 for c in range(n)]
+            for r in range(n)
+        ]))
+    return gens
+
+
+def direct_sum_levi(n, i, q):
+    """Reference block Levi: the direct sums of the elements of GL_i and of
+    GL_(n-i) moved onto i+1, ..., n, and the block embeddings of their
+    listed generators."""
+    shift = {k: k + i for k in range(1, n - i + 1)}
+    low, high = gl_table(i, q), gl_table(n - i, q)
+    one_low = low.elements[low.identity_index]
+    one_high = high.elements[high.identity_index].relabel(shift)
+    elements = [direct_sum(a, b.relabel(shift))
+                for a in low.elements for b in high.elements]
+    gens = [direct_sum(g, one_high) for g in listed_gl_generators(i, q)] + [
+        direct_sum(one_low, g.relabel(shift)) for g in listed_gl_generators(n - i, q)
+    ]
+    return elements, gens
 
 
 def factorwise_induce_tensor(tensor, left, right):
@@ -256,6 +290,21 @@ class TestParabolicTables:
         pred = block_predicate(n, i)
         kept = [m for m in gl_table(n, q).elements if pred(m)]
         assert parabolic_table(n, i, q).elements == kept
+
+    @pytest.mark.parametrize("n,q", [
+        (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 5),
+    ])
+    def test_gl_generators_are_the_listed_ones(self, n, q):
+        gl = gl_table(n, q)
+        assert [gl.elements[g] for g in gl.generators()] == listed_gl_generators(n, q)
+
+    @pytest.mark.parametrize("n,i,q", [
+        (2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 2, 2),
+    ])
+    def test_levi_slice_equals_direct_sums(self, n, i, q):
+        elements, gens = direct_sum_levi(n, i, q)
+        assert levi_table(n, i, q).elements == elements
+        assert _levi_generators(n, i, q) == gens
 
     def test_levi_blocks(self):
         levi = levi_table(3, 1, 2)

@@ -75,6 +75,19 @@ def scan_gl_elements(n, p):
     return out
 
 
+def direct_sum(a, b):
+    """Block diagonal join on the disjoint union of the grounds."""
+    assert a.p == b.p and not set(a.ground) & set(b.ground)
+    ground = tuple(sorted(a.ground + b.ground))
+    pos = {label: k for k, label in enumerate(ground)}
+    out = [[0] * len(ground) for _ in ground]
+    for m in (a, b):
+        for r, i in enumerate(m.ground):
+            for c, j in enumerate(m.ground):
+                out[pos[i]][pos[j]] = m.rows[r][c]
+    return FqMatrix(a.p, ground, out)
+
+
 def random_matrix(rng, p, n):
     ground = tuple(range(1, n + 1))
     rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
@@ -162,11 +175,21 @@ class TestFqMatrix:
     def test_block_and_direct_sum(self):
         a = FqMatrix(3, (1, 2), [[1, 2], [0, 1]])
         b = FqMatrix(3, (3,), [[2]])
-        s = a.direct_sum(b)
+        s = direct_sum(a, b)
         assert s.ground == (1, 2, 3)
         assert s.block((1, 2)) == a
         assert s.block((3,)) == b
         assert s.entry(1, 3) == 0 and s.entry(3, 1) == 0
+
+    def test_relabel_needs_a_bijection_from_the_ground(self):
+        m = FqMatrix.one_off(2, (1, 2), 1, 2, 1)
+        for mapping in ({1: 2}, {1: 2, 2: 3, 3: 1}, {1: 3, 2: 3}):
+            with pytest.raises(ValueError):
+                m.relabel(mapping)
+
+    def test_block_needs_labels_in_the_ground(self):
+        with pytest.raises(ValueError):
+            FqMatrix.identity(2, (1, 2)).block((1, 3))
 
     def test_digit_round_trip(self):
         rng = random.Random(19)
@@ -260,6 +283,10 @@ class TestGroupTable:
                     g = pattern_group(order, q)
                     cells = len(order.strict_pairs)
                     assert g.order == q ** cells
+
+    def test_pattern_group_needs_a_partial_order(self):
+        with pytest.raises(TypeError):
+            pattern_group(((1, 2), ((1, 2),)), 2)
 
     def test_enumeration_is_lexicographic(self):
         g = ut_table(3, 3)
@@ -468,6 +495,11 @@ class TestPermutations:
         wv = {i: w[v[i]] for i in ground}
         lhs = permutation_matrix(w, 5, ground) * permutation_matrix(v, 5, ground)
         assert lhs == permutation_matrix(wv, 5, ground)
+
+    def test_permutation_matrix_needs_a_permutation_of_the_ground(self):
+        for perm in ({1: 2}, {1: 2, 2: 1, 3: 3}, {1: 1, 2: 1}):
+            with pytest.raises(ValueError):
+                permutation_matrix(perm, 2, (1, 2))
 
     def test_conjugation_is_relabelling(self):
         p = 3

@@ -62,6 +62,19 @@ NODE_IDS = [
     "test_split_needs_the_ground_of_the_order",
     "tests/test_class_functions.py::TestClassMapsAgainstReference::"
     "test_straightening_needs_a_block_product",
+    "tests/test_class_functions.py::TestInflationDeflation::"
+    "test_levi_and_radical_must_lie_in_the_group",
+    "tests/test_class_functions.py::TestInflationDeflation::"
+    "test_levi_and_radical_must_meet_only_in_the_identity",
+    "tests/test_group_engine.py::TestFqMatrix::"
+    "test_relabel_needs_a_bijection_from_the_ground",
+    "tests/test_group_engine.py::TestFqMatrix::test_block_needs_labels_in_the_ground",
+    "tests/test_group_engine.py::TestPermutations::"
+    "test_permutation_matrix_needs_a_permutation_of_the_ground",
+    "tests/test_group_engine.py::TestGroupTable::"
+    "test_pattern_group_needs_a_partial_order",
+    "tests/test_combinatorics.py::TestPartialOrder::"
+    "test_restrict_needs_labels_in_the_ground",
 ]
 
 
@@ -76,5 +89,5 @@ def test_validation_survives_optimize():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "45 passed" in proc.stdout, proc.stdout[-3000:]
+    assert "52 passed" in proc.stdout, proc.stdout[-3000:]
     assert "python -O" in proc.stdout, "the subprocess did not run optimized"
