@@ -312,12 +312,12 @@ class Nuio:
         >>> Nuio(3, [(1, 2), (2, 3)]).strict
         ((1, 2), (1, 3), (2, 3))
         """
-        n = int(n)
-        if n < 0:
-            raise ValueError("size must be nonnegative, got %d" % n)
+        if type(n) is not int or n < 0:
+            raise ValueError("size must be a nonnegative int, got %r" % (n,))
         above = {i: set() for i in range(1, n + 1)}
         for i, j in strict:
-            i, j = int(i), int(j)
+            if type(i) is not int or type(j) is not int:
+                raise ValueError("labels must be ints, got %r" % ((i, j),))
             if i not in above or j not in above:
                 raise ValueError("stray label in %s" % ((i, j),))
             if i > j:
@@ -338,13 +338,14 @@ class Nuio:
 
     @classmethod
     def from_profile(cls, prof):
-        """The order with the given profile tuple, checked in O(n).
+        """The order with the given profile, checked in O(n) and stored as
+        a tuple (one already a tuple is not copied).
 
         >>> Nuio.from_profile((4, 4, 5, 5)).strict
         ((1, 4), (2, 4))
         """
         self = cls.__new__(cls)
-        self._assign(prof)
+        self._assign(tuple(prof))
         return self
 
     def _assign(self, prof):

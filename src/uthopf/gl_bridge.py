@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import functools
 
-from .group_engine import FqMatrix, GroupTable, _gl_generators, gl_table
+from .combinatorics import _check_budget
+from .group_engine import FqMatrix, GroupTable, _gl_generators, gl_order, gl_table
 from .class_functions import deflate_cf, induce_cf, induce_tensor, straighten_cf
 from .hopf_core import (
     GradedClassFunction,
@@ -115,6 +116,8 @@ def gl_coproduct(a):
 
 def product_hom_reports(total_degree, q):
     """Induction against the parabolic product, on the indicator basis."""
+    _check_budget(gl_order(total_degree, q),
+                  "general linear group of degree %d" % total_degree)
     reports = []
     for instance, pi, rho in _pair_instances(total_degree, q):
         xa = specialize(ScfElement.basis(pi), q)
@@ -127,6 +130,8 @@ def product_hom_reports(total_degree, q):
 
 def coproduct_hom_reports(degree, q):
     """Induction against the parabolic coproduct, on the indicator basis."""
+    _check_budget(gl_order(degree, q),
+                  "general linear group of degree %d" % degree)
     reports = []
     for instance, pi in _order_instances(degree, q):
         x = specialize(ScfElement.basis(pi), q)
@@ -141,6 +146,8 @@ def coproduct_hom_reports(degree, q):
 
 def dagger_invariance_reports(degree, q):
     """Induction composed with the flip equals plain induction."""
+    _check_budget(gl_order(degree, q),
+                  "general linear group of degree %d" % degree)
     reports = []
     for instance, pi in _order_instances(degree, q):
         x = specialize(ScfElement.basis(pi), q)

@@ -1,10 +1,11 @@
 """Brute-force matrix groups over prime fields.
 
 Groups are explicit sorted lists of immutable matrices, each built from
-given generators that are checked to generate it.  Products (never cached)
-and conjugacy classes are found by lookup in that list.  Matrices carry a
-sorted ground set of row/column labels, so a matrix on ground (2, 4) is 2x2
-with label pairs drawn from {2, 4}.
+given generators.  One pass looks up every left product and conjugate of an
+element by a generator in that list (products are never cached); it proves
+that the generators generate the list and joins its conjugacy classes.
+Matrices carry a sorted ground set of row/column labels, so a matrix on
+ground (2, 4) is 2x2 with label pairs drawn from {2, 4}.
 
 The library does not read GroupTable.factorization: inflation reads the
 coset class counts of class_functions._deflation.  It is a reference for
@@ -34,6 +35,13 @@ def _check_prime(p):
 @functools.lru_cache(maxsize=None)
 def _positions(ground):
     return {label: k for k, label in enumerate(ground)}
+
+
+def _find(root, i):
+    """Root of i in a union-find forest, halving the path on the way."""
+    while root[i] != i:
+        root[i] = i = root[root[i]]
+    return i
 
 
 class FqMatrix:
@@ -186,8 +194,9 @@ class GroupTable:
 
     The element list order is preserved as given; constructors in this
     module always supply lexicographic row-major order.  The generators are
-    given and checked to generate the whole list; there is no product cache.
-    Conjugacy data is computed on demand by orbit search under them.
+    given; one pass at construction checks that they generate the whole list
+    and joins each element to its conjugates under them.  The classes are
+    labelled on first read.  There is no product cache.
     """
 
     def __init__(self, elements, generators, name=""):
@@ -221,60 +230,49 @@ class GroupTable:
         return matrix in self.index
 
     def _ensure_generating(self, gens):
-        """Return gens after one closure under right products by them;
-        raises ValueError unless the closure stays in the table and is all
-        of it."""
-        seen = {self.identity_index}
-        frontier = [self.identity_index]
-        while frontier:
-            new = []
-            for i in frontier:
-                for g in gens:
-                    j = self.index.get(self.elements[i] * self.elements[g])
-                    if j is None:
-                        raise ValueError("%s is not closed under products"
-                                         % self.name)
-                    if j not in seen:
-                        seen.add(j)
-                        new.append(j)
-            frontier = new
-        if len(seen) < self.order:
+        """Return gens after one pass over every element m and generator g:
+        m is joined to g * m in a Cayley forest and to g * m * g^-1 in the
+        conjugation forest _root.  Raises ValueError unless every product
+        lies in the table and the Cayley tree of the identity holds all of
+        it; the conjugation trees are then the conjugacy classes."""
+        index = self.index
+        pairs = [(self.elements[g], self.elements[g].inverse()) for g in gens]
+        cayley = list(index.values())
+        root = self._root = list(index.values())
+        for i, m in enumerate(self.elements):
+            for g, ginv in pairs:
+                gm = g * m
+                j = index.get(gm)
+                k = index.get(gm * ginv)
+                if j is None or k is None:
+                    raise ValueError("%s is not closed under products"
+                                     % self.name)
+                cayley[_find(cayley, i)] = _find(cayley, j)
+                root[_find(root, i)] = _find(root, k)
+        ident = _find(cayley, self.identity_index)
+        reached = sum(_find(cayley, i) == ident for i in range(self.order))
+        if reached < self.order:
             raise ValueError("the generators of %s reach %d of its %d elements"
-                             % (self.name, len(seen), self.order))
+                             % (self.name, reached, self.order))
         return gens
 
     def generators(self):
         return self._generators
 
     def _conjugacy(self):
-        if self._classes is not None:
-            return self._classes
-        gen_pairs = []
-        for g in self.generators():
-            gm = self.elements[g]
-            gen_pairs.append((gm, gm.inverse()))
-        class_of = [None] * self.order
-        classes = []
-        for i in range(self.order):
-            if class_of[i] is not None:
-                continue
-            label = len(classes)
-            class_of[i] = label
-            orbit = [i]
-            frontier = [i]
-            while frontier:
-                new = []
-                for j in frontier:
-                    mj = self.elements[j]
-                    for gm, gminv in gen_pairs:
-                        k = self.index[gm * mj * gminv]
-                        if class_of[k] is None:
-                            class_of[k] = label
-                            orbit.append(k)
-                            new.append(k)
-                frontier = new
-            classes.append(tuple(sorted(orbit)))
-        self._classes = (tuple(classes), tuple(class_of))
+        """Label the conjugation trees on first read: classes in order of
+        their least element, members ascending."""
+        if self._classes is None:
+            trees = {}
+            for i in range(self.order):
+                trees.setdefault(_find(self._root, i), []).append(i)
+            classes = tuple(map(tuple, trees.values()))
+            class_of = [0] * self.order
+            for label, members in enumerate(classes):
+                for i in members:
+                    class_of[i] = label
+            self._classes = (classes, tuple(class_of))
+            del self._root
         return self._classes
 
     @property

@@ -134,6 +134,10 @@ class LaurentT(Combination):
 
     @classmethod
     def from_dict(cls, data):
+        """Inverse of to_dict; coefficients may also be ints.  A float
+        (inexact) or bool coefficient raises ValueError."""
+        if any(isinstance(v, (bool, float)) for v in data.values()):
+            raise ValueError("coefficients must be ints or fraction strings")
         return cls({int(k): Fraction(v) for k, v in data.items()})
 
 
@@ -740,6 +744,8 @@ def _order_instances(max_degree, q):
 
 def product_oracle_reports(max_total_degree, q):
     """Symbolic shifted ordinal sums against brute-force inflation."""
+    _check_budget(q ** math.comb(max_total_degree, 2),
+                  "unitriangular group of degree %d" % max_total_degree)
     reports = []
     for instance, pi, rho in _pair_instances(max_total_degree, q):
         lhs = specialize(ScfElement.basis(pi) * ScfElement.basis(rho), q)
@@ -752,6 +758,8 @@ def product_oracle_reports(max_total_degree, q):
 
 def coproduct_oracle_reports(max_degree, q):
     """Symbolic subset splitting against brute-force parabolic deflation."""
+    _check_budget(q ** math.comb(max_degree, 2),
+                  "unitriangular group of degree %d" % max_degree)
     reports = []
     for instance, pi in _order_instances(max_degree, q):
         x = ScfElement.basis(pi)

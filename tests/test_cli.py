@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from uthopf import cli, hopf_core
+from uthopf import cli, gl_bridge, hopf_core
 
 
 def run(capsys, *argv):
@@ -221,6 +221,15 @@ class TestErrors:
         '{"n": 3, "strict": [[2, 1]]}',
         '{"n": 3, "strict": [[1, 5]]}',
         '{"n": -1}',
+        '{"n": 2.5}',
+        '{"n": true}',
+        '{"n": "2"}',
+        '{"n": 2, "strict": [[1.9, 2]]}',
+        '{"n": 2, "strict": [["1", "2"]]}',
+        '{"n": 2, "strict": [[true, 2]]}',
+        '{"terms": [{"coeff": {"0": 0.1}, "n": 1, "strict": []}]}',
+        '{"terms": [{"coeff": {"0": true}, "n": 1, "strict": []}]}',
+        '{"terms": [{"n": 1.0, "strict": []}]}',
     ])
     def test_malformed_operand_exits_two(self, capsys, operand):
         with pytest.raises(SystemExit) as err:
@@ -265,6 +274,24 @@ class TestErrors:
         assert "budget exceeded" in err
         code, _, _ = run(capsys, "verify", "monoid-axioms", "--n", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        # UT_6(F_2) has 2^15 = 32768 elements
+        ("verify", "oracle", "--n", "6", "--q", "2"),
+        # GL_4(F_3) has 24261120 elements
+        ("verify", "induction-hom", "--n", "4", "--q", "3", "--extended"),
+    ])
+    def test_suite_budget_checked_before_any_report(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report was computed before the budget check")
+
+        monkeypatch.setenv("UTHOPF_BUDGET", "25000")
+        monkeypatch.setattr(hopf_core, "_report", refuse)
+        monkeypatch.setattr(gl_bridge, "_report", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "budget exceeded" in err
 
     @pytest.mark.parametrize("argv", [
         # Catalan(3) = 5 orders

@@ -481,6 +481,19 @@ class TestNuio:
         with pytest.raises(ValueError):
             Nuio(2, [(2, 1)])
 
+    def test_rejects_sizes_and_labels_that_are_not_ints(self):
+        for n, strict in [(2.5, []), (True, []), ("2", []), (2, [(1.9, 2)]),
+                          (2, [("1", "2")]), (2, [(True, 2)])]:
+            with pytest.raises(ValueError):
+                Nuio(n, strict)
+
+    def test_from_profile_stores_a_tuple(self):
+        pi = Nuio.from_profile([2, 3])
+        assert pi == Nuio(2, [(1, 2)])
+        assert hash(pi) == hash(Nuio(2, [(1, 2)]))
+        prof = (4, 4, 5, 5)
+        assert Nuio.from_profile(prof).profile() is prof
+
     def test_profile(self):
         assert Nuio(4, [(1, 4), (2, 4)]).profile() == (4, 4, 5, 5)
         assert Nuio(3, []).profile() == (4, 4, 4)

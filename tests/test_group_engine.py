@@ -269,6 +269,55 @@ def brute_conjugacy(table):
     return set(classes)
 
 
+def reference_conjugacy(table):
+    """Reference (classes, class_of): the orbit search under the generators
+    that GroupTable ran on first read before its construction pass joined
+    the conjugacy classes."""
+    gen_pairs = []
+    for g in table.generators():
+        gm = table.elements[g]
+        gen_pairs.append((gm, gm.inverse()))
+    class_of = [None] * table.order
+    classes = []
+    for i in range(table.order):
+        if class_of[i] is not None:
+            continue
+        label = len(classes)
+        class_of[i] = label
+        orbit = [i]
+        frontier = [i]
+        while frontier:
+            new = []
+            for j in frontier:
+                mj = table.elements[j]
+                for gm, gminv in gen_pairs:
+                    k = table.index[gm * mj * gminv]
+                    if class_of[k] is None:
+                        class_of[k] = label
+                        orbit.append(k)
+                        new.append(k)
+            frontier = new
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes), tuple(class_of)
+
+
+def reference_conjugacy_tables():
+    for n in range(4):
+        for order in all_partial_orders(range(1, n + 1)):
+            for q in (2, 3):
+                yield pattern_group(order, q)
+    yield from (ut_table(n, 2) for n in range(6))
+    yield from (ut_table(n, 3) for n in range(4))
+    yield from (gl_table(n, 2) for n in range(4))
+    yield gl_table(2, 3)
+    for i in range(4):
+        yield levi_table(3, i, 2)
+        yield parabolic_table(3, i, 2)
+    for k in range(5):
+        for inside in itertools.combinations(range(1, 5), k):
+            yield split_tables(4, inside, 2)[1]
+
+
 class TestGroupTable:
     def test_ut_orders(self):
         for q, orders in [(2, [1, 1, 2, 8, 64]), (3, [1, 1, 3, 27, 729])]:
@@ -303,6 +352,10 @@ class TestGroupTable:
         for table in (ut_table(3, 2), ut_table(3, 3), gl_table(2, 2), gl_table(2, 3)):
             greedy = {frozenset(c) for c in table.classes}
             assert greedy == brute_conjugacy(table)
+
+    def test_conjugacy_equals_the_orbit_search(self):
+        for table in reference_conjugacy_tables():
+            assert (table.classes, table.class_of) == reference_conjugacy(table)
 
     def test_class_counts(self):
         assert len(ut_table(3, 2).classes) == 5
@@ -362,6 +415,12 @@ class TestGroupTable:
         x3 = FqMatrix.one_off(3, (1, 2), 1, 2, 1)
         with pytest.raises(ValueError):
             GroupTable([ident3, x3], [x3])
+
+    def test_singular_generator_raises(self):
+        ident = FqMatrix.identity(2, (1, 2))
+        zero = FqMatrix(2, (1, 2), [[0, 0], [0, 0]])
+        with pytest.raises(ValueError):
+            GroupTable([ident, zero], [zero])
 
     def test_generators_that_do_not_generate_raise(self):
         g = ut_table(3, 2)

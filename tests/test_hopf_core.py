@@ -79,6 +79,13 @@ class TestLaurentT:
         x = LaurentT({2: Fraction(1), -1: Fraction(-3, 2)})
         assert LaurentT.from_dict(x.to_dict()) == x
 
+    def test_from_dict_rejects_float_and_bool_coefficients(self):
+        assert LaurentT.from_dict({"0": 3, "1": "-1/2"}) == LaurentT(
+            {0: Fraction(3), 1: Fraction(-1, 2)})
+        for coeff in (0.1, 1.0, True):
+            with pytest.raises(ValueError):
+                LaurentT.from_dict({"0": coeff})
+
 
 class TestProduct:
     def test_basis_product_is_the_shifted_sum(self):
@@ -199,7 +206,7 @@ class TestAntipode:
     def test_unit(self):
         assert ScfElement.unit().antipode() == ScfElement.unit()
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
     def test_convolution_identities(self, n):
         for pi in natural_unit_interval_orders(n):
             x = basis(pi)
@@ -236,14 +243,14 @@ class TestDagger:
                         assert (x * y).dagger() == y.dagger() * x.dagger()
 
     def test_flips_coproducts(self):
-        for n in range(5):
+        for n in range(8):
             for pi in natural_unit_interval_orders(n):
                 x = basis(pi)
                 flipped = map_factors(x.coproduct().swap(), lambda e: e.dagger())
                 assert x.dagger().coproduct() == flipped
 
     def test_commutes_with_antipode(self):
-        for n in range(4):
+        for n in range(7):
             for pi in natural_unit_interval_orders(n):
                 x = basis(pi)
                 assert x.antipode().dagger() == x.dagger().antipode()
