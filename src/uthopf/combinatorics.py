@@ -433,6 +433,25 @@ class Nuio:
             self._profile + tuple(c + self.n for c in other._profile)
         )
 
+    def pieces(self):
+        """The connected pieces, bottom first: the orders, none of them a
+        shifted sum, whose shifted sum is this one.  A piece ends at row k
+        exactly when c(k) = k + 1: row k is then below every later label,
+        and so is every row before it, as c is nondecreasing.
+
+        >>> [p.profile() for p in Nuio(3, [(1, 2), (1, 3)]).pieces()]
+        [(2,), (3, 3)]
+        >>> Nuio(0).pieces()
+        ()
+        """
+        prof, start, out = self._profile, 0, []
+        for end, c in enumerate(prof, start=1):
+            if c == end + 1:
+                out.append(Nuio.from_profile(
+                    tuple(d - start for d in prof[start:end])))
+                start = end
+        return tuple(out)
+
     def shifted_restrict(self, labels):
         """Restrict to labels, then standardize down to an initial segment."""
         labels = self._labels(labels)

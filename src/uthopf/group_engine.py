@@ -339,7 +339,9 @@ def pattern_group(order, p):
     """All matrices with unit diagonal supported on the strict cells.
 
     The order must be a PartialOrder; transitivity of its relation is what
-    makes the matrix set a group.
+    makes the matrix set a group.  It is generated by the elementary
+    matrices at the covering pairs, as the commutator of x_ij(a) and x_jk(b)
+    is x_ik(ab); the construction pass proves it.
     """
     _check_prime(p)
     if not isinstance(order, PartialOrder):
@@ -355,7 +357,9 @@ def pattern_group(order, p):
         for (i, j), v in zip(cells, values):
             rows[pos[i]][pos[j]] = v
         elements.append(FqMatrix(p, ground, rows))
-    gens = [FqMatrix.one_off(p, ground, i, j, 1) for i, j in cells]
+    strict = set(cells)
+    gens = [FqMatrix.one_off(p, ground, i, j, 1) for i, j in cells
+            if not any((i, k) in strict and (k, j) in strict for k in ground)]
     name = "UT[%s|%s]q%d" % (
         ",".join(map(str, ground)),
         ";".join("%d<%d" % c for c in cells),

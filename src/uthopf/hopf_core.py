@@ -3,11 +3,17 @@
 Symbolic side: finite Laurent-coefficient combinations of natural unit
 interval orders, with shifted ordinal sum as product and subset splitting as
 coproduct; the coefficient of a splitting is t to the number of upward
-noncomparabilities leaving the chosen subset.  Setting t = 1/q turns a basis
-element into the normalized indicator of its pattern subgroup inside the full
-unitriangular group, and the symbolic operations match inflation and
-parabolic deflation of those indicators; that match is what the oracle
-checks in this module verify.
+noncomparabilities leaving the chosen subset.  The algebra is free on the
+connected orders, and every order is the shifted sum of its connected pieces
+(Nuio.pieces).  As the coproduct is multiplicative and the antipode an
+anti-homomorphism, only a connected order is split subset by subset or runs
+the counit recursion; any other order multiplies its pieces' results, the
+antipodes in reverse order.  Both check the budget against the 2^n subsets
+of the whole order on entry.  Integral coefficients are held as ints.
+Setting t = 1/q turns a basis element into the normalized indicator of its
+pattern subgroup inside the full unitriangular group, and the symbolic
+operations match inflation and parabolic deflation of those indicators; that
+match is what the oracle checks in this module verify.
 
 Species side: the same operations before quotienting by relabelling,
 realized on explicit pattern groups over a composition of the ground set.
@@ -72,13 +78,18 @@ def frac_str(x):
 
 class LaurentT(Combination):
     """Laurent polynomial in one variable t over the rationals: a
-    combination of exponents with Fraction coefficients."""
+    combination of exponents with rational coefficients, each held as an
+    int when it is integral and as a Fraction otherwise."""
 
     __slots__ = ()
 
     @staticmethod
     def _coerce(v):
-        return v if type(v) is Fraction else Fraction(v)
+        if type(v) is int:
+            return v
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        return v.numerator if v.denominator == 1 else v
 
     @classmethod
     def one(cls):
@@ -274,7 +285,14 @@ class TensorScf(Combination):
 
 @functools.lru_cache(maxsize=None)
 def _coproduct_basis(pi):
+    """Coproduct of one basis element.  A shifted sum of connected pieces
+    has the product of their coproducts, bottom piece first, as the
+    coproduct is multiplicative; a connected order sums over its subsets.
+    The budget is checked against the 2^n subsets first, either way."""
     _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
+    pieces = pi.pieces()
+    if len(pieces) > 1:
+        return functools.reduce(operator.mul, map(_coproduct_basis, pieces))
     labels = range(1, pi.n + 1)
 
     def splits():
@@ -290,9 +308,17 @@ def _coproduct_basis(pi):
 
 @functools.lru_cache(maxsize=None)
 def _antipode_basis(pi):
-    """Graded recursion from the counit identity; memoized per basis element."""
+    """Antipode of one basis element.  A shifted sum of connected pieces
+    has the product of their antipodes, top piece first, as the antipode
+    is an anti-homomorphism; a connected order runs the graded recursion
+    from the counit identity.  Past degree 0 the budget is checked against
+    the 2^n subsets first, either way."""
     if pi.n == 0:
         return ScfElement.unit()
+    _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
+    pieces = pi.pieces()
+    if len(pieces) > 1:
+        return functools.reduce(operator.mul, map(_antipode_basis, reversed(pieces)))
     return -ScfElement.collect(itertools.chain(
         [(pi, 1)],
         (

@@ -298,10 +298,15 @@ class TestErrors:
         ("nuio", "list", "--n", "3"),
         # 2^3 subsets
         ("scf", "coproduct", "--poset", '{"n": 3, "strict": [[1, 3]]}'),
+        # the chain is three pieces of 2^1 subsets each, but the budget is
+        # checked against the 2^3 subsets of the whole order
+        ("scf", "coproduct", "--poset", '{"n": 3, "strict": [[1, 2], [2, 3]]}'),
+        ("scf", "antipode", "--poset", '{"n": 3, "strict": [[1, 2], [2, 3]]}'),
     ])
     def test_symbolic_budget_exceeded(self, capsys, monkeypatch, argv):
-        # a cached coproduct would skip the enumeration and its budget check
+        # a cached result would skip the enumeration and its budget check
         hopf_core._coproduct_basis.cache_clear()
+        hopf_core._antipode_basis.cache_clear()
         monkeypatch.setenv("UTHOPF_BUDGET", "4")
         code, out, err = run(capsys, *argv)
         assert code == 2

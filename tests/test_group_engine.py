@@ -357,6 +357,20 @@ class TestGroupTable:
         for table in reference_conjugacy_tables():
             assert (table.classes, table.class_of) == reference_conjugacy(table)
 
+    def test_cover_generators_give_the_all_cell_classes(self):
+        # pattern_group passes only the covering cells; the group of every
+        # strict cell must come out with the same classes, in the same order
+        tables = [pattern_group(order, q)
+                  for n in range(4) for order in all_partial_orders(range(1, n + 1))
+                  for q in (2, 3)]
+        tables += [ut_table(n, 2) for n in range(6)]
+        for table in tables:
+            gens = [FqMatrix.one_off(table.p, table.ground, i, j, 1)
+                    for i, j in table.pattern.strict_pairs]
+            full = GroupTable(table.elements, gens, name="all cells")
+            assert (table.classes, table.class_of) == (full.classes, full.class_of)
+        assert len(ut_table(5, 2).generators()) == 4
+
     def test_class_counts(self):
         assert len(ut_table(3, 2).classes) == 5
         assert len(ut_table(3, 3).classes) == 11

@@ -1,10 +1,14 @@
 """Symbolic Hopf structure and its realization on unitriangular groups.
 
 The witness coproduct is pinned term by term from a hand computation; the
-algebra and coalgebra laws are checked symbolically; the group realization
-is compared against the symbolic side through the oracle reports.
+algebra and coalgebra laws are checked symbolically; the coproduct and
+antipode, which the library reads off connected pieces, are compared with
+the subset sum and the counit recursion kept here as references; the group
+realization is compared against the symbolic side through the oracle
+reports.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -57,6 +61,50 @@ def basis(pi):
     return ScfElement.basis(pi)
 
 
+_REFERENCE_COPRODUCTS = {}
+_REFERENCE_ANTIPODES = {}
+
+
+def reference_coproduct_basis(pi):
+    """Reference coproduct of one basis element: the sum over every subset
+    of its labels, with no split into connected pieces."""
+    if pi not in _REFERENCE_COPRODUCTS:
+        labels = range(1, pi.n + 1)
+
+        def splits():
+            for k in range(pi.n + 1):
+                for inside in itertools.combinations(labels, k):
+                    chosen = set(inside)
+                    outside = tuple(j for j in labels if j not in chosen)
+                    key = (pi.shifted_restrict(inside), pi.shifted_restrict(outside))
+                    yield key, LaurentT.t(pi.ascent_count(inside))
+
+        _REFERENCE_COPRODUCTS[pi] = TensorScf.collect(splits())
+    return _REFERENCE_COPRODUCTS[pi]
+
+
+def reference_antipode_basis(pi):
+    """Reference antipode of one basis element: the graded recursion from
+    the counit identity, run on every order, connected or not."""
+    if pi not in _REFERENCE_ANTIPODES:
+        if pi.n == 0:
+            value = ScfElement.unit()
+        else:
+            value = -ScfElement.collect(itertools.chain(
+                [(pi, 1)],
+                (
+                    (rho, c * v)
+                    for (left, right), c in reference_coproduct_basis(pi).terms.items()
+                    if left.n != pi.n and right.n != pi.n
+                    for rho, v in (
+                        reference_antipode_basis(left) * ScfElement.basis(right)
+                    ).terms.items()
+                ),
+            ))
+        _REFERENCE_ANTIPODES[pi] = value
+    return _REFERENCE_ANTIPODES[pi]
+
+
 class TestLaurentT:
     def test_ring_laws(self):
         assert (ONE + T) * (ONE - T) == ONE - T2
@@ -78,6 +126,26 @@ class TestLaurentT:
     def test_dict_round_trip(self):
         x = LaurentT({2: Fraction(1), -1: Fraction(-3, 2)})
         assert LaurentT.from_dict(x.to_dict()) == x
+
+    def test_integral_coefficients_are_ints(self):
+        x = LaurentT({0: Fraction(6, 2), 1: Fraction(1, 2), 2: 4})
+        assert [type(x.terms[k]) for k in (0, 1, 2)] == [int, Fraction, int]
+        assert x.terms[0] == 3
+        half = LaurentT.scalar(Fraction(1, 2))
+        assert type((half + half).terms[0]) is int
+        assert type((T * half * 2).terms[1]) is int
+        assert repr(x) == "3 + 1/2*t + 4*t^2"
+
+    def test_integral_coefficients_print_as_fractions(self):
+        x = LaurentT.from_dict({"0": "3/1"})
+        assert type(x.terms[0]) is int and x.terms[0] == 3
+        assert x.to_dict() == {"0": "3/1"}
+        assert repr(LaurentT({0: 3, -1: Fraction(-2)})) == "-2*t^-1 + 3"
+
+    def test_evaluate_returns_a_fraction(self):
+        got = (T + ONE).evaluate(Fraction(1, 2))
+        assert type(got) is Fraction and got == Fraction(3, 2)
+        assert type(ONE.evaluate(1)) is Fraction
 
     def test_from_dict_rejects_float_and_bool_coefficients(self):
         assert LaurentT.from_dict({"0": 3, "1": "-1/2"}) == LaurentT(
@@ -188,6 +256,11 @@ class TestCoproduct:
                 second = {k: v for k, v in second.items() if v}
                 assert first == second
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_equals_the_subset_sum(self, n):
+        for pi in natural_unit_interval_orders(n):
+            assert basis(pi).coproduct() == reference_coproduct_basis(pi)
+
     def test_compatible_with_product(self):
         for n1 in range(4):
             for n2 in range(4 - n1):
@@ -219,13 +292,24 @@ class TestAntipode:
             assert left == expect
             assert right == expect
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_equals_the_counit_recursion(self, n):
+        for pi in natural_unit_interval_orders(n):
+            assert basis(pi).antipode() == reference_antipode_basis(pi)
+
     def test_antihomomorphism(self):
-        for n1 in range(3):
-            for n2 in range(3 - n1):
+        # Against the reference recursion: the library reads the antipode
+        # of a shifted sum off its pieces in reverse order, so its own
+        # y.antipode() * x.antipode() would restate that rule.
+        for n1 in range(7):
+            for n2 in range(7 - n1):
                 for p1 in natural_unit_interval_orders(n1):
                     for p2 in natural_unit_interval_orders(n2):
                         x, y = basis(p1), basis(p2)
-                        assert (x * y).antipode() == y.antipode() * x.antipode()
+                        expect = (reference_antipode_basis(p2)
+                                  * reference_antipode_basis(p1))
+                        assert reference_antipode_basis(p1.shifted_sum(p2)) == expect
+                        assert (x * y).antipode() == expect
 
 
 class TestDagger:
@@ -250,7 +334,7 @@ class TestDagger:
                 assert x.dagger().coproduct() == flipped
 
     def test_commutes_with_antipode(self):
-        for n in range(7):
+        for n in range(8):
             for pi in natural_unit_interval_orders(n):
                 x = basis(pi)
                 assert x.antipode().dagger() == x.dagger().antipode()
