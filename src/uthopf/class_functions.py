@@ -1,9 +1,10 @@
 """Exact class functions on enumerated groups, and transport between them.
 
-Values are Fractions indexed by conjugacy class; evaluation at an element
-goes through the class map of the owning GroupTable.  All transport maps
-(restriction, induction, inflation, deflation, pullback along a group
-isomorphism) return class functions on explicitly enumerated targets.
+A class function is a Combination of the class indices of its group;
+evaluation at an element goes through the class map of the owning
+GroupTable.  All transport maps (restriction, induction, inflation,
+deflation, pullback along a group isomorphism) return class functions on
+explicitly enumerated targets.
 They form two adjoint pairs: restriction and induction read the class
 fusion (_fusion), and deflation and inflation read the coset class counts
 of a Levi and a radical inside a group (_deflation).  Deflation lands on
@@ -17,10 +18,10 @@ Sparse data is a Combination: a finite linear combination held in its
 `terms` dict from keys to nonzero coefficients.  The base class owns the
 zero-dropping, the accumulation of (key, coefficient) pairs, the linear
 operations and equality; a subclass supplies coefficient coercion, its
-context (the two tensor factor groups here; the prime of a graded family in
-hopf_core), products and printing.  TensorFunction is the one defined here;
-hopf_core builds its Laurent polynomials, symbolic combinations and graded
-families on the same class.
+context (one group, or two tensor factor groups; the prime of a graded
+family in hopf_core), products and printing.  ClassFunction and
+TensorFunction are defined here; hopf_core builds its Laurent polynomials,
+symbolic combinations and graded families on the same class.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from fractions import Fraction
 from .combinatorics import standardize
 
 
+_ZERO = Fraction(0)
+
+
 def _as_fraction(x):
+    if type(x) is Fraction:
+        return x
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"inexact scalar {x!r}")
     return Fraction(x)
@@ -113,37 +119,43 @@ class Combination:
         return bool(self.terms)
 
 
-class ClassFunction:
+class ClassFunction(Combination):
+    """Fraction values on the class indices of group, its context; `values`
+    lists every class, Fraction(0) off the support."""
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group",)
 
-    def __init__(self, group, values):
-        values = tuple(_as_fraction(v) for v in values)
-        if len(values) != len(group.class_reps):
-            raise ValueError("one value per class of %s is needed" % group.name)
+    _coerce = staticmethod(_as_fraction)
+
+    def __init__(self, group, terms=None):
+        size = len(group.class_reps)
+        for c in terms or ():
+            if type(c) is not int or not 0 <= c < size:
+                raise ValueError("%r is not a class index of %s" % (c, group.name))
         self.group = group
-        self.values = values
+        super().__init__(terms)
+
+    @property
+    def context(self):
+        return (self.group,)
 
     @classmethod
     def from_function(cls, group, fn):
-        """Evaluate fn at class representatives.
-
-        fn is evaluated at every element, and a ValueError is raised unless
-        it is constant on classes.
-        """
+        """Evaluate fn at class representatives; a ValueError is raised
+        unless fn, evaluated at every element, is constant on classes."""
         values = [_as_fraction(fn(group.elements[r])) for r in group.class_reps]
         for i, m in enumerate(group.elements):
             if fn(m) != values[group.class_of[i]]:
                 raise ValueError(f"not constant on classes at {m!r}")
-        return cls(group, values)
+        return cls(group, dict(enumerate(values)))
 
     @classmethod
     def trivial(cls, group):
-        return cls(group, [1] * len(group.class_reps))
+        return cls(group, dict.fromkeys(range(len(group.class_reps)), 1))
 
     @classmethod
     def class_indicator(cls, group, c):
-        return cls(group, [int(k == c) for k in range(len(group.class_reps))])
+        return cls(group, {c: 1})
 
     @classmethod
     def subgroup_indicator(cls, group, member):
@@ -154,61 +166,34 @@ class ClassFunction:
         """
         return cls.from_function(group, lambda m: int(bool(member(m))))
 
+    @property
+    def values(self):
+        return tuple(map(self.at_class, range(len(self.group.class_reps))))
+
     def at_class(self, c):
-        return self.values[c]
+        return self.terms.get(c, _ZERO)
 
     def at_matrix(self, m):
-        return self.values[self.group.class_of[self.group.index[m]]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassFunction)
-            and self.group is other.group
-            and self.values == other.values
-        )
-
-    def _same_group(self, other):
-        if self.group is not other.group:
-            raise ValueError("class functions on different groups")
-
-    def __add__(self, other):
-        self._same_group(other)
-        return ClassFunction(
-            self.group, [a + b for a, b in zip(self.values, other.values)]
-        )
-
-    def __sub__(self, other):
-        self._same_group(other)
-        return ClassFunction(
-            self.group, [a - b for a, b in zip(self.values, other.values)]
-        )
-
-    def __neg__(self):
-        return ClassFunction(self.group, [-v for v in self.values])
+        return self.at_class(self.group.class_of[self.group.index[m]])
 
     def __mul__(self, other):
-        if isinstance(other, ClassFunction):
-            self._same_group(other)
-            return ClassFunction(
-                self.group, [a * b for a, b in zip(self.values, other.values)]
-            )
-        return ClassFunction(self.group, [v * _as_fraction(other) for v in self.values])
+        if not isinstance(other, ClassFunction):
+            return self.scale(other)
+        if self.group is not other.group:
+            raise ValueError("class functions on different groups")
+        return self._like({c: v * other.terms[c]
+                           for c, v in self.terms.items() if c in other.terms})
 
     __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(self.values)
 
     def __repr__(self):
         return "ClassFunction(%s, %s)" % (self.group.name, list(self.values))
 
     def inner(self, other):
         """Averaged pairing; values here are rational, so no conjugation."""
-        self._same_group(other)
-        total = Fraction(0)
-        for size, a, b in zip(self.group.class_sizes, self.values, other.values):
-            total += size * a * b
-        return total / self.group.order
+        sizes = self.group.class_sizes
+        total = sum(sizes[c] * v for c, v in (self * other).terms.items())
+        return Fraction(total, self.group.order)
 
 
 class TensorFunction(Combination):
@@ -232,14 +217,10 @@ class TensorFunction(Combination):
 
     @classmethod
     def outer(cls, f, g):
-        terms = {}
-        for c1, a in enumerate(f.values):
-            if not a:
-                continue
-            for c2, b in enumerate(g.values):
-                if b:
-                    terms[(c1, c2)] = a * b
-        return cls(f.group, g.group, terms)
+        return cls(f.group, g.group, {
+            (c1, c2): a * b
+            for c1, a in f.terms.items() for c2, b in g.terms.items()
+        })
 
     def __repr__(self):
         body = ", ".join(
@@ -271,17 +252,18 @@ def _fusion(small, big):
 def restrict_cf(psi, sub):
     """Restriction to a subgroup, read off the class fusion; the adjoint of
     induce_cf."""
-    return ClassFunction(sub, [psi.values[b] for b, _ in _fusion(sub, psi.group)])
+    fusion = _fusion(sub, psi.group)
+    return ClassFunction(sub, {c: psi.at_class(b) for c, (b, _) in enumerate(fusion)})
 
 
 def induce_cf(psi, big):
     """Induction from the group of psi up to big, summed along the class
     fusion.  The textbook sum over conjugators is the reference it is tested
     against."""
-    values = [Fraction(0)] * len(big.class_reps)
-    for v, (b, w) in zip(psi.values, _fusion(psi.group, big)):
-        values[b] += w * v
-    return ClassFunction(big, values)
+    fusion = _fusion(psi.group, big)
+    return ClassFunction.collect(
+        ((fusion[c][0], fusion[c][1] * v) for c, v in psi.terms.items()), big
+    )
 
 
 def induce_tensor(tensor, left, right):
@@ -325,15 +307,12 @@ def inflate_cf(psi, group, levi, radical):
     group is |group| / (|levi| |radical| |b|) sum_c |c| K[c][b] psi(c)."""
     if psi.group is not levi:
         raise ValueError("%s is not the levi %s" % (psi.group.name, levi.name))
-    totals = [Fraction(0)] * len(group.class_reps)
-    for v, size, row in zip(psi.values, levi.class_sizes,
-                            _deflation(group, levi, radical)):
-        for b, k in row:
-            totals[b] += size * k * v
+    rows = _deflation(group, levi, radical)
     scale = Fraction(group.order, levi.order * radical.order)
-    return ClassFunction(group, [
-        scale * t / size for t, size in zip(totals, group.class_sizes)
-    ])
+    return ClassFunction.collect((
+        (b, scale * levi.class_sizes[c] * k * v / group.class_sizes[b])
+        for c, v in psi.terms.items() for b, k in rows[c]
+    ), group)
 
 
 def deflate_cf(psi, levi, radical):
@@ -342,18 +321,20 @@ def deflate_cf(psi, levi, radical):
     psi may live on the semidirect product itself or on any enumerated
     overgroup of it; only the products levi * radical are read.
     """
-    return ClassFunction(levi, [
-        Fraction(sum(k * psi.values[c] for c, k in row), radical.order)
-        for row in _deflation(psi.group, levi, radical)
-    ])
+    terms = psi.terms
+    return ClassFunction.collect((
+        (l, k * terms[c] / radical.order)
+        for l, row in enumerate(_deflation(psi.group, levi, radical))
+        for c, k in row if c in terms
+    ), levi)
 
 
 def pullback_cf(psi, target, matrix_map):
     """Pull back along an isomorphism target -> psi.group given on matrices."""
-    return ClassFunction(
-        target,
-        [psi.at_matrix(matrix_map(target.elements[r])) for r in target.class_reps],
-    )
+    return ClassFunction(target, {
+        c: psi.at_matrix(matrix_map(target.elements[r]))
+        for c, r in enumerate(target.class_reps)
+    })
 
 
 def dagger_cf(psi):
@@ -384,10 +365,14 @@ def straighten_cf(psi, inside, left_table, right_table):
     """Split a block diagonal class function into a two factor tensor on the
     canonical tables, along the bijection of _block_classes."""
     pairs = _block_classes(psi.group, tuple(inside), left_table, right_table)
-    return TensorFunction(left_table, right_table, dict(zip(pairs, psi.values)))
+    return TensorFunction(
+        left_table, right_table, {pairs[c]: v for c, v in psi.terms.items()}
+    )
 
 
 def unstraighten_cf(tensor, inside, levi_table):
     """Inverse of straighten_cf, read along the same bijection."""
     pairs = _block_classes(levi_table, tuple(inside), *tensor.context)
-    return ClassFunction(levi_table, [tensor.terms.get(pair, 0) for pair in pairs])
+    return ClassFunction(levi_table, {
+        c: tensor.terms[pair] for c, pair in enumerate(pairs) if pair in tensor.terms
+    })

@@ -45,7 +45,10 @@ def enumeration_budget():
 def _check_budget(size, what):
     cap = enumeration_budget()
     if size > cap:
-        raise BudgetError(f"{what} needs {size} elements, budget is {cap}")
+        # str refuses ints of more than 4300 digits; give those as a power of 2
+        bits = size.bit_length()
+        shown = size if bits <= 1024 else "at least 2^%d" % (bits - 1)
+        raise BudgetError(f"{what} needs {shown} elements, budget is {cap}")
 
 
 def _relation_axioms(pairs):
@@ -369,7 +372,10 @@ class Nuio:
         return self._profile
 
     def key(self):
-        return (self.n, self.strict)
+        # sorts like (n, strict): an empty row, c = n + 1 read as 0, ends
+        # the strict pairs, as every later row is empty too
+        n = self.n
+        return (n, tuple(c if c <= n else 0 for c in self._profile))
 
     def __eq__(self, other):
         return isinstance(other, Nuio) and self._profile == other._profile

@@ -17,8 +17,9 @@ match is what the oracle checks in this module verify.
 
 Species side: the same operations before quotienting by relabelling,
 realized on explicit pattern groups over a composition of the ground set.
-`pattern_split` is the one builder of their Levi and radical tables.  The
-axiom checks run the associativity, coassociativity, compatibility and
+`pattern_split` is the one builder of their Levi and radical tables;
+`parabolic_product` and `parabolic_coproduct` serve both towers.  The axiom
+checks run the associativity, coassociativity, compatibility and
 naturality squares on concrete class function bases.  Each of the five
 square families is declared once; one driver checks the exhaustive stream
 of squares and the seeded sampled stream alike.
@@ -27,6 +28,7 @@ Every sparse value here (LaurentT, ScfElement, TensorScf,
 GradedClassFunction, GradedTensor) is a class_functions.Combination: its
 `terms` dict maps exponents, orders, pairs of orders, degrees or bidegrees to
 nonzero coefficients, and sums of many pieces go through one `collect` call.
+The graded families have class functions and tensors as coefficients.
 """
 
 from __future__ import annotations
@@ -145,8 +147,10 @@ class LaurentT(Combination):
 
     @classmethod
     def from_dict(cls, data):
-        """Inverse of to_dict; coefficients may also be ints.  A float
-        (inexact) or bool coefficient raises ValueError."""
+        """Inverse of to_dict; coefficients may also be ints.  A non-dict,
+        or a float (inexact) or bool coefficient, raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("coefficients must be a JSON object, got %r" % (data,))
         if any(isinstance(v, (bool, float)) for v in data.values()):
             raise ValueError("coefficients must be ints or fraction strings")
         return cls({int(k): Fraction(v) for k, v in data.items()})
@@ -215,11 +219,7 @@ class ScfElement(Combination):
     def to_dict(self):
         return {
             "terms": [
-                {
-                    "n": pi.n,
-                    "strict": [list(p) for p in pi.strict],
-                    "coeff": c.to_dict(),
-                }
+                dict(pi.to_dict(), coeff=c.to_dict())
                 for pi, c in self.sorted_terms()
             ]
         }
@@ -227,10 +227,7 @@ class ScfElement(Combination):
     @classmethod
     def from_dict(cls, data):
         return cls.collect(
-            (
-                Nuio(term["n"], [tuple(p) for p in term.get("strict", [])]),
-                LaurentT.from_dict(term.get("coeff", {"0": "1/1"})),
-            )
+            (Nuio.from_dict(term), LaurentT.from_dict(term.get("coeff", {"0": "1/1"})))
             for term in data.get("terms", [])
         )
 
@@ -412,7 +409,7 @@ def specialize(x, q):
     point = Fraction(1, q)
     values = ((pi, c.evaluate(point)) for pi, c in x.terms.items())
     return GradedClassFunction.collect(
-        ((pi.n, pattern_indicator(pi, q) * v) for pi, v in values if v), q
+        ((pi.n, pattern_indicator(pi, q).scale(v)) for pi, v in values if v), q
     )
 
 
@@ -465,20 +462,32 @@ def ut_product(a, b):
     return parabolic_product(a, b, ut_table, _ut_levi)
 
 
-def ut_coproduct(a):
-    """Parabolic deflations over all subsets, straightened and graded."""
+def parabolic_coproduct(a, ambient, splits):
+    """The coproduct of ambient(n, q): each component of degree n is
+    deflated over every split (inside, levi, radical) in splits(n, q) and
+    straightened onto ambient(k, q) and ambient(n - k, q), k = len(inside)."""
+    q = a.q
 
     def pieces():
         for n, psi in a.terms.items():
-            for k in range(n + 1):
-                for inside in itertools.combinations(range(1, n + 1), k):
-                    levi, radical = split_tables(n, inside, a.q)
-                    on_levi = deflate_cf(psi, levi, radical)
-                    yield (k, n - k), straighten_cf(
-                        on_levi, inside, ut_table(k, a.q), ut_table(n - k, a.q)
-                    )
+            for inside, levi, radical in splits(n, q):
+                k = len(inside)
+                on_levi = deflate_cf(psi, levi, radical)
+                yield (k, n - k), straighten_cf(on_levi, inside, ambient(k, q),
+                                                ambient(n - k, q))
 
-    return GradedTensor.collect(pieces(), a.q)
+    return GradedTensor.collect(pieces(), q)
+
+
+def _ut_splits(n, q):
+    for k in range(n + 1):
+        for inside in itertools.combinations(range(1, n + 1), k):
+            yield (inside, *split_tables(n, inside, q))
+
+
+def ut_coproduct(a):
+    """Parabolic deflations over all subsets, straightened and graded."""
+    return parabolic_coproduct(a, ut_table, _ut_splits)
 
 
 def specialize_tensor(tx, q):
@@ -511,17 +520,11 @@ def _report(check, instance, lhs, rhs, relation=operator.eq):
 
 
 def _ordinal_fold(orders):
-    out = PartialOrder((), ())
-    for o in orders:
-        out = out.ordinal_sum(o)
-    return out
+    return functools.reduce(PartialOrder.ordinal_sum, orders, PartialOrder((), ()))
 
 
 def _disjoint_fold(orders):
-    out = PartialOrder((), ())
-    for o in orders:
-        out = out.disjoint_union(o)
-    return out
+    return functools.reduce(PartialOrder.disjoint_union, orders, PartialOrder((), ()))
 
 
 def monoid_inflate(ambient, comp, psi):
@@ -639,11 +642,14 @@ def _square_reports(squares, classes, q, prefix=""):
 
 
 def _fubini(n):
-    """Number of set compositions of an n-set, by a(m) = sum C(m, k) a(m - k)."""
-    a = [1]
+    """Number of set compositions of an n-set.  row[k] counts those into k
+    blocks: a new label is a singleton block in one of k places or joins
+    one of k blocks, which multiplies by small numbers only."""
+    row = [1]
     for m in range(1, n + 1):
-        a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
-    return a[n]
+        row = [0] + [k * (row[k - 1] + (row[k] if k < m else 0))
+                     for k in range(1, m + 1)]
+    return sum(row)
 
 
 def _all_squares(n_max):

@@ -69,12 +69,48 @@ class TestClassFunction:
     def test_caller_errors_raise(self):
         g, h = ut_table(3, 2), ut_table(2, 2)
         with pytest.raises(ValueError):
-            ClassFunction(g, [1])
+            ClassFunction(g, {len(g.class_reps): 1})
         a = ClassFunction.trivial(g)
         b = ClassFunction.trivial(h)
         for op in (a.__add__, a.__sub__, a.__mul__, a.inner):
             with pytest.raises(ValueError):
                 op(b)
+
+    def test_repr_lists_every_class(self):
+        # _report hashes this repr, so its zeros stay in it
+        g = ut_table(2, 2)
+        assert repr(ClassFunction.class_indicator(g, 1)) == (
+            "ClassFunction(UT[1,2|1<2]q2, [Fraction(0, 1), Fraction(1, 1)])"
+        )
+
+    def test_values_are_dense(self):
+        g = ut_table(3, 2)
+        f = ClassFunction(g, {2: Fraction(1, 2)})
+        assert f.terms == {2: Fraction(1, 2)}
+        assert len(f.values) == len(g.class_reps)
+        assert f.values[2] == Fraction(1, 2)
+        assert all(type(v) is Fraction for v in f.values)
+        assert f.at_class(0) == Fraction(0) and type(f.at_class(0)) is Fraction
+        assert f.at_matrix(g.elements[g.identity_index]) == 0
+
+    def test_zero_values_are_dropped(self):
+        g = ut_table(2, 2)
+        z = ClassFunction(g, {0: 0})
+        assert z == ClassFunction(g, {})
+        assert z.terms == {}
+        assert not z
+        a = ClassFunction.class_indicator(g, 0)
+        assert not (a - a)
+
+    def test_class_keys_must_be_class_indices(self):
+        g = ut_table(2, 2)
+        for key in (2, -1, "0", True, 0.0, (0,)):
+            with pytest.raises(ValueError):
+                ClassFunction(g, {key: 1})
+        with pytest.raises(ValueError):
+            ClassFunction.class_indicator(g, 2)
+        with pytest.raises(TypeError):
+            ClassFunction(g, {0: 0.5})
 
     def test_from_function_check_rejects_non_class_function(self):
         # the corner entry moves under conjugation once a superdiagonal
@@ -122,13 +158,13 @@ def naive_induce_cf(psi, big):
             if conj in small.index:
                 total += psi.at_matrix(conj)
         values.append(total / small.order)
-    return ClassFunction(big, values)
+    return ClassFunction(big, dict(enumerate(values)))
 
 
 def elementwise_restrict_cf(psi, sub):
     """Reference restriction: psi evaluated at each class representative."""
     return ClassFunction(
-        sub, [psi.at_matrix(sub.elements[r]) for r in sub.class_reps]
+        sub, dict(enumerate(psi.at_matrix(sub.elements[r]) for r in sub.class_reps))
     )
 
 
@@ -325,16 +361,16 @@ def reference_deflate_cf(psi, levi, radical):
         for x in radical.elements:
             total += psi.at_matrix(l * x)
         values.append(scale * total)
-    return ClassFunction(levi, values)
+    return ClassFunction(levi, dict(enumerate(values)))
 
 
 def reference_inflate_cf(psi, group, levi, radical):
     """Reference inflation onto group = levi * radical: psi at the Levi
     factor of each class representative, read off group.factorization."""
     fact = group.factorization(levi, radical)
-    return ClassFunction(group, [
+    return ClassFunction(group, dict(enumerate(
         psi.values[levi.class_of[fact[r][0]]] for r in group.class_reps
-    ])
+    )))
 
 
 def reference_ut_product_component(fa, fb):
@@ -394,7 +430,7 @@ def reference_unstraighten_cf(tensor, inside, levi_table):
         c1 = tensor.left_group.class_of_matrix(m.block(inside).relabel(std_in))
         c2 = tensor.right_group.class_of_matrix(m.block(outside).relabel(std_out))
         values.append(tensor.terms.get((c1, c2), Fraction(0)))
-    return ClassFunction(levi_table, values)
+    return ClassFunction(levi_table, dict(enumerate(values)))
 
 
 def coproduct_splits(family, top, q):

@@ -230,12 +230,28 @@ class TestErrors:
         '{"terms": [{"coeff": {"0": 0.1}, "n": 1, "strict": []}]}',
         '{"terms": [{"coeff": {"0": true}, "n": 1, "strict": []}]}',
         '{"terms": [{"n": 1.0, "strict": []}]}',
+        '{"terms": [{"n": 1, "coeff": 5}]}',
+        '{"terms": [{"n": 1, "coeff": "1/2"}]}',
     ])
     def test_malformed_operand_exits_two(self, capsys, operand):
         with pytest.raises(SystemExit) as err:
             run(capsys, "scf", "antipode", "--poset", operand)
         assert err.value.code == 2
         assert "bad operand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("nuio", "list", "--n", "100000"),
+        ("scf", "coproduct", "--poset", '{"n": 20000, "strict": []}'),
+        ("verify", "oracle", "--n", "200", "--q", "2"),
+        ("verify", "monoid-axioms", "--n", "1500"),
+        ("verify", "induction-hom", "--n", "120", "--q", "2", "--extended"),
+    ])
+    def test_budget_refusal_of_a_size_too_long_to_print(self, capsys, argv):
+        # each size has more than the 4300 digits that str() of an int allows
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "budget exceeded" in err
 
     @pytest.mark.parametrize("flag,value", [("--samples", "-5"), ("--size", "0")])
     def test_bad_sampling_flags_exit_two(self, capsys, flag, value):

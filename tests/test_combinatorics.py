@@ -8,6 +8,7 @@ words against pinned examples.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -441,6 +442,16 @@ class TestProfileAgainstStrictPairs:
                     got = pi.shifted_restrict(labels)
                     assert got.key() == ref_shifted_restrict(pi, labels).key()
                     assert pi.ascent_count(labels) == ref_ascent_count(pi, labels)
+
+    def test_key_sorts_like_the_strict_pairs(self):
+        # the profile key against the (n, strict) key it replaced, on all
+        # 2,056 orders of degree <= 8 in a shuffled order
+        orders = [pi for n in range(9) for pi in natural_unit_interval_orders(n)]
+        assert len(orders) == len({pi.key() for pi in orders}) == 2056
+        random.Random(0).shuffle(orders)
+        assert sorted(orders, key=Nuio.key) == sorted(
+            orders, key=lambda pi: (pi.n, pi.strict)
+        )
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_constructor_accepts_exactly_closures_that_are_nuios(self, n):

@@ -120,7 +120,7 @@ def mackey_reports(n, i, q):
     for c in range(len(ut.class_reps)):
         psi = ClassFunction.class_indicator(ut, c)
         lhs = restrict_cf(induce_cf(psi, gl), parabolic)
-        rhs = ClassFunction(parabolic, [0] * len(parabolic.class_reps))
+        rhs = ClassFunction.zero(parabolic)
         for labels in itertools.combinations(range(1, n + 1), i):
             sub_parabolic = pattern_group(parabolic_pattern(
                 chain_order(range(1, n + 1)), split_composition(n, labels)
@@ -355,13 +355,13 @@ class TestInduction:
         assert part.left_group is gl_table(2, q)
         back = ClassFunction(
             part.left_group,
-            [
+            dict(enumerate(
                 sum(
                     (v for (c1, c2), v in part.terms.items() if c1 == c),
                     start=0,
                 )
                 for c in range(len(part.left_group.class_reps))
-            ],
+            )),
         )
         assert back == a2.terms[2]
 

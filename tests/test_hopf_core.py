@@ -9,6 +9,7 @@ reports.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -454,6 +455,14 @@ class TestMonoidLevel:
 
         for n in range(6):
             assert _fubini(n) == sum(1 for _ in set_compositions(range(1, n + 1)))
+
+    def test_fubini_equals_the_binomial_recurrence(self):
+        # the recurrence a(m) = sum_k C(m, k) a(m - k) it replaced, which
+        # multiplies big numbers by big numbers
+        a = [1]
+        for m in range(1, 61):
+            a.append(sum(math.comb(m, k) * a[m - k] for k in range(1, m + 1)))
+        assert [_fubini(n) for n in range(61)] == a
 
     def test_sampled_reports_are_deterministic(self):
         a = axiom_reports(1, 2, samples=6, sample_size=3, seed=9)
