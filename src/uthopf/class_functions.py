@@ -31,6 +31,7 @@ import functools
 from fractions import Fraction
 
 from .combinatorics import standardize
+from .group_engine import kernel
 
 
 _ZERO = Fraction(0)
@@ -174,7 +175,7 @@ class ClassFunction(Combination):
         return self.terms.get(c, _ZERO)
 
     def at_matrix(self, m):
-        return self.at_class(self.group.class_of[self.group.index[m]])
+        return self.at_class(self.group.class_of_matrix(m))
 
     def __mul__(self, other):
         if not isinstance(other, ClassFunction):
@@ -240,7 +241,7 @@ def _fusion(small, big):
     indicator of c induced up to big (zero at every other class).  Raises
     ValueError unless every element of small is in big.
     """
-    if not all(m in big.index for m in small.elements):
+    if not all(m in big for m in small.elements):
         raise ValueError("%s is not a subgroup of %s" % (small.name, big.name))
     out = []
     for r, size in zip(small.class_reps, small.class_sizes):
@@ -284,19 +285,23 @@ def induce_tensor(tensor, left, right):
 @functools.lru_cache(maxsize=None)
 def _deflation(group, levi, radical):
     """For each class representative l of levi, the (class in group, count)
-    pairs of the products l * x as x runs over radical.  Raises ValueError
-    unless levi and radical lie in group and meet only in the identity."""
-    if not all(m in group.index for m in levi.elements + radical.elements):
+    pairs of the products l * x as x runs over radical, multiplied on codes.
+    Raises ValueError unless levi and radical lie in group and meet only in
+    the identity."""
+    if not all(m in group for m in levi.elements + radical.elements):
         raise ValueError("%s and %s do not both lie in %s"
                          % (levi.name, radical.name, group.name))
-    if sum(1 for m in radical.elements if m in levi.index) != 1:
+    if sum(1 for m in radical.elements if m in levi) != 1:
         raise ValueError("%s and %s must meet only in the identity"
                          % (levi.name, radical.name))
+    mul = kernel(group.p, len(group.ground)).mul
+    class_of, index = group.class_of, group.index
+    xs = [x.code for x in radical.elements]
     return tuple(
         tuple(collections.Counter(
-            group.class_of_matrix(levi.elements[r] * x) for x in radical.elements
+            class_of[index[mul(l, x)]] for x in xs
         ).items())
-        for r in levi.class_reps
+        for l in (levi.elements[r].code for r in levi.class_reps)
     )
 
 

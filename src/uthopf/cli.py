@@ -156,10 +156,14 @@ def _print_reports(reports, fmt):
         _emit({"reports": reports, "failures": failures, "total": len(reports)})
     else:
         for r in reports:
-            print(
-                "%s %s %s lhs=%s rhs=%s"
-                % (r["status"], r["check"], r["instance"], r["lhs_hash"], r["rhs_hash"])
+            line = "%s %s %s lhs=%s rhs=%s" % (
+                r["status"], r["check"], r["instance"], r["lhs_hash"], r["rhs_hash"]
             )
+            if "diff" in r:
+                d = r["diff"]
+                line += " at=%s lhs_value=%s rhs_value=%s" % (
+                    json.dumps(d["at"], separators=(",", ":")), d["lhs"], d["rhs"])
+            print(line)
         print("%d checks, %d failures" % (len(reports), failures))
     return 1 if failures else 0
 

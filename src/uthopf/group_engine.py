@@ -1,11 +1,15 @@
 """Brute-force matrix groups over prime fields.
 
 Groups are explicit sorted lists of immutable matrices, each built from
-given generators.  One pass looks up every left product and conjugate of an
-element by a generator in that list (products are never cached); it proves
-that the generators generate the list and joins its conjugacy classes.
-Matrices carry a sorted ground set of row/column labels, so a matrix on
-ground (2, 4) is 2x2 with label pairs drawn from {2, 4}.
+given generators.  Every matrix also carries its packed code: the entries of
+an n x n matrix over F_p held in one int by the kernel of (p, n), which
+multiplies codes without building matrices.  A table is indexed by the codes
+of its elements.  One pass looks up every left product and conjugate of an
+element by a generator, both computed on codes (products are never cached);
+it proves that the generators generate the list and joins its conjugacy
+classes.  Matrices carry a sorted ground set of row/column labels, so a
+matrix on ground (2, 4) is 2x2 with label pairs drawn from {2, 4}; a code
+names a matrix only together with its field and ground.
 
 The library does not read GroupTable.factorization: inflation reads the
 coset class counts of class_functions._deflation.  It is a reference for
@@ -18,6 +22,7 @@ before any element is built.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -37,6 +42,56 @@ def _positions(ground):
     return {label: k for k, label in enumerate(ground)}
 
 
+Kernel = collections.namedtuple("Kernel", "encode decode mul")
+
+
+@functools.lru_cache(maxsize=None)
+def kernel(p, n):
+    """Products of n x n matrices over F_p packed into ints.
+
+    Entry (r, c) sits in a field of w bits at bit (r n + c) w, row-major.
+    With rows B_k of b and columns A_k of a (entry A[r][k] at bit r n w), the
+    product is the sum over k of A_k * B_k: each term places copies of row
+    k of b, scaled by A[r][k], at the rows r.  At p = 2, w = 1 and the sum is
+    an XOR, the rows of b selected by the bits of a (M4RI; Albrecht, Bard
+    and Hart, ACM TOMS 2010).  At odd p, w holds n (p - 1)^2, the largest
+    unreduced sum, and each field is then reduced mod p.  Returns
+    Kernel(encode(rows) -> code, decode(code) -> rows, mul(a, b) -> code);
+    encode expects entries already reduced mod p.
+    """
+    w = 1 if p == 2 else (n * (p - 1) ** 2).bit_length()
+    field = (1 << w) - 1
+    row = (1 << n * w) - 1
+    column = sum(field << r * n * w for r in range(n))
+    steps = [(k * w, k * n * w) for k in range(n)]
+    shifts = [[(r * n + c) * w for c in range(n)] for r in range(n)]
+    flat = [s for line in shifts for s in line]
+
+    def encode(rows):
+        return sum(e << s for e, s in zip(itertools.chain(*rows), flat))
+
+    def decode(code):
+        return tuple([tuple([code >> s & field for s in line]) for line in shifts])
+
+    if p == 2:
+        def mul(a, b):
+            out = 0
+            for ka, kb in steps:
+                out ^= (a >> ka & column) * (b >> kb & row)
+            return out
+    else:
+        def mul(a, b):
+            acc = 0
+            for ka, kb in steps:
+                acc += (a >> ka & column) * (b >> kb & row)
+            out = 0
+            for s in flat:
+                out |= (acc >> s & field) % p << s
+            return out
+
+    return Kernel(encode, decode, mul)
+
+
 def _find(root, i):
     """Root of i in a union-find forest, halving the path on the way."""
     while root[i] != i:
@@ -45,9 +100,10 @@ def _find(root, i):
 
 
 class FqMatrix:
-    """Immutable matrix over a prime field, rows and columns labelled."""
+    """Immutable matrix over a prime field, rows and columns labelled; code
+    packs its entries for kernel(p, len(ground))."""
 
-    __slots__ = ("p", "ground", "rows", "_hash")
+    __slots__ = ("p", "ground", "rows", "code")
 
     def __init__(self, p, ground, rows):
         _check_prime(p)
@@ -61,7 +117,14 @@ class FqMatrix:
         self.p = p
         self.ground = ground
         self.rows = rows
-        self._hash = hash((p, ground, rows))
+        self.code = kernel(p, n).encode(rows)
+
+    @classmethod
+    def _from_code(cls, p, ground, code, decode):
+        """The matrix of a kernel product: decoded, not validated again."""
+        m = object.__new__(cls)
+        m.p, m.ground, m.code, m.rows = p, ground, code, decode(code)
+        return m
 
     @classmethod
     def identity(cls, p, ground):
@@ -85,24 +148,20 @@ class FqMatrix:
     def __mul__(self, other):
         if self.p != other.p or self.ground != other.ground:
             raise ValueError("factors over different fields or grounds")
-        p = self.p
-        cols = tuple(zip(*other.rows))
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-            for row in self.rows
-        )
-        return FqMatrix(p, self.ground, rows)
+        k = kernel(self.p, len(self.ground))
+        return FqMatrix._from_code(self.p, self.ground,
+                                   k.mul(self.code, other.code), k.decode)
 
     def __eq__(self, other):
         return (
             isinstance(other, FqMatrix)
+            and self.code == other.code
             and self.p == other.p
             and self.ground == other.ground
-            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.p, self.ground, self.code))
 
     def __repr__(self):
         return "FqMatrix(p=%d, ground=%s, %s)" % (
@@ -203,47 +262,57 @@ class GroupTable:
         self.elements = list(elements)
         if not self.elements:
             raise ValueError("a group needs at least the identity")
-        self.index = {m: i for i, m in enumerate(self.elements)}
+        self.p = self.elements[0].p
+        self.ground = self.elements[0].ground
+        if any(m.p != self.p or m.ground != self.ground for m in self.elements):
+            raise ValueError("elements over different fields or grounds")
+        self.index = {m.code: i for i, m in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("repeated elements")
         self.order = len(self.elements)
-        self.p = self.elements[0].p
-        self.ground = self.elements[0].ground
         self.name = name or "group/%d/%d" % (self.p, self.order)
-        ident = FqMatrix.identity(self.p, self.ground)
-        if ident not in self.index:
+        self.identity_index = self.position(FqMatrix.identity(self.p, self.ground))
+        if self.identity_index is None:
             raise ValueError("identity missing")
-        self.identity_index = self.index[ident]
         self._classes = None
         self._factorizations = {}
-        try:
-            gens = [self.index[g] for g in generators]
-        except KeyError:
+        gens = [self.position(g) for g in generators]
+        if None in gens:
             raise ValueError("a generator of %s is not in its element list"
-                             % self.name) from None
+                             % self.name)
         self._generators = self._ensure_generating(gens)
 
     def __repr__(self):
         return "GroupTable(%s, order=%d)" % (self.name, self.order)
 
+    def position(self, matrix):
+        """Index of matrix in the element list, or None when it is not an
+        element (a code is read only over the field and ground of the table)."""
+        if matrix.p != self.p or matrix.ground != self.ground:
+            return None
+        return self.index.get(matrix.code)
+
     def __contains__(self, matrix):
-        return matrix in self.index
+        return self.position(matrix) is not None
 
     def _ensure_generating(self, gens):
         """Return gens after one pass over every element m and generator g:
         m is joined to g * m in a Cayley forest and to g * m * g^-1 in the
-        conjugation forest _root.  Raises ValueError unless every product
-        lies in the table and the Cayley tree of the identity holds all of
-        it; the conjugation trees are then the conjugacy classes."""
+        conjugation forest _root, both products computed on codes by the
+        kernel.  Raises ValueError unless every product lies in the table
+        and the Cayley tree of the identity holds all of it; the
+        conjugation trees are then the conjugacy classes."""
         index = self.index
-        pairs = [(self.elements[g], self.elements[g].inverse()) for g in gens]
-        cayley = list(index.values())
-        root = self._root = list(index.values())
-        for i, m in enumerate(self.elements):
+        mul = kernel(self.p, len(self.ground)).mul
+        pairs = [(self.elements[g].code, self.elements[g].inverse().code)
+                 for g in gens]
+        cayley = list(range(self.order))
+        root = self._root = list(range(self.order))
+        for i, m in enumerate([m.code for m in self.elements]):
             for g, ginv in pairs:
-                gm = g * m
+                gm = mul(g, m)
                 j = index.get(gm)
-                k = index.get(gm * ginv)
+                k = index.get(mul(gm, ginv))
                 if j is None or k is None:
                     raise ValueError("%s is not closed under products"
                                      % self.name)
@@ -261,7 +330,8 @@ class GroupTable:
 
     def _conjugacy(self):
         """Label the conjugation trees on first read: classes in order of
-        their least element, members ascending."""
+        their least element, members ascending; returns (classes, class_of,
+        class_reps, class_sizes)."""
         if self._classes is None:
             trees = {}
             for i in range(self.order):
@@ -271,7 +341,8 @@ class GroupTable:
             for label, members in enumerate(classes):
                 for i in members:
                     class_of[i] = label
-            self._classes = (classes, tuple(class_of))
+            self._classes = (classes, tuple(class_of),
+                             tuple(c[0] for c in classes), tuple(map(len, classes)))
             del self._root
         return self._classes
 
@@ -285,14 +356,18 @@ class GroupTable:
 
     @property
     def class_reps(self):
-        return tuple(c[0] for c in self.classes)
+        return self._conjugacy()[2]
 
     @property
     def class_sizes(self):
-        return tuple(len(c) for c in self.classes)
+        return self._conjugacy()[3]
 
     def class_of_matrix(self, m):
-        return self.class_of[self.index[m]]
+        """Class index of m; raises KeyError unless m is an element."""
+        i = self.position(m)
+        if i is None:
+            raise KeyError(m)
+        return self.class_of[i]
 
     def factorization(self, levi, radical):
         """For each element g return (i, j) with g = levi[i] * radical[j].
@@ -309,7 +384,7 @@ class GroupTable:
             return got
         if levi.order * radical.order != self.order:
             raise ValueError("levi and radical orders must multiply to %d" % self.order)
-        overlap = sum(1 for m in radical.elements if m in levi.index)
+        overlap = sum(1 for m in radical.elements if m in levi)
         if overlap != 1:
             raise ValueError("levi and radical must meet only in the identity")
         n = len(self.ground)
@@ -323,10 +398,10 @@ class GroupTable:
                 [e if keep else 0 for e, keep in zip(row, mask)]
                 for row, mask in zip(g.rows, support)
             ])
-            li = levi.index.get(l)
+            li = levi.position(l)
             if li is None:
                 raise ValueError("levi part of %r is not in levi" % (g,))
-            rj = radical.index.get(l.inverse() * g)
+            rj = radical.position(l.inverse() * g)
             if rj is None:
                 raise ValueError("%r does not factor through levi" % (g,))
             out.append((li, rj))

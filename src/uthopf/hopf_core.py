@@ -509,14 +509,50 @@ def specialize_tensor(tx, q):
 
 
 def _report(check, instance, lhs, rhs, relation=operator.eq):
-    """One report line: ok when relation(lhs, rhs) holds."""
-    return {
+    """One report line: ok when relation(lhs, rhs) holds.  A failing
+    equality also carries the first difference of the two sides."""
+    ok = relation(lhs, rhs)
+    report = {
         "check": check,
         "instance": instance,
-        "status": "ok" if relation(lhs, rhs) else "fail",
+        "status": "ok" if ok else "fail",
         "lhs_hash": short_hash(repr(lhs)),
         "rhs_hash": short_hash(repr(rhs)),
     }
+    if not ok and relation is operator.eq:
+        report["diff"] = _first_difference(lhs, rhs)
+    return report
+
+
+def _first_difference(lhs, rhs, at=()):
+    """{"at": coordinate, "lhs": value, "rhs": value} at the first place two
+    unequal values differ.  Nested Combinations are walked through their
+    terms in sorted key order (degree, class index, tensor key), a missing
+    key reading as zero; the coordinate is the list of keys on the way, and
+    "context" when the two combinations live on different groups or primes."""
+    if isinstance(lhs, Combination) and type(lhs) is type(rhs):
+        if lhs.context != rhs.context:
+            return _first_difference(lhs.context, rhs.context, at + ("context",))
+        for key in sorted(lhs.terms.keys() | rhs.terms.keys()):
+            a, b = lhs.terms.get(key), rhs.terms.get(key)
+            if a != b:
+                return _first_difference(
+                    _zero_like(b) if a is None else a,
+                    _zero_like(a) if b is None else b, at + (key,))
+    return {"at": [_coordinate(k) for k in at],
+            "lhs": _value_text(lhs), "rhs": _value_text(rhs)}
+
+
+def _zero_like(c):
+    return c._like({}) if isinstance(c, Combination) else type(c)()
+
+
+def _coordinate(key):
+    return [_coordinate(k) for k in key] if isinstance(key, tuple) else key
+
+
+def _value_text(v):
+    return frac_str(v) if isinstance(v, (Fraction, int)) else repr(v)
 
 
 def _ordinal_fold(orders):

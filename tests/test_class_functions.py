@@ -155,7 +155,7 @@ def naive_induce_cf(psi, big):
         total = Fraction(0)
         for x, xinv in zip(big.elements, inverses):
             conj = x * g * xinv
-            if conj in small.index:
+            if conj in small:
                 total += psi.at_matrix(conj)
         values.append(total / small.order)
     return ClassFunction(big, dict(enumerate(values)))
@@ -198,6 +198,19 @@ class TestInduction:
             induce_cf(ClassFunction.trivial(lower), ut)
         with pytest.raises(ValueError):
             restrict_cf(ClassFunction.trivial(ut), lower)
+
+    def test_same_codes_on_another_ground_are_not_a_subgroup(self):
+        # UT_3 on the labels 2 < 3 < 4 packs its elements to the codes of
+        # UT_3 on 1 < 2 < 3, but none of them is an element of it
+        ut = ut_table(3, 2)
+        moved = pattern_group(chain_order((2, 3, 4)), 2)
+        assert [m.code for m in moved.elements] == [m.code for m in ut.elements]
+        with pytest.raises(ValueError):
+            _fusion(moved, ut)
+        with pytest.raises(ValueError):
+            induce_cf(ClassFunction.trivial(moved), ut)
+        with pytest.raises(KeyError):
+            ClassFunction.trivial(ut).at_matrix(moved.elements[0])
 
     def test_induced_trivial_at_identity_is_the_index(self):
         ut = ut_table(3, 2)
@@ -271,6 +284,16 @@ class TestInflationDeflation:
             inflate_cf(ClassFunction.trivial(levi), big, levi, lower)
         with pytest.raises(ValueError):
             deflate_cf(ClassFunction.trivial(big), levi, lower)
+
+    def test_levi_and_radical_on_another_ground_do_not_lie_in_the_group(self):
+        # the split of UT_3 on 1 < 2 < 3 has the codes of a split of UT_3
+        # on 2 < 3 < 4, but does not lie in it
+        moved = pattern_group(chain_order((2, 3, 4)), 2)
+        levi, radical = ut_split_tables(3, (1,), 2)
+        with pytest.raises(ValueError):
+            deflate_cf(ClassFunction.trivial(moved), levi, radical)
+        with pytest.raises(ValueError):
+            inflate_cf(ClassFunction.trivial(levi), moved, levi, radical)
 
     def test_levi_and_radical_must_meet_only_in_the_identity(self):
         big = ut_table(3, 2)

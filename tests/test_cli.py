@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from uthopf import cli, gl_bridge, hopf_core
+from uthopf.class_functions import ClassFunction
+from uthopf.hopf_core import GradedClassFunction
 
 
 def run(capsys, *argv):
@@ -194,6 +197,36 @@ class TestVerify:
         )
         assert code == 1
         assert json.loads(out)["failures"] == 1
+
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failure_names_the_first_difference(self, capsys, monkeypatch, fmt):
+        # one class value of every product of degree 2 is moved by 1
+        product = hopf_core.ut_product
+
+        def perturbed(a, b):
+            out = product(a, b)
+            if 2 not in out.terms:
+                return out
+            bump = ClassFunction.class_indicator(out.terms[2].group, 1)
+            return out + GradedClassFunction(out.q, {2: bump})
+
+        monkeypatch.setattr(hopf_core, "ut_product", perturbed)
+        code, out, _ = run(capsys, "verify", "oracle", "--n", "2", "--q", "2",
+                           "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            failed = [r for r in json.loads(out)["reports"] if r["status"] == "fail"]
+            assert failed and all(r["diff"]["at"] == [2, 1] for r in failed)
+            assert all(Fraction(r["diff"]["rhs"]) - Fraction(r["diff"]["lhs"]) == 1
+                       for r in failed)
+            assert all("diff" not in r for r in json.loads(out)["reports"]
+                       if r["status"] == "ok")
+        else:
+            lines = out.splitlines()
+            failed = [line for line in lines if line.startswith("fail ")]
+            assert failed and all(" at=[2,1] lhs_value=" in line for line in failed)
+            assert all(" at=" not in line for line in lines if line.startswith("ok "))
 
 
 class TestErrors:

@@ -163,12 +163,12 @@ def bruhat_reports(n, i, q):
             for k in frontier:
                 m = gl.elements[k]
                 for u in ut_gens:
-                    idx = gl.index[u * m]
+                    idx = gl.position(u * m)
                     if idx not in orbit:
                         orbit.add(idx)
                         new.append(idx)
                 for p in p_gens:
-                    idx = gl.index[m * p]
+                    idx = gl.position(m * p)
                     if idx not in orbit:
                         orbit.add(idx)
                         new.append(idx)
@@ -179,7 +179,7 @@ def bruhat_reports(n, i, q):
     rep_indices = set()
     for labels in itertools.combinations(range(1, n + 1), i):
         w = coset_rep_permutation(n, labels)
-        rep_indices.add(gl.index[permutation_matrix(w, q, gl.ground)])
+        rep_indices.add(gl.position(permutation_matrix(w, q, gl.ground)))
     hits = [len(coset & rep_indices) for coset in cosets]
     lhs = sorted(hits)
     rhs = [1] * len(cosets)
@@ -203,7 +203,7 @@ def levi_conjugation_reports(n, labels, q):
         ("parabolic", parabolic_table(n, i, q), sub_parabolic),
     ):
         moved = {m.relabel(w) for m in big.elements}
-        lhs = sorted(m.to_digits() for m in moved if m in ut.index)
+        lhs = sorted(m.to_digits() for m in moved if m in ut)
         rhs = sorted(m.to_digits() for m in target.elements)
         instance = "n=%d;I=%s;q=%d;%s" % (n, list(labels), q, kind)
         reports.append(_report("levi-conjugation", instance, lhs, rhs))

@@ -21,6 +21,7 @@ from uthopf.group_engine import (
     enumeration_budget,
     gl_order,
     gl_table,
+    kernel,
     pattern_group,
     permutation_matrix,
     primitive_root,
@@ -94,14 +95,16 @@ def random_matrix(rng, p, n):
     return FqMatrix(p, ground, rows)
 
 
-def brute_product(a, b):
-    p, ground = a.p, a.ground
-    n = len(ground)
-    rows = [
-        [sum(a.rows[i][k] * b.rows[k][j] for k in range(n)) % p for j in range(n)]
-        for i in range(n)
-    ]
-    return FqMatrix(p, ground, rows)
+def reference_mul(a, b):
+    """The tuple product that FqMatrix.__mul__ computed before the packed
+    kernel: each entry a row of a dotted with a column of b, mod p."""
+    p = a.p
+    cols = tuple(zip(*b.rows))
+    rows = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+        for row in a.rows
+    )
+    return FqMatrix(p, a.ground, rows)
 
 
 class TestFqMatrix:
@@ -111,7 +114,7 @@ class TestFqMatrix:
             for _ in range(20):
                 a = random_matrix(rng, p, 4)
                 b = random_matrix(rng, p, 4)
-                assert a * b == brute_product(a, b)
+                assert a * b == reference_mul(a, b)
 
     def test_identity_and_one_off(self):
         e = FqMatrix.identity(3, (1, 2, 3))
@@ -226,11 +229,69 @@ class TestFqMatrix:
         with pytest.raises(ValueError):
             FqMatrix(2, (1, 2), [[1, 0], [0]])
 
+    def test_equal_rows_over_two_fields_are_unequal(self):
+        rows = [[1, 1], [0, 1]]
+        a, b = FqMatrix(2, (1, 2), rows), FqMatrix(3, (1, 2), rows)
+        assert a.rows == b.rows and a != b
+        assert FqMatrix(2, (2, 3), rows) != a
+        assert len({a, b, FqMatrix(2, (2, 3), rows)}) == 3
+
     def test_ground_must_be_sorted_and_distinct(self):
         with pytest.raises(ValueError):
             FqMatrix(2, (2, 1), [[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             FqMatrix(2, (1, 1), [[1, 0], [0, 1]])
+
+
+def random_invertible(rng, p, n):
+    while True:
+        m = random_matrix(rng, p, n)
+        if is_invertible(m):
+            return m
+
+
+class TestKernel:
+    """The packed product against the tuple product, on random matrices."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_kernel_against_the_tuple_product(self, p):
+        rng = random.Random(p)
+        for n in range(6):
+            k = kernel(p, n)
+            ground = tuple(range(1, n + 1))
+            top = FqMatrix(p, ground, [[p - 1] * n] * n)  # largest unreduced sums
+            pairs = [(top, top)] + [
+                (random_matrix(rng, p, n), random_matrix(rng, p, n)) for _ in range(30)
+            ]
+            for a, b in pairs:
+                assert k.decode(k.encode(a.rows)) == a.rows
+                assert k.encode(a.rows) == a.code
+                want = reference_mul(a, b)
+                assert k.mul(a.code, b.code) == want.code
+                assert k.decode(k.mul(a.code, b.code)) == want.rows
+                got = a * b
+                assert got == want and got.rows == want.rows
+                assert got.to_digits() == want.to_digits() and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_inverse_gives_the_identity(self, p):
+        rng = random.Random(100 + p)
+        for n in range(6):
+            ident = FqMatrix.identity(p, tuple(range(1, n + 1)))
+            for _ in range(10):
+                m = random_invertible(rng, p, n)
+                assert m * m.inverse() == ident == m.inverse() * m
+
+    def test_empty_matrix(self):
+        for p in (2, 3, 13):
+            (m,) = gl_table(0, p).elements
+            assert m.rows == () and m.code == 0 and m * m == m == m.inverse()
+            assert kernel(p, 0).decode(0) == ()
+
+    def test_commas_at_large_primes(self):
+        a = FqMatrix(13, (1, 2), [[12, 11], [0, 10]])
+        assert (a * a).to_digits() == "1,8,0,9"
+        assert (a * a).to_digits() == reference_mul(a, a).to_digits()
 
 
 def search_generators(elements):
@@ -263,7 +324,7 @@ def brute_conjugacy(table):
     for i, g in enumerate(table.elements):
         if i in seen:
             continue
-        orbit = {table.index[h * g * h.inverse()] for h in table.elements}
+        orbit = {table.position(h * g * h.inverse()) for h in table.elements}
         seen |= orbit
         classes.append(frozenset(orbit))
     return set(classes)
@@ -291,7 +352,7 @@ def reference_conjugacy(table):
             for j in frontier:
                 mj = table.elements[j]
                 for gm, gminv in gen_pairs:
-                    k = table.index[gm * mj * gminv]
+                    k = table.position(gm * mj * gminv)
                     if class_of[k] is None:
                         class_of[k] = label
                         orbit.append(k)
@@ -346,7 +407,7 @@ class TestGroupTable:
         g = ut_table(3, 2)
         for a in g.elements:
             for b in g.elements:
-                assert a * b in g.index
+                assert a * b in g
 
     def test_conjugacy_against_full_conjugation(self):
         for table in (ut_table(3, 2), ut_table(3, 3), gl_table(2, 2), gl_table(2, 3)):
@@ -383,6 +444,20 @@ class TestGroupTable:
         for table in (ut_table(4, 2), gl_table(3, 2)):
             assert sum(table.class_sizes) == table.order
             assert all(table.order % s == 0 for s in table.class_sizes)
+
+    def test_membership_reads_field_and_ground(self):
+        # a matrix with the code of an element, over another field or
+        # ground, is not an element
+        g = ut_table(3, 2)
+        ident = g.elements[g.identity_index]
+        over_f3 = FqMatrix(3, g.ground, kernel(3, 3).decode(ident.code))
+        moved = FqMatrix(2, (2, 3, 4), ident.rows)
+        for m in (over_f3, moved):
+            assert m.code == ident.code
+            assert m not in g and g.position(m) is None
+            with pytest.raises(KeyError):
+                g.class_of_matrix(m)
+        assert ident in g and g.position(ident) == g.identity_index
 
     def test_class_of_matrix_consistent(self):
         g = gl_table(2, 3)
@@ -429,6 +504,11 @@ class TestGroupTable:
         x3 = FqMatrix.one_off(3, (1, 2), 1, 2, 1)
         with pytest.raises(ValueError):
             GroupTable([ident3, x3], [x3])
+        # one list over two fields or two grounds
+        with pytest.raises(ValueError):
+            GroupTable([ident, ident3], [ident])
+        with pytest.raises(ValueError):
+            GroupTable([ident, FqMatrix.identity(2, (1, 3))], [ident])
 
     def test_singular_generator_raises(self):
         ident = FqMatrix.identity(2, (1, 2))
@@ -455,7 +535,7 @@ class TestGroupTable:
             nxt = []
             for i in frontier:
                 for h in gens:
-                    j = g.index[g.elements[i] * h]
+                    j = g.position(g.elements[i] * h)
                     if j not in span:
                         span.add(j)
                         nxt.append(j)
@@ -470,7 +550,7 @@ def search_factorization(big, levi, radical):
     out = []
     for g in big.elements:
         for j, rinv in rad_inv:
-            li = levi.index.get(g * rinv)
+            li = levi.position(g * rinv)
             if li is not None:
                 out.append((li, j))
                 break

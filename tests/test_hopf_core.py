@@ -10,18 +10,23 @@ reports.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 
+from uthopf.class_functions import ClassFunction, TensorFunction
 from uthopf.combinatorics import Nuio, SetComposition, \
     natural_unit_interval_orders
 from uthopf.group_engine import ut_table
 from uthopf.hopf_core import (
+    GradedClassFunction,
+    GradedTensor,
     LaurentT,
     ScfElement,
     TensorScf,
     _fubini,
+    _report,
     axiom_reports,
     coproduct_oracle_reports,
     monoid_deflate,
@@ -469,3 +474,42 @@ class TestMonoidLevel:
         b = axiom_reports(1, 2, samples=6, sample_size=3, seed=9)
         assert [r["instance"] for r in a] == [r["instance"] for r in b]
         assert all(r["status"] == "ok" for r in a)
+
+
+class TestFailureDiff:
+    """A failing equality report names its first differing coordinate."""
+
+    def test_perturbed_class_function(self):
+        lhs = specialize(basis(W4), 2)
+        table = lhs.terms[4].group
+        c = len(table.class_reps) - 1
+        bump = GradedClassFunction(2, {4: ClassFunction.class_indicator(table, c)})
+        report = _report("check", "instance", lhs, lhs + bump)
+        assert report["status"] == "fail"
+        value = lhs.terms[4].at_class(c)
+        assert report["diff"] == {"at": [4, c], "lhs": "%d/%d" % (
+            value.numerator, value.denominator), "rhs": "%d/%d" % (
+            (value + 1).numerator, (value + 1).denominator)}
+
+    def test_perturbed_tensor_reads_a_missing_key_as_zero(self):
+        lhs = ut_coproduct(specialize(basis(J3), 2))
+        left, right = ut_table(1, 2), ut_table(2, 2)
+        bump = GradedTensor(2, {(1, 2): TensorFunction(left, right, {(0, 1): 3})})
+        report = _report("check", "instance", lhs, lhs + bump)
+        before = lhs.terms[(1, 2)].terms.get((0, 1), Fraction(0))
+        assert report["diff"]["at"] == [[1, 2], [0, 1]]
+        assert Fraction(report["diff"]["rhs"]) - Fraction(report["diff"]["lhs"]) == 3
+        assert Fraction(report["diff"]["lhs"]) == before
+        # a degree present on one side only reads as the zero family
+        only = _report("check", "instance", GradedTensor(2), bump)
+        assert only["diff"] == {"at": [[1, 2], [0, 1]], "lhs": "0/1", "rhs": "3/1"}
+
+    def test_different_groups_differ_in_context(self):
+        a = ClassFunction.trivial(ut_table(2, 2))
+        b = ClassFunction.trivial(ut_table(2, 3))
+        assert _report("check", "instance", a, b)["diff"]["at"] == ["context"]
+
+    def test_success_and_inequality_carry_no_diff(self):
+        x = specialize(basis(V3), 3)
+        assert "diff" not in _report("check", "instance", x, x)
+        assert "diff" not in _report("check", "instance", x, x, operator.ne)

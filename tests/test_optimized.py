@@ -84,6 +84,12 @@ NODE_IDS = [
     "tests/test_cli.py::TestErrors::test_symbolic_budget_exceeded",
     "tests/test_class_functions.py::TestClassFunction::"
     "test_class_keys_must_be_class_indices",
+    "tests/test_group_engine.py::TestFqMatrix::test_equal_rows_over_two_fields_are_unequal",
+    "tests/test_group_engine.py::TestGroupTable::test_membership_reads_field_and_ground",
+    "tests/test_class_functions.py::TestInduction::"
+    "test_same_codes_on_another_ground_are_not_a_subgroup",
+    "tests/test_class_functions.py::TestInflationDeflation::"
+    "test_levi_and_radical_on_another_ground_do_not_lie_in_the_group",
 ]
 
 
@@ -98,5 +104,5 @@ def test_validation_survives_optimize():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "73 passed" in proc.stdout, proc.stdout[-3000:]
+    assert "77 passed" in proc.stdout, proc.stdout[-3000:]
     assert "python -O" in proc.stdout, "the subprocess did not run optimized"
