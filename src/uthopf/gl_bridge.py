@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from .combinatorics import _check_budget
-from .group_engine import FqMatrix, GroupTable, _gl_generators, gl_order, gl_table
+from .group_engine import FqMatrix, GroupTable, _gl_generators, gl_order, gl_table, kernel
 # deflate_cf is bound here too: perfbench/test_perfbench.py checks that
 # the tracer rebinds this copy of it.
 from .class_functions import deflate_cf, induce_cf, induce_tensor  # noqa: F401
@@ -46,7 +46,7 @@ def _levi_generators(n, i, q):
 @functools.lru_cache(maxsize=None)
 def parabolic_table(n, i, q):
     """Invertible matrices with vanishing lower left block of shape (n-i) x i,
-    kept from the elements of gl_table(n, q) by a slice of their rows; for
+    kept from the elements of gl_table(n, q) whose codes miss its bits; for
     i in (0, n) the block is empty and this is gl_table(n, q) itself.
 
     The product builds no parabolic group; this table is a reference for
@@ -59,9 +59,9 @@ def parabolic_table(n, i, q):
     if i in (0, n):
         return gl
     corner = FqMatrix.one_off(q, gl.ground, i, i + 1, 1)
+    lower = kernel(q, n).mask((r, c) for r in range(i, n) for c in range(i))
     return GroupTable(
-        [m for m in gl.elements
-         if not any(e for row in m.rows[i:] for e in row[:i])],
+        [m for m in gl.elements if not m.code & lower],
         generators=_levi_generators(n, i, q) + [corner],
         name="GL%dP%dq%d" % (n, i, q),
     )
@@ -71,15 +71,15 @@ def parabolic_table(n, i, q):
 def levi_table(n, i, q):
     """Block diagonal invertible matrices, blocks of sizes i and n - i, kept
     from the elements of gl_table(n, q) whose two off diagonal blocks
-    vanish; for i in (0, n) there is one block and this is gl_table(n, q)
-    itself."""
+    vanish, read off the bits of their codes; for i in (0, n) there is one
+    block and this is gl_table(n, q) itself."""
     gl = gl_table(n, q)
     if i in (0, n):
         return gl
+    off = kernel(q, n).mask((r, c) for r in range(n) for c in range(n)
+                            if (r < i) != (c < i))
     return GroupTable(
-        [m for m in gl.elements
-         if not any(e for row in m.rows[i:] for e in row[:i])
-         and not any(e for row in m.rows[:i] for e in row[i:])],
+        [m for m in gl.elements if not m.code & off],
         generators=_levi_generators(n, i, q),
         name="GL%dL%dq%d" % (n, i, q),
     )

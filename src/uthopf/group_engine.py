@@ -1,11 +1,11 @@
 """Brute-force matrix groups over prime fields.
 
-Groups are explicit sorted lists of immutable matrices, each built from
-given generators.  Every matrix also carries its packed code: the entries of
-an n x n matrix over F_p held in one int by the kernel of (p, n), which
-multiplies codes without building matrices.  A table is indexed by the codes
-of its elements.  One pass looks up every left product and conjugate of an
-element by a generator, both computed on codes (products are never cached);
+Groups are explicit sorted lists of immutable matrices with given
+generators.  A matrix is its packed code, the entries of an n x n matrix
+over F_p in one int, decoded on read by the kernel of (p, n), which also
+multiplies codes.  Tables build the codes of their elements directly and
+are indexed by them.  One pass looks up every left product and conjugate of
+an element by a generator, computed on codes (products are never cached);
 it proves that the generators generate the list and joins its conjugacy
 classes.  Matrices carry a sorted ground set of row/column labels, so a
 matrix on ground (2, 4) is 2x2 with label pairs drawn from {2, 4}; a code
@@ -42,7 +42,7 @@ def _positions(ground):
     return {label: k for k, label in enumerate(ground)}
 
 
-Kernel = collections.namedtuple("Kernel", "encode decode mul")
+Kernel = collections.namedtuple("Kernel", "encode decode mul mask")
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,8 +56,16 @@ def kernel(p, n):
     an XOR, the rows of b selected by the bits of a (M4RI; Albrecht, Bard
     and Hart, ACM TOMS 2010).  At odd p, w holds n (p - 1)^2, the largest
     unreduced sum, and each field is then reduced mod p.  Returns
-    Kernel(encode(rows) -> code, decode(code) -> rows, mul(a, b) -> code);
-    encode expects entries already reduced mod p.
+    Kernel(encode(rows) -> code, decode(code) -> rows, mul(a, b) -> code,
+    mask(cells) -> the bits of the entries at the (row, column) cells);
+    encode expects entries already reduced mod p, so an entry at a cell is 0
+    exactly when code & mask([cell]) is.
+
+    >>> k, m = kernel(2, 2), kernel(3, 2)
+    >>> k.encode(((1, 0), (1, 1))), k.decode(13), 13 & k.mask([(0, 1)])
+    (13, ((1, 0), (1, 1)), 0)
+    >>> m.encode(((1, 2), (0, 1))), m.decode(4129), 4129 & m.mask([(0, 1)])
+    (4129, ((1, 2), (0, 1)), 32)
     """
     w = 1 if p == 2 else (n * (p - 1) ** 2).bit_length()
     field = (1 << w) - 1
@@ -72,6 +80,9 @@ def kernel(p, n):
 
     def decode(code):
         return tuple([tuple([code >> s & field for s in line]) for line in shifts])
+
+    def mask(cells):
+        return sum(field << shifts[r][c] for r, c in cells)
 
     if p == 2:
         def mul(a, b):
@@ -89,7 +100,7 @@ def kernel(p, n):
                 out |= (acc >> s & field) % p << s
             return out
 
-    return Kernel(encode, decode, mul)
+    return Kernel(encode, decode, mul, mask)
 
 
 def _find(root, i):
@@ -100,38 +111,41 @@ def _find(root, i):
 
 
 class FqMatrix:
-    """Immutable matrix over a prime field, rows and columns labelled; code
-    packs its entries for kernel(p, len(ground))."""
+    """Immutable matrix over a prime field, rows and columns labelled, held
+    as its code for kernel(p, len(ground)); rows are decoded on read."""
 
-    __slots__ = ("p", "ground", "rows", "code")
+    __slots__ = ("p", "ground", "code")
 
     def __init__(self, p, ground, rows):
         _check_prime(p)
         ground = tuple(ground)
-        rows = tuple(tuple(int(e) % p for e in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         n = len(ground)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("rows must form a %dx%d matrix" % (n, n))
+        if any(type(e) is not int for row in rows for e in row):
+            raise ValueError("matrix entries must be ints")
         if ground != tuple(sorted(set(ground))):
             raise ValueError("ground must be sorted")
         self.p = p
         self.ground = ground
-        self.rows = rows
-        self.code = kernel(p, n).encode(rows)
+        self.code = kernel(p, n).encode([[e % p for e in row] for row in rows])
 
     @classmethod
-    def _from_code(cls, p, ground, code, decode):
-        """The matrix of a kernel product: decoded, not validated again."""
+    def _from_code(cls, p, ground, code):
+        """The matrix of a code built over a checked prime: not validated."""
         m = object.__new__(cls)
-        m.p, m.ground, m.code, m.rows = p, ground, code, decode(code)
+        m.p, m.ground, m.code = p, ground, code
         return m
+
+    @property
+    def rows(self):
+        return kernel(self.p, len(self.ground)).decode(self.code)
 
     @classmethod
     def identity(cls, p, ground):
         n = len(tuple(ground))
-        return cls(p, ground, tuple(
-            tuple(int(r == c) for c in range(n)) for r in range(n)
-        ))
+        return cls(p, ground, [[int(r == c) for c in range(n)] for r in range(n)])
 
     @classmethod
     def one_off(cls, p, ground, i, j, value):
@@ -148,9 +162,8 @@ class FqMatrix:
     def __mul__(self, other):
         if self.p != other.p or self.ground != other.ground:
             raise ValueError("factors over different fields or grounds")
-        k = kernel(self.p, len(self.ground))
-        return FqMatrix._from_code(self.p, self.ground,
-                                   k.mul(self.code, other.code), k.decode)
+        mul = kernel(self.p, len(self.ground)).mul
+        return FqMatrix._from_code(self.p, self.ground, mul(self.code, other.code))
 
     def __eq__(self, other):
         return (
@@ -176,7 +189,7 @@ class FqMatrix:
     def _echelon(self, augmented):
         """Row reduce; returns (rank, reduced rows).  Destroys its argument."""
         p = self.p
-        n = len(self.rows)
+        n = len(self.ground)
         rank = 0
         for col in range(n):
             piv = next(
@@ -198,17 +211,12 @@ class FqMatrix:
         return rank, augmented
 
     def inverse(self):
-        n = len(self.rows)
-        aug = [
-            list(row) + [int(r == c) for c in range(n)]
-            for r, row in enumerate(self.rows)
-        ]
-        rank, aug = self._echelon(aug)
+        n = len(self.ground)
+        rank, aug = self._echelon([list(row) + [int(r == c) for c in range(n)]
+                                   for r, row in enumerate(self.rows)])
         if rank != n:
             raise ValueError("matrix is singular")
-        return FqMatrix(self.p, self.ground, tuple(
-            tuple(row[n:]) for row in aug
-        ))
+        return FqMatrix(self.p, self.ground, [row[n:] for row in aug])
 
     def relabel(self, mapping):
         """Push forward along a bijection of labels: entry (i, j) moves to
@@ -216,25 +224,19 @@ class FqMatrix:
         new_ground = tuple(sorted(set(mapping.values())))
         if set(mapping) != set(self.ground) or len(new_ground) != len(self.ground):
             raise ValueError("relabelling must be a bijection from the ground")
-        pos_old = _positions(self.ground)
-        pos_new = _positions(new_ground)
+        pos = _positions(new_ground)
         n = len(new_ground)
         out = [[0] * n for _ in range(n)]
-        for i in self.ground:
-            for j in self.ground:
-                out[pos_new[mapping[i]]][pos_new[mapping[j]]] = (
-                    self.rows[pos_old[i]][pos_old[j]]
-                )
+        for i, row in zip(self.ground, self.rows):
+            for j, e in zip(self.ground, row):
+                out[pos[mapping[i]]][pos[mapping[j]]] = e
         return FqMatrix(self.p, new_ground, out)
 
     def dagger(self):
         """Transpose composed with the order-reversing relabelling of the ground."""
-        n = len(self.ground)
-        rows = tuple(
-            tuple(self.rows[n - 1 - c][n - 1 - r] for c in range(n))
-            for r in range(n)
-        )
-        return FqMatrix(self.p, self.ground, rows)
+        rows = self.rows[::-1]
+        return FqMatrix(self.p, self.ground,
+                        [[row[-1 - r] for row in rows] for r in range(len(rows))])
 
     def block(self, labels):
         """Square submatrix on the given labels, keeping those labels."""
@@ -242,10 +244,9 @@ class FqMatrix:
         if not set(labels) <= set(self.ground):
             raise ValueError("block labels must lie in the ground")
         pos = _positions(self.ground)
-        rows = tuple(
-            tuple(self.rows[pos[i]][pos[j]] for j in labels) for i in labels
-        )
-        return FqMatrix(self.p, labels, rows)
+        rows = self.rows
+        return FqMatrix(self.p, labels,
+                        [[rows[pos[i]][pos[j]] for j in labels] for i in labels])
 
 
 class GroupTable:
@@ -388,16 +389,12 @@ class GroupTable:
         if overlap != 1:
             raise ValueError("levi and radical must meet only in the identity")
         n = len(self.ground)
-        support = [
-            [any(m.rows[r][c] for m in levi.elements) for c in range(n)]
-            for r in range(n)
-        ]
+        mask = kernel(self.p, n).mask
+        support = mask([cell for cell in itertools.product(range(n), repeat=2)
+                        if any(m.code & mask([cell]) for m in levi.elements)])
         out = []
         for g in self.elements:
-            l = FqMatrix(self.p, self.ground, [
-                [e if keep else 0 for e, keep in zip(row, mask)]
-                for row, mask in zip(g.rows, support)
-            ])
+            l = FqMatrix._from_code(self.p, self.ground, g.code & support)
             li = levi.position(l)
             if li is None:
                 raise ValueError("levi part of %r is not in levi" % (g,))
@@ -411,7 +408,8 @@ class GroupTable:
 
 @functools.lru_cache(maxsize=None)
 def pattern_group(order, p):
-    """All matrices with unit diagonal supported on the strict cells.
+    """All matrices with unit diagonal supported on the strict cells, each
+    code the identity's plus v times the unit code of each cell, v < p.
 
     The order must be a PartialOrder; transitivity of its relation is what
     makes the matrix set a group.  It is generated by the elementary
@@ -424,14 +422,12 @@ def pattern_group(order, p):
     ground = order.ground
     cells = list(order.strict_pairs)
     _check_budget(p ** len(cells), f"pattern group on {len(cells)} cells")
-    elements = []
-    pos = _positions(ground)
-    n = len(ground)
-    for values in itertools.product(range(p), repeat=len(cells)):
-        rows = [[int(r == c) for c in range(n)] for r in range(n)]
-        for (i, j), v in zip(cells, values):
-            rows[pos[i]][pos[j]] = v
-        elements.append(FqMatrix(p, ground, rows))
+    ident = FqMatrix.identity(p, ground).code
+    codes = [ident]
+    for i, j in cells:
+        unit = FqMatrix.one_off(p, ground, i, j, 1).code - ident
+        codes = [c + v * unit for c in codes for v in range(p)]
+    elements = [FqMatrix._from_code(p, ground, c) for c in codes]
     strict = set(cells)
     gens = [FqMatrix.one_off(p, ground, i, j, 1) for i, j in cells
             if not any((i, k) in strict and (k, j) in strict for k in ground)]
@@ -479,7 +475,8 @@ def gl_table(n, p):
     grow one level at a time through the candidates in lexicographic order,
     so the elements come out in lexicographic row-major order.  A prefix
     keeps its span only while more rows remain: the last row completes each
-    matrix directly.  For n = 0 the group is the one empty matrix.
+    matrix directly, encoded with entries already reduced.  For n = 0 the
+    group is the one empty matrix.
     """
     _check_prime(p)
     _check_budget(gl_order(n, p), f"general linear group of degree {n}")
@@ -494,10 +491,10 @@ def gl_table(n, p):
             })
             for rows, span in level for v in vectors if v not in span
         ]
-    elements = [
-        FqMatrix(p, ground, rows + (v,))
-        for rows, span in level for v in vectors if v not in span
-    ] if n else [FqMatrix(p, ground, ())]
+    encode = kernel(p, n).encode
+    codes = [encode(rows + (v,)) for rows, span in level
+             for v in vectors if v not in span] if n else [0]
+    elements = [FqMatrix._from_code(p, ground, c) for c in codes]
     return GroupTable(elements, generators=_gl_generators(p, ground, ground),
                       name="GL%dq%d" % (n, p))
 

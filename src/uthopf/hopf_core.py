@@ -55,7 +55,7 @@ from .combinatorics import (
     total_orders,
     _check_budget,
 )
-from .group_engine import pattern_group, ut_table
+from .group_engine import kernel, pattern_group, ut_table
 from .class_functions import (
     ClassFunction,
     Combination,
@@ -192,9 +192,6 @@ class ScfElement(Combination):
             "(%s) * %r" % (c, pi) for pi, c in self.sorted_terms()
         ]
         return "ScfElement(%s)" % " + ".join(bits)
-
-    def degrees(self):
-        return sorted({pi.n for pi in self.terms})
 
     def counit(self):
         return self.terms.get(Nuio(0), LaurentT.zero())
@@ -397,11 +394,10 @@ def pattern_indicator(pi, q):
     """
     table = ut_table(pi.n, q)
     prof = pi.profile()
-    cells = [(i - 1, j - 1) for i, j in itertools.combinations(table.ground, 2)
-             if j < prof[i - 1]]
-    return ClassFunction.subgroup_indicator(
-        table, lambda m: not any(m.rows[r][c] for r, c in cells)
-    )
+    mask = kernel(q, pi.n).mask(
+        (i - 1, j - 1) for i, j in itertools.combinations(table.ground, 2)
+        if j < prof[i - 1])
+    return ClassFunction.subgroup_indicator(table, lambda m: not m.code & mask)
 
 
 def specialize(x, q):

@@ -242,6 +242,13 @@ class TestFqMatrix:
         with pytest.raises(ValueError):
             FqMatrix(2, (1, 1), [[1, 0], [0, 1]])
 
+    def test_entries_must_be_ints(self):
+        # coercing with int() would read 1.7 as 1, "2" as 2 and True as 1
+        for bad in (1.7, "2", True):
+            with pytest.raises(ValueError):
+                FqMatrix(3, (1, 2), [[1, bad], [0, 1]])
+        assert FqMatrix(3, (1, 2), [[4, -1], [0, 1]]).rows == ((1, 2), (0, 1))
+
 
 def random_invertible(rng, p, n):
     while True:
@@ -292,6 +299,86 @@ class TestKernel:
         a = FqMatrix(13, (1, 2), [[12, 11], [0, 10]])
         assert (a * a).to_digits() == "1,8,0,9"
         assert (a * a).to_digits() == reference_mul(a, a).to_digits()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_mask_reads_the_named_entries(self, p):
+        rng = random.Random(200 + p)
+        for n in range(5):
+            mask = kernel(p, n).mask
+            cells = list(itertools.product(range(n), repeat=2))
+            for _ in range(40):
+                # sparse matrices, so that some masked entries all vanish
+                m = FqMatrix(p, tuple(range(1, n + 1)), [
+                    [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(n)]
+                    for _ in range(n)
+                ])
+                named = rng.sample(cells, rng.randrange(len(cells) + 1))
+                vanish = all(m.rows[r][c] == 0 for r, c in named)
+                assert (m.code & mask(named) == 0) == vanish
+
+
+def reference_pattern_elements(order, p):
+    """The element list pattern_group built before codes: for each value
+    vector in product order, the identity rows with the values at the
+    strict cells, through the validating constructor."""
+    pos = {label: k for k, label in enumerate(order.ground)}
+    n = len(order.ground)
+    out = []
+    for values in itertools.product(range(p), repeat=len(order.strict_pairs)):
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        for (i, j), v in zip(order.strict_pairs, values):
+            rows[pos[i]][pos[j]] = v
+        out.append(FqMatrix(p, order.ground, rows))
+    return out
+
+
+def reference_gl_elements(n, p):
+    """The element list gl_table built before codes: each row outside the
+    span of the rows before it, through the validating constructor."""
+    ground = tuple(range(1, n + 1))
+    vectors = list(itertools.product(range(p), repeat=n))
+    level = [((), {(0,) * n})]
+    for _ in range(n - 1):
+        level = [
+            (rows + (v,), {
+                tuple((x + a * y) % p for x, y in zip(w, v))
+                for w in span for a in range(p)
+            })
+            for rows, span in level for v in vectors if v not in span
+        ]
+    if not n:
+        return [FqMatrix(p, ground, ())]
+    return [FqMatrix(p, ground, rows + (v,))
+            for rows, span in level for v in vectors if v not in span]
+
+
+class TestElementBuildersAgainstReference:
+    """pattern_group and gl_table build codes directly; the element lists
+    equal the row-by-row builders, in order and code for code."""
+
+    @staticmethod
+    def check(table, want):
+        got = table.elements
+        assert [m.code for m in got] == [m.code for m in want]
+        assert got == want
+        for m in got:
+            assert FqMatrix(m.p, m.ground, m.rows) == m
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_pattern_groups_on_three_labels(self, q):
+        for n in range(4):
+            for order in all_partial_orders(range(1, n + 1)):
+                self.check(pattern_group(order, q), reference_pattern_elements(order, q))
+
+    def test_unitriangular_groups_at_two(self):
+        for n in range(6):
+            self.check(ut_table(n, 2),
+                       reference_pattern_elements(chain_order(range(1, n + 1)), 2))
+
+    @pytest.mark.parametrize("n, p", [(0, 2), (1, 2), (2, 2), (3, 2), (0, 3), (1, 3),
+                                      (2, 3), (0, 5), (1, 5), (2, 5), (3, 3)])
+    def test_general_linear_groups(self, n, p):
+        self.check(gl_table(n, p), reference_gl_elements(n, p))
 
 
 def search_generators(elements):

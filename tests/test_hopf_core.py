@@ -197,7 +197,7 @@ class TestProduct:
 
     def test_graded(self):
         prod = basis(A2) * basis(J3)
-        assert set(prod.degrees()) == {5}
+        assert {pi.n for pi in prod.terms} == {5}
 
 
 EXPECTED_W4_COPRODUCT = {
