@@ -21,7 +21,10 @@ operations and equality; a subclass supplies coefficient coercion, its
 context (one group, or two tensor factor groups; the prime of a graded
 family in hopf_core), products and printing.  ClassFunction and
 TensorFunction are defined here; hopf_core builds its Laurent polynomials,
-symbolic combinations and graded families on the same class.
+symbolic combinations and graded families on the same class.  Rational
+coefficients, here and in hopf_core's LaurentT, have one coercion, _exact:
+stored as an int when integral and as a Fraction otherwise, anything
+inexact refused.  Every division here builds its Fraction explicitly.
 """
 
 from __future__ import annotations
@@ -34,15 +37,14 @@ from .combinatorics import standardize
 from .group_engine import kernel
 
 
-_ZERO = Fraction(0)
-
-
-def _as_fraction(x):
-    if type(x) is Fraction:
+def _exact(x):
+    """The one coefficient rule: an int (not a bool) is kept, a Fraction is
+    held as its numerator when integral, anything else raises TypeError."""
+    if type(x) is int:
         return x
-    if not isinstance(x, (int, Fraction)):
+    if type(x) is not Fraction:
         raise TypeError(f"inexact scalar {x!r}")
-    return Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Combination:
@@ -121,12 +123,12 @@ class Combination:
 
 
 class ClassFunction(Combination):
-    """Fraction values on the class indices of group, its context; `values`
-    lists every class, Fraction(0) off the support."""
+    """Rational values on the class indices of group, its context, held by
+    _exact; every read returns a Fraction, and `values` lists every class."""
 
     __slots__ = ("group",)
 
-    _coerce = staticmethod(_as_fraction)
+    _coerce = staticmethod(_exact)
 
     def __init__(self, group, terms=None):
         size = len(group.class_reps)
@@ -144,7 +146,7 @@ class ClassFunction(Combination):
     def from_function(cls, group, fn):
         """Evaluate fn at class representatives; a ValueError is raised
         unless fn, evaluated at every element, is constant on classes."""
-        values = [_as_fraction(fn(group.elements[r])) for r in group.class_reps]
+        values = [_exact(fn(group.elements[r])) for r in group.class_reps]
         for i, m in enumerate(group.elements):
             if fn(m) != values[group.class_of[i]]:
                 raise ValueError(f"not constant on classes at {m!r}")
@@ -172,7 +174,7 @@ class ClassFunction(Combination):
         return tuple(map(self.at_class, range(len(self.group.class_reps))))
 
     def at_class(self, c):
-        return self.terms.get(c, _ZERO)
+        return Fraction(self.terms.get(c, 0))
 
     def at_matrix(self, m):
         return self.at_class(self.group.class_of_matrix(m))
@@ -205,7 +207,7 @@ class TensorFunction(Combination):
 
     __slots__ = ("left_group", "right_group")
 
-    _coerce = staticmethod(_as_fraction)
+    _coerce = staticmethod(_exact)
 
     def __init__(self, left_group, right_group, terms=None):
         self.left_group = left_group
@@ -313,9 +315,10 @@ def inflate_cf(psi, group, levi, radical):
     if psi.group is not levi:
         raise ValueError("%s is not the levi %s" % (psi.group.name, levi.name))
     rows = _deflation(group, levi, radical)
-    scale = Fraction(group.order, levi.order * radical.order)
+    parts = levi.order * radical.order
     return ClassFunction.collect((
-        (b, scale * levi.class_sizes[c] * k * v / group.class_sizes[b])
+        (b, Fraction(group.order * levi.class_sizes[c] * k * v,
+                     parts * group.class_sizes[b]))
         for c, v in psi.terms.items() for b, k in rows[c]
     ), group)
 
@@ -328,7 +331,7 @@ def deflate_cf(psi, levi, radical):
     """
     terms = psi.terms
     return ClassFunction.collect((
-        (l, k * terms[c] / radical.order)
+        (l, Fraction(k * terms[c], radical.order))
         for l, row in enumerate(_deflation(psi.group, levi, radical))
         for c, k in row if c in terms
     ), levi)

@@ -30,7 +30,7 @@ def _prime(text):
     p = int(text)
     try:
         _check_prime(p)
-    except ValueError as err:
+    except (ValueError, BudgetError) as err:
         raise argparse.ArgumentTypeError(str(err)) from None
     return p
 

@@ -213,9 +213,6 @@ class PartialOrder:
     def __repr__(self):
         return "PartialOrder(%s, strict=%s)" % (list(self.ground), list(self._strict))
 
-    def key(self):
-        return (self.ground, self._strict)
-
     def restrict(self, labels):
         labels = set(labels)
         if not labels <= set(self.ground):

@@ -33,6 +33,8 @@ from .combinatorics import BudgetError, PartialOrder, _check_budget, \
 
 @functools.lru_cache(maxsize=None)
 def _check_prime(p):
+    _check_budget(math.isqrt(max(p, 0)),
+                  "trial division of a %d-bit number" % p.bit_length())
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
 

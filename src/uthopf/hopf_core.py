@@ -9,7 +9,8 @@ connected orders, and every order is the shifted sum of its connected pieces
 anti-homomorphism, only a connected order is split subset by subset or runs
 the counit recursion; any other order multiplies its pieces' results, the
 antipodes in reverse order.  Both check the budget against the 2^n subsets
-of the whole order on entry.  Integral coefficients are held as ints.
+of the whole order on entry.  Coefficients follow class_functions._exact:
+an int when integral, a Fraction otherwise, inexact input refused.
 Setting t = 1/q turns a basis element into the normalized indicator of its
 pattern subgroup inside the full unitriangular group, and the symbolic
 operations match inflation and parabolic deflation of those indicators; that
@@ -60,6 +61,7 @@ from .class_functions import (
     ClassFunction,
     Combination,
     TensorFunction,
+    _exact,
     dagger_cf,
     deflate_cf,
     inflate_cf,
@@ -80,18 +82,11 @@ def frac_str(x):
 
 class LaurentT(Combination):
     """Laurent polynomial in one variable t over the rationals: a
-    combination of exponents with rational coefficients, each held as an
-    int when it is integral and as a Fraction otherwise."""
+    combination of exponents with rational coefficients, held by _exact."""
 
     __slots__ = ()
 
-    @staticmethod
-    def _coerce(v):
-        if type(v) is int:
-            return v
-        if type(v) is not Fraction:
-            v = Fraction(v)
-        return v.numerator if v.denominator == 1 else v
+    _coerce = staticmethod(_exact)
 
     @classmethod
     def one(cls):
@@ -103,7 +98,7 @@ class LaurentT(Combination):
 
     @classmethod
     def scalar(cls, x):
-        return cls({0: Fraction(x)})
+        return cls({0: x})
 
     __add__ = Combination.__add__
 
@@ -122,7 +117,7 @@ class LaurentT(Combination):
         return hash(tuple(sorted(self.terms.items())))
 
     def evaluate(self, x):
-        x = Fraction(x)
+        x = Fraction(_exact(x))
         total = Fraction(0)
         for k, v in self.terms.items():
             total += v * x ** k

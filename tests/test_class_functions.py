@@ -22,6 +22,7 @@ from uthopf.class_functions import (
     dagger_cf,
     deflate_cf,
     induce_cf,
+    induce_tensor,
     inflate_cf,
     pullback_cf,
     restrict_cf,
@@ -43,6 +44,14 @@ from uthopf.hopf_core import GradedClassFunction, ut_product
 from uthopf.hopf_core import split_tables as ut_split_tables
 
 from test_group_engine import direct_sum
+
+
+def assert_exact_form(*combinations):
+    """Each coefficient is an int, or a Fraction that is not integral."""
+    for x in combinations:
+        for v in x.terms.values():
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1), (
+                "%r holds %r" % (x, v))
 
 
 def split_tables(n, blocks, q):
@@ -111,6 +120,22 @@ class TestClassFunction:
             ClassFunction.class_indicator(g, 2)
         with pytest.raises(TypeError):
             ClassFunction(g, {0: 0.5})
+
+    def test_inexact_values_raise(self):
+        # one rule for every coefficient: ints and Fractions only, no bool
+        g = ut_table(2, 2)
+        one = ClassFunction.trivial(g)
+        for bad in (True, 0.5, 1.0, "1/2"):
+            with pytest.raises(TypeError):
+                ClassFunction(g, {0: bad})
+            with pytest.raises(TypeError):
+                one.scale(bad)
+            with pytest.raises(TypeError):
+                ClassFunction.from_function(g, lambda m: bad)
+        with pytest.raises(TypeError):
+            0.5 * one
+        with pytest.raises(TypeError):
+            one * 0.1
 
     def test_from_function_check_rejects_non_class_function(self):
         # the corner entry moves under conjugation once a superdiagonal
@@ -536,6 +561,39 @@ class TestClassMapsAgainstReference:
             unstraighten_cf(tensor, (1,), g)
 
 
+class TestExactForm:
+    """Transport results hold integral values as ints, the rest as Fractions,
+    whichever form their arguments held."""
+
+    @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
+    def test_deflation_inflation_and_straightening(self, family, top, q):
+        forms = set()
+        for group, levi, radical, inside, left, right in coproduct_splits(
+                family, top, q):
+            for f in indicators(group) + [ClassFunction.trivial(group)]:
+                down = deflate_cf(f.scale(Fraction(1, q)), levi, radical)
+                assert_exact_form(down, straighten_cf(down, inside, left, right))
+                forms.update(map(type, down.terms.values()))
+            for f in indicators(levi):
+                up = inflate_cf(f, group, levi, radical)
+                assert_exact_form(up, deflate_cf(up, levi, radical))
+                forms.update(map(type, up.terms.values()))
+        assert forms == {int, Fraction}
+
+    @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+    def test_induction(self, n, q):
+        forms = set()
+        ut, gl = ut_table(n, q), gl_table(n, q)
+        for f in indicators(ut) + [ClassFunction.trivial(ut)]:
+            for psi in (f, f.scale(Fraction(1, gl.order))):
+                up = induce_cf(psi, gl)
+                assert_exact_form(up, restrict_cf(up, ut))
+                forms.update(map(type, up.terms.values()))
+        tensor = TensorFunction.outer(ClassFunction.trivial(ut), indicators(ut)[-1])
+        assert_exact_form(tensor, induce_tensor(tensor, gl, gl))
+        assert forms == {int, Fraction}
+
+
 class TestTensorFunction:
     def test_outer_values(self):
         g1, g2 = ut_table(2, 2), ut_table(2, 2)
@@ -556,5 +614,6 @@ class TestTensorFunction:
 
     def test_inexact_coefficient_raises(self):
         g = ut_table(2, 2)
-        with pytest.raises(TypeError):
-            TensorFunction(g, g, {(0, 0): 0.5})
+        for bad in (0.5, True):
+            with pytest.raises(TypeError):
+                TensorFunction(g, g, {(0, 0): bad})

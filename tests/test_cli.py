@@ -94,6 +94,24 @@ class TestScf:
         assert code == 0
         assert len(json.loads(out)["terms"]) == 2
 
+    def test_fraction_string_coefficients_are_read_exactly(self, capsys):
+        half = json.dumps({"terms": [
+            {"n": 1, "strict": [], "coeff": {"0": "1/2"}},
+            {"n": 2, "strict": [[1, 2]], "coeff": {"1": "-3/1"}},
+        ]})
+        code, out, _ = run(capsys, "scf", "product", "--poset", half, "--poset", POSET_PT)
+        assert code == 0
+        assert out == (
+            "ScfElement((1/2) * Nuio(2, [(1, 2)]) + "
+            "(-3*t) * Nuio(3, [(1, 2), (1, 3), (2, 3)]))\n"
+        )
+        code, out, _ = run(capsys, "scf", "antipode", "--poset", half, "--format", "json")
+        assert code == 0
+        assert out == (
+            '{"terms": [{"coeff": {"0": "-1/2"}, "n": 1, "strict": []}, '
+            '{"coeff": {"1": "-3/1"}, "n": 2, "strict": [[1, 2]]}]}\n'
+        )
+
     def test_deterministic_output(self, capsys):
         args = ("scf", "coproduct", "--poset", '{"n": 3, "strict": [[1, 3]]}')
         _, first, _ = run(capsys, *args)
@@ -298,6 +316,15 @@ class TestErrors:
             run(capsys, "ut", "specialize", "--q", "4", "--poset", POSET_PT)
         assert err.value.code == 2
         assert "not prime" in capsys.readouterr().err
+
+    def test_prime_check_over_budget_exits_two(self, capsys, monkeypatch):
+        # 10^18 + 3 is prime: trial division would run to 10^9 divisors
+        monkeypatch.setenv("UTHOPF_BUDGET", "25000")
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "ut", "specialize", "--q", "1000000000000000003",
+                "--poset", POSET_PT)
+        assert err.value.code == 2
+        assert "argument --q" in capsys.readouterr().err
 
     def test_negative_size(self, capsys):
         with pytest.raises(SystemExit) as err:

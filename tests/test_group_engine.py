@@ -18,6 +18,7 @@ from uthopf.group_engine import (
     BudgetError,
     FqMatrix,
     GroupTable,
+    _check_prime,
     enumeration_budget,
     gl_order,
     gl_table,
@@ -770,6 +771,18 @@ class TestBudget:
         order = chain_order((1, 2, 3))
         with pytest.raises(BudgetError):
             pattern_group.__wrapped__(order, 2)
+
+    def test_prime_check_respects_budget(self, monkeypatch):
+        # trial division of 10^18 + 3, a prime, would run to 10^9 divisors
+        monkeypatch.setenv("UTHOPF_BUDGET", "25000")
+        with pytest.raises(BudgetError):
+            _check_prime(10 ** 18 + 3)
+        with pytest.raises(BudgetError):
+            FqMatrix.identity(10 ** 18 + 3, (1,))
+        monkeypatch.setenv("UTHOPF_BUDGET", "4")
+        _check_prime.__wrapped__(23)
+        with pytest.raises(BudgetError):
+            _check_prime.__wrapped__(29)
 
     def test_gl_table_respects_budget(self, monkeypatch):
         monkeypatch.setenv("UTHOPF_BUDGET", "100")

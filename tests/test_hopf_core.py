@@ -40,6 +40,7 @@ from uthopf.hopf_core import (
     ut_product,
 )
 
+from test_class_functions import assert_exact_form
 from test_combinatorics import from_strict
 
 PT = Nuio(1, [])
@@ -152,6 +153,23 @@ class TestLaurentT:
         got = (T + ONE).evaluate(Fraction(1, 2))
         assert type(got) is Fraction and got == Fraction(3, 2)
         assert type(ONE.evaluate(1)) is Fraction
+
+    def test_inexact_scalars_raise(self):
+        # JSON fraction strings are parsed by from_dict, never here
+        for make in (
+            lambda: LaurentT({0: 0.5}),
+            lambda: LaurentT.scalar("1/2"),
+            lambda: LaurentT({0: True}),
+            lambda: T * 0.5,
+            lambda: basis(PT).scale(0.1),
+            lambda: 0.5 * basis(PT),
+            lambda: ScfElement({PT: 1.0}),
+            lambda: T.evaluate(0.1),
+            lambda: T.evaluate(True),
+        ):
+            with pytest.raises(TypeError):
+                make()
+        assert LaurentT.from_dict({"0": "1/2"}) == LaurentT.scalar(Fraction(1, 2))
 
     def test_from_dict_rejects_float_and_bool_coefficients(self):
         assert LaurentT.from_dict({"0": 3, "1": "-1/2"}) == LaurentT(
@@ -379,6 +397,18 @@ class TestSpecialize:
             Fraction(1, 2)
         )
         assert got == expect
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_values_hold_ints_when_integral(self, q):
+        forms = set()
+        for n in range(4):
+            for pi in natural_unit_interval_orders(n):
+                for c in (ONE, T, LaurentT.scalar(Fraction(1, 2)), T2 + ONE):
+                    for f in specialize(basis(pi).scale(c), q).terms.values():
+                        assert_exact_form(f)
+                        forms.update(map(type, f.terms.values()))
+                        assert all(type(v) is Fraction for v in f.values)
+        assert forms == {int, Fraction}
 
     def test_unit(self):
         one = specialize(ScfElement.unit(), 2)
