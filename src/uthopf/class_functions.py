@@ -153,10 +153,6 @@ class ClassFunction(Combination):
         return cls(group, dict(enumerate(values)))
 
     @classmethod
-    def trivial(cls, group):
-        return cls(group, dict.fromkeys(range(len(group.class_reps)), 1))
-
-    @classmethod
     def class_indicator(cls, group, c):
         return cls(group, {c: 1})
 

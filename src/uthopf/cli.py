@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 
 from .combinatorics import BudgetError, Nuio, natural_unit_interval_orders
 from .group_engine import _check_prime
 from .hopf_core import (
     ScfElement,
-    _report,
-    axiom_reports,
-    coproduct_oracle_reports,
-    product_oracle_reports,
+    axiom_cases,
+    coproduct_oracle_cases,
+    noncocommutativity_cases,
+    product_oracle_cases,
     specialize,
+    verify_reports,
 )
 from . import gl_bridge
 
@@ -169,37 +169,20 @@ def _print_reports(reports, fmt):
 
 
 def _cmd_verify(parser, args):
-    if args.what == "monoid-axioms":
-        reports = axiom_reports(
-            args.n, args.q, samples=args.samples, sample_size=args.size,
-            seed=args.seed,
-        )
-    elif args.what == "oracle":
-        reports = product_oracle_reports(args.n, args.q)
-        reports += coproduct_oracle_reports(args.n, args.q)
-    elif args.what == "induction-hom":
-        if args.n >= 4 and not args.extended:
-            parser.error("degree 4 and up needs --extended")
-        reports = gl_bridge.product_hom_reports(args.n, args.q)
-        reports += gl_bridge.coproduct_hom_reports(args.n, args.q)
-        reports += gl_bridge.dagger_invariance_reports(args.n, args.q)
-    else:
-        reports = _noncocommutativity_reports()
-    return _print_reports(reports, args.format)
-
-
-def _noncocommutativity_reports():
-    pi = Nuio(4, [(1, 4), (2, 4)])
-    split = ScfElement.basis(pi).coproduct()
-    point = ScfElement.basis(Nuio(1))
-    pair = ScfElement.basis(Nuio(2))
-    return [
-        _report("noncocommutativity", "pi=%s" % (list(pi.strict),),
-                split.component(3, 1), split.component(1, 3).swap(),
-                operator.ne),
-        _report("noncommutativity", "point,antichain",
-                point * pair, pair * point, operator.ne),
-    ]
+    """Pick the suites by name; none runs until the driver draws from it."""
+    if args.what == "induction-hom" and args.n >= 4 and not args.extended:
+        parser.error("degree 4 and up needs --extended")
+    n, q = args.n, args.q
+    suites = {
+        "monoid-axioms": [axiom_cases(n, q, samples=args.samples,
+                                      sample_size=args.size, seed=args.seed)],
+        "oracle": [product_oracle_cases(n, q), coproduct_oracle_cases(n, q)],
+        "induction-hom": [gl_bridge.product_hom_cases(n, q),
+                          gl_bridge.coproduct_hom_cases(n, q),
+                          gl_bridge.dagger_invariance_cases(n, q)],
+        "noncocommutativity": [noncocommutativity_cases()],
+    }[args.what]
+    return _print_reports(verify_reports(*suites), args.format)
 
 
 def build_parser():

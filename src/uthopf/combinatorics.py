@@ -42,8 +42,15 @@ def enumeration_budget():
     return value
 
 
-def _check_budget(size, what):
+def _check_budget(size, what, bits=0):
+    """Refuse size elements, or size() if callable, past the budget.  When
+    bits, a lower bound on log2 of the size, is 1024 or more and past the
+    budget, size() is not run: it can have billions of bits."""
     cap = enumeration_budget()
+    if bits >= max(1024, cap.bit_length()):
+        raise BudgetError(f"{what} needs at least 2^{bits} elements, budget is {cap}")
+    if callable(size):
+        size = size()
     if size > cap:
         # str refuses ints of more than 4300 digits; give those as a power of 2
         bits = size.bit_length()
@@ -276,14 +283,6 @@ def radical_pattern(order, comp):
     return PartialOrder(order.ground, (order.pairs & asc) | diag)
 
 
-def parabolic_pattern(order, comp):
-    """The part of the order not pointing from later blocks into earlier ones."""
-    if set(comp.ground) != set(order.ground):
-        raise ValueError("composition and order on different grounds")
-    keep = equal_pairs(comp) | ascent_pairs(comp)
-    return PartialOrder(order.ground, order.pairs & keep)
-
-
 def standardize(labels):
     """Map the k-th smallest label to k, as a dict.
 
@@ -495,8 +494,10 @@ def natural_unit_interval_orders(n):
     >>> [len(natural_unit_interval_orders(k)) for k in range(5)]
     [1, 1, 2, 5, 14]
     """
-    catalan = math.comb(2 * n, n) // (n + 1)
-    _check_budget(catalan, "listing the orders of degree %d" % n)
+    # Catalan(n) >= 4^n / ((2n + 1)(n + 1)), as C(2n, n) is the largest C(2n, k)
+    _check_budget(lambda: math.comb(2 * n, n) // (n + 1),
+                  "listing the orders of degree %d" % n,
+                  bits=2 * n - ((2 * n + 1) * (n + 1)).bit_length())
     profiles = []
 
     def grow(prefix):

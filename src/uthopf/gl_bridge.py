@@ -2,9 +2,10 @@
 
 Degreewise induction of class functions, the block Levi and radical tables,
 the parabolic product and coproduct on the general linear side, and the
-report suites checking that induction carries the unitriangular product,
-coproduct and flip to them.  Everything runs on explicitly enumerated
-groups.  The product and coproduct are hopf_core.parabolic_product and
+suites of cases checking that induction carries the unitriangular product,
+coproduct and flip to them, each first checking the budget of its largest
+group; hopf_core.verify_reports runs them.  All groups are explicitly
+enumerated.  The product and coproduct are hopf_core.parabolic_product and
 parabolic_coproduct, the bodies the unitriangular tower runs too, here over
 the initial segment block splits: parabolic induction is read off the
 deflation counts of the block split, so no parabolic group is built.
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 import functools
 
-from .combinatorics import _check_budget
-from .group_engine import FqMatrix, GroupTable, _gl_generators, gl_order, gl_table, kernel
+from .group_engine import FqMatrix, GroupTable, _check_gl_budget, _gl_generators, \
+    gl_table, kernel
 # deflate_cf is bound here too: perfbench/test_perfbench.py checks that
 # the tracer rebinds this copy of it.
 from .class_functions import deflate_cf, induce_cf, induce_tensor  # noqa: F401
@@ -25,7 +26,6 @@ from .hopf_core import (
     ScfElement,
     _order_instances,
     _pair_instances,
-    _report,
     parabolic_coproduct,
     parabolic_product,
     specialize,
@@ -112,43 +112,31 @@ def gl_coproduct(a):
     return parabolic_coproduct(a, gl_table, _gl_splits)
 
 
-def product_hom_reports(total_degree, q):
+def product_hom_cases(total_degree, q):
     """Induction against the parabolic product, on the indicator basis."""
-    _check_budget(gl_order(total_degree, q),
-                  "general linear group of degree %d" % total_degree)
-    reports = []
+    _check_gl_budget(total_degree, q)
     for instance, pi, rho in _pair_instances(total_degree, q):
         xa = specialize(ScfElement.basis(pi), q)
         xb = specialize(ScfElement.basis(rho), q)
-        lhs = induce_to_gl(ut_product(xa, xb))
-        rhs = gl_product(induce_to_gl(xa), induce_to_gl(xb))
-        reports.append(_report("induction-product", instance, lhs, rhs))
-    return reports
+        yield ("induction-product", instance, induce_to_gl(ut_product(xa, xb)),
+               gl_product(induce_to_gl(xa), induce_to_gl(xb)))
 
 
-def coproduct_hom_reports(degree, q):
+def coproduct_hom_cases(degree, q):
     """Induction against the parabolic coproduct, on the indicator basis."""
-    _check_budget(gl_order(degree, q),
-                  "general linear group of degree %d" % degree)
-    reports = []
+    _check_gl_budget(degree, q)
     for instance, pi in _order_instances(degree, q):
         x = specialize(ScfElement.basis(pi), q)
-        lhs = gl_coproduct(induce_to_gl(x))
-        rhs = GradedTensor(q, {
-            (i, j): induce_tensor(tensor, gl_table(i, q), gl_table(j, q))
-            for (i, j), tensor in ut_coproduct(x).terms.items()
-        })
-        reports.append(_report("induction-coproduct", instance, lhs, rhs))
-    return reports
+        yield ("induction-coproduct", instance, gl_coproduct(induce_to_gl(x)),
+               GradedTensor(q, {
+                   (i, j): induce_tensor(tensor, gl_table(i, q), gl_table(j, q))
+                   for (i, j), tensor in ut_coproduct(x).terms.items()
+               }))
 
 
-def dagger_invariance_reports(degree, q):
+def dagger_invariance_cases(degree, q):
     """Induction composed with the flip equals plain induction."""
-    _check_budget(gl_order(degree, q),
-                  "general linear group of degree %d" % degree)
-    reports = []
+    _check_gl_budget(degree, q)
     for instance, pi in _order_instances(degree, q):
         x = specialize(ScfElement.basis(pi), q)
-        lhs = induce_to_gl(x.dagger())
-        reports.append(_report("induction-dagger", instance, lhs, induce_to_gl(x)))
-    return reports
+        yield "induction-dagger", instance, induce_to_gl(x.dagger()), induce_to_gl(x)

@@ -456,6 +456,12 @@ def gl_order(n, q):
     return out
 
 
+def _check_gl_budget(n, q):
+    """_check_budget for gl_order(n, q) >= q^(n(n-1)), as q^n - q^i >= q^(n-1)."""
+    _check_budget(lambda: gl_order(n, q), f"general linear group of degree {n}",
+                  bits=n * (n - 1) * (q.bit_length() - 1))
+
+
 def primitive_root(p):
     for r in range(2, p):
         seen = set()
@@ -481,7 +487,7 @@ def gl_table(n, p):
     group is the one empty matrix.
     """
     _check_prime(p)
-    _check_budget(gl_order(n, p), f"general linear group of degree {n}")
+    _check_gl_budget(n, p)
     ground = tuple(range(1, n + 1))
     vectors = list(itertools.product(range(p), repeat=n))
     level = [((), {(0,) * n})]

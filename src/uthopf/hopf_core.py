@@ -21,9 +21,10 @@ realized on explicit pattern groups over a composition of the ground set.
 `pattern_split` is the one builder of their Levi and radical tables;
 `parabolic_product` and `parabolic_coproduct` serve both towers.  The axiom
 checks run the associativity, coassociativity, compatibility and
-naturality squares on concrete class function bases.  Each of the five
-square families is declared once; one driver checks the exhaustive stream
-of squares and the seeded sampled stream alike.
+naturality squares on concrete class function bases, each of the five
+square families declared once.  Every verify suite, here and in gl_bridge,
+is a generator of cases (check, instance, lhs, rhs[, relation]) that checks
+its own budget first; verify_reports is the one driver that reports them.
 
 Every sparse value here (LaurentT, ScfElement, TensorScf,
 GradedClassFunction, GradedTensor) is a class_functions.Combination: its
@@ -655,17 +656,14 @@ def _coproduct_naturality(sigma, A, tau):
     )
 
 
-def _square_reports(squares, classes, q, prefix=""):
-    """One report per square and class index; classes maps the class count
+def _square_cases(squares, classes, q, prefix=""):
+    """One case per square and class index; classes maps the class count
     of the square's source group to the indices whose indicators to check."""
-    reports = []
     for check, instance, source, sides in squares:
         table = pattern_group(source, q)
         for c in classes(len(table.class_reps)):
-            lhs, rhs = sides(ClassFunction.class_indicator(table, c))
-            text = "%s%s;basis=%d" % (prefix, instance, c)
-            reports.append(_report(check, text, lhs, rhs))
-    return reports
+            yield (check, "%s%s;basis=%d" % (prefix, instance, c),
+                   *sides(ClassFunction.class_indicator(table, c)))
 
 
 def _fubini(n):
@@ -763,23 +761,23 @@ def _sampled_squares(rng, samples, n):
                 yield _coproduct_naturality(sigma, A, _random_total(rng, ground))
 
 
-def axiom_reports(n_max, q, samples=0, sample_size=4, seed=0):
-    """Run the four axiom square families.
+def axiom_cases(n_max, q, samples=0, sample_size=4, seed=0):
+    """The suite of the five axiom square families.
 
     All instances with ground size up to n_max are checked over full class
     indicator bases; on top of that, `samples` random instances of ground
     size sample_size are drawn with the seeded generator, each checked on
     one drawn class indicator.  Before any group is built, the budget is
     checked against the largest family, the n!^2 Fubini(n) coproduct
-    naturality squares at n = n_max.
+    naturality squares at n = n_max, at least n!^3 >= h^(3h) for h = n // 2.
     """
-    size = math.factorial(n_max) ** 2 * _fubini(n_max)
-    _check_budget(size, "coproduct naturality squares on %d labels" % n_max)
+    _check_budget(lambda: math.factorial(n_max) ** 2 * _fubini(n_max),
+                  "coproduct naturality squares on %d labels" % n_max,
+                  bits=3 * (n_max // 2) * ((n_max // 2).bit_length() - 1))
     rng = random.Random(seed)
-    return _square_reports(_all_squares(n_max), range, q) + _square_reports(
-        _sampled_squares(rng, samples, sample_size),
-        lambda k: [rng.randrange(k)], q, prefix="sample;",
-    )
+    yield from _square_cases(_all_squares(n_max), range, q)
+    yield from _square_cases(_sampled_squares(rng, samples, sample_size),
+                             lambda k: [rng.randrange(k)], q, prefix="sample;")
 
 
 def _pair_instances(max_total_degree, q):
@@ -801,28 +799,43 @@ def _order_instances(max_degree, q):
             yield "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q), pi
 
 
-def product_oracle_reports(max_total_degree, q):
+def _check_ut_budget(n, q):
+    cells = math.comb(n, 2)
+    _check_budget(lambda: q ** cells, "unitriangular group of degree %d" % n,
+                  bits=cells * (q.bit_length() - 1))
+
+
+def product_oracle_cases(max_total_degree, q):
     """Symbolic shifted ordinal sums against brute-force inflation."""
-    _check_budget(q ** math.comb(max_total_degree, 2),
-                  "unitriangular group of degree %d" % max_total_degree)
-    reports = []
+    _check_ut_budget(max_total_degree, q)
     for instance, pi, rho in _pair_instances(max_total_degree, q):
-        lhs = specialize(ScfElement.basis(pi) * ScfElement.basis(rho), q)
-        rhs = ut_product(
-            specialize(ScfElement.basis(pi), q), specialize(ScfElement.basis(rho), q)
-        )
-        reports.append(_report("product-oracle", instance, lhs, rhs))
-    return reports
+        yield ("product-oracle", instance,
+               specialize(ScfElement.basis(pi) * ScfElement.basis(rho), q),
+               ut_product(specialize(ScfElement.basis(pi), q),
+                          specialize(ScfElement.basis(rho), q)))
 
 
-def coproduct_oracle_reports(max_degree, q):
+def coproduct_oracle_cases(max_degree, q):
     """Symbolic subset splitting against brute-force parabolic deflation."""
-    _check_budget(q ** math.comb(max_degree, 2),
-                  "unitriangular group of degree %d" % max_degree)
-    reports = []
+    _check_ut_budget(max_degree, q)
     for instance, pi in _order_instances(max_degree, q):
         x = ScfElement.basis(pi)
-        lhs = specialize_tensor(x.coproduct(), q)
-        rhs = ut_coproduct(specialize(x, q))
-        reports.append(_report("coproduct-oracle", instance, lhs, rhs))
-    return reports
+        yield ("coproduct-oracle", instance, specialize_tensor(x.coproduct(), q),
+               ut_coproduct(specialize(x, q)))
+
+
+def noncocommutativity_cases():
+    """The witness order whose coproduct is not cocommutative, and two
+    orders whose product does not commute."""
+    pi = Nuio(4, [(1, 4), (2, 4)])
+    split = ScfElement.basis(pi).coproduct()
+    yield ("noncocommutativity", "pi=%s" % (list(pi.strict),),
+           split.component(3, 1), split.component(1, 3).swap(), operator.ne)
+    point, pair = ScfElement.basis(Nuio(1)), ScfElement.basis(Nuio(2))
+    yield "noncommutativity", "point,antichain", point * pair, pair * point, operator.ne
+
+
+def verify_reports(*suites):
+    """A report per case of each suite in turn; cases are drawn one at a
+    time, so each case's sides are dropped once reported."""
+    return [_report(*case) for case in itertools.chain(*suites)]

@@ -16,24 +16,24 @@ from uthopf.combinatorics import (
     chain_order,
     levi_pattern,
     natural_unit_interval_orders,
-    parabolic_pattern,
     radical_pattern,
 )
 from uthopf.gl_bridge import (
-    coproduct_hom_reports,
-    dagger_invariance_reports,
-    product_hom_reports,
+    coproduct_hom_cases,
+    dagger_invariance_cases,
+    product_hom_cases,
 )
 from uthopf.group_engine import gl_order, gl_table, pattern_group, ut_table
 from uthopf.hopf_core import (
     LaurentT,
     ScfElement,
-    axiom_reports,
-    coproduct_oracle_reports,
-    product_oracle_reports,
+    axiom_cases,
+    coproduct_oracle_cases,
+    product_oracle_cases,
+    verify_reports,
 )
 
-from test_combinatorics import all_partial_orders
+from test_combinatorics import all_partial_orders, parabolic_pattern
 from test_hopf_core import map_factors
 
 ONE = LaurentT.one()
@@ -83,7 +83,7 @@ def test_criterion_1_witness_coproduct_is_noncocommutative():
 def test_criterion_2_coproduct_oracle_degree_4():
     start = time.monotonic()
     for q in (2, 3):
-        reports = coproduct_oracle_reports(4, q)
+        reports = verify_reports(coproduct_oracle_cases(4, q))
         assert len(reports) == 1 + 1 + 2 + 5 + 14
         assert_all_ok(reports)
     assert time.monotonic() - start < 60.0
@@ -91,7 +91,7 @@ def test_criterion_2_coproduct_oracle_degree_4():
 
 def test_criterion_3_product_oracle_total_degree_5():
     start = time.monotonic()
-    reports = product_oracle_reports(5, 2)
+    reports = verify_reports(product_oracle_cases(5, 2))
     # ordered basis pairs with total degree at most five
     assert len(reports) == 1 + 2 + 5 + 14 + 42 + 132
     assert_all_ok(reports)
@@ -100,7 +100,7 @@ def test_criterion_3_product_oracle_total_degree_5():
 
 def test_criterion_4_hopf_monoid_axioms():
     start = time.monotonic()
-    reports = axiom_reports(3, 2, samples=100, sample_size=4, seed=0)
+    reports = verify_reports(axiom_cases(3, 2, samples=100, sample_size=4, seed=0))
     assert_all_ok(reports)
     families = {r["check"] for r in reports}
     assert families >= {
@@ -117,11 +117,9 @@ def test_criterion_4_hopf_monoid_axioms():
 def test_criterion_5_induction_homomorphism():
     start = time.monotonic()
     for q in (2, 3):
-        assert_all_ok(product_hom_reports(3, q))
-        assert_all_ok(coproduct_hom_reports(3, q))
+        assert_all_ok(verify_reports(product_hom_cases(3, q), coproduct_hom_cases(3, q)))
     # extended run at degree four
-    assert_all_ok(product_hom_reports(4, 2))
-    assert_all_ok(coproduct_hom_reports(4, 2))
+    assert_all_ok(verify_reports(product_hom_cases(4, 2), coproduct_hom_cases(4, 2)))
     assert time.monotonic() - start < 900.0
 
 
@@ -141,7 +139,7 @@ def test_criterion_6_duality():
                     assert (x * y).dagger() == y.dagger() * x.dagger()
     # induction to the general linear tower collapses the duality
     for n in range(1, 5):
-        assert_all_ok(dagger_invariance_reports(n, 2))
+        assert_all_ok(verify_reports(dagger_invariance_cases(n, 2)))
 
 
 def test_criterion_7_antipode():
@@ -208,8 +206,8 @@ def test_criterion_9_counts_and_orders():
 
 
 def test_criterion_10_specialize_is_a_hopf_homomorphism():
-    reports = product_oracle_reports(4, 2)
+    reports = verify_reports(product_oracle_cases(4, 2))
     assert len(reports) == 1 + 2 + 5 + 14 + 42
     assert_all_ok(reports)
-    reports = coproduct_oracle_reports(4, 2)
+    reports = verify_reports(coproduct_oracle_cases(4, 2))
     assert_all_ok(reports)

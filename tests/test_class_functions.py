@@ -34,7 +34,6 @@ from uthopf.combinatorics import (
     SetComposition,
     chain_order,
     levi_pattern,
-    parabolic_pattern,
     radical_pattern,
     standardize,
 )
@@ -43,7 +42,13 @@ from uthopf.group_engine import gl_table, pattern_group, ut_table
 from uthopf.hopf_core import GradedClassFunction, ut_product
 from uthopf.hopf_core import split_tables as ut_split_tables
 
+from test_combinatorics import parabolic_pattern
 from test_group_engine import direct_sum
+
+
+def trivial(group):
+    """The constant class function 1 on group."""
+    return ClassFunction(group, dict.fromkeys(range(len(group.class_reps)), 1))
 
 
 def assert_exact_form(*combinations):
@@ -79,8 +84,8 @@ class TestClassFunction:
         g, h = ut_table(3, 2), ut_table(2, 2)
         with pytest.raises(ValueError):
             ClassFunction(g, {len(g.class_reps): 1})
-        a = ClassFunction.trivial(g)
-        b = ClassFunction.trivial(h)
+        a = trivial(g)
+        b = trivial(h)
         for op in (a.__add__, a.__sub__, a.__mul__, a.inner):
             with pytest.raises(ValueError):
                 op(b)
@@ -124,7 +129,7 @@ class TestClassFunction:
     def test_inexact_values_raise(self):
         # one rule for every coefficient: ints and Fractions only, no bool
         g = ut_table(2, 2)
-        one = ClassFunction.trivial(g)
+        one = trivial(g)
         for bad in (True, 0.5, 1.0, "1/2"):
             with pytest.raises(TypeError):
                 ClassFunction(g, {0: bad})
@@ -153,7 +158,7 @@ class TestClassFunction:
             assert ind.inner(ind) == Fraction(g.class_sizes[c], g.order)
             other = ClassFunction.class_indicator(g, (c + 1) % n)
             assert ind.inner(other) == 0
-        triv = ClassFunction.trivial(g)
+        triv = trivial(g)
         assert triv.inner(triv) == 1
 
     def test_subgroup_indicator_requires_normality(self):
@@ -220,9 +225,9 @@ class TestInduction:
         with pytest.raises(ValueError):
             _fusion(lower, ut)
         with pytest.raises(ValueError):
-            induce_cf(ClassFunction.trivial(lower), ut)
+            induce_cf(trivial(lower), ut)
         with pytest.raises(ValueError):
-            restrict_cf(ClassFunction.trivial(ut), lower)
+            restrict_cf(trivial(ut), lower)
 
     def test_same_codes_on_another_ground_are_not_a_subgroup(self):
         # UT_3 on the labels 2 < 3 < 4 packs its elements to the codes of
@@ -233,14 +238,14 @@ class TestInduction:
         with pytest.raises(ValueError):
             _fusion(moved, ut)
         with pytest.raises(ValueError):
-            induce_cf(ClassFunction.trivial(moved), ut)
+            induce_cf(trivial(moved), ut)
         with pytest.raises(KeyError):
-            ClassFunction.trivial(ut).at_matrix(moved.elements[0])
+            trivial(ut).at_matrix(moved.elements[0])
 
     def test_induced_trivial_at_identity_is_the_index(self):
         ut = ut_table(3, 2)
         gl = gl_table(3, 2)
-        ind = induce_cf(ClassFunction.trivial(ut), gl)
+        ind = induce_cf(trivial(ut), gl)
         assert ind.at_matrix(gl.elements[gl.identity_index]) == Fraction(
             gl.order, ut.order
         )
@@ -260,7 +265,7 @@ class TestInduction:
         # Res Ind psi - psi is a nonnegative combination at the identity
         ut = ut_table(2, 2)
         gl = gl_table(2, 2)
-        psi = ClassFunction.trivial(ut)
+        psi = trivial(ut)
         back = restrict_cf(induce_cf(psi, gl), ut)
         e = ut.elements[ut.identity_index]
         assert back.at_matrix(e) >= psi.at_matrix(e)
@@ -277,7 +282,7 @@ class TestInflationDeflation:
     def test_inflate_requires_a_function_on_the_levi(self):
         para, levi, radical = split_tables(4, ((1, 2), (3, 4)), 2)
         with pytest.raises(ValueError):
-            inflate_cf(ClassFunction.trivial(para), para, levi, radical)
+            inflate_cf(trivial(para), para, levi, radical)
 
     def test_inflate_deflate_adjoint(self):
         para, levi, radical = split_tables(4, ((1, 2), (3, 4)), 2)
@@ -306,9 +311,9 @@ class TestInflationDeflation:
         levi = pattern_group(PartialOrder((1, 2), [(1, 1), (2, 2)]), 2)
         lower = pattern_group(chain_order((2, 1)), 2)
         with pytest.raises(ValueError):
-            inflate_cf(ClassFunction.trivial(levi), big, levi, lower)
+            inflate_cf(trivial(levi), big, levi, lower)
         with pytest.raises(ValueError):
-            deflate_cf(ClassFunction.trivial(big), levi, lower)
+            deflate_cf(trivial(big), levi, lower)
 
     def test_levi_and_radical_on_another_ground_do_not_lie_in_the_group(self):
         # the split of UT_3 on 1 < 2 < 3 has the codes of a split of UT_3
@@ -316,17 +321,17 @@ class TestInflationDeflation:
         moved = pattern_group(chain_order((2, 3, 4)), 2)
         levi, radical = ut_split_tables(3, (1,), 2)
         with pytest.raises(ValueError):
-            deflate_cf(ClassFunction.trivial(moved), levi, radical)
+            deflate_cf(trivial(moved), levi, radical)
         with pytest.raises(ValueError):
-            inflate_cf(ClassFunction.trivial(levi), moved, levi, radical)
+            inflate_cf(trivial(levi), moved, levi, radical)
 
     def test_levi_and_radical_must_meet_only_in_the_identity(self):
         big = ut_table(3, 2)
         radical = ut_split_tables(3, (1,), 2)[1]
         with pytest.raises(ValueError):
-            inflate_cf(ClassFunction.trivial(big), big, big, radical)
+            inflate_cf(trivial(big), big, big, radical)
         with pytest.raises(ValueError):
-            deflate_cf(ClassFunction.trivial(big), big, radical)
+            deflate_cf(trivial(big), big, radical)
 
     def test_deflate_from_overgroup(self):
         # deflating a function on the ambient group only reads the coset
@@ -553,9 +558,9 @@ class TestClassMapsAgainstReference:
         g = ut_table(3, 2)
         left, right = ut_table(1, 2), ut_table(2, 2)
         with pytest.raises(ValueError):
-            straighten_cf(ClassFunction.trivial(g), (1,), left, right)
+            straighten_cf(trivial(g), (1,), left, right)
         tensor = TensorFunction.outer(
-            ClassFunction.trivial(left), ClassFunction.trivial(right)
+            trivial(left), trivial(right)
         )
         with pytest.raises(ValueError):
             unstraighten_cf(tensor, (1,), g)
@@ -570,7 +575,7 @@ class TestExactForm:
         forms = set()
         for group, levi, radical, inside, left, right in coproduct_splits(
                 family, top, q):
-            for f in indicators(group) + [ClassFunction.trivial(group)]:
+            for f in indicators(group) + [trivial(group)]:
                 down = deflate_cf(f.scale(Fraction(1, q)), levi, radical)
                 assert_exact_form(down, straighten_cf(down, inside, left, right))
                 forms.update(map(type, down.terms.values()))
@@ -584,12 +589,12 @@ class TestExactForm:
     def test_induction(self, n, q):
         forms = set()
         ut, gl = ut_table(n, q), gl_table(n, q)
-        for f in indicators(ut) + [ClassFunction.trivial(ut)]:
+        for f in indicators(ut) + [trivial(ut)]:
             for psi in (f, f.scale(Fraction(1, gl.order))):
                 up = induce_cf(psi, gl)
                 assert_exact_form(up, restrict_cf(up, ut))
                 forms.update(map(type, up.terms.values()))
-        tensor = TensorFunction.outer(ClassFunction.trivial(ut), indicators(ut)[-1])
+        tensor = TensorFunction.outer(trivial(ut), indicators(ut)[-1])
         assert_exact_form(tensor, induce_tensor(tensor, gl, gl))
         assert forms == {int, Fraction}
 
@@ -597,7 +602,7 @@ class TestExactForm:
 class TestTensorFunction:
     def test_outer_values(self):
         g1, g2 = ut_table(2, 2), ut_table(2, 2)
-        a = ClassFunction.trivial(g1)
+        a = trivial(g1)
         b = ClassFunction.class_indicator(g2, 0)
         t = TensorFunction.outer(a, b)
         assert t.terms == {(0, 0): 1, (1, 0): 1}

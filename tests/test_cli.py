@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,8 @@ def run(capsys, *argv):
     out = capsys.readouterr()
     return code, out.out, out.err
 
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 POSET_A2 = '{"n": 2, "strict": []}'
 POSET_PT = '{"n": 1, "strict": []}'
@@ -165,16 +171,48 @@ class TestVerify:
         assert data["failures"] == 0
         assert data["total"] > 0
 
-    def test_monoid_axioms_output_is_pinned(self, capsys):
-        # pins the order of the squares and of the seeded draws
-        code, out, _ = run(
-            capsys, "verify", "monoid-axioms", "--n", "2", "--q", "3",
-            "--samples", "40", "--size", "3", "--seed", "5", "--format", "json",
-        )
+    @pytest.mark.parametrize("argv,digest", [
+        # the order of the squares and of the seeded draws
+        pytest.param(
+            ("monoid-axioms", "--n", "2", "--q", "3", "--samples", "40",
+             "--size", "3", "--seed", "5", "--format", "json"),
+            "cdd062107d052dcf1a0843dd54c12bb028a5dd05e2c26d88d70561eeed04a3a4",
+            id="monoid-axioms-json"),
+        pytest.param(
+            ("monoid-axioms", "--n", "2", "--q", "3", "--samples", "40",
+             "--size", "3", "--seed", "5"),
+            "14751b7bab5c6a345f91df2bf4cadd136f0c6370a451e970f28feb97d09e7ef8",
+            id="monoid-axioms-text"),
+        pytest.param(
+            ("oracle", "--n", "3", "--q", "2", "--format", "json"),
+            "9f4203e5e4b64fd0abbfd76a68eb88e5c7331395cf77bd95121ddf57d65de852",
+            id="oracle-json"),
+        pytest.param(
+            ("oracle", "--n", "3", "--q", "2"),
+            "57f85674ba80b1bcfa95e4c1c4746846ead4ab8fc17f253a744abbd89d6c1517",
+            id="oracle-text"),
+        pytest.param(
+            ("induction-hom", "--n", "2", "--q", "3", "--format", "json"),
+            "7a90c413846bf0fef504d7189a99080b69a35f8376e651d9a76b3a7c67cd7092",
+            id="induction-hom-json"),
+        pytest.param(
+            ("induction-hom", "--n", "2", "--q", "3"),
+            "52632f18bc8c2c128297f63edf855c66d9a25b01442d1e298ded4a26dd563dab",
+            id="induction-hom-text"),
+        pytest.param(
+            ("noncocommutativity", "--format", "json"),
+            "57b154c5e83bc4a6240df59ccd23521e058fa39a026a289c8315d0b8e034ca2a",
+            id="noncocommutativity-json"),
+        pytest.param(
+            ("noncocommutativity",),
+            "09c346f5961c77bb5f4fd1044eac5e7f35b07661edb94dc4de7bbbfd001dd214",
+            id="noncocommutativity-text"),
+    ])
+    def test_verify_output_is_pinned(self, capsys, argv, digest):
+        # pins each suite's instances, their order and both sides' hashes
+        code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "cdd062107d052dcf1a0843dd54c12bb028a5dd05e2c26d88d70561eeed04a3a4"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_oracle_small_text(self, capsys):
         code, out, _ = run(
@@ -197,24 +235,16 @@ class TestVerify:
         assert err.value.code == 2
 
     def test_failure_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cli,
-            "_noncocommutativity_reports",
-            lambda: [
-                {
-                    "check": "noncocommutativity",
-                    "instance": "forced",
-                    "status": "fail",
-                    "lhs_hash": "x",
-                    "rhs_hash": "x",
-                }
-            ],
-        )
+        # one case whose relation fails, run through the driver
+        monkeypatch.setattr(cli, "noncocommutativity_cases", lambda: iter([
+            ("noncocommutativity", "forced", 1, 1, operator.ne),
+        ]))
         code, out, _ = run(
             capsys, "verify", "noncocommutativity", "--format", "json"
         )
         assert code == 1
         assert json.loads(out)["failures"] == 1
+        assert json.loads(out)["reports"][0]["instance"] == "forced"
 
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -359,15 +389,40 @@ class TestErrors:
     ])
     def test_suite_budget_checked_before_any_report(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
-            raise AssertionError("a report was computed before the budget check")
+            raise AssertionError("a case was computed before the budget check")
 
+        # the driver makes every report, and every case of these suites
+        # starts by specializing a basis element
         monkeypatch.setenv("UTHOPF_BUDGET", "25000")
         monkeypatch.setattr(hopf_core, "_report", refuse)
-        monkeypatch.setattr(gl_bridge, "_report", refuse)
+        monkeypatch.setattr(hopf_core, "specialize", refuse)
+        monkeypatch.setattr(gl_bridge, "specialize", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "oracle", "--n", "60000", "--q", "3"),
+        ("verify", "induction-hom", "--n", "20000", "--extended"),
+        ("verify", "monoid-axioms", "--n", "20000"),
+        ("nuio", "list", "--n", "3000000"),
+    ])
+    def test_huge_degree_refused_at_once(self, argv):
+        # the exact size of each has hundreds of millions of bits or more;
+        # the refusal reads a lower bound on its log2 instead
+        env = dict(os.environ, UTHOPF_BUDGET="25000", PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            # under python -O, so is the command
+            [sys.executable, *["-O"] * sys.flags.optimize, "-m", "uthopf.cli", *argv],
+            env=env,
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "budget exceeded" in proc.stderr
+        assert "needs at least 2^" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         # Catalan(3) = 5 orders

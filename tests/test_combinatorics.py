@@ -24,13 +24,21 @@ from uthopf.combinatorics import (
     equal_pairs,
     levi_pattern,
     natural_unit_interval_orders,
-    parabolic_pattern,
     radical_pattern,
     refinements,
     set_compositions,
     standardize,
     total_orders,
 )
+
+
+def parabolic_pattern(order, comp):
+    """The part of the order not pointing from later blocks into earlier
+    ones: the pattern of the parabolic of the split."""
+    if set(comp.ground) != set(order.ground):
+        raise ValueError("composition and order on different grounds")
+    keep = equal_pairs(comp) | ascent_pairs(comp)
+    return PartialOrder(order.ground, order.pairs & keep)
 
 
 def strict_set(order):

@@ -1,8 +1,9 @@
 """General linear realization: parabolic structure and the induction bridge.
 
 The cross checks below (Mackey decomposition, Bruhat double cosets, Levi
-conjugation and two straightening compatibilities) build their report lists
-here; the library itself needs none of them.  The parabolic row slice and
+conjugation and two straightening compatibilities) are suites of cases kept
+here and run through the library's one driver, verify_reports; the library
+itself needs none of them.  The parabolic row slice and
 the fused tensor induction are compared with the cell-by-cell filter and
 the factorwise outer product of induced indicators they replace; the Levi
 slice and the generator recipe with the block direct sums they replace.
@@ -14,25 +15,25 @@ import pytest
 
 from uthopf.class_functions import ClassFunction, TensorFunction, induce_cf, \
     induce_tensor, pullback_cf, restrict_cf, straighten_cf
-from uthopf.combinatorics import Nuio, chain_order, parabolic_pattern, \
-    split_composition
+from uthopf.combinatorics import Nuio, chain_order, split_composition
 from uthopf.gl_bridge import (
     _levi_generators,
-    coproduct_hom_reports,
-    dagger_invariance_reports,
+    coproduct_hom_cases,
+    dagger_invariance_cases,
     gl_coproduct,
     gl_product,
     induce_to_gl,
     levi_table,
     parabolic_table,
-    product_hom_reports,
+    product_hom_cases,
     radical_table,
 )
 from uthopf.group_engine import FqMatrix, GroupTable, gl_order, gl_table, \
     pattern_group, permutation_matrix, primitive_root, ut_table
-from uthopf.hopf_core import ScfElement, _report, specialize, split_tables, \
-    ut_coproduct
+from uthopf.hopf_core import ScfElement, specialize, split_tables, ut_coproduct, \
+    verify_reports
 
+from test_combinatorics import parabolic_pattern
 from test_group_engine import coset_rep_permutation, direct_sum, search_generators
 
 
@@ -104,19 +105,19 @@ def factorwise_induce_tensor(tensor, left, right):
     return TensorFunction.collect(pairs, left, right)
 
 
-def assert_all_ok(reports):
+def assert_all_ok(*suites):
+    reports = verify_reports(*suites)
     assert reports
     bad = [r for r in reports if r["status"] != "ok"]
     assert not bad, bad[:3]
 
 
-def mackey_reports(n, i, q):
+def mackey_cases(n, i, q):
     """Restriction to a parabolic of an induced class function, against the
     sum over subset shaped double coset contributions."""
     gl = gl_table(n, q)
     ut = ut_table(n, q)
     parabolic = parabolic_table(n, i, q)
-    reports = []
     for c in range(len(ut.class_reps)):
         psi = ClassFunction.class_indicator(ut, c)
         lhs = restrict_cf(induce_cf(psi, gl), parabolic)
@@ -139,12 +140,10 @@ def mackey_reports(n, i, q):
             )
             pulled = pullback_cf(psi, conjugated, lambda m: wmat * m * winv)
             rhs = rhs + induce_cf(pulled, parabolic)
-        instance = "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c)
-        reports.append(_report("mackey", instance, lhs, rhs))
-    return reports
+        yield "mackey", "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c), lhs, rhs
 
 
-def bruhat_reports(n, i, q):
+def bruhat_cases(n, i, q):
     """The subset permutations hit every double coset exactly once."""
     gl = gl_table(n, q)
     ut = ut_table(n, q)
@@ -181,13 +180,11 @@ def bruhat_reports(n, i, q):
         w = coset_rep_permutation(n, labels)
         rep_indices.add(gl.position(permutation_matrix(w, q, gl.ground)))
     hits = [len(coset & rep_indices) for coset in cosets]
-    lhs = sorted(hits)
-    rhs = [1] * len(cosets)
     instance = "n=%d;i=%d;q=%d;cosets=%d" % (n, i, q, len(cosets))
-    return [_report("bruhat-cosets", instance, lhs, rhs)]
+    yield "bruhat-cosets", instance, sorted(hits), [1] * len(cosets)
 
 
-def levi_conjugation_reports(n, labels, q):
+def levi_conjugation_cases(n, labels, q):
     """Conjugating the block Levi onto an arbitrary subset picks out the
     same pattern subgroups inside the unitriangular group."""
     labels = tuple(sorted(labels))
@@ -197,20 +194,17 @@ def levi_conjugation_reports(n, labels, q):
     sub_parabolic = pattern_group(parabolic_pattern(
         chain_order(range(1, n + 1)), split_composition(n, labels)
     ), q)
-    reports = []
     for kind, big, target in (
         ("levi", levi_table(n, i, q), split_tables(n, labels, q)[0]),
         ("parabolic", parabolic_table(n, i, q), sub_parabolic),
     ):
         moved = {m.relabel(w) for m in big.elements}
-        lhs = sorted(m.to_digits() for m in moved if m in ut)
-        rhs = sorted(m.to_digits() for m in target.elements)
-        instance = "n=%d;I=%s;q=%d;%s" % (n, list(labels), q, kind)
-        reports.append(_report("levi-conjugation", instance, lhs, rhs))
-    return reports
+        yield ("levi-conjugation", "n=%d;I=%s;q=%d;%s" % (n, list(labels), q, kind),
+               sorted(m.to_digits() for m in moved if m in ut),
+               sorted(m.to_digits() for m in target.elements))
 
 
-def straighten_transport_reports(n, labels, q):
+def straighten_transport_cases(n, labels, q):
     """Straightening over a subset agrees with conjugating onto the initial
     segment and straightening there."""
     labels = tuple(sorted(labels))
@@ -220,7 +214,6 @@ def straighten_transport_reports(n, labels, q):
     w = coset_rep_permutation(n, labels)
     wmat = permutation_matrix(w, q, tuple(range(1, n + 1)))
     winv = wmat.inverse()
-    reports = []
     for c in range(len(levi_sub.class_reps)):
         psi = ClassFunction.class_indicator(levi_sub, c)
         lhs = straighten_cf(psi, labels, ut_table(i, q), ut_table(n - i, q))
@@ -229,15 +222,13 @@ def straighten_transport_reports(n, labels, q):
             pulled, range(1, i + 1), ut_table(i, q), ut_table(n - i, q)
         )
         instance = "n=%d;I=%s;q=%d;basis=%d" % (n, list(labels), q, c)
-        reports.append(_report("straighten-transport", instance, lhs, rhs))
-    return reports
+        yield "straighten-transport", instance, lhs, rhs
 
 
-def straighten_induction_reports(n, i, q):
+def straighten_induction_cases(n, i, q):
     """Straightening commutes with induction up the two block factors."""
     ul, _ = split_tables(n, tuple(range(1, i + 1)), q)
     levi = levi_table(n, i, q)
-    reports = []
     for c in range(len(ul.class_reps)):
         psi = ClassFunction.class_indicator(ul, c)
         lifted = induce_cf(psi, levi)
@@ -248,9 +239,7 @@ def straighten_induction_reports(n, i, q):
             straighten_cf(psi, range(1, i + 1), ut_table(i, q), ut_table(n - i, q)),
             gl_table(i, q), gl_table(n - i, q),
         )
-        instance = "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c)
-        reports.append(_report("straighten-induction", instance, lhs, rhs))
-    return reports
+        yield "straighten-induction", "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c), lhs, rhs
 
 
 class TestParabolicTables:
@@ -377,31 +366,31 @@ class TestInduction:
 class TestReportSuites:
     @pytest.mark.parametrize("q", [2, 3])
     def test_product_homomorphism_small(self, q):
-        assert_all_ok(product_hom_reports(2, q))
+        assert_all_ok(product_hom_cases(2, q))
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_coproduct_homomorphism_small(self, q):
-        assert_all_ok(coproduct_hom_reports(2, q))
+        assert_all_ok(coproduct_hom_cases(2, q))
 
     def test_dagger_invariance_small(self):
-        assert_all_ok(dagger_invariance_reports(3, 2))
+        assert_all_ok(dagger_invariance_cases(3, 2))
 
     @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2)])
     def test_mackey(self, n, i):
-        assert_all_ok(mackey_reports(n, i, 2))
+        assert_all_ok(mackey_cases(n, i, 2))
 
     @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2)])
     def test_bruhat_double_cosets(self, n, i):
-        assert_all_ok(bruhat_reports(n, i, 2))
+        assert_all_ok(bruhat_cases(n, i, 2))
 
     @pytest.mark.parametrize("labels", [(2,), (1, 3), (2, 3)])
     def test_levi_conjugation(self, labels):
-        assert_all_ok(levi_conjugation_reports(3, labels, 2))
+        assert_all_ok(levi_conjugation_cases(3, labels, 2))
 
     @pytest.mark.parametrize("labels", [(2,), (1, 3), (2, 3)])
     def test_straighten_transport(self, labels):
-        assert_all_ok(straighten_transport_reports(3, labels, 2))
+        assert_all_ok(straighten_transport_cases(3, labels, 2))
 
     @pytest.mark.parametrize("n,i", [(2, 1), (3, 1), (3, 2)])
     def test_straighten_induction(self, n, i):
-        assert_all_ok(straighten_induction_reports(n, i, 2))
+        assert_all_ok(straighten_induction_cases(n, i, 2))

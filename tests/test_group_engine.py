@@ -1,7 +1,9 @@
 """Finite matrix groups over prime fields: enumeration, conjugacy, budgets."""
 
 import itertools
+import math
 import random
+import re
 
 import pytest
 
@@ -9,7 +11,7 @@ from uthopf.combinatorics import (
     SetComposition,
     chain_order,
     levi_pattern,
-    parabolic_pattern,
+    natural_unit_interval_orders,
     radical_pattern,
     split_composition,
 )
@@ -28,9 +30,9 @@ from uthopf.group_engine import (
     primitive_root,
     ut_table,
 )
-from uthopf.hopf_core import split_tables
+from uthopf.hopf_core import _fubini, axiom_cases, product_oracle_cases, split_tables
 
-from test_combinatorics import all_partial_orders, from_strict
+from test_combinatorics import all_partial_orders, from_strict, parabolic_pattern
 
 
 def rank(m):
@@ -788,3 +790,30 @@ class TestBudget:
         monkeypatch.setenv("UTHOPF_BUDGET", "100")
         with pytest.raises(BudgetError):
             gl_table.__wrapped__(3, 2)
+
+    @pytest.mark.parametrize("refuse,size,degrees", [
+        (natural_unit_interval_orders,
+         lambda n: math.comb(2 * n, n) // (n + 1), range(505, 540)),
+        (lambda n: gl_table.__wrapped__(n, 3), lambda n: gl_order(n, 3), range(20, 40)),
+        (lambda n: next(product_oracle_cases(n, 5)), lambda n: 5 ** math.comb(n, 2),
+         range(20, 40)),
+        (lambda n: next(axiom_cases(n, 2)),
+         lambda n: math.factorial(n) ** 2 * _fubini(n), range(60, 140)),
+    ], ids=["catalan", "gl", "ut-oracle", "axiom-squares"])
+    def test_refusal_shows_the_size_or_a_lower_bound(self, monkeypatch, refuse,
+                                                     size, degrees):
+        # below 2^1024 the exact size; from there on 2^k with 2^k <= size,
+        # read either off the size or, past the crossing, off a bound alone
+        monkeypatch.setenv("UTHOPF_BUDGET", "25000")
+        exact_shown = set()
+        for n in degrees:
+            with pytest.raises(BudgetError) as err:
+                refuse(n)
+            exact = size(n)
+            if exact < 2 ** 1024:
+                assert " needs %d elements" % exact in str(err.value)
+            else:
+                k = int(re.search(r" needs at least 2\^(\d+) ", str(err.value))[1])
+                assert 2 ** 1024 <= 2 ** k <= exact
+            exact_shown.add(exact < 2 ** 1024)
+        assert exact_shown == {True, False}

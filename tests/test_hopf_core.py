@@ -27,20 +27,21 @@ from uthopf.hopf_core import (
     TensorScf,
     _fubini,
     _report,
-    axiom_reports,
-    coproduct_oracle_reports,
+    axiom_cases,
+    coproduct_oracle_cases,
     monoid_deflate,
     monoid_inflate,
     monoid_relabel,
     pattern_indicator,
-    product_oracle_reports,
+    product_oracle_cases,
     specialize,
     specialize_tensor,
     ut_coproduct,
     ut_product,
+    verify_reports,
 )
 
-from test_class_functions import assert_exact_form
+from test_class_functions import assert_exact_form, trivial
 from test_combinatorics import from_strict
 
 PT = Nuio(1, [])
@@ -386,7 +387,7 @@ class TestSpecialize:
             for pi in natural_unit_interval_orders(n):
                 order = from_strict(range(1, n + 1), pi.strict)
                 sub = pattern_group(order, q)
-                induced = induce_cf(ClassFunction.trivial(sub), big)
+                induced = induce_cf(trivial(sub), big)
                 index = Fraction(big.order, sub.order)
                 assert induced == pattern_indicator(pi, q) * index
 
@@ -416,12 +417,12 @@ class TestSpecialize:
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_product_oracle_small(self, q):
-        reports = product_oracle_reports(3, q)
+        reports = verify_reports(product_oracle_cases(3, q))
         assert reports and all(r["status"] == "ok" for r in reports)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_coproduct_oracle_small(self, q):
-        reports = coproduct_oracle_reports(3, q)
+        reports = verify_reports(coproduct_oracle_cases(3, q))
         assert reports and all(r["status"] == "ok" for r in reports)
 
     def test_ut_product_matches_symbolic(self):
@@ -468,7 +469,7 @@ class TestMonoidLevel:
         comp = SetComposition([(1,), (2, 3)])
         levi = pattern_group(levi_pattern(ambient, comp), 2)
         with pytest.raises(ValueError):
-            monoid_inflate(ambient, comp, ClassFunction.trivial(levi))
+            monoid_inflate(ambient, comp, trivial(levi))
 
     def test_relabel_round_trip(self):
         from uthopf.class_functions import ClassFunction
@@ -482,7 +483,7 @@ class TestMonoidLevel:
         assert monoid_relabel(monoid_relabel(psi, sigma), back) == psi
 
     def test_axiom_reports_small(self):
-        reports = axiom_reports(2, 2)
+        reports = verify_reports(axiom_cases(2, 2))
         assert reports and all(r["status"] == "ok" for r in reports)
 
     def test_fubini_counts_set_compositions(self):
@@ -500,8 +501,8 @@ class TestMonoidLevel:
         assert [_fubini(n) for n in range(61)] == a
 
     def test_sampled_reports_are_deterministic(self):
-        a = axiom_reports(1, 2, samples=6, sample_size=3, seed=9)
-        b = axiom_reports(1, 2, samples=6, sample_size=3, seed=9)
+        a = verify_reports(axiom_cases(1, 2, samples=6, sample_size=3, seed=9))
+        b = verify_reports(axiom_cases(1, 2, samples=6, sample_size=3, seed=9))
         assert [r["instance"] for r in a] == [r["instance"] for r in b]
         assert all(r["status"] == "ok" for r in a)
 
@@ -535,8 +536,8 @@ class TestFailureDiff:
         assert only["diff"] == {"at": [[1, 2], [0, 1]], "lhs": "0/1", "rhs": "3/1"}
 
     def test_different_groups_differ_in_context(self):
-        a = ClassFunction.trivial(ut_table(2, 2))
-        b = ClassFunction.trivial(ut_table(2, 3))
+        a = trivial(ut_table(2, 2))
+        b = trivial(ut_table(2, 3))
         assert _report("check", "instance", a, b)["diff"]["at"] == ["context"]
 
     def test_success_and_inequality_carry_no_diff(self):
