@@ -292,18 +292,24 @@ def standardize(labels):
     return {s: r for r, s in enumerate(sorted(labels), start=1)}
 
 
+# Every order built by Nuio.from_profile, keyed by its profile tuple.
+_INTERNED = {}
+
+
 class Nuio:
     """Natural unit interval order on {1, ..., n}, held as its row profile.
 
     Row i is strictly below exactly the labels c(i), c(i) + 1, ..., n, where
     the profile c is nondecreasing with i < c(i) <= n + 1; it is the Dyck
-    path of the order, and the sorted strict pairs are derived from it on
-    each read.  Every operation computes the profile of its result directly
-    and builds it with from_profile; Nuio(n, strict) is the validating entry
-    for outside input.
+    path of the order.  The sorted strict pairs, the hash and the sort key
+    are derived from it once, when the profile is checked, and stored.
+    Every operation computes the profile of its result directly and builds
+    it with from_profile, which interns: each profile is checked and built
+    once per process.  Nuio(n, strict) is the validating entry for outside
+    input.
     """
 
-    __slots__ = ("n", "_profile")
+    __slots__ = ("n", "_profile", "_strict", "_hash", "_key")
 
     def __init__(self, n, strict=()):
         """Accept strict pairs whose transitive closure is such an order.
@@ -337,19 +343,29 @@ class Nuio:
 
     @classmethod
     def from_profile(cls, prof):
-        """The order with the given profile, checked in O(n) and stored as
-        a tuple (one already a tuple is not copied).
+        """The order with the given profile, as a tuple.  The first call
+        with a profile checks it in O(n) and interns the order; every later
+        call with an equal profile returns that same order.  A profile that
+        fails the check raises ValueError and is not interned.
 
         >>> Nuio.from_profile((4, 4, 5, 5)).strict
         ((1, 4), (2, 4))
+        >>> Nuio.from_profile([4, 4, 5, 5]) is Nuio.from_profile((4, 4, 5, 5))
+        True
         """
-        self = cls.__new__(cls)
-        self._assign(tuple(prof))
+        prof = tuple(prof)
+        self = _INTERNED.get(prof)
+        if self is None:
+            self = cls.__new__(cls)
+            self._assign(prof)
+            _INTERNED[prof] = self
         return self
 
     def _assign(self, prof):
         n = len(prof)
         for i, c in enumerate(prof, start=1):
+            if type(c) is not int:
+                raise ValueError("row %d has minimum %r, not an int" % (i, c))
             if not i < c <= n + 1:
                 raise ValueError("row %d has minimum %d, outside (%d, %d]"
                                  % (i, c, i, n + 1))
@@ -357,30 +373,32 @@ class Nuio:
             raise ValueError("row minima must be nondecreasing")
         self.n = n
         self._profile = prof
+        self._hash = hash(prof)
+        self._strict = tuple((i, j) for i, c in enumerate(prof, start=1)
+                             for j in range(c, n + 1))
+        # sorts like (n, strict): an empty row, c = n + 1 read as 0, ends
+        # the strict pairs, as every later row is empty too
+        self._key = (n, tuple(c if c <= n else 0 for c in prof))
 
     @property
     def strict(self):
-        n = self.n
-        return tuple((i, j) for i, c in enumerate(self._profile, start=1)
-                     for j in range(c, n + 1))
+        return self._strict
 
     def profile(self):
         return self._profile
 
     def key(self):
-        # sorts like (n, strict): an empty row, c = n + 1 read as 0, ends
-        # the strict pairs, as every later row is empty too
-        n = self.n
-        return (n, tuple(c if c <= n else 0 for c in self._profile))
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Nuio) and self._profile == other._profile
+        return self is other or (
+            isinstance(other, Nuio) and self._profile == other._profile)
 
     def __hash__(self):
-        return hash(self._profile)
+        return self._hash
 
     def __repr__(self):
-        return "Nuio(%d, %s)" % (self.n, list(self.strict))
+        return "Nuio(%d, %s)" % (self.n, list(self._strict))
 
     def to_dyck(self):
         """Lattice-path word over E and S; the strict cells sit above the path.
@@ -478,7 +496,7 @@ class Nuio:
         return labels
 
     def to_dict(self):
-        return {"n": self.n, "strict": [list(p) for p in self.strict]}
+        return {"n": self.n, "strict": [list(p) for p in self._strict]}
 
     @classmethod
     def from_dict(cls, data):

@@ -445,8 +445,17 @@ def pattern_group(order, p):
 
 @functools.lru_cache(maxsize=None)
 def ut_table(n, p):
-    """The full unitriangular group on {1, ..., n}."""
+    """The full unitriangular group on {1, ..., n}; the budget is checked
+    before the chain order is built."""
+    _check_ut_budget(n, p)
     return pattern_group(chain_order(range(1, n + 1)), p)
+
+
+def _check_ut_budget(n, q):
+    """_check_budget for the q^C(n, 2) elements of the unitriangular group."""
+    cells = math.comb(n, 2)
+    _check_budget(lambda: q ** cells, "unitriangular group of degree %d" % n,
+                  bits=cells * (q.bit_length() - 1))
 
 
 def gl_order(n, q):

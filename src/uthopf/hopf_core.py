@@ -29,8 +29,9 @@ its own budget first; verify_reports is the one driver that reports them.
 Every sparse value here (LaurentT, ScfElement, TensorScf,
 GradedClassFunction, GradedTensor) is a class_functions.Combination: its
 `terms` dict maps exponents, orders, pairs of orders, degrees or bidegrees to
-nonzero coefficients, and sums of many pieces go through one `collect` call.
-The graded families have class functions and tensors as coefficients.
+nonzero coefficients.  Sums of many pieces go through one `collect` call;
+a LaurentT product sums into one dict.  The graded families have class
+functions and tensors as coefficients.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .combinatorics import (
     total_orders,
     _check_budget,
 )
-from .group_engine import kernel, pattern_group, ut_table
+from .group_engine import _check_ut_budget, kernel, pattern_group, ut_table
 from .class_functions import (
     ClassFunction,
     Combination,
@@ -77,13 +78,16 @@ def short_hash(text):
 
 
 def frac_str(x):
+    if type(x) is int:
+        return "%d/1" % x
     x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
 
 class LaurentT(Combination):
     """Laurent polynomial in one variable t over the rationals: a
-    combination of exponents with rational coefficients, held by _exact."""
+    combination of exponents with rational coefficients, held by _exact,
+    which a product runs once per coefficient of its result."""
 
     __slots__ = ()
 
@@ -106,11 +110,13 @@ class LaurentT(Combination):
     def __mul__(self, other):
         if not isinstance(other, LaurentT):
             other = LaurentT.scalar(other)
-        return LaurentT.collect(
-            (k1 + k2, v1 * v2)
-            for k1, v1 in self.terms.items()
-            for k2, v2 in other.terms.items()
-        )
+        out = {}
+        right = other.terms.items()
+        for k1, v1 in self.terms.items():
+            for k2, v2 in right:
+                k = k1 + k2
+                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
+        return LaurentT(out)
 
     __rmul__ = __mul__
 
@@ -797,12 +803,6 @@ def _order_instances(max_degree, q):
     for n in range(max_degree + 1):
         for pi in natural_unit_interval_orders(n):
             yield "pi=%s;n=%d;q=%d" % (list(pi.strict), n, q), pi
-
-
-def _check_ut_budget(n, q):
-    cells = math.comb(n, 2)
-    _check_budget(lambda: q ** cells, "unitriangular group of degree %d" % n,
-                  bits=cells * (q.bit_length() - 1))
 
 
 def product_oracle_cases(max_total_degree, q):

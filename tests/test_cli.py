@@ -407,6 +407,10 @@ class TestErrors:
         ("verify", "induction-hom", "--n", "20000", "--extended"),
         ("verify", "monoid-axioms", "--n", "20000"),
         ("nuio", "list", "--n", "3000000"),
+        # the chain order of degree 400 has 80,200 pairs to check; the
+        # budget is read before it is built
+        ("ut", "specialize", "--q", "2", "--poset", '{"n": 400, "strict": []}'),
+        ("gl", "induce", "--q", "2", "--poset", '{"n": 400, "strict": []}'),
     ])
     def test_huge_degree_refused_at_once(self, argv):
         # the exact size of each has hundreds of millions of bits or more;

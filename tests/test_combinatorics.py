@@ -8,12 +8,14 @@ words against pinned examples.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uthopf import combinatorics
 from uthopf.combinatorics import (
     Nuio,
     PartialOrder,
@@ -390,6 +392,15 @@ def brute_nuio_strict_sets(n):
     return set(out)
 
 
+def natural_profiles(n):
+    """Every nondecreasing profile c with i < c(i) <= n + 1; there are
+    Catalan(n) of them."""
+    out = [c for c in itertools.combinations_with_replacement(range(2, n + 2), n)
+           if all(i < ci for i, ci in enumerate(c, start=1))]
+    assert len(out) == math.comb(2 * n, n) // (n + 1)
+    return out
+
+
 def ref_dagger(pi):
     """The flip on strict pairs, rebuilt through the validating constructor."""
     n = pi.n
@@ -510,8 +521,63 @@ class TestNuio:
         pi = Nuio.from_profile([2, 3])
         assert pi == Nuio(2, [(1, 2)])
         assert hash(pi) == hash(Nuio(2, [(1, 2)]))
+        assert pi.profile() == (2, 3) and type(pi.profile()) is tuple
+        # interned: an equal profile, list or tuple, gives the same order,
+        # whose tuple may be one an earlier call stored
         prof = (4, 4, 5, 5)
-        assert Nuio.from_profile(prof).profile() is prof
+        assert Nuio.from_profile(prof) is Nuio.from_profile(list(prof))
+        assert Nuio.from_profile(prof).profile() == prof
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_interned_orders_match_the_validating_constructor(self, n):
+        for prof in natural_profiles(n):
+            pi = Nuio.from_profile(prof)
+            strict = [(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)
+                      if j >= prof[i - 1]]
+            assert pi.strict == tuple(strict)
+            checked = Nuio(n, strict)
+            assert pi == checked and hash(pi) == hash(checked)
+            assert pi.key() == checked.key()
+            assert Nuio.from_dict(pi.to_dict()) == pi
+            assert repr(pi) == "Nuio(%d, %s)" % (n, strict)
+
+    def test_each_profile_is_checked_once(self, monkeypatch):
+        checked = []
+        assign = Nuio._assign
+
+        def counted(self, prof):
+            checked.append(prof)
+            assign(self, prof)
+
+        monkeypatch.setattr(combinatorics, "_INTERNED", {})
+        monkeypatch.setattr(Nuio, "_assign", counted)
+        orders = [pi for n in range(6) for pi in natural_unit_interval_orders(n)]
+        for pi in orders:
+            pi.dagger()
+            for k in range(pi.n + 1):
+                for labels in itertools.combinations(range(1, pi.n + 1), k):
+                    pi.shifted_restrict(labels)
+        for pi in orders:
+            for rho in orders:
+                pi.shifted_sum(rho).pieces()
+        assert len(checked) == len(set(checked)) == len(combinatorics._INTERNED)
+        assert len(checked) > len(orders)
+
+    def test_bad_profile_is_never_interned(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_INTERNED", {})
+        for bad in [(1,), (2, 2), (3, 2, 4), (4, 3, 4), (5, 5, 5), (2.0,),
+                    (True,), ("2",), (2, 3.0, 4)]:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    Nuio.from_profile(bad)
+                with pytest.raises(ValueError):
+                    Nuio.from_profile(list(bad))
+        assert combinatorics._INTERNED == {}
+        # only int profiles are interned; an equal float profile then
+        # finds the int order
+        pi = Nuio.from_profile((2,))
+        assert combinatorics._INTERNED == {(2,): pi}
+        assert Nuio.from_profile((2.0,)) is pi and type(pi.profile()[0]) is int
 
     def test_profile(self):
         assert Nuio(4, [(1, 4), (2, 4)]).profile() == (4, 4, 5, 5)

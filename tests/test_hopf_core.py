@@ -11,6 +11,7 @@ reports.
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from uthopf.hopf_core import (
     _report,
     axiom_cases,
     coproduct_oracle_cases,
+    frac_str,
     monoid_deflate,
     monoid_inflate,
     monoid_relabel,
@@ -171,6 +173,49 @@ class TestLaurentT:
             with pytest.raises(TypeError):
                 make()
         assert LaurentT.from_dict({"0": "1/2"}) == LaurentT.scalar(Fraction(1, 2))
+
+    @staticmethod
+    def collect_product(a, b):
+        # the product as it was first written: every pair of terms through
+        # collect, which coerces each coefficient before __init__ does again
+        return LaurentT.collect(
+            (k1 + k2, v1 * v2)
+            for k1, v1 in a.terms.items()
+            for k2, v2 in b.terms.items()
+        )
+
+    def test_product_matches_the_collect_reference(self):
+        rng = random.Random(17)
+        coeffs = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2),
+                  Fraction(2, 3), Fraction(-5, 6), Fraction(7, 4)]
+        polys = [
+            LaurentT({rng.randrange(-3, 4): rng.choice(coeffs)
+                      for _ in range(rng.randrange(5))})
+            for _ in range(60)
+        ]
+        # cancelling terms, and Fraction sums that are integral
+        polys += [ONE + T, ONE - T, T - LaurentT.t(-1),
+                  LaurentT({0: Fraction(1, 2), 1: Fraction(1, 2)}),
+                  LaurentT({0: Fraction(1, 3), 1: Fraction(2, 3), 2: Fraction(-1, 3)}),
+                  LaurentT.zero()]
+        assert ((ONE + T) * (ONE - T)).terms == {0: 1, 2: -1}
+        assert (LaurentT({0: Fraction(1, 2), 1: Fraction(1, 2)}) * (ONE + T)).terms \
+            == {0: Fraction(1, 2), 1: 1, 2: Fraction(1, 2)}
+        for a in polys:
+            for b in polys:
+                got = a * b
+                assert got.terms == self.collect_product(a, b).terms
+                assert all(v and type(v) is (int if v.denominator == 1 else Fraction)
+                           for v in got.terms.values())
+        for k in (0, 3, -2, Fraction(3, 2), Fraction(4, 2)):
+            for a in polys[:10]:
+                want = self.collect_product(a, LaurentT.scalar(k)).terms
+                assert (a * k).terms == (k * a).terms == want
+
+    def test_frac_str_of_an_int_matches_its_fraction(self):
+        for k in (0, 1, -1, 7, -12, 10 ** 30, -(10 ** 30) - 1):
+            assert frac_str(k) == frac_str(Fraction(k)) == "%d/1" % k
+        assert frac_str(Fraction(-3, 6)) == "-1/2"
 
     def test_from_dict_rejects_float_and_bool_coefficients(self):
         assert LaurentT.from_dict({"0": 3, "1": "-1/2"}) == LaurentT(
