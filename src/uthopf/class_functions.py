@@ -52,23 +52,21 @@ class Combination:
 
     Zero coefficients are dropped on construction, so equality of the dicts
     is equality of the combinations.  `context` is the tuple of leading
-    constructor arguments that two combinations must share to be added or
-    equal; `_coerce` turns a given coefficient or scalar into coefficient
-    form.
+    constructor arguments, the attributes named by `_fields`, that two
+    combinations must share to be added or equal; `_coerce` turns a given
+    coefficient or scalar into coefficient form.  The constructor
+    validates; collect and the linear operations build through _trusted.
     """
 
     __slots__ = ("terms",)
 
     context = ()
+    _fields = ()
 
     def __init__(self, terms=None):
         coerce = self._coerce
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = coerce(c)
-            if c:
-                clean[key] = c
-        self.terms = clean
+        coerced = ((key, coerce(c)) for key, c in (terms or {}).items())
+        self.terms = {key: c for key, c in coerced if c}
 
     @staticmethod
     def _coerce(c):
@@ -86,10 +84,22 @@ class Combination:
         for key, c in pairs:
             c = coerce(c)
             out[key] = out[key] + c if key in out else c
-        return cls(*context, out)
+        return cls._trusted(context, out)
+
+    @classmethod
+    def _trusted(cls, context, terms):
+        """Build from coerced coefficients, with neither the context nor the
+        keys checked: only zeros are dropped, and an integral Fraction (a
+        sum or product of Fractions can be one) is held as its int."""
+        self = cls.__new__(cls)
+        for name, value in zip(cls._fields, context):
+            setattr(self, name, value)
+        self.terms = {key: c.numerator if type(c) is Fraction and c.denominator == 1
+                      else c for key, c in terms.items() if c}
+        return self
 
     def _like(self, terms):
-        return type(self)(*self.context, terms)
+        return self._trusted(self.context, terms)
 
     def __add__(self, other):
         if self.context != other.context:
@@ -126,9 +136,10 @@ class ClassFunction(Combination):
     """Rational values on the class indices of group, its context, held by
     _exact; every read returns a Fraction, and `values` lists every class."""
 
-    __slots__ = ("group",)
+    __slots__ = _fields = ("group",)
 
     _coerce = staticmethod(_exact)
+    context = property(lambda self: (self.group,))
 
     def __init__(self, group, terms=None):
         size = len(group.class_reps)
@@ -137,10 +148,6 @@ class ClassFunction(Combination):
                 raise ValueError("%r is not a class index of %s" % (c, group.name))
         self.group = group
         super().__init__(terms)
-
-    @property
-    def context(self):
-        return (self.group,)
 
     @classmethod
     def from_function(cls, group, fn):
@@ -201,18 +208,15 @@ class TensorFunction(Combination):
     A combination over pairs of class labels; its context is the two groups.
     """
 
-    __slots__ = ("left_group", "right_group")
+    __slots__ = _fields = ("left_group", "right_group")
 
     _coerce = staticmethod(_exact)
+    context = property(lambda self: (self.left_group, self.right_group))
 
     def __init__(self, left_group, right_group, terms=None):
         self.left_group = left_group
         self.right_group = right_group
         super().__init__(terms)
-
-    @property
-    def context(self):
-        return (self.left_group, self.right_group)
 
     @classmethod
     def outer(cls, f, g):

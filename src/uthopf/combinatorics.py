@@ -453,47 +453,49 @@ class Nuio:
             self._profile + tuple(c + self.n for c in other._profile)
         )
 
-    def pieces(self):
-        """The connected pieces, bottom first: the orders, none of them a
-        shifted sum, whose shifted sum is this one.  A piece ends at row k
-        exactly when c(k) = k + 1: row k is then below every later label,
-        and so is every row before it, as c is nondecreasing.
+    def top_piece(self):
+        """(rest, top): the top connected piece and the order below it,
+        whose shifted sum is this one; rest is Nuio(0) when this order is
+        connected.  A piece ends at row k exactly when c(k) = k + 1: then
+        row k, and every row before it as c is nondecreasing, is below
+        every later label.
 
-        >>> [p.profile() for p in Nuio(3, [(1, 2), (1, 3)]).pieces()]
+        >>> [p.profile() for p in Nuio(3, [(1, 2), (1, 3)]).top_piece()]
         [(2,), (3, 3)]
-        >>> Nuio(0).pieces()
-        ()
+        >>> Nuio(0).top_piece() == (Nuio(0), Nuio(0))
+        True
         """
-        prof, start, out = self._profile, 0, []
-        for end, c in enumerate(prof, start=1):
-            if c == end + 1:
-                out.append(Nuio.from_profile(
-                    tuple(d - start for d in prof[start:end])))
-                start = end
-        return tuple(out)
+        prof = self._profile
+        k = next((k for k in range(self.n - 1, 0, -1) if prof[k - 1] == k + 1), 0)
+        return Nuio.from_profile(prof[:k]), Nuio.from_profile(c - k for c in prof[k:])
 
-    def shifted_restrict(self, labels):
-        """Restrict to labels, then standardize down to an initial segment."""
-        labels = self._labels(labels)
-        return Nuio.from_profile(tuple(
-            bisect.bisect_left(labels, self._profile[i - 1]) + 1 for i in labels
-        ))
+    def splits(self):
+        """(inside, left, right, ascents) for each subset inside of the
+        labels, a bit mask with bit i for label i: left and right are the
+        restrictions to inside and to the rest, standardized, and ascents
+        counts the pairs i < j < c(i) with i inside and j not.  One walk
+        places the labels top down, so the labels above i are placed with
+        it: those on its side that are >= c(i) fix its row (side size + 1
+        minus their count), and the rest ones in (i, c(i)) its ascents.
 
-    def ascent_count(self, labels):
-        """Number of upward noncomparabilities from labels to the complement."""
-        inside = set(self._labels(labels))
-        return sum(
-            1
-            for i in inside
-            for j in range(i + 1, self._profile[i - 1])
-            if j not in inside
-        )
-
-    def _labels(self, labels):
-        labels = tuple(sorted(labels))
-        if labels and not (1 <= labels[0] and labels[-1] <= self.n):
-            raise ValueError("labels must lie in 1, ..., %d" % self.n)
-        return labels
+        >>> [(s[0], s[1].profile(), s[2].profile(), s[3])
+        ...  for s in Nuio(2).splits()]
+        [(6, (3, 3), (), 0), (4, (2,), (2,), 0), (2, (2,), (2,), 1), (0, (), (3, 3), 0)]
+        """
+        prof, get = self._profile, Nuio.from_profile
+        stack = [(self.n, 0, 0, (), (), 0)]
+        while stack:
+            i, inside, rest, ins, outs, ascents = stack.pop()
+            if i:
+                c, bit = prof[i - 1], 1 << i
+                stack.append((i - 1, inside, rest | bit, ins,
+                              ((rest >> c).bit_count(),) + outs, ascents))
+                stack.append((i - 1, inside | bit, rest,
+                              ((inside >> c).bit_count(),) + ins, outs,
+                              ascents + (rest & (1 << c) - (bit << 1)).bit_count()))
+            else:
+                yield (inside, get(map((len(ins) + 1).__sub__, ins)),
+                       get(map((len(outs) + 1).__sub__, outs)), ascents)
 
     def to_dict(self):
         return {"n": self.n, "strict": [list(p) for p in self._strict]}

@@ -4,13 +4,15 @@ Symbolic side: finite Laurent-coefficient combinations of natural unit
 interval orders, with shifted ordinal sum as product and subset splitting as
 coproduct; the coefficient of a splitting is t to the number of upward
 noncomparabilities leaving the chosen subset.  The algebra is free on the
-connected orders, and every order is the shifted sum of its connected pieces
-(Nuio.pieces).  As the coproduct is multiplicative and the antipode an
-anti-homomorphism, only a connected order is split subset by subset or runs
-the counit recursion; any other order multiplies its pieces' results, the
-antipodes in reverse order.  Both check the budget against the 2^n subsets
-of the whole order on entry.  Coefficients follow class_functions._exact:
-an int when integral, a Fraction otherwise, inexact input refused.
+connected orders, and every other order is the shifted sum of the order
+below its top connected piece and that piece (Nuio.top_piece).  As the
+coproduct is multiplicative and the antipode an anti-homomorphism, such an
+order multiplies the two cached results, the antipodes in reverse order;
+only a connected order runs the counit recursion or sums over its splits,
+all read off one walk over its labels (Nuio.splits).  Both check the budget
+against the 2^n subsets of the whole order on entry.  Coefficients follow
+class_functions._exact: an int when integral, a Fraction otherwise, inexact
+input refused.
 Setting t = 1/q turns a basis element into the normalized indicator of its
 pattern subgroup inside the full unitriangular group, and the symbolic
 operations match inflation and parabolic deflation of those indicators; that
@@ -29,9 +31,10 @@ its own budget first; verify_reports is the one driver that reports them.
 Every sparse value here (LaurentT, ScfElement, TensorScf,
 GradedClassFunction, GradedTensor) is a class_functions.Combination: its
 `terms` dict maps exponents, orders, pairs of orders, degrees or bidegrees to
-nonzero coefficients.  Sums of many pieces go through one `collect` call;
-a LaurentT product sums into one dict.  The graded families have class
-functions and tensors as coefficients.
+nonzero coefficients.  Sums of many pieces go through one `collect` call,
+which coerces each coefficient once; a LaurentT product by the unit is the
+other factor.  The graded families have class functions and tensors as
+coefficients.
 """
 
 from __future__ import annotations
@@ -78,20 +81,19 @@ def short_hash(text):
 
 
 def frac_str(x):
-    if type(x) is int:
-        return "%d/1" % x
-    x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
 
 class LaurentT(Combination):
     """Laurent polynomial in one variable t over the rationals: a
-    combination of exponents with rational coefficients, held by _exact,
-    which a product runs once per coefficient of its result."""
+    combination of exponents with rational coefficients, held by _exact.
+    A product by the unit {0: 1} is the other factor, as values are never
+    changed in place; any other product sums into one dict."""
 
     __slots__ = ()
 
     _coerce = staticmethod(_exact)
+    _UNIT = {0: 1}
 
     @classmethod
     def one(cls):
@@ -110,13 +112,17 @@ class LaurentT(Combination):
     def __mul__(self, other):
         if not isinstance(other, LaurentT):
             other = LaurentT.scalar(other)
+        left, right = self.terms, other.terms
+        if right == self._UNIT or not left:
+            return self
+        if left == self._UNIT or not right:
+            return other
         out = {}
-        right = other.terms.items()
-        for k1, v1 in self.terms.items():
-            for k2, v2 in right:
+        for k1, v1 in left.items():
+            for k2, v2 in right.items():
                 k = k1 + k2
                 out[k] = out[k] + v1 * v2 if k in out else v1 * v2
-        return LaurentT(out)
+        return LaurentT._trusted((), out)
 
     __rmul__ = __mul__
 
@@ -281,65 +287,52 @@ class TensorScf(Combination):
 
 @functools.lru_cache(maxsize=None)
 def _coproduct_basis(pi):
-    """Coproduct of one basis element.  A shifted sum of connected pieces
-    has the product of their coproducts, bottom piece first, as the
-    coproduct is multiplicative; a connected order sums over its subsets.
-    The budget is checked against the 2^n subsets first, either way."""
+    """Coproduct of one basis element.  It is multiplicative, so a shifted
+    sum has the cached coproduct of the order below its top piece times
+    that of the piece; a connected order sums t^ascents over its splits,
+    read off one walk (Nuio.splits).  The budget is checked against 2^n
+    first."""
     _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
-    pieces = pi.pieces()
-    if len(pieces) > 1:
-        return functools.reduce(operator.mul, map(_coproduct_basis, pieces))
-    labels = range(1, pi.n + 1)
-
-    def splits():
-        for k in range(pi.n + 1):
-            for inside in itertools.combinations(labels, k):
-                chosen = set(inside)
-                outside = tuple(j for j in labels if j not in chosen)
-                key = (pi.shifted_restrict(inside), pi.shifted_restrict(outside))
-                yield key, LaurentT.t(pi.ascent_count(inside))
-
-    return TensorScf.collect(splits())
+    rest, top = pi.top_piece()
+    if rest.n:
+        return _coproduct_basis(rest) * _coproduct_basis(top)
+    exponents = {}
+    for _, left, right, ascents in pi.splits():
+        counts = exponents.setdefault((left, right), {})
+        counts[ascents] = counts.get(ascents, 0) + 1
+    return TensorScf._trusted((), {
+        key: LaurentT._trusted((), counts) for key, counts in exponents.items()})
 
 
 @functools.lru_cache(maxsize=None)
 def _antipode_basis(pi):
-    """Antipode of one basis element.  A shifted sum of connected pieces
-    has the product of their antipodes, top piece first, as the antipode
-    is an anti-homomorphism; a connected order runs the graded recursion
-    from the counit identity.  Past degree 0 the budget is checked against
-    the 2^n subsets first, either way."""
+    """Antipode of one basis element.  The antipode reverses products, so a
+    shifted sum has the cached antipode of its top piece times that of the
+    order below it; a connected order runs the recursion from the counit
+    identity.  Past degree 0 the budget is checked against 2^n first."""
     if pi.n == 0:
         return ScfElement.unit()
     _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
-    pieces = pi.pieces()
-    if len(pieces) > 1:
-        return functools.reduce(operator.mul, map(_antipode_basis, reversed(pieces)))
-    return -ScfElement.collect(itertools.chain(
-        [(pi, 1)],
-        (
-            (rho, c * v)
-            for (left, right), c in _coproduct_basis(pi).terms.items()
-            if left.n != pi.n and right.n != pi.n
-            for rho, v in (
-                _antipode_basis(left) * ScfElement.basis(right)
-            ).terms.items()
-        ),
-    ))
+    rest, top = pi.top_piece()
+    if rest.n:
+        return _antipode_basis(top) * _antipode_basis(rest)
+    return -ScfElement.collect(itertools.chain([(pi, 1)], (
+        (rho.shifted_sum(right), c * v)
+        for (left, right), c in _coproduct_basis(pi).terms.items()
+        if left.n and right.n
+        for rho, v in _antipode_basis(left).terms.items())))
 
 
 class _AtPrime(Combination):
     """A combination whose context is one prime q."""
 
-    __slots__ = ("q",)
+    __slots__ = _fields = ("q",)
+
+    context = property(lambda self: (self.q,))
 
     def __init__(self, q, terms=None):
         self.q = q
         super().__init__(terms)
-
-    @property
-    def context(self):
-        return (self.q,)
 
 
 class GradedClassFunction(_AtPrime):

@@ -12,6 +12,7 @@ import pytest
 
 from uthopf import cli, gl_bridge, hopf_core
 from uthopf.class_functions import ClassFunction
+from uthopf.combinatorics import natural_unit_interval_orders
 from uthopf.hopf_core import GradedClassFunction
 
 
@@ -117,6 +118,27 @@ class TestScf:
             '{"terms": [{"coeff": {"0": "-1/2"}, "n": 1, "strict": []}, '
             '{"coeff": {"1": "-3/1"}, "n": 2, "strict": [[1, 2]]}]}\n'
         )
+
+    @pytest.mark.parametrize("verb,fmt,digest", [
+        ("coproduct", "text",
+         "24766e9a03df80798e6d16a417e2d4f1b2249246ae993c81961bae6a974b4354"),
+        ("coproduct", "json",
+         "fe001b8cb8fe2d005b19f1f93bb0eacbe7e68f214e94e0c0dc8bf8acd6152b75"),
+        ("antipode", "text",
+         "c8c51e323b53c78a9b56ee61e73021c4200aad06814fa8a372c82246dc42b627"),
+        ("antipode", "json",
+         "9d9978e1067bdb1854648430eb30733fa2bac30e630a475dc99cfd96560bc8f1"),
+    ])
+    def test_degree_five_output_is_pinned(self, capsys, verb, fmt, digest):
+        # the stdout of one call per order of degree 5, in enumeration order
+        out = []
+        for pi in natural_unit_interval_orders(5):
+            code, text, _ = run(capsys, "scf", verb, "--poset",
+                                json.dumps(pi.to_dict()), "--format", fmt)
+            assert code == 0
+            out.append(text)
+        assert len(out) == 42
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
 
     def test_deterministic_output(self, capsys):
         args = ("scf", "coproduct", "--poset", '{"n": 3, "strict": [[1, 3]]}')

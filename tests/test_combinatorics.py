@@ -438,6 +438,18 @@ def ref_ascent_count(pi, labels):
     )
 
 
+def mask_labels(mask, n):
+    """The labels i in 1, ..., n whose bit i is set in mask."""
+    return tuple(i for i in range(1, n + 1) if mask >> i & 1)
+
+
+def split_of(pi, labels):
+    """(left, right, ascents) of the split of pi with the labels inside."""
+    mask = sum(1 << i for i in labels)
+    (found,) = [s[1:] for s in pi.splits() if s[0] == mask]
+    return found
+
+
 class TestProfileAgainstStrictPairs:
     """The closed profile formulas against their strict-pair definitions."""
 
@@ -455,12 +467,34 @@ class TestProfileAgainstStrictPairs:
                     assert got.key() == ref_shifted_sum(a, b).key()
 
     def test_shifted_restrict_and_ascent_count(self):
+        # every split of the one-pass walk: one per subset of the labels,
+        # each side the restriction rebuilt from strict pairs
         for pi in self.ORDERS:
-            for k in range(pi.n + 1):
-                for labels in itertools.combinations(range(1, pi.n + 1), k):
-                    got = pi.shifted_restrict(labels)
-                    assert got.key() == ref_shifted_restrict(pi, labels).key()
-                    assert pi.ascent_count(labels) == ref_ascent_count(pi, labels)
+            full = (1 << pi.n + 1) - 2
+            masks = []
+            for inside, left, right, ascents in pi.splits():
+                masks.append(inside)
+                labels = mask_labels(inside, pi.n)
+                rest = mask_labels(full ^ inside, pi.n)
+                assert left.key() == ref_shifted_restrict(pi, labels).key()
+                assert right.key() == ref_shifted_restrict(pi, rest).key()
+                assert ascents == ref_ascent_count(pi, labels)
+            assert sorted(masks) == list(range(0, full + 1, 2))
+
+    def test_top_piece(self):
+        # a cut is a k < n with every i <= k strictly below every j > k:
+        # top has none, and rest ends at the highest cut of pi
+        def cuts(pi):
+            strict = set(pi.strict)
+            return [k for k in range(1, pi.n) if all(
+                (i, j) in strict for i in range(1, k + 1)
+                for j in range(k + 1, pi.n + 1))]
+
+        for pi in self.ORDERS:
+            rest, top = pi.top_piece()
+            assert rest.shifted_sum(top) == pi and top.n >= min(pi.n, 1)
+            assert cuts(top) == []
+            assert rest.n == max(cuts(pi), default=0)
 
     def test_key_sorts_like_the_strict_pairs(self):
         # the profile key against the (n, strict) key it replaced, on all
@@ -554,12 +588,11 @@ class TestNuio:
         orders = [pi for n in range(6) for pi in natural_unit_interval_orders(n)]
         for pi in orders:
             pi.dagger()
-            for k in range(pi.n + 1):
-                for labels in itertools.combinations(range(1, pi.n + 1), k):
-                    pi.shifted_restrict(labels)
+            for _ in pi.splits():
+                pass
         for pi in orders:
             for rho in orders:
-                pi.shifted_sum(rho).pieces()
+                pi.shifted_sum(rho).top_piece()
         assert len(checked) == len(set(checked)) == len(combinatorics._INTERNED)
         assert len(checked) > len(orders)
 
@@ -613,18 +646,18 @@ class TestNuio:
 
     def test_shifted_restrict(self):
         pi = Nuio(4, [(1, 4), (2, 4)])
-        assert pi.shifted_restrict((1, 2, 4)) == Nuio(3, [(1, 3), (2, 3)])
-        assert pi.shifted_restrict((3,)) == Nuio(1, [])
-        assert pi.shifted_restrict(()) == Nuio(0, [])
+        assert split_of(pi, (1, 2, 4))[:2] == (Nuio(3, [(1, 3), (2, 3)]), Nuio(1, []))
+        assert split_of(pi, (3,))[:2] == (Nuio(1, []), Nuio(3, [(1, 3), (2, 3)]))
+        assert split_of(pi, ())[:2] == (Nuio(0, []), pi)
 
     def test_ascent_count(self):
         pi = Nuio(4, [(1, 4), (2, 4)])
         # (1,2) and (1,3) are incomparable going up; (1,4) is not
-        assert pi.ascent_count((1,)) == 2
-        assert pi.ascent_count((1, 2, 3, 4)) == 0
-        assert pi.ascent_count(()) == 0
-        assert Nuio(2, []).ascent_count((1,)) == 1
-        assert Nuio(2, [(1, 2)]).ascent_count((1,)) == 0
+        assert split_of(pi, (1,))[2] == 2
+        assert split_of(pi, (1, 2, 3, 4))[2] == 0
+        assert split_of(pi, ())[2] == 0
+        assert split_of(Nuio(2, []), (1,))[2] == 1
+        assert split_of(Nuio(2, [(1, 2)]), (1,))[2] == 0
 
     def test_dict_round_trip(self):
         pi = Nuio(4, [(1, 4), (2, 4)])
@@ -657,8 +690,9 @@ def test_shifted_restrict_is_a_nuio_and_complement_splits_ascents(pi, data):
             data.draw(st.sets(st.sampled_from(range(1, pi.n + 1)), max_size=pi.n))
         )
     ) if pi.n else ()
-    left = pi.shifted_restrict(labels)
+    left, right, ascents = split_of(pi, labels)
     rest = tuple(j for j in range(1, pi.n + 1) if j not in set(labels))
-    right = pi.shifted_restrict(rest)
-    assert left.n + right.n == pi.n
-    assert pi.ascent_count(labels) <= len(labels) * len(rest)
+    assert (left.n, right.n) == (len(labels), len(rest))
+    assert ascents <= len(labels) * len(rest)
+    # the complement split swaps the sides
+    assert split_of(pi, rest)[:2] == (right, left)

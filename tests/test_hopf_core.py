@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from uthopf.class_functions import ClassFunction, TensorFunction
+from uthopf.class_functions import ClassFunction, Combination, TensorFunction, _exact
 from uthopf.combinatorics import Nuio, SetComposition, \
     natural_unit_interval_orders
 from uthopf.group_engine import ut_table
@@ -44,7 +44,7 @@ from uthopf.hopf_core import (
 )
 
 from test_class_functions import assert_exact_form, trivial
-from test_combinatorics import from_strict
+from test_combinatorics import from_strict, ref_ascent_count, ref_shifted_restrict
 
 PT = Nuio(1, [])
 A2 = Nuio(2, [])
@@ -77,7 +77,8 @@ _REFERENCE_ANTIPODES = {}
 
 def reference_coproduct_basis(pi):
     """Reference coproduct of one basis element: the sum over every subset
-    of its labels, with no split into connected pieces."""
+    of its labels, with no split into connected pieces, each restriction
+    and ascent count read off the strict pairs."""
     if pi not in _REFERENCE_COPRODUCTS:
         labels = range(1, pi.n + 1)
 
@@ -86,8 +87,9 @@ def reference_coproduct_basis(pi):
                 for inside in itertools.combinations(labels, k):
                     chosen = set(inside)
                     outside = tuple(j for j in labels if j not in chosen)
-                    key = (pi.shifted_restrict(inside), pi.shifted_restrict(outside))
-                    yield key, LaurentT.t(pi.ascent_count(inside))
+                    key = (ref_shifted_restrict(pi, inside),
+                           ref_shifted_restrict(pi, outside))
+                    yield key, LaurentT.t(ref_ascent_count(pi, inside))
 
         _REFERENCE_COPRODUCTS[pi] = TensorScf.collect(splits())
     return _REFERENCE_COPRODUCTS[pi]
@@ -211,6 +213,42 @@ class TestLaurentT:
             for a in polys[:10]:
                 want = self.collect_product(a, LaurentT.scalar(k)).terms
                 assert (a * k).terms == (k * a).terms == want
+
+    @staticmethod
+    def loop_product(a, b):
+        # the plain double loop, with no fast path
+        out = {}
+        for k1, v1 in a.terms.items():
+            for k2, v2 in b.terms.items():
+                out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+        return {k: _exact(v) for k, v in out.items() if v}
+
+    def test_fast_paths_match_the_double_loop(self):
+        rng = random.Random(5)
+        coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
+
+        def poly(size):
+            return LaurentT({rng.randrange(-4, 5): rng.choice(coeffs)
+                             for _ in range(size)})
+
+        units = [ONE, LaurentT({0: Fraction(2, 2)}), LaurentT.scalar(1)]
+        monomials = [poly(1) for _ in range(30)] + [LaurentT.t(-2), T2]
+        general = [poly(rng.randrange(2, 6)) for _ in range(30)]
+        values = units + monomials + general + [LaurentT.zero()]
+        for a in values:
+            frozen = dict(a.terms)
+            for b in values:
+                got = a * b
+                assert got.terms == self.loop_product(a, b)
+                assert all(_exact(v) is v for v in got.terms.values())
+            for one in units:
+                assert a * one == one * a == a
+            assert a.terms == frozen
+        # a monomial product of Fractions that is integral is held as an int
+        got = LaurentT({1: Fraction(2, 3)}) * LaurentT({-1: Fraction(3, 2)})
+        assert got.terms == {0: 1} and type(got.terms[0]) is int
+        got = LaurentT({0: Fraction(1, 2), 2: Fraction(1, 2)}) * LaurentT({1: 4})
+        assert got.terms == {1: 2, 3: 2} and {type(v) for v in got.terms.values()} == {int}
 
     def test_frac_str_of_an_int_matches_its_fraction(self):
         for k in (0, 1, -1, 7, -12, 10 ** 30, -(10 ** 30) - 1):
@@ -349,16 +387,18 @@ class TestAntipode:
     def test_unit(self):
         assert ScfElement.unit().antipode() == ScfElement.unit()
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(8))
     def test_convolution_identities(self, n):
         for pi in natural_unit_interval_orders(n):
             x = basis(pi)
             expect = ScfElement.unit().scale(x.counit())
-            left = ScfElement.zero()
-            right = ScfElement.zero()
-            for (a, b), c in x.coproduct().terms.items():
-                left = left + (basis(a).antipode() * basis(b)).scale(c)
-                right = right + (basis(a) * basis(b).antipode()).scale(c)
+            cop = x.coproduct().terms.items()
+            left = ScfElement.collect(
+                (rho, c * v) for (a, b), c in cop
+                for rho, v in (basis(a).antipode() * basis(b)).terms.items())
+            right = ScfElement.collect(
+                (rho, c * v) for (a, b), c in cop
+                for rho, v in (basis(a) * basis(b).antipode()).terms.items())
             assert left == expect
             assert right == expect
 
@@ -419,6 +459,41 @@ class TestSerialization:
         cop = basis(A2).coproduct()
         keys = [(l.n, r.n) for (l, r), _ in cop.sorted_terms()]
         assert keys == sorted(keys)
+
+
+def assert_trusted_form(x):
+    """x equals its rebuild through the validating constructor, and so does
+    every coefficient that is a combination; every rational is already in
+    _exact form."""
+    assert type(x)(*x.context, x.terms) == x
+    for v in x.terms.values():
+        if isinstance(v, Combination):
+            assert_trusted_form(v)
+        else:
+            assert _exact(v) is v, "%r holds %r" % (x, v)
+
+
+class TestTrustedConstruction:
+    """collect and the linear operations build without validating; every
+    result must pass the validating constructor unchanged."""
+
+    def test_symbolic_sweep(self):
+        orders = [pi for n in range(7) for pi in natural_unit_interval_orders(n)]
+        for pi in orders:
+            x = basis(pi)
+            for y in (x.coproduct(), x.antipode(), x.dagger(),
+                      x.antipode() - x.scale(Fraction(3, 2) * T), -x.coproduct()):
+                assert_trusted_form(y)
+        for a in orders:
+            for b in orders:
+                if a.n + b.n <= 6:
+                    assert_trusted_form((basis(a) * basis(b)).dagger())
+
+    def test_oracle_sides(self):
+        for case in itertools.chain(product_oracle_cases(3, 2),
+                                    coproduct_oracle_cases(3, 2)):
+            assert_trusted_form(case[2])
+            assert_trusted_form(case[3])
 
 
 class TestSpecialize:
