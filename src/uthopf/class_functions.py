@@ -11,8 +11,10 @@ of a Levi and a radical inside a group (_deflation).  Deflation lands on
 the Levi as a complement rather than on a quotient; inflation is
 parabolic induction, plain inflation when the group is Levi * radical.
 Straightening and unstraightening read the block bijection Levi = left x
-right (_block_classes) both ways.  Each map is built once and cached with
-lru_cache, keyed on the identity of its tables like the tables themselves.
+right (_block_classes) both ways.  Restriction, fusion, straightening, the
+flip and relabelling read one class map (_class_map).  Each map is built
+once and cached with lru_cache, keyed on the identity of its tables like
+the tables themselves; a class map also on its module-level move and arg.
 
 Sparse data is a Combination: a finite linear combination held in its
 `terms` dict from keys to nonzero coefficients.  The base class owns the
@@ -34,7 +36,7 @@ import functools
 from fractions import Fraction
 
 from .combinatorics import standardize
-from .group_engine import kernel
+from .group_engine import FqMatrix, kernel
 
 
 def _exact(x):
@@ -235,6 +237,15 @@ class TensorFunction(Combination):
 
 
 @functools.lru_cache(maxsize=None)
+def _class_map(source, target, move=None, arg=()):
+    """The class in source of each class representative m of target, moved
+    to move(m, *arg) unless move is None; KeyError if one is not in source.
+    arg is a tuple of hashable values, compared by value in the cache key."""
+    reps = [target.elements[r] for r in target.class_reps]
+    return tuple(source.class_of_matrix(move(m, *arg) if move else m) for m in reps)
+
+
+@functools.lru_cache(maxsize=None)
 def _fusion(small, big):
     """Where each class of small lands in big, with its induction weight.
 
@@ -245,11 +256,8 @@ def _fusion(small, big):
     """
     if not all(m in big for m in small.elements):
         raise ValueError("%s is not a subgroup of %s" % (small.name, big.name))
-    out = []
-    for r, size in zip(small.class_reps, small.class_sizes):
-        b = big.class_of_matrix(small.elements[r])
-        out.append((b, Fraction(big.order * size, small.order * big.class_sizes[b])))
-    return tuple(out)
+    return tuple((b, Fraction(big.order * size, small.order * big.class_sizes[b]))
+                 for b, size in zip(_class_map(big, small), small.class_sizes))
 
 
 def restrict_cf(psi, sub):
@@ -329,25 +337,26 @@ def deflate_cf(psi, levi, radical):
     psi may live on the semidirect product itself or on any enumerated
     overgroup of it; only the products levi * radical are read.
     """
-    terms = psi.terms
-    return ClassFunction.collect((
-        (l, Fraction(k * terms[c], radical.order))
-        for l, row in enumerate(_deflation(psi.group, levi, radical))
-        for c, k in row if c in terms
-    ), levi)
+    terms, rows = psi.terms, _deflation(psi.group, levi, radical)
+    sums = (sum(k * terms[c] for c, k in row if c in terms) for row in rows)
+    return ClassFunction.collect(
+        ((l, Fraction(s, radical.order)) for l, s in enumerate(sums) if s), levi)
 
 
-def pullback_cf(psi, target, matrix_map):
-    """Pull back along an isomorphism target -> psi.group given on matrices."""
-    return ClassFunction(target, {
-        c: psi.at_matrix(matrix_map(target.elements[r]))
-        for c, r in enumerate(target.class_reps)
-    })
+def pullback_cf(psi, target, move=None, arg=()):
+    """Pull back along the isomorphism m -> move(m, *arg), target -> psi.group."""
+    terms, classes = psi.terms, _class_map(psi.group, target, move, arg)
+    return ClassFunction(target, {c: terms.get(b, 0) for c, b in enumerate(classes)})
 
 
 def dagger_cf(psi):
     """Precompose with the transpose-flip antiautomorphism."""
-    return pullback_cf(psi, psi.group, lambda m: m.dagger())
+    return pullback_cf(psi, psi.group, FqMatrix.dagger)
+
+
+def _standard_block(m, labels):
+    """The block of m on labels, moved onto an initial segment."""
+    return m.block(labels).relabel(standardize(labels))
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,12 +366,8 @@ def _block_classes(levi, inside, left, right):
     initial segment.  Raises ValueError unless this is a bijection onto all
     class pairs, that is unless levi is the product of the two blocks."""
     outside = tuple(k for k in levi.ground if k not in inside)
-    std_in, std_out = standardize(inside), standardize(outside)
-    pairs = tuple(
-        (left.class_of_matrix(m.block(inside).relabel(std_in)),
-         right.class_of_matrix(m.block(outside).relabel(std_out)))
-        for m in (levi.elements[r] for r in levi.class_reps)
-    )
+    pairs = tuple(zip(_class_map(left, levi, _standard_block, (inside,)),
+                      _class_map(right, levi, _standard_block, (outside,))))
     if not len(set(pairs)) == len(pairs) == len(left.classes) * len(right.classes):
         raise ValueError("%s is not the block product of %s and %s"
                          % (levi.name, left.name, right.name))

@@ -221,8 +221,9 @@ class FqMatrix:
         return FqMatrix(self.p, self.ground, [row[n:] for row in aug])
 
     def relabel(self, mapping):
-        """Push forward along a bijection of labels: entry (i, j) moves to
-        (mapping[i], mapping[j])."""
+        """Push forward along a bijection of labels, a dict or its (label,
+        image) pairs: entry (i, j) moves to (mapping[i], mapping[j])."""
+        mapping = dict(mapping)
         new_ground = tuple(sorted(set(mapping.values())))
         if set(mapping) != set(self.ground) or len(new_ground) != len(self.ground):
             raise ValueError("relabelling must be a bijection from the ground")
@@ -472,7 +473,7 @@ def _check_gl_budget(n, q):
 
 
 def primitive_root(p):
-    for r in range(2, p):
+    for r in range(1, p):
         seen = set()
         x = 1
         for _ in range(p - 1):
@@ -480,8 +481,7 @@ def primitive_root(p):
             seen.add(x)
         if len(seen) == p - 1:
             return r
-    assert p == 2
-    return 1
+    raise ValueError(f"{p} has no primitive root")
 
 
 @functools.lru_cache(maxsize=None)

@@ -61,7 +61,7 @@ from .combinatorics import (
     total_orders,
     _check_budget,
 )
-from .group_engine import _check_ut_budget, kernel, pattern_group, ut_table
+from .group_engine import FqMatrix, _check_ut_budget, kernel, pattern_group, ut_table
 from .class_functions import (
     ClassFunction,
     Combination,
@@ -576,10 +576,9 @@ def monoid_deflate(ambient, comp, psi):
 
 def monoid_relabel(psi, mapping):
     """Push a pattern group class function forward along a relabelling."""
-    src = psi.group.pattern
-    target = pattern_group(src.relabel(mapping), psi.group.p)
-    inverse = {v: k for k, v in mapping.items()}
-    return pullback_cf(psi, target, lambda m: m.relabel(inverse))
+    target = pattern_group(psi.group.pattern.relabel(mapping), psi.group.p)
+    inverse = tuple(sorted((v, k) for k, v in mapping.items()))
+    return pullback_cf(psi, target, FqMatrix.relabel, (inverse,))
 
 
 # Each square family returns (check, instance, source, sides): the square is

@@ -4,10 +4,11 @@ Inductions are computed two ways (along the class fusion map and by the
 textbook conjugation sum), restriction along the fusion is checked against
 evaluation at elements, adjunctions are checked as literal inner product
 identities, and straightening is checked as a round trip.  Deflation,
-inflation and (un)straightening read class maps built once per split; the
-per-call loops they replaced are kept here as references, and so are the
-products that inflated through GroupTable.factorization and, on the general
-linear side, induced up from a built parabolic table.
+inflation, (un)straightening and pullback read class maps built once per
+split or per move; the per-call loops they replaced are kept here as
+references, and so are the products that inflated through
+GroupTable.factorization and, on the general linear side, induced up from a
+built parabolic table.
 """
 
 import itertools
@@ -37,9 +38,11 @@ from uthopf.combinatorics import (
     radical_pattern,
     standardize,
 )
+from uthopf import hopf_core
 from uthopf.gl_bridge import gl_product, levi_table, parabolic_table, radical_table
-from uthopf.group_engine import gl_table, pattern_group, ut_table
-from uthopf.hopf_core import GradedClassFunction, ut_product
+from uthopf.group_engine import FqMatrix, gl_table, pattern_group, ut_table
+from uthopf.hopf_core import GradedClassFunction, _all_squares, monoid_relabel, \
+    ut_product
 from uthopf.hopf_core import split_tables as ut_split_tables
 
 from test_combinatorics import parabolic_pattern
@@ -366,7 +369,14 @@ class TestDagger:
     def test_pullback_along_identity(self):
         g = ut_table(2, 3)
         psi = ClassFunction.class_indicator(g, 1)
-        assert pullback_cf(psi, g, lambda m: m) == psi
+        assert pullback_cf(psi, g) == psi
+
+    def test_pullback_needs_the_moved_classes_in_the_group(self):
+        # swapping labels 1 and 2 moves the entry (1, 2) below the diagonal
+        g = ut_table(3, 2)
+        swap = ((1, 2), (2, 1), (3, 3))
+        with pytest.raises(KeyError):
+            pullback_cf(trivial(g), g, FqMatrix.relabel, (swap,))
 
 
 class TestStraightening:
@@ -415,6 +425,23 @@ def reference_deflate_cf(psi, levi, radical):
             total += psi.at_matrix(l * x)
         values.append(scale * total)
     return ClassFunction(levi, dict(enumerate(values)))
+
+
+def reference_pullback_cf(psi, target, matrix_map):
+    """Reference pullback: psi at the image of each class representative of
+    target under matrix_map, looked up in psi.group on every call."""
+    return ClassFunction(target, {
+        c: psi.at_matrix(matrix_map(target.elements[r]))
+        for c, r in enumerate(target.class_reps)
+    })
+
+
+def reference_monoid_relabel(psi, mapping):
+    """Reference relabelling: reference_pullback_cf along the inverse
+    relabelling, onto the pattern group of the relabelled order."""
+    target = pattern_group(psi.group.pattern.relabel(mapping), psi.group.p)
+    inverse = {v: k for k, v in mapping.items()}
+    return reference_pullback_cf(psi, target, lambda m: m.relabel(inverse))
 
 
 def reference_inflate_cf(psi, group, levi, radical):
@@ -552,6 +579,30 @@ class TestClassMapsAgainstReference:
                     got = product(GradedClassFunction(q, {i: f}),
                                   GradedClassFunction(q, {n - i: g}))
                     assert got == GradedClassFunction(q, {n: reference(f, g)})
+
+    def test_relabel_on_every_naturality_square(self, monkeypatch):
+        # every relabelling on either side of a square is checked as it runs
+        relabelled = []
+
+        def checked(psi, mapping):
+            got = monoid_relabel(psi, mapping)
+            assert got == reference_monoid_relabel(psi, mapping)
+            relabelled.append(mapping)
+            return got
+
+        monkeypatch.setattr(hopf_core, "monoid_relabel", checked)
+        for check, _, source, sides in _all_squares(3):
+            if check.startswith("naturality"):
+                for psi in indicators(pattern_group(source, 2)):
+                    lhs, rhs = sides(psi)
+                    assert lhs == rhs
+        assert len(relabelled) > 1000
+
+    @pytest.mark.parametrize("n,q", [(n, q) for q in (2, 3) for n in range(4)])
+    def test_dagger(self, n, q):
+        g = ut_table(n, q)
+        for psi in indicators(g):
+            assert dagger_cf(psi) == reference_pullback_cf(psi, g, FqMatrix.dagger)
 
     def test_straightening_needs_a_block_product(self):
         # UT_3 is not UT_1 x UT_2: its entries (1, 2) and (1, 3) join the blocks

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from uthopf import cli, gl_bridge, hopf_core
+from uthopf import class_functions, cli, gl_bridge, hopf_core
 from uthopf.class_functions import ClassFunction
 from uthopf.combinatorics import natural_unit_interval_orders
 from uthopf.hopf_core import GradedClassFunction
@@ -205,6 +205,20 @@ class TestVerify:
              "--size", "3", "--seed", "5"),
             "14751b7bab5c6a345f91df2bf4cadd136f0c6370a451e970f28feb97d09e7ef8",
             id="monoid-axioms-text"),
+        # every square on up to three labels, relabelled through the class map
+        pytest.param(
+            ("monoid-axioms", "--n", "3", "--q", "2"),
+            "ad81bf4ce6e4ba036369269251ea88f9bbc75d1c93d5221d6f2c4125ad3412df",
+            id="monoid-axioms-n3-q2"),
+        pytest.param(
+            ("monoid-axioms", "--n", "3", "--q", "3"),
+            "6fe3ba889a54312597eaa5d1efaa2cb36717dcc7d02a65bd1421e61dcca5a237",
+            id="monoid-axioms-n3-q3"),
+        pytest.param(
+            ("monoid-axioms", "--n", "3", "--q", "2", "--samples", "200",
+             "--seed", "5"),
+            "8ec40854633e761a498e01b8ecaf837813d03d3b890382fad89f54b758d6c410",
+            id="monoid-axioms-n3-q2-sampled"),
         pytest.param(
             ("oracle", "--n", "3", "--q", "2", "--format", "json"),
             "9f4203e5e4b64fd0abbfd76a68eb88e5c7331395cf77bd95121ddf57d65de852",
@@ -235,6 +249,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_relabelling_builds_one_class_map_per_move(self, capsys):
+        # 11,700 relabellings fall on 85 (source, target, mapping) keys; a
+        # mapping compared by identity would build one class map per call
+        class_map = class_functions._class_map
+        class_map.cache_clear()
+        code, out, _ = run(capsys, "verify", "monoid-axioms", "--n", "3", "--q", "3",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9771213a032bc07c40b188221aa29f5e21b3aefa5431a7f31be76cfe7cef2244")
+        info = class_map.cache_info()
+        assert (info.misses, info.hits) == (85, 11615)
 
     def test_oracle_small_text(self, capsys):
         code, out, _ = run(

@@ -37,6 +37,11 @@ from test_combinatorics import parabolic_pattern
 from test_group_engine import coset_rep_permutation, direct_sum, search_generators
 
 
+def conjugate(m, g, h):
+    """The move m -> g m h, for pullback_cf."""
+    return g * m * h
+
+
 def block_predicate(n, i):
     """Reference parabolic membership: every cell of the lower left
     (n-i) x i block is zero, read with entry()."""
@@ -138,7 +143,7 @@ def mackey_cases(n, i, q):
                  for g in sub_parabolic.generators()],
                 name="w*UP[%s]w/%d/%d" % (",".join(map(str, labels)), n, q),
             )
-            pulled = pullback_cf(psi, conjugated, lambda m: wmat * m * winv)
+            pulled = pullback_cf(psi, conjugated, conjugate, (wmat, winv))
             rhs = rhs + induce_cf(pulled, parabolic)
         yield "mackey", "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c), lhs, rhs
 
@@ -217,7 +222,7 @@ def straighten_transport_cases(n, labels, q):
     for c in range(len(levi_sub.class_reps)):
         psi = ClassFunction.class_indicator(levi_sub, c)
         lhs = straighten_cf(psi, labels, ut_table(i, q), ut_table(n - i, q))
-        pulled = pullback_cf(psi, levi_init, lambda m: wmat * m * winv)
+        pulled = pullback_cf(psi, levi_init, conjugate, (wmat, winv))
         rhs = straighten_cf(
             pulled, range(1, i + 1), ut_table(i, q), ut_table(n - i, q)
         )

@@ -723,6 +723,12 @@ class TestGl:
             powers = {pow(r, k, p) for k in range(1, p)}
             assert powers == set(range(1, p))
 
+    def test_primitive_root_refuses_composites(self):
+        # fewer than p - 1 units, though those mod 4 and 9 form cyclic groups
+        for p in (4, 8, 9):
+            with pytest.raises(ValueError):
+                primitive_root(p)
+
 
 class TestPermutations:
     def test_permutation_matrix_convention(self):
