@@ -57,7 +57,7 @@ class Combination:
     constructor arguments, the attributes named by `_fields`, that two
     combinations must share to be added or equal; `_coerce` turns a given
     coefficient or scalar into coefficient form.  The constructor
-    validates; collect and the linear operations build through _trusted.
+    validates; collect, linear operations and transports use _trusted.
     """
 
     __slots__ = ("terms",)
@@ -159,7 +159,7 @@ class ClassFunction(Combination):
         for i, m in enumerate(group.elements):
             if fn(m) != values[group.class_of[i]]:
                 raise ValueError(f"not constant on classes at {m!r}")
-        return cls(group, dict(enumerate(values)))
+        return cls._trusted((group,), dict(enumerate(values)))
 
     @classmethod
     def class_indicator(cls, group, c):
@@ -222,7 +222,7 @@ class TensorFunction(Combination):
 
     @classmethod
     def outer(cls, f, g):
-        return cls(f.group, g.group, {
+        return cls._trusted((f.group, g.group), {
             (c1, c2): a * b
             for c1, a in f.terms.items() for c2, b in g.terms.items()
         })
@@ -261,10 +261,10 @@ def _fusion(small, big):
 
 
 def restrict_cf(psi, sub):
-    """Restriction to a subgroup, read off the class fusion; the adjoint of
-    induce_cf."""
-    fusion = _fusion(sub, psi.group)
-    return ClassFunction(sub, {c: psi.at_class(b) for c, (b, _) in enumerate(fusion)})
+    """Restriction to a subgroup, the pullback along the inclusion, checked
+    by the class fusion; the adjoint of induce_cf."""
+    _fusion(sub, psi.group)
+    return pullback_cf(psi, sub)
 
 
 def induce_cf(psi, big):
@@ -346,7 +346,8 @@ def deflate_cf(psi, levi, radical):
 def pullback_cf(psi, target, move=None, arg=()):
     """Pull back along the isomorphism m -> move(m, *arg), target -> psi.group."""
     terms, classes = psi.terms, _class_map(psi.group, target, move, arg)
-    return ClassFunction(target, {c: terms.get(b, 0) for c, b in enumerate(classes)})
+    return ClassFunction._trusted((target,), {c: terms.get(b, 0)
+                                             for c, b in enumerate(classes)})
 
 
 def dagger_cf(psi):
@@ -378,14 +379,14 @@ def straighten_cf(psi, inside, left_table, right_table):
     """Split a block diagonal class function into a two factor tensor on the
     canonical tables, along the bijection of _block_classes."""
     pairs = _block_classes(psi.group, tuple(inside), left_table, right_table)
-    return TensorFunction(
-        left_table, right_table, {pairs[c]: v for c, v in psi.terms.items()}
+    return TensorFunction._trusted(
+        (left_table, right_table), {pairs[c]: v for c, v in psi.terms.items()}
     )
 
 
 def unstraighten_cf(tensor, inside, levi_table):
     """Inverse of straighten_cf, read along the same bijection."""
     pairs = _block_classes(levi_table, tuple(inside), *tensor.context)
-    return ClassFunction(levi_table, {
+    return ClassFunction._trusted((levi_table,), {
         c: tensor.terms[pair] for c, pair in enumerate(pairs) if pair in tensor.terms
     })

@@ -6,6 +6,11 @@ is stored as its full relation, reflexive and transitively closed, with a
 pair (i, j) meaning i is weakly below j.  Relabelling along a bijection sigma
 always pushes structure forward: (i, j) becomes (sigma(i), sigma(j)).
 
+Each value is checked once, where it enters: a public constructor checks
+outside input, labels must be ints, and a result derived from built values
+checks only its own arguments and builds through its type's trusted
+constructor, PartialOrder._trusted or Nuio.from_profile.
+
 Natural unit interval orders live on {1, ..., n}: every strict relation
 points numerically upward, and whenever i is strictly below j, every i' <= i
 is strictly below every j' >= j.  They are counted by the Catalan numbers,
@@ -58,16 +63,24 @@ def _check_budget(size, what, bits=0):
         raise BudgetError(f"{what} needs {shown} elements, budget is {cap}")
 
 
+def _labels(labels):
+    """The labels sorted; ValueError unless they are distinct ints, not bools."""
+    labels = tuple(labels)
+    if not all(type(i) is int for i in labels) or len(set(labels)) < len(labels):
+        raise ValueError("labels must be distinct ints, got %r" % (labels,))
+    return tuple(sorted(labels))
+
+
 def _relation_axioms(pairs):
-    """Check antisymmetry and transitivity; reflexivity is checked separately."""
+    """Raise ValueError unless pairs is antisymmetric and transitive;
+    reflexivity is checked separately."""
     for i, j in pairs:
         if i != j and (j, i) in pairs:
-            return False, f"antisymmetry fails at {(i, j)}"
+            raise ValueError(f"antisymmetry fails at {(i, j)}")
     for i, j in pairs:
         for k, l in pairs:
             if k == j and (i, l) not in pairs:
-                return False, f"transitivity fails at {(i, j)}, {(k, l)}"
-    return True, ""
+                raise ValueError(f"transitivity fails at {(i, j)}, {(k, l)}")
 
 
 class SetComposition:
@@ -82,14 +95,11 @@ class SetComposition:
     __slots__ = ("blocks", "ground")
 
     def __init__(self, blocks):
-        blocks = tuple(tuple(sorted(int(i) for i in b)) for b in blocks)
+        blocks = tuple(map(_labels, blocks))
         if not all(blocks):
             raise ValueError("blocks must be nonempty")
-        seen = [i for b in blocks for i in b]
-        if len(set(seen)) != len(seen):
-            raise ValueError("blocks must be disjoint")
+        self.ground = _labels(i for b in blocks for i in b)
         self.blocks = blocks
-        self.ground = tuple(sorted(seen))
 
     def __len__(self):
         return len(self.blocks)
@@ -124,23 +134,6 @@ class SetComposition:
         labels = set(labels)
         kept = [tuple(i for i in b if i in labels) for b in self.blocks]
         return SetComposition([b for b in kept if b])
-
-
-def equal_pairs(comp):
-    """All pairs (i, j) with i and j in the same block, including i == j."""
-    out = set()
-    for b in comp.blocks:
-        out.update(itertools.product(b, b))
-    return frozenset(out)
-
-
-def ascent_pairs(comp):
-    """All pairs (i, j) with the block of i strictly before the block of j."""
-    out = set()
-    for r, br in enumerate(comp.blocks):
-        for bs in comp.blocks[r + 1:]:
-            out.update(itertools.product(br, bs))
-    return frozenset(out)
 
 
 def set_compositions(ground):
@@ -182,30 +175,32 @@ def split_composition(n, inside):
 
 
 class PartialOrder:
-    """A partial order held as its full reflexive, transitive relation."""
+    """A partial order held as its full reflexive, transitive relation; the
+    constructor checks it, and every order derived here builds unchecked."""
 
-    __slots__ = ("ground", "pairs", "_strict")
+    __slots__ = ("ground", "pairs")
 
     def __init__(self, ground, pairs):
-        ground = tuple(sorted(int(i) for i in ground))
-        if len(set(ground)) != len(ground):
-            raise ValueError("repeated labels")
-        pairs = frozenset((int(i), int(j)) for i, j in pairs)
+        ground = _labels(ground)
+        pairs = frozenset((i, j) for i, j in pairs)
         labels = set(ground)
-        if not all(i in labels and j in labels for i, j in pairs):
-            raise ValueError("stray label")
+        if not all(type(i) is int and i in labels for pair in pairs for i in pair):
+            raise ValueError("pairs must join labels of the ground")
         if not all((i, i) in pairs for i in ground):
             raise ValueError("relation must be reflexive")
-        ok, reason = _relation_axioms(pairs)
-        if not ok:
-            raise ValueError(reason)
-        self.ground = ground
-        self.pairs = pairs
-        self._strict = tuple(sorted((i, j) for i, j in pairs if i != j))
+        _relation_axioms(pairs)
+        self.ground, self.pairs = ground, pairs
+
+    @classmethod
+    def _trusted(cls, ground, pairs):
+        """The order of pairs, a frozenset, on ground, sorted ints: unchecked."""
+        self = cls.__new__(cls)
+        self.ground, self.pairs = ground, pairs
+        return self
 
     @property
     def strict_pairs(self):
-        return self._strict
+        return tuple(sorted((i, j) for i, j in self.pairs if i != j))
 
     def __eq__(self, other):
         return (
@@ -218,46 +213,46 @@ class PartialOrder:
         return hash((self.ground, self.pairs))
 
     def __repr__(self):
-        return "PartialOrder(%s, strict=%s)" % (list(self.ground), list(self._strict))
+        return "PartialOrder(%s, strict=%s)" % (list(self.ground), [*self.strict_pairs])
 
     def restrict(self, labels):
         labels = set(labels)
-        if not labels <= set(self.ground):
+        ground = tuple(i for i in self.ground if i in labels)
+        if len(ground) != len(labels):
             raise ValueError("restriction labels must lie in the ground")
-        return PartialOrder(
-            sorted(labels),
-            {(i, j) for i, j in self.pairs if i in labels and j in labels},
-        )
+        return PartialOrder._trusted(ground, frozenset(
+            (i, j) for i, j in self.pairs if i in labels and j in labels))
 
     def relabel(self, mapping):
-        """Push forward along a bijection given as a dict on the ground set."""
-        images = list(mapping.values())
-        if set(mapping) != set(self.ground) or len(set(images)) != len(images):
+        """Push forward along a bijection, a dict from the ground to ints."""
+        ground = _labels(mapping.values())
+        if set(mapping) != set(self.ground):
             raise ValueError("relabelling must be a bijection on the ground")
-        return PartialOrder(images, {(mapping[i], mapping[j]) for i, j in self.pairs})
+        return PartialOrder._trusted(ground, frozenset(
+            (mapping[i], mapping[j]) for i, j in self.pairs))
 
     def disjoint_union(self, other):
         """Raises ValueError, as a repeated label, if the grounds overlap."""
-        return PartialOrder(self.ground + other.ground, self.pairs | other.pairs)
+        return PartialOrder._trusted(_labels(self.ground + other.ground),
+                                     self.pairs | other.pairs)
 
     def ordinal_sum(self, other):
         """Disjoint union with every label of self placed below every label of
         other; raises ValueError, as a repeated label, if the grounds overlap."""
-        cross = set(itertools.product(self.ground, other.ground))
-        return PartialOrder(
-            self.ground + other.ground, self.pairs | other.pairs | cross
-        )
+        return PartialOrder._trusted(
+            _labels(self.ground + other.ground), self.pairs | other.pairs
+            | frozenset(itertools.product(self.ground, other.ground)))
 
 
 def chain_order(seq):
-    """The total order listing seq from bottom to top.
+    """The total order listing seq, distinct ints, from bottom to top.
 
     >>> chain_order([2, 1, 3]).strict_pairs
     ((1, 3), (2, 1), (2, 3))
     """
-    seq = [int(i) for i in seq]
-    pairs = [(seq[a], seq[b]) for a in range(len(seq)) for b in range(a, len(seq))]
-    return PartialOrder(seq, pairs)
+    seq = tuple(seq)
+    return PartialOrder._trusted(_labels(seq), frozenset(
+        (i, j) for a, i in enumerate(seq) for j in seq[a:]))
 
 
 def total_orders(ground):
@@ -266,21 +261,25 @@ def total_orders(ground):
         yield chain_order(perm)
 
 
+def _block_index(order, comp):
+    """{label: block number} of comp, a composition of the ground of order."""
+    if comp.ground != order.ground:
+        raise ValueError("composition and order on different grounds")
+    return {i: k for k, b in enumerate(comp.blocks) for i in b}
+
+
 def levi_pattern(order, comp):
     """The part of the order lying within single blocks of the composition."""
-    if set(comp.ground) != set(order.ground):
-        raise ValueError("composition and order on different grounds")
-    eq = equal_pairs(comp)
-    return PartialOrder(order.ground, order.pairs & eq)
+    block = _block_index(order, comp)
+    return PartialOrder._trusted(order.ground, frozenset(
+        (i, j) for i, j in order.pairs if block[i] == block[j]))
 
 
 def radical_pattern(order, comp):
     """The part of the order pointing from earlier blocks into later ones."""
-    if set(comp.ground) != set(order.ground):
-        raise ValueError("composition and order on different grounds")
-    asc = ascent_pairs(comp)
-    diag = {(i, i) for i in order.ground}
-    return PartialOrder(order.ground, (order.pairs & asc) | diag)
+    block = _block_index(order, comp)
+    return PartialOrder._trusted(order.ground, frozenset(
+        (i, j) for i, j in order.pairs if block[i] < block[j] or i == j))
 
 
 def standardize(labels):
@@ -305,8 +304,7 @@ class Nuio:
     are derived from it once, when the profile is checked, and stored.
     Every operation computes the profile of its result directly and builds
     it with from_profile, which interns: each profile is checked and built
-    once per process.  Nuio(n, strict) is the validating entry for outside
-    input.
+    once per process.
     """
 
     __slots__ = ("n", "_profile", "_strict", "_hash", "_key")

@@ -21,7 +21,6 @@ from .group_engine import FqMatrix, GroupTable, _check_gl_budget, _gl_generators
 # the tracer rebinds this copy of it.
 from .class_functions import deflate_cf, induce_cf, induce_tensor  # noqa: F401
 from .hopf_core import (
-    GradedClassFunction,
     GradedTensor,
     ScfElement,
     _order_instances,
@@ -92,9 +91,7 @@ def radical_table(n, i, q):
 
 def induce_to_gl(a):
     """Degreewise induction of a graded unitriangular class function."""
-    return GradedClassFunction(
-        a.q, {n: induce_cf(f, gl_table(n, a.q)) for n, f in a.terms.items()}
-    )
+    return a._like({n: induce_cf(f, gl_table(n, a.q)) for n, f in a.terms.items()})
 
 
 def gl_product(a, b):

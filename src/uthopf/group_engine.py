@@ -218,7 +218,8 @@ class FqMatrix:
                                    for r, row in enumerate(self.rows)])
         if rank != n:
             raise ValueError("matrix is singular")
-        return FqMatrix(self.p, self.ground, [row[n:] for row in aug])
+        return FqMatrix._from_code(self.p, self.ground,
+                                   kernel(self.p, n).encode([row[n:] for row in aug]))
 
     def relabel(self, mapping):
         """Push forward along a bijection of labels, a dict or its (label,
@@ -227,29 +228,30 @@ class FqMatrix:
         new_ground = tuple(sorted(set(mapping.values())))
         if set(mapping) != set(self.ground) or len(new_ground) != len(self.ground):
             raise ValueError("relabelling must be a bijection from the ground")
-        pos = _positions(new_ground)
-        n = len(new_ground)
-        out = [[0] * n for _ in range(n)]
-        for i, row in zip(self.ground, self.rows):
-            for j, e in zip(self.ground, row):
-                out[pos[mapping[i]]][pos[mapping[j]]] = e
-        return FqMatrix(self.p, new_ground, out)
+        back = {v: k for k, v in mapping.items()}
+        return self._pick(new_ground, [back[v] for v in new_ground])
 
     def dagger(self):
         """Transpose composed with the order-reversing relabelling of the ground."""
+        n = len(self.ground)
         rows = self.rows[::-1]
-        return FqMatrix(self.p, self.ground,
-                        [[row[-1 - r] for row in rows] for r in range(len(rows))])
+        return FqMatrix._from_code(self.p, self.ground, kernel(self.p, n).encode(
+            [[row[-1 - r] for row in rows] for r in range(n)]))
 
     def block(self, labels):
         """Square submatrix on the given labels, keeping those labels."""
         labels = tuple(sorted(labels))
-        if not set(labels) <= set(self.ground):
-            raise ValueError("block labels must lie in the ground")
-        pos = _positions(self.ground)
-        rows = self.rows
-        return FqMatrix(self.p, labels,
-                        [[rows[pos[i]][pos[j]] for j in labels] for i in labels])
+        if len(set(labels).intersection(self.ground)) != len(labels):
+            raise ValueError("block labels must be distinct labels of the ground")
+        return self._pick(labels, labels)
+
+    def _pick(self, ground, labels):
+        """The matrix on ground, a sorted tuple, whose entry (k, l) is this
+        one's at (labels[k], labels[l]): not validated."""
+        pos, rows = _positions(self.ground), self.rows
+        at = [pos[i] for i in labels]
+        return FqMatrix._from_code(self.p, ground, kernel(self.p, len(at)).encode(
+            [[rows[a][b] for b in at] for a in at]))
 
 
 class GroupTable:
@@ -424,7 +426,8 @@ def pattern_group(order, p):
         raise TypeError("a pattern group needs a PartialOrder, got %r" % (order,))
     ground = order.ground
     cells = list(order.strict_pairs)
-    _check_budget(p ** len(cells), f"pattern group on {len(cells)} cells")
+    _check_budget(lambda: p ** len(cells), f"pattern group on {len(cells)} cells",
+                  bits=len(cells) * (p.bit_length() - 1))
     ident = FqMatrix.identity(p, ground).code
     codes = [ident]
     for i, j in cells:

@@ -261,9 +261,8 @@ class TensorScf(Combination):
         return TensorScf({(r, l): c for (l, r), c in self.terms.items()})
 
     def component(self, i, j):
-        return TensorScf(
-            {k: c for k, c in self.terms.items() if k[0].n == i and k[1].n == j}
-        )
+        return self._like({k: c for k, c in self.terms.items()
+                           if k[0].n == i and k[1].n == j})
 
     def __repr__(self):
         bits = [
@@ -365,9 +364,7 @@ class GradedClassFunction(_AtPrime):
         return {"q": self.q, "components": comps}
 
     def dagger(self):
-        return GradedClassFunction(
-            self.q, {n: dagger_cf(f) for n, f in self.terms.items()}
-        )
+        return self._like({n: dagger_cf(f) for n, f in self.terms.items()})
 
 
 class GradedTensor(_AtPrime):
@@ -547,11 +544,11 @@ def _value_text(v):
 
 
 def _ordinal_fold(orders):
-    return functools.reduce(PartialOrder.ordinal_sum, orders, PartialOrder((), ()))
+    return functools.reduce(PartialOrder.ordinal_sum, orders, chain_order(()))
 
 
 def _disjoint_fold(orders):
-    return functools.reduce(PartialOrder.disjoint_union, orders, PartialOrder((), ()))
+    return functools.reduce(PartialOrder.disjoint_union, orders, chain_order(()))
 
 
 def monoid_inflate(ambient, comp, psi):
@@ -767,11 +764,14 @@ def axiom_cases(n_max, q, samples=0, sample_size=4, seed=0):
     size sample_size are drawn with the seeded generator, each checked on
     one drawn class indicator.  Before any group is built, the budget is
     checked against the largest family, the n!^2 Fubini(n) coproduct
-    naturality squares at n = n_max, at least n!^3 >= h^(3h) for h = n // 2.
+    naturality squares at n = n_max, at least n!^3 >= h^(3h) for h = n // 2,
+    and when sampling against the unitriangular group every sample builds.
     """
     _check_budget(lambda: math.factorial(n_max) ** 2 * _fubini(n_max),
                   "coproduct naturality squares on %d labels" % n_max,
                   bits=3 * (n_max // 2) * ((n_max // 2).bit_length() - 1))
+    if samples:
+        _check_ut_budget(sample_size, q)
     rng = random.Random(seed)
     yield from _square_cases(_all_squares(n_max), range, q)
     yield from _square_cases(_sampled_squares(rng, samples, sample_size),

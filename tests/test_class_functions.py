@@ -650,6 +650,40 @@ class TestExactForm:
         assert forms == {int, Fraction}
 
 
+class TestTrustedTransports:
+    """Every transport builds its result unchecked, its keys class indices
+    by construction: none runs the constructors' checks, and each result
+    equals its rebuild through the validating constructor."""
+
+    @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
+    def test_transports_skip_the_index_check(self, monkeypatch, family, top, q):
+        splits = [(s, indicators(s[0]) + [trivial(s[0])], indicators(s[1]),
+                   indicators(s[4]), indicators(s[5]))
+                  for s in coproduct_splits(family, top, q)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a transport ran a validating constructor")
+
+        monkeypatch.setattr(ClassFunction, "__init__", refuse)
+        monkeypatch.setattr(TensorFunction, "__init__", refuse)
+        results = []
+        for (group, levi, radical, inside, left, right), fs, ls, lefts, rights in splits:
+            results.append(ClassFunction.from_function(group, lambda m: 1))
+            for f in fs:
+                results += [deflate_cf(f, levi, radical), restrict_cf(f, levi),
+                            dagger_cf(f), pullback_cf(f, group)]
+            for f in ls:
+                results += [inflate_cf(f, group, levi, radical), induce_cf(f, group),
+                            straighten_cf(f, inside, left, right)]
+            for f, g in itertools.product(lefts, rights):
+                tensor = TensorFunction.outer(f, g)
+                results += [tensor, unstraighten_cf(tensor, inside, levi)]
+        monkeypatch.undo()
+        for x in results:
+            assert type(x)(*x.context, x.terms) == x
+        assert_exact_form(*results)
+
+
 class TestTensorFunction:
     def test_outer_values(self):
         g1, g2 = ut_table(2, 2), ut_table(2, 2)

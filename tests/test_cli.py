@@ -435,6 +435,8 @@ class TestErrors:
         ("verify", "oracle", "--n", "6", "--q", "2"),
         # GL_4(F_3) has 24261120 elements
         ("verify", "induction-hom", "--n", "4", "--q", "3", "--extended"),
+        # the squares on one label fit, but every sample builds UT_200(F_2)
+        ("verify", "monoid-axioms", "--n", "1", "--samples", "1", "--size", "200"),
     ])
     def test_suite_budget_checked_before_any_report(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -460,6 +462,8 @@ class TestErrors:
         # budget is read before it is built
         ("ut", "specialize", "--q", "2", "--poset", '{"n": 400, "strict": []}'),
         ("gl", "induce", "--q", "2", "--poset", '{"n": 400, "strict": []}'),
+        # every sampled square builds the unitriangular group on 200 labels
+        ("verify", "monoid-axioms", "--n", "1", "--samples", "1", "--size", "200"),
     ])
     def test_huge_degree_refused_at_once(self, argv):
         # the exact size of each has hundreds of millions of bits or more;

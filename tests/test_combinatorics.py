@@ -21,9 +21,7 @@ from uthopf.combinatorics import (
     PartialOrder,
     SetComposition,
     _relation_axioms,
-    ascent_pairs,
     chain_order,
-    equal_pairs,
     levi_pattern,
     natural_unit_interval_orders,
     radical_pattern,
@@ -32,6 +30,23 @@ from uthopf.combinatorics import (
     standardize,
     total_orders,
 )
+
+
+def equal_pairs(comp):
+    """All pairs (i, j) with i and j in the same block, including i == j."""
+    out = set()
+    for b in comp.blocks:
+        out.update(itertools.product(b, b))
+    return frozenset(out)
+
+
+def ascent_pairs(comp):
+    """All pairs (i, j) with the block of i strictly before the block of j."""
+    out = set()
+    for r, br in enumerate(comp.blocks):
+        for bs in comp.blocks[r + 1:]:
+            out.update(itertools.product(br, bs))
+    return frozenset(out)
 
 
 def parabolic_pattern(order, comp):
@@ -64,6 +79,14 @@ def from_strict(ground, strict):
     return PartialOrder(ground, pairs)
 
 
+def assert_checked(order):
+    """order, built unchecked, equals its rebuild through the validating
+    constructor, and holds its ground and pairs as a tuple and a frozenset."""
+    rebuilt = PartialOrder(order.ground, order.pairs)
+    assert (type(order.ground), type(order.pairs)) == (tuple, frozenset)
+    assert (order, order.strict_pairs) == (rebuilt, rebuilt.strict_pairs)
+
+
 def less(order, i, j):
     return i != j and (i, j) in order.pairs
 
@@ -79,9 +102,11 @@ def all_partial_orders(ground):
     offdiag = sorted((i, j) for i in ground for j in ground if i != j)
     for bits in itertools.product((0, 1), repeat=len(offdiag)):
         pairs = frozenset(diag | {p for p, b in zip(offdiag, bits) if b})
-        ok, _ = _relation_axioms(pairs)
-        if ok:
-            yield PartialOrder(ground, pairs)
+        try:
+            _relation_axioms(pairs)
+        except ValueError:
+            continue
+        yield PartialOrder(ground, pairs)
 
 
 def comp(*blocks):
@@ -292,6 +317,21 @@ class TestPartialOrder:
             with pytest.raises(ValueError):
                 p.relabel(mapping)
 
+    @pytest.mark.parametrize("build", [
+        lambda: PartialOrder((1.5, 2), [(1.5, 1.5), (2, 2), (1.7, 2)]),
+        lambda: PartialOrder((1, 2), [(1, 1), (2, 2), (1.0, 2)]),
+        lambda: PartialOrder((True, 2), [(True, True), (2, 2)]),
+        lambda: chain_order((1, 2, 3)).relabel({1: "4", 2: 5.9, 3: 6}),
+        lambda: chain_order((1, 2.0)),
+        lambda: chain_order([False]),
+        lambda: SetComposition([[1.9], [3]]),
+        lambda: SetComposition([[True], [3]]),
+    ])
+    def test_labels_must_be_ints(self, build):
+        # int() would truncate 1.5 and 5.9 and read "4" and True as ints
+        with pytest.raises(ValueError):
+            build()
+
     def test_disjoint_union_rejects_overlapping_grounds(self):
         with pytest.raises(ValueError):
             chain_order((1, 2)).disjoint_union(chain_order((2, 3)))
@@ -324,6 +364,48 @@ class TestPartialOrder:
     def test_all_partial_orders_distinct_and_valid(self):
         seen = {p.pairs for p in all_partial_orders((1, 2, 3))}
         assert len(seen) == 19
+
+
+class TestTrustedOrders:
+    """Every order derived from built orders is built unchecked; over every
+    order on up to 3 labels, each one passes the validating constructor."""
+
+    ORDERS = [order for n in range(4) for order in all_partial_orders(range(1, n + 1))]
+
+    def test_restrict_to_every_subset(self):
+        for order in self.ORDERS:
+            for k in range(len(order.ground) + 1):
+                for labels in itertools.combinations(order.ground, k):
+                    assert_checked(order.restrict(labels))
+
+    def test_relabel_along_every_permutation_and_shift(self):
+        for order in self.ORDERS:
+            ground = order.ground
+            for perm in itertools.permutations(ground):
+                assert_checked(order.relabel(dict(zip(ground, perm))))
+            assert_checked(order.relabel({i: i + 10 for i in ground}))
+
+    def test_joins_with_a_shifted_copy(self):
+        for order in self.ORDERS:
+            shifted = order.relabel({i: i + len(order.ground) for i in order.ground})
+            for joined in (order.disjoint_union(shifted), order.ordinal_sum(shifted),
+                           shifted.ordinal_sum(order)):
+                assert_checked(joined)
+
+    def test_levi_and_radical_along_every_composition(self):
+        for order in self.ORDERS:
+            diag = frozenset((i, i) for i in order.ground)
+            for c in set_compositions(order.ground):
+                levi, radical = levi_pattern(order, c), radical_pattern(order, c)
+                assert_checked(levi)
+                assert_checked(radical)
+                assert levi.pairs == order.pairs & equal_pairs(c)
+                assert radical.pairs == order.pairs & ascent_pairs(c) | diag
+
+    def test_total_orders(self):
+        for n in range(5):
+            for order in total_orders(range(1, n + 1)):
+                assert_checked(order)
 
 
 class TestSplitPatterns:

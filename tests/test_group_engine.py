@@ -196,6 +196,32 @@ class TestFqMatrix:
     def test_block_needs_labels_in_the_ground(self):
         with pytest.raises(ValueError):
             FqMatrix.identity(2, (1, 2)).block((1, 3))
+        with pytest.raises(ValueError):
+            FqMatrix.identity(2, (1, 2)).block((1, 1))
+
+    @pytest.mark.parametrize("table", [ut_table(3, 3), gl_table(2, 3)],
+                             ids=["ut3q3", "gl2q3"])
+    def test_transports_match_the_validating_constructor(self, table):
+        # relabel, dagger, block and inverse build their codes unchecked
+        p, ground = table.p, table.ground
+        n = len(ground)
+        shift = {i: 2 * n + 1 - i for i in ground}
+        back = {v: k for k, v in shift.items()}
+        moved = tuple(sorted(back))
+        for m in table.elements:
+            rows = m.rows
+            expect = [
+                (m.relabel(shift), FqMatrix(p, moved, [
+                    [m.entry(back[i], back[j]) for j in moved] for i in moved])),
+                (m.dagger(), FqMatrix(p, ground, [
+                    [rows[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)])),
+                (m.block(ground[1:]), FqMatrix(p, ground[1:], [
+                    [m.entry(i, j) for j in ground[1:]] for i in ground[1:]])),
+                (m.inverse(), FqMatrix(p, ground, m.inverse().rows)),
+            ]
+            for got, want in expect:
+                assert got == want and got.ground == want.ground
+            assert m.inverse() * m == FqMatrix.identity(p, ground)
 
     def test_digit_round_trip(self):
         rng = random.Random(19)
@@ -780,6 +806,14 @@ class TestBudget:
         with pytest.raises(BudgetError):
             pattern_group.__wrapped__(order, 2)
 
+    def test_pattern_group_refused_at_once(self, monkeypatch):
+        # 10007^C(300, 2) has about 596,000 bits; the refusal shows the
+        # lower bound 2^(13 C(300, 2)), read off the cell count alone
+        monkeypatch.setenv("UTHOPF_BUDGET", "25000")
+        with pytest.raises(BudgetError, match=r"needs at least 2\^%d " % (
+                13 * math.comb(300, 2))):
+            pattern_group.__wrapped__(chain_order(range(1, 301)), 10007)
+
     def test_prime_check_respects_budget(self, monkeypatch):
         # trial division of 10^18 + 3, a prime, would run to 10^9 divisors
         monkeypatch.setenv("UTHOPF_BUDGET", "25000")
@@ -805,7 +839,9 @@ class TestBudget:
          range(20, 40)),
         (lambda n: next(axiom_cases(n, 2)),
          lambda n: math.factorial(n) ** 2 * _fubini(n), range(60, 140)),
-    ], ids=["catalan", "gl", "ut-oracle", "axiom-squares"])
+        (lambda n: pattern_group.__wrapped__(chain_order(range(1, n + 1)), 10007),
+         lambda n: 10007 ** math.comb(n, 2), range(8, 30)),
+    ], ids=["catalan", "gl", "ut-oracle", "axiom-squares", "pattern"])
     def test_refusal_shows_the_size_or_a_lower_bound(self, monkeypatch, refuse,
                                                      size, degrees):
         # below 2^1024 the exact size; from there on 2^k with 2^k <= size,

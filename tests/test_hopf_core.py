@@ -17,8 +17,10 @@ from fractions import Fraction
 import pytest
 
 from uthopf.class_functions import ClassFunction, Combination, TensorFunction, _exact
+from uthopf import combinatorics, hopf_core
 from uthopf.combinatorics import Nuio, SetComposition, \
     natural_unit_interval_orders
+from uthopf.gl_bridge import coproduct_hom_cases, product_hom_cases
 from uthopf.group_engine import ut_table
 from uthopf.hopf_core import (
     GradedClassFunction,
@@ -494,6 +496,23 @@ class TestTrustedConstruction:
                                     coproduct_oracle_cases(3, 2)):
             assert_trusted_form(case[2])
             assert_trusted_form(case[3])
+
+    def test_axiom_and_induction_sides_check_no_derived_order(self, monkeypatch):
+        # the split tables are cached by order, so clear them: every Levi
+        # and radical pattern is derived again while the check refuses
+        def refuse(pairs):
+            raise AssertionError("a derived order ran the relation check")
+
+        hopf_core.pattern_split.cache_clear()
+        hopf_core.split_tables.cache_clear()
+        monkeypatch.setattr(combinatorics, "_relation_axioms", refuse)
+        cases = list(itertools.chain(axiom_cases(3, 2), product_hom_cases(2, 2),
+                                     coproduct_hom_cases(2, 2)))
+        assert len(cases) > 1000
+        for _, _, lhs, rhs in cases:
+            assert lhs == rhs
+            assert_trusted_form(lhs)
+            assert_trusted_form(rhs)
 
 
 class TestSpecialize:
