@@ -5,16 +5,17 @@ evaluation at an element goes through the class map of the owning
 GroupTable.  All transport maps (restriction, induction, inflation,
 deflation, pullback along a group isomorphism) return class functions on
 explicitly enumerated targets.
-They form two adjoint pairs: restriction and induction read the class
-fusion (_fusion), and deflation and inflation read the coset class counts
-of a Levi and a radical inside a group (_deflation).  Deflation lands on
-the Levi as a complement rather than on a quotient; inflation is
-parabolic induction, plain inflation when the group is Levi * radical.
-Straightening and unstraightening read the block bijection Levi = left x
-right (_block_classes) both ways.  Restriction, fusion, straightening, the
-flip and relabelling read one class map (_class_map).  Each map is built
-once and cached with lru_cache, keyed on the identity of its tables like
-the tables themselves; a class map also on its module-level move and arg.
+Among them is one adjoint pair, deflation and inflation, both read off the
+coset class counts of a Levi and a radical inside a group (_deflation).
+Deflation lands on the Levi as a complement rather than on a quotient;
+inflation is parabolic induction, plain inflation when the group is
+Levi * radical.  Restriction and induction are the pair over the trivial
+radical (_trivial).  Straightening and unstraightening read the block
+bijection Levi = left x right (_block_classes) both ways.  Straightening,
+the flip and relabelling read one class map (_class_map).  Each map is
+built once and cached with lru_cache, keyed on the identity of its tables
+like the tables themselves; a class map also on its module-level move and
+arg.
 
 Sparse data is a Combination: a finite linear combination held in its
 `terms` dict from keys to nonzero coefficients.  The base class owns the
@@ -36,7 +37,7 @@ import functools
 from fractions import Fraction
 
 from .combinatorics import standardize
-from .group_engine import FqMatrix, kernel
+from .group_engine import FqMatrix, GroupTable, kernel
 
 
 def _exact(x):
@@ -246,53 +247,6 @@ def _class_map(source, target, move=None, arg=()):
 
 
 @functools.lru_cache(maxsize=None)
-def _fusion(small, big):
-    """Where each class of small lands in big, with its induction weight.
-
-    For each class c of small, the pair (b, w): b is the class of big that
-    contains c, and w = |big| |c| / (|small| |b|) is the value at b of the
-    indicator of c induced up to big (zero at every other class).  Raises
-    ValueError unless every element of small is in big.
-    """
-    if not all(m in big for m in small.elements):
-        raise ValueError("%s is not a subgroup of %s" % (small.name, big.name))
-    return tuple((b, Fraction(big.order * size, small.order * big.class_sizes[b]))
-                 for b, size in zip(_class_map(big, small), small.class_sizes))
-
-
-def restrict_cf(psi, sub):
-    """Restriction to a subgroup, the pullback along the inclusion, checked
-    by the class fusion; the adjoint of induce_cf."""
-    _fusion(sub, psi.group)
-    return pullback_cf(psi, sub)
-
-
-def induce_cf(psi, big):
-    """Induction from the group of psi up to big, summed along the class
-    fusion.  The textbook sum over conjugators is the reference it is tested
-    against."""
-    fusion = _fusion(psi.group, big)
-    return ClassFunction.collect(
-        ((fusion[c][0], fusion[c][1] * v) for c, v in psi.terms.items()), big
-    )
-
-
-def induce_tensor(tensor, left, right):
-    """Induce both factors of a tensor, up to left and right, along the class
-    fusions: each class indicator goes to its weighted fused indicator."""
-    into_left = _fusion(tensor.left_group, left)
-    into_right = _fusion(tensor.right_group, right)
-    return TensorFunction.collect(
-        (
-            ((into_left[c1][0], into_right[c2][0]),
-             v * into_left[c1][1] * into_right[c2][1])
-            for (c1, c2), v in tensor.terms.items()
-        ),
-        left, right,
-    )
-
-
-@functools.lru_cache(maxsize=None)
 def _deflation(group, levi, radical):
     """For each class representative l of levi, the (class in group, count)
     pairs of the products l * x as x runs over radical, multiplied on codes.
@@ -341,6 +295,44 @@ def deflate_cf(psi, levi, radical):
     sums = (sum(k * terms[c] for c, k in row if c in terms) for row in rows)
     return ClassFunction.collect(
         ((l, Fraction(s, radical.order)) for l, s in enumerate(sums) if s), levi)
+
+
+@functools.lru_cache(maxsize=None)
+def _trivial(p, ground):
+    """The one-element group on ground over F_p: the radical over which
+    deflation is restriction and inflation is induction."""
+    return GroupTable([FqMatrix.identity(p, ground)], (),
+                      name="1[%s]q%d" % (",".join(map(str, ground)), p))
+
+
+def restrict_cf(psi, sub):
+    """Restriction to a subgroup: deflation onto sub over the trivial group,
+    psi read at each class of sub; the adjoint of induce_cf."""
+    return deflate_cf(psi, sub, _trivial(sub.p, sub.ground))
+
+
+def induce_cf(psi, big):
+    """Induction from the group of psi up to big: inflation over the trivial
+    group, with weight |big| |c| / (|psi.group| |b|) from c to its class b.
+    The textbook sum over conjugators is the reference it is tested against."""
+    small = psi.group
+    return inflate_cf(psi, big, small, _trivial(small.p, small.ground))
+
+
+def induce_tensor(tensor, left, right):
+    """Induce both factors of a tensor, up to left and right: each pair of
+    classes goes to the outer product of its induced indicators, each class
+    of a factor induced once."""
+    @functools.lru_cache(maxsize=None)
+    def up(group, big, c):
+        return induce_cf(ClassFunction.class_indicator(group, c), big)
+
+    return TensorFunction.collect((
+        (pair, v * w) for (c1, c2), v in tensor.terms.items()
+        for pair, w in TensorFunction.outer(
+            up(tensor.left_group, left, c1), up(tensor.right_group, right, c2)
+        ).terms.items()
+    ), left, right)
 
 
 def pullback_cf(psi, target, move=None, arg=()):

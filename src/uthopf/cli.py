@@ -49,31 +49,24 @@ def _positive(text):
     return n
 
 
-class _OperandAction(argparse.Action):
-    """Collect --poset and --input operands in the order they appear."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, "operands", None)
-        if items is None:
-            items = []
-            namespace.operands = items
-        items.append((option_string, values))
-
-
 def _add_operand_args(parser):
+    """--poset and --input append to one operand list, each value tagged
+    with its flag, so the operands keep their command-line order."""
     parser.add_argument(
-        "--poset", action=_OperandAction, dest="operands", metavar="JSON",
+        "--poset", action="append", dest="operands", metavar="JSON",
+        type=lambda text: ("--poset", text),
         help="inline operand, e.g. '{\"n\": 2, \"strict\": [[1, 2]]}'",
     )
     parser.add_argument(
-        "--input", action=_OperandAction, dest="operands", metavar="FILE",
+        "--input", action="append", dest="operands", metavar="FILE",
+        type=lambda text: ("--input", text),
         help="operand from a JSON file holding either a poset or a combination",
     )
     parser.add_argument("--format", choices=("json", "text"), default="text")
 
 
 def _load_operands(parser, args, count):
-    raw = getattr(args, "operands", None) or []
+    raw = args.operands or []
     if len(raw) != count:
         parser.error(f"expected {count} operand(s), got {len(raw)}")
     out = []
@@ -90,7 +83,8 @@ def _load_operands(parser, args, count):
                 out.append(ScfElement.from_dict(data))
             else:
                 out.append(ScfElement.basis(Nuio.from_dict(data)))
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
+                RecursionError) as exc:
             parser.error(f"bad operand {value!r}: {exc}")
     return out
 

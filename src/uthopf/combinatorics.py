@@ -317,6 +317,7 @@ class Nuio:
         """
         if type(n) is not int or n < 0:
             raise ValueError("size must be a nonnegative int, got %r" % (n,))
+        _check_budget(n, "the labels of a unit interval order")
         above = {i: set() for i in range(1, n + 1)}
         for i, j in strict:
             if type(i) is not int or type(j) is not int:

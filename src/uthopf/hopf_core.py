@@ -156,12 +156,17 @@ class LaurentT(Combination):
     @classmethod
     def from_dict(cls, data):
         """Inverse of to_dict; coefficients may also be ints.  A non-dict,
-        or a float (inexact) or bool coefficient, raises ValueError."""
+        or a float (inexact), bool or exponent-notation coefficient, raises
+        ValueError; an exponent past the budget raises BudgetError, as
+        specializing t^k builds a number of |k| digits."""
         if not isinstance(data, dict):
             raise ValueError("coefficients must be a JSON object, got %r" % (data,))
-        if any(isinstance(v, (bool, float)) for v in data.values()):
+        if any(isinstance(v, (bool, float)) or isinstance(v, str) and "e" in v.lower()
+               for v in data.values()):
             raise ValueError("coefficients must be ints or fraction strings")
-        return cls({int(k): Fraction(v) for k, v in data.items()})
+        terms = {int(k): Fraction(v) for k, v in data.items()}
+        _check_budget(max(map(abs, terms), default=0), "a power of t")
+        return cls(terms)
 
 
 def _laurent(c):
@@ -498,14 +503,17 @@ def specialize_tensor(tx, q):
 
 def _report(check, instance, lhs, rhs, relation=operator.eq):
     """One report line: ok when relation(lhs, rhs) holds.  A failing
-    equality also carries the first difference of the two sides."""
+    equality also carries the first difference of the two sides; a holding
+    one hashes its left side for both, as equal values print alike."""
     ok = relation(lhs, rhs)
+    lhs_hash = short_hash(repr(lhs))
     report = {
         "check": check,
         "instance": instance,
         "status": "ok" if ok else "fail",
-        "lhs_hash": short_hash(repr(lhs)),
-        "rhs_hash": short_hash(repr(rhs)),
+        "lhs_hash": lhs_hash,
+        "rhs_hash": lhs_hash if ok and relation is operator.eq
+        else short_hash(repr(rhs)),
     }
     if not ok and relation is operator.eq:
         report["diff"] = _first_difference(lhs, rhs)
@@ -765,17 +773,20 @@ def axiom_cases(n_max, q, samples=0, sample_size=4, seed=0):
     one drawn class indicator.  Before any group is built, the budget is
     checked against the largest family, the n!^2 Fubini(n) coproduct
     naturality squares at n = n_max, at least n!^3 >= h^(3h) for h = n // 2,
-    and when sampling against the unitriangular group every sample builds.
+    and when sampling against the number of samples and the unitriangular
+    group every sample builds.
     """
     _check_budget(lambda: math.factorial(n_max) ** 2 * _fubini(n_max),
                   "coproduct naturality squares on %d labels" % n_max,
                   bits=3 * (n_max // 2) * ((n_max // 2).bit_length() - 1))
     if samples:
+        _check_budget(samples, "sampled squares")
         _check_ut_budget(sample_size, q)
     rng = random.Random(seed)
     yield from _square_cases(_all_squares(n_max), range, q)
-    yield from _square_cases(_sampled_squares(rng, samples, sample_size),
-                             lambda k: [rng.randrange(k)], q, prefix="sample;")
+    if samples:
+        yield from _square_cases(_sampled_squares(rng, samples, sample_size),
+                                 lambda k: [rng.randrange(k)], q, prefix="sample;")
 
 
 def _pair_instances(max_total_degree, q):

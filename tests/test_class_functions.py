@@ -1,12 +1,13 @@
 """Class functions and their transport maps, checked against first principles.
 
-Inductions are computed two ways (along the class fusion map and by the
-textbook conjugation sum), restriction along the fusion is checked against
-evaluation at elements, adjunctions are checked as literal inner product
-identities, and straightening is checked as a round trip.  Deflation,
-inflation, (un)straightening and pullback read class maps built once per
-split or per move; the per-call loops they replaced are kept here as
-references, and so are the products that inflated through
+Restriction and induction are deflation and inflation over the trivial
+group.  Inductions are computed two ways (by inflation and by the textbook
+conjugation sum), restriction is checked against evaluation at elements and
+against the pullback along the inclusion, adjunctions are checked as literal
+inner product identities, and straightening is checked as a round trip.
+Deflation, inflation, (un)straightening and pullback read class maps built
+once per split or per move; the per-call loops they replaced are kept here
+as references, and so are the products that inflated through
 GroupTable.factorization and, on the general linear side, induced up from a
 built parabolic table.
 """
@@ -19,7 +20,6 @@ import pytest
 from uthopf.class_functions import (
     ClassFunction,
     TensorFunction,
-    _fusion,
     dagger_cf,
     deflate_cf,
     induce_cf,
@@ -220,13 +220,13 @@ class TestInduction:
             for c in range(len(gl.class_reps)):
                 phi = ClassFunction.class_indicator(gl, c)
                 assert restrict_cf(phi, sub) == elementwise_restrict_cf(phi, sub)
+                # the pullback along the inclusion reads the same values
+                assert restrict_cf(phi, sub) == pullback_cf(phi, sub)
 
     def test_fusion_rejects_a_non_subgroup(self):
         # the lower unitriangular group of degree 2 is not inside the upper one
         ut = ut_table(2, 2)
         lower = pattern_group(chain_order((2, 1)), 2)
-        with pytest.raises(ValueError):
-            _fusion(lower, ut)
         with pytest.raises(ValueError):
             induce_cf(trivial(lower), ut)
         with pytest.raises(ValueError):
@@ -238,8 +238,6 @@ class TestInduction:
         ut = ut_table(3, 2)
         moved = pattern_group(chain_order((2, 3, 4)), 2)
         assert [m.code for m in moved.elements] == [m.code for m in ut.elements]
-        with pytest.raises(ValueError):
-            _fusion(moved, ut)
         with pytest.raises(ValueError):
             induce_cf(trivial(moved), ut)
         with pytest.raises(KeyError):
@@ -466,7 +464,7 @@ def reference_ut_product_component(fa, fb):
 def reference_gl_product_component(fa, fb):
     """Reference general linear product of two components: the join on the
     block Levi, inflated onto the built parabolic table by
-    reference_inflate_cf, then induced up to GL along the class fusion."""
+    reference_inflate_cf, then induced up to GL by induce_cf."""
     q, i = fa.group.p, len(fa.group.ground)
     n = i + len(fb.group.ground)
     levi = levi_table(n, i, q)

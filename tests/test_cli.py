@@ -1,14 +1,21 @@
 """Command line behaviour: output shapes, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import operator
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uthopf import class_functions, cli, gl_bridge, hopf_core
 from uthopf.class_functions import ClassFunction
@@ -139,6 +146,20 @@ class TestScf:
             out.append(text)
         assert len(out) == 42
         assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+    def test_mixed_operand_flags_keep_their_order(self, capsys, tmp_path):
+        # the product does not commute, so the order of the operands shows
+        path = tmp_path / "point.json"
+        path.write_text(POSET_PT)
+        _, file_first, _ = run(capsys, "scf", "product", "--input", str(path),
+                               "--poset", POSET_A2)
+        _, poset_first, _ = run(capsys, "scf", "product", "--poset", POSET_A2,
+                                "--input", str(path))
+        assert file_first == run(capsys, "scf", "product", "--poset", POSET_PT,
+                                 "--poset", POSET_A2)[1]
+        assert poset_first == run(capsys, "scf", "product", "--poset", POSET_A2,
+                                  "--poset", POSET_PT)[1]
+        assert file_first != poset_first
 
     def test_deterministic_output(self, capsys):
         args = ("scf", "coproduct", "--poset", '{"n": 3, "strict": [[1, 3]]}')
@@ -278,6 +299,14 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["failures"] == 0
 
+    def test_size_is_unread_without_samples(self, capsys):
+        # with no samples drawn the sample size is never read; a ground of
+        # 2^61 labels would not fit in memory
+        plain = run(capsys, "verify", "monoid-axioms", "--n", "1")
+        assert plain[0] == 0
+        assert run(capsys, "verify", "monoid-axioms", "--n", "1",
+                   "--size", str(2 ** 61 - 1)) == plain
+
     def test_extended_gate(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(capsys, "verify", "induction-hom", "--n", "4", "--q", "2")
@@ -362,6 +391,9 @@ class TestErrors:
         '{"terms": [{"n": 1.0, "strict": []}]}',
         '{"terms": [{"n": 1, "coeff": 5}]}',
         '{"terms": [{"n": 1, "coeff": "1/2"}]}',
+        # exponent notation: "1e1000000000" would build a billion-digit int
+        '{"terms": [{"coeff": {"0": "1e5"}, "n": 1, "strict": []}]}',
+        pytest.param("[" * 100000, id="nested-past-the-recursion-limit"),
     ])
     def test_malformed_operand_exits_two(self, capsys, operand):
         with pytest.raises(SystemExit) as err:
@@ -437,6 +469,8 @@ class TestErrors:
         ("verify", "induction-hom", "--n", "4", "--q", "3", "--extended"),
         # the squares on one label fit, but every sample builds UT_200(F_2)
         ("verify", "monoid-axioms", "--n", "1", "--samples", "1", "--size", "200"),
+        # each sample fits, but there are more samples than the budget
+        ("verify", "monoid-axioms", "--n", "1", "--samples", "30000", "--size", "1"),
     ])
     def test_suite_budget_checked_before_any_report(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -482,6 +516,20 @@ class TestErrors:
         assert "needs at least 2^" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
+        # an order on more labels than the budget: its rows are built first
+        ("scf", "dagger", "--poset", '{"n": 30000, "strict": []}'),
+        # specializing t^30000 builds a number of 30000 bits
+        ("ut", "specialize", "--q", "2", "--poset",
+         '{"terms": [{"coeff": {"30000": "1/1"}, "n": 1, "strict": []}]}'),
+    ])
+    def test_operand_past_the_budget_exits_two(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("UTHOPF_BUDGET", "25000")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("argv", [
         # Catalan(3) = 5 orders
         ("nuio", "list", "--n", "3"),
         # 2^3 subsets
@@ -500,3 +548,151 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "budget exceeded" in err
+
+
+# Each field is drawn well formed or malformed, about evenly.  Ints sit at
+# the edges: zero, negative, composite, a Mersenne prime, the budget used
+# below, and 2^4300.
+EDGE_INTS = st.one_of(st.integers(-2, 5),
+                      st.sampled_from([199, 200, 201, 2 ** 61 - 1, 2 ** 4300]))
+INT_TEXT = st.one_of(st.integers(0, 4).map(str), EDGE_INTS.map(str), st.sampled_from(
+    ["", "x", "1.5", "0x10", " 3 ", "1" * 5000]))
+NOT_INTS = st.sampled_from([2.5, 1e300, True, "2", None, [1]])
+LABELS = st.one_of(st.integers(-1, 6), NOT_INTS)
+STRICT = st.one_of(st.lists(st.lists(LABELS, max_size=3), max_size=5),
+                   st.sampled_from([5, "ab", None, {"a": 1}]))
+ORDERS = st.sampled_from([pi.to_dict() for k in range(5)
+                          for pi in natural_unit_interval_orders(k)])
+EXPONENTS = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(
+    ["x", "1e5", "1.0", str(2 ** 4300), "-100000000000"]))
+COEFFICIENTS = st.one_of(st.integers(-3, 3), st.sampled_from(
+    ["1/2", "-3/1", "0", "1/0", "x", "1e5", 0.5, True, None, [1], 2 ** 4300]))
+COEFF = st.one_of(
+    st.dictionaries(st.integers(-2, 2).map(str),
+                    st.sampled_from(["1/1", "-1/2", "3/1"]), max_size=2),
+    st.dictionaries(EXPONENTS, COEFFICIENTS, max_size=3), COEFFICIENTS)
+MALFORMED = st.one_of(
+    st.fixed_dictionaries({"n": st.one_of(EDGE_INTS, NOT_INTS)},
+                          optional={"strict": STRICT}),
+    st.sampled_from([[1], "x", 5, None, 1.5, True]))
+TERMS = st.lists(st.one_of(ORDERS, MALFORMED).flatmap(
+    lambda order: st.fixed_dictionaries({}, optional={"coeff": COEFF}).map(
+        lambda coeff: {**order, **coeff} if isinstance(order, dict) else order)),
+    max_size=3)
+OPERAND_TEXT = st.one_of(
+    ORDERS.map(json.dumps),
+    st.one_of(TERMS, st.sampled_from([None, 5, "ab", {"a": 1}])).map(
+        lambda terms: json.dumps({"terms": terms})),
+    MALFORMED.map(json.dumps),
+    st.sampled_from(["{oops", "", "[" * 100000, "1e999", "NaN"]),
+)
+# An --input operand is the text of a file, or a path that is no file.
+MISSING, DIRECTORY = object(), object()
+OPERAND = st.one_of(
+    st.tuples(st.just("--poset"), OPERAND_TEXT),
+    st.tuples(st.just("--input"), st.one_of(
+        OPERAND_TEXT, st.sampled_from([MISSING, DIRECTORY]))))
+FORMAT = st.sampled_from([[], [], ["--format", "json"], ["--format", "text"],
+                          ["--format", "xml"]])
+
+
+def _flag(name, values=INT_TEXT, required=False):
+    present = values.map(lambda v: [name, v])
+    return present if required else st.one_of(st.just([]), present)
+
+
+@st.composite
+def command_lines(draw):
+    """argv drawn from the grammar of build_parser: each subcommand with its
+    flags in a drawn order, a required flag mostly present, an operand
+    count mostly the one its verb takes, and now and then a stray word."""
+    command = draw(st.sampled_from(["nuio", "scf", "ut", "gl", "verify", "bogus"]))
+    head, flags = [command], [FORMAT]
+    required = draw(st.integers(0, 7)) > 0
+    if command == "nuio":
+        head.append("list")
+        flags += [_flag("--n", required=required), st.sampled_from([[], ["--dyck"]])]
+    elif command in ("scf", "ut", "gl"):
+        verb = draw(st.sampled_from({
+            "scf": ["product", "coproduct", "antipode", "dagger"],
+            "ut": ["specialize"], "gl": ["induce"]}[command]))
+        head.append(verb)
+        if command != "scf":
+            flags.append(_flag("--q", required=required))
+        count = 1 + (verb == "product") if required else draw(st.integers(0, 3))
+        flags += [OPERAND.map(list)] * count
+    elif command == "verify":
+        head.append(draw(st.sampled_from(
+            ["monoid-axioms", "oracle", "induction-hom", "noncocommutativity"])))
+        flags += [_flag(name) for name in ("--n", "--q", "--samples", "--size", "--seed")]
+        flags.append(st.sampled_from([[], ["--extended"]]))
+    parts = [draw(flag) for flag in flags]
+    parts.append(draw(st.sampled_from([[]] * 6 + [["--bogus"], ["stray"]])))
+    order = draw(st.permutations(range(len(parts))))
+    return head + [x for k in order for x in parts[k]]
+
+
+def _materialize(argv, directory):
+    """The argv with each --input operand written to a file in directory."""
+    out = []
+    for k, value in enumerate(argv):
+        if k and argv[k - 1] == "--input":
+            if value is MISSING:
+                value = os.path.join(directory, "missing.json")
+            elif value is DIRECTORY:
+                value = directory
+            else:
+                path = os.path.join(directory, "operand%d.json" % k)
+                with open(path, "w") as fh:
+                    fh.write(value)
+                value = path
+        out.append(value)
+    return out
+
+
+def _call(argv, seconds=10):
+    """(exit code, stdout, stderr) of cli.main in this process; an exception
+    other than SystemExit, or a run past seconds, fails the test."""
+    def expire(signum, frame):
+        raise TimeoutError("%r ran past %d s" % (argv, seconds))
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _is_error_line(line):
+    return line.startswith("budget exceeded: ") or ": error: " in line
+
+
+class TestGeneratedContract:
+    """The exit code contract on command lines drawn from the CLI grammar,
+    run in process under a small budget."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(command_lines())
+    def test_exit_codes_errors_and_repeats(self, argv):
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.dict(os.environ, {"UTHOPF_BUDGET": "200"}):
+            argv = _materialize(argv, directory)
+            code, out, err = first = _call(argv)
+            assert _call(argv) == first
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.splitlines()
+            assert lines and _is_error_line(lines[-1]), err
+            assert sum(map(_is_error_line, lines)) == 1, err
+            assert "Traceback" not in err
+        else:
+            assert err == ""

@@ -20,7 +20,8 @@ from uthopf.class_functions import ClassFunction, Combination, TensorFunction, _
 from uthopf import combinatorics, hopf_core
 from uthopf.combinatorics import Nuio, SetComposition, \
     natural_unit_interval_orders
-from uthopf.gl_bridge import coproduct_hom_cases, product_hom_cases
+from uthopf.gl_bridge import coproduct_hom_cases, dagger_invariance_cases, \
+    product_hom_cases
 from uthopf.group_engine import ut_table
 from uthopf.hopf_core import (
     GradedClassFunction,
@@ -38,6 +39,7 @@ from uthopf.hopf_core import (
     monoid_relabel,
     pattern_indicator,
     product_oracle_cases,
+    short_hash,
     specialize,
     specialize_tensor,
     ut_coproduct,
@@ -683,3 +685,35 @@ class TestFailureDiff:
         x = specialize(basis(V3), 3)
         assert "diff" not in _report("check", "instance", x, x)
         assert "diff" not in _report("check", "instance", x, x, operator.ne)
+
+
+class TestReportHashes:
+    """A holding equality hashes its left side for both sides, which is
+    sound only because equal values print alike."""
+
+    def test_equal_sides_print_alike(self):
+        suites = [
+            axiom_cases(3, 2),
+            axiom_cases(2, 3, samples=20, sample_size=3, seed=1),
+            product_oracle_cases(3, 2),
+            coproduct_oracle_cases(3, 2),
+            *(cases(n, q) for n, q in ((3, 2), (2, 3)) for cases in (
+                product_hom_cases, coproduct_hom_cases, dagger_invariance_cases)),
+        ]
+        equal = 0
+        for check, instance, lhs, rhs, *relation in itertools.chain(*suites):
+            if relation == [operator.ne] or lhs != rhs:
+                continue
+            assert repr(lhs) == repr(rhs), (check, instance)
+            equal += 1
+        assert equal == 5007
+
+    def test_only_a_holding_equality_shares_its_hash(self):
+        x = specialize(basis(V3), 3)
+        ok = _report("check", "instance", x, specialize(basis(V3), 3))
+        assert ok["lhs_hash"] == ok["rhs_hash"] == short_hash(repr(x))
+        for lhs, rhs, relation in ((x, x + x, operator.eq), (x, x + x, operator.ne),
+                                   (x, x, operator.ne)):
+            report = _report("check", "instance", lhs, rhs, relation)
+            assert report["lhs_hash"] == short_hash(repr(lhs))
+            assert report["rhs_hash"] == short_hash(repr(rhs))
