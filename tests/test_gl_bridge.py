@@ -140,7 +140,7 @@ def mackey_cases(n, i, q):
                     key=lambda m: m.to_digits(),
                 ),
                 [winv * sub_parabolic.elements[g] * wmat
-                 for g in sub_parabolic.generators()],
+                 for g in sub_parabolic.generators],
                 name="w*UP[%s]w/%d/%d" % (",".join(map(str, labels)), n, q),
             )
             pulled = pullback_cf(psi, conjugated, conjugate, (wmat, winv))
@@ -153,8 +153,8 @@ def bruhat_cases(n, i, q):
     gl = gl_table(n, q)
     ut = ut_table(n, q)
     parabolic = parabolic_table(n, i, q)
-    ut_gens = [ut.elements[g] for g in ut.generators()]
-    p_gens = [parabolic.elements[g] for g in parabolic.generators()]
+    ut_gens = [ut.elements[g] for g in ut.generators]
+    p_gens = [parabolic.elements[g] for g in parabolic.generators]
     seen = [False] * gl.order
     cosets = []
     for start in range(gl.order):
@@ -275,7 +275,7 @@ class TestParabolicTables:
             (levi_table(n, i, q), levi_gens),
             (parabolic_table(n, i, q), levi_gens + [corner]),
         ):
-            assert [table.elements[g] for g in table.generators()] == given
+            assert [table.elements[g] for g in table.generators] == given
             searched = search_generators(table.elements)
             assert table.classes == GroupTable(table.elements, searched).classes
 
@@ -290,7 +290,7 @@ class TestParabolicTables:
     ])
     def test_gl_generators_are_the_listed_ones(self, n, q):
         gl = gl_table(n, q)
-        assert [gl.elements[g] for g in gl.generators()] == listed_gl_generators(n, q)
+        assert [gl.elements[g] for g in gl.generators] == listed_gl_generators(n, q)
 
     @pytest.mark.parametrize("n,i,q", [
         (2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 2, 2),

@@ -110,6 +110,21 @@ def reference_mul(a, b):
     return FqMatrix(p, a.ground, rows)
 
 
+def pack(rows, w):
+    """Entries row-major in fields of w bits, entry i at bit i w, unreduced."""
+    return sum(e << i * w for i, e in enumerate(itertools.chain(*rows)))
+
+
+def reference_reduce(acc, p, n, w):
+    """The per-field reduction every odd-p kernel product ran before the
+    byte table: each of the n^2 fields of w bits taken mod p in place."""
+    field = (1 << w) - 1
+    out = 0
+    for s in range(0, n * n * w, w):
+        out |= (acc >> s & field) % p << s
+    return out
+
+
 class TestFqMatrix:
     def test_multiplication_against_brute_force(self):
         rng = random.Random(7)
@@ -289,7 +304,7 @@ def random_invertible(rng, p, n):
 class TestKernel:
     """The packed product against the tuple product, on random matrices."""
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_kernel_against_the_tuple_product(self, p):
         rng = random.Random(p)
         for n in range(6):
@@ -309,7 +324,7 @@ class TestKernel:
                 assert got == want and got.rows == want.rows
                 assert got.to_digits() == want.to_digits() and repr(got) == repr(want)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_inverse_gives_the_identity(self, p):
         rng = random.Random(100 + p)
         for n in range(6):
@@ -324,12 +339,44 @@ class TestKernel:
             assert m.rows == () and m.code == 0 and m * m == m == m.inverse()
             assert kernel(p, 0).decode(0) == ()
 
+    # (p, n, w) on both sides of each switch: n (p - 1)^2 in 4 bits keeps
+    # w = 4, in 5 to 8 bits widens to 8, and wider sums keep the field loop
+    @pytest.mark.parametrize("p, n, w", [
+        (3, 3, 4), (3, 4, 8), (5, 15, 8), (5, 16, 9), (7, 7, 8), (7, 8, 9),
+        (11, 2, 8), (11, 3, 9), (13, 1, 8), (13, 2, 9),
+    ])
+    def test_width_boundaries_against_the_field_loop(self, p, n, w):
+        # explicit comparisons, so that python -O checks them too
+        k = kernel(p, n)
+        if k.mask([(0, 0)]) != (1 << w) - 1:
+            raise AssertionError("kernel(%d, %d) does not use %d-bit fields" % (p, n, w))
+        rng = random.Random(300 + p * n)
+        top = FqMatrix(p, tuple(range(1, n + 1)), [[p - 1] * n] * n)
+        pairs = [(top, top)] + [
+            (random_matrix(rng, p, n), random_matrix(rng, p, n)) for _ in range(10)
+        ]
+        for a, b in pairs:
+            if a.code != pack(a.rows, w):
+                raise AssertionError("%r is not packed in %d-bit fields" % (a, w))
+            unreduced = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.rows)]
+                         for row in a.rows]
+            got = k.mul(a.code, b.code)
+            want = reference_mul(a, b).code
+            if not got == want == reference_reduce(pack(unreduced, w), p, n, w):
+                raise AssertionError("%r * %r gave code %d, not %d" % (a, b, got, want))
+
+    def test_three_by_three_over_f3_keeps_four_bit_fields(self):
+        # one hex digit per entry, entry (0, 0) lowest
+        m = ((1, 2, 0), (0, 1, 2), (2, 0, 1))
+        assert kernel(3, 3).encode(m) == 0x102210021
+        assert FqMatrix(3, (1, 2, 3), m).code == 0x102210021
+
     def test_commas_at_large_primes(self):
         a = FqMatrix(13, (1, 2), [[12, 11], [0, 10]])
         assert (a * a).to_digits() == "1,8,0,9"
         assert (a * a).to_digits() == reference_mul(a, a).to_digits()
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_mask_reads_the_named_entries(self, p):
         rng = random.Random(200 + p)
         for n in range(5):
@@ -451,7 +498,7 @@ def reference_conjugacy(table):
     that GroupTable ran on first read before its construction pass joined
     the conjugacy classes."""
     gen_pairs = []
-    for g in table.generators():
+    for g in table.generators:
         gm = table.elements[g]
         gen_pairs.append((gm, gm.inverse()))
     class_of = [None] * table.order
@@ -546,7 +593,7 @@ class TestGroupTable:
                     for i, j in table.pattern.strict_pairs]
             full = GroupTable(table.elements, gens, name="all cells")
             assert (table.classes, table.class_of) == (full.classes, full.class_of)
-        assert len(ut_table(5, 2).generators()) == 4
+        assert len(ut_table(5, 2).generators) == 4
 
     def test_class_counts(self):
         assert len(ut_table(3, 2).classes) == 5
@@ -639,12 +686,12 @@ class TestGroupTable:
             GroupTable(g.elements, [])
         with pytest.raises(ValueError):
             GroupTable(g.elements, [corner])
-        gens = [g.elements[i] for i in g.generators()]
+        gens = [g.elements[i] for i in g.generators]
         assert GroupTable(g.elements, gens).order == g.order
 
     def test_generators_generate(self):
         g = gl_table(2, 3)
-        gens = [g.elements[i] for i in g.generators()]
+        gens = [g.elements[i] for i in g.generators]
         span = {g.identity_index}
         frontier = [g.identity_index]
         while frontier:
