@@ -4,14 +4,15 @@ Groups are explicit sorted lists of immutable matrices with given
 generators.  A matrix is its packed code, the entries of an n x n matrix
 over F_p in one int, decoded on read by the kernel of (p, n), which also
 multiplies codes.  At odd p a product reduces its fields mod p with one
-byte-table translate when the unreduced sum fits in 8 bits, and field by
-field when it does not.  Tables build the codes of their elements directly
-and are indexed by them.  One pass looks up every left product and
-conjugate of an element by a generator, computed on codes (products are
-never cached); it proves that the generators generate the list and joins
-its conjugacy classes.  Matrices carry a sorted ground set of row/column labels, so a
-matrix on ground (2, 4) is 2x2 with label pairs drawn from {2, 4}; a code
-names a matrix only together with its field and ground.
+byte-table translate when the unreduced sum fits in 4 bits (F_3 up to
+n = 3), and field by field when it does not.  Tables build the codes of
+their elements directly and are indexed by them.  One pass looks up every
+left product and conjugate of an element by a generator, computed on codes
+(products are never cached); it proves that the generators generate the
+list and joins its conjugacy classes.  Matrices carry a sorted ground set
+of row/column labels, so a matrix on ground (2, 4) is 2x2 with label pairs
+drawn from {2, 4}; a code names a matrix only together with its field and
+ground.
 
 The library does not read GroupTable.factorization: inflation reads the
 coset class counts of class_functions._deflation.  It is a reference for
@@ -59,11 +60,10 @@ def kernel(p, n):
     k of b, scaled by A[r][k], at the rows r.  At p = 2, w = 1 and the sum is
     an XOR, the rows of b selected by the bits of a (M4RI; Albrecht, Bard
     and Hart, ACM TOMS 2010).  At odd p, w holds n (p - 1)^2, the largest
-    unreduced sum, and the fields are then reduced mod p.  When that sum
-    needs at most 4 bits, w = 4 and one pass of bytes.translate reduces two
-    fields per byte; at 5 to 8 bits, w = 8 and the table reduces one field
-    per byte (a SWAR table step; Warren, Hacker's Delight, ch. 2).  Wider
-    sums keep their bit length and are reduced field by field.  Returns
+    unreduced sum, and is at least 4; the fields are then reduced mod p.
+    At w = 4 one pass of bytes.translate through a 256-byte table reduces
+    the two fields of every byte (a SWAR table step; Warren, Hacker's
+    Delight, ch. 2); wider fields are reduced one by one.  Returns
     Kernel(encode(rows) -> code, decode(code) -> rows, mul(a, b) -> code,
     mask(cells) -> the bits of the entries at the (row, column) cells);
     encode expects entries already reduced mod p, so an entry at a cell is 0
@@ -74,12 +74,8 @@ def kernel(p, n):
     (13, ((1, 0), (1, 1)), 0)
     >>> m.encode(((1, 2), (0, 1))), m.decode(4129), 4129 & m.mask([(0, 1)])
     (4129, ((1, 2), (0, 1)), 32)
-    >>> hex(kernel(5, 2).encode(((1, 2), (0, 4))))  # one byte per field
-    '0x4000201'
     """
-    w = 1 if p == 2 else (n * (p - 1) ** 2).bit_length()
-    if p > 2 and w <= 8:
-        w = 4 if w <= 4 else 8
+    w = 1 if p == 2 else max(4, (n * (p - 1) ** 2).bit_length())
     field = (1 << w) - 1
     row = (1 << n * w) - 1
     column = sum(field << r * n * w for r in range(n))
@@ -102,12 +98,9 @@ def kernel(p, n):
             for ka, kb in steps:
                 out ^= (a >> ka & column) * (b >> kb & row)
             return out
-    elif w <= 8:
-        size = (n * n * w + 7) // 8
-        if w == 4:
-            table = bytes((b >> 4) % p << 4 | (b & 15) % p for b in range(256))
-        else:
-            table = bytes(b % p for b in range(256))
+    elif w == 4:
+        size = (n * n + 1) // 2
+        table = bytes((b >> 4) % p << 4 | (b & 15) % p for b in range(256))
 
         def mul(a, b):
             acc = 0
@@ -282,8 +275,7 @@ class GroupTable:
 
     The element list order is preserved as given; constructors in this
     module always supply lexicographic row-major order.  The generators are
-    given and kept as element indices in `generators`; one pass at
-    construction checks that they generate the whole list
+    given; one pass at construction checks that they generate the whole list
     and joins each element to its conjugates under them.  The classes are
     labelled on first read.  There is no product cache.
     """
@@ -310,7 +302,7 @@ class GroupTable:
         if None in gens:
             raise ValueError("a generator of %s is not in its element list"
                              % self.name)
-        self.generators = self._ensure_generating(gens)
+        self._ensure_generating(gens)
 
     def __repr__(self):
         return "GroupTable(%s, order=%d)" % (self.name, self.order)
@@ -326,7 +318,7 @@ class GroupTable:
         return self.position(matrix) is not None
 
     def _ensure_generating(self, gens):
-        """Return gens after one pass over every element m and generator g:
+        """One pass over every element m and generator g (element indices):
         m is joined to g * m in a Cayley forest and to g * m * g^-1 in the
         conjugation forest _root, both products computed on codes by the
         kernel.  Raises ValueError unless every product lies in the table
@@ -353,7 +345,6 @@ class GroupTable:
         if reached < self.order:
             raise ValueError("the generators of %s reach %d of its %d elements"
                              % (self.name, reached, self.order))
-        return gens
 
     def _conjugacy(self):
         """Label the conjugation trees on first read: classes in order of

@@ -579,16 +579,9 @@ def monoid_deflate(ambient, comp, psi):
     return deflate_cf(psi, *pattern_split(ambient, comp, psi.group.p))
 
 
-@functools.lru_cache(maxsize=None)
-def _relabelled(table, pairs):
-    """The pattern group of table's order relabelled along the sorted
-    (label, image) pairs."""
-    return pattern_group(table.pattern.relabel(dict(pairs)), table.p)
-
-
 def monoid_relabel(psi, mapping):
     """Push a pattern group class function forward along a relabelling."""
-    target = _relabelled(psi.group, tuple(sorted(mapping.items())))
+    target = pattern_group(psi.group.pattern.relabel(mapping), psi.group.p)
     inverse = tuple(sorted((v, k) for k, v in mapping.items()))
     return pullback_cf(psi, target, FqMatrix.relabel, (inverse,))
 

@@ -28,13 +28,14 @@ from uthopf.gl_bridge import (
     product_hom_cases,
     radical_table,
 )
-from uthopf.group_engine import FqMatrix, GroupTable, gl_order, gl_table, \
-    pattern_group, permutation_matrix, primitive_root, ut_table
+from uthopf.group_engine import FqMatrix, GroupTable, _gl_generators, gl_order, \
+    gl_table, pattern_group, permutation_matrix, primitive_root, ut_table
 from uthopf.hopf_core import ScfElement, specialize, split_tables, ut_coproduct, \
     verify_reports
 
 from test_combinatorics import parabolic_pattern
-from test_group_engine import coset_rep_permutation, direct_sum, search_generators
+from test_group_engine import coset_rep_permutation, cover_generators, direct_sum, \
+    search_generators
 
 
 def conjugate(m, g, h):
@@ -73,6 +74,13 @@ def listed_gl_generators(n, p):
             for r in range(n)
         ]))
     return gens
+
+
+def parabolic_generators(n, i, q):
+    """The generators parabolic_table(n, i, q) is built from, for 0 < i < n:
+    the Levi generators and the elementary matrix at (i, i + 1)."""
+    corner = FqMatrix.one_off(q, tuple(range(1, n + 1)), i, i + 1, 1)
+    return _levi_generators(n, i, q) + [corner]
 
 
 def direct_sum_levi(n, i, q):
@@ -139,8 +147,7 @@ def mackey_cases(n, i, q):
                     (winv * u * wmat for u in sub_parabolic.elements),
                     key=lambda m: m.to_digits(),
                 ),
-                [winv * sub_parabolic.elements[g] * wmat
-                 for g in sub_parabolic.generators],
+                [winv * g * wmat for g in cover_generators(sub_parabolic.pattern, q)],
                 name="w*UP[%s]w/%d/%d" % (",".join(map(str, labels)), n, q),
             )
             pulled = pullback_cf(psi, conjugated, conjugate, (wmat, winv))
@@ -153,8 +160,8 @@ def bruhat_cases(n, i, q):
     gl = gl_table(n, q)
     ut = ut_table(n, q)
     parabolic = parabolic_table(n, i, q)
-    ut_gens = [ut.elements[g] for g in ut.generators]
-    p_gens = [parabolic.elements[g] for g in parabolic.generators]
+    ut_gens = cover_generators(ut.pattern, q)
+    p_gens = parabolic_generators(n, i, q)
     seen = [False] * gl.order
     cosets = []
     for start in range(gl.order):
@@ -267,16 +274,14 @@ class TestParabolicTables:
 
     @pytest.mark.parametrize("n,i,q", [(2, 1, 3), (3, 1, 2), (3, 2, 2)])
     def test_known_generators_are_kept(self, n, i, q):
-        # the given generators generate (none appended), and the classes
-        # match those found under a searched generating set
-        levi_gens = _levi_generators(n, i, q)
-        corner = FqMatrix.one_off(q, tuple(range(1, n + 1)), i, i + 1, 1)
+        # the generators each table is built from generate it, and the
+        # classes match those found under a searched generating set
         for table, given in (
-            (levi_table(n, i, q), levi_gens),
-            (parabolic_table(n, i, q), levi_gens + [corner]),
+            (levi_table(n, i, q), _levi_generators(n, i, q)),
+            (parabolic_table(n, i, q), parabolic_generators(n, i, q)),
         ):
-            assert [table.elements[g] for g in table.generators] == given
             searched = search_generators(table.elements)
+            assert table.classes == GroupTable(table.elements, given).classes
             assert table.classes == GroupTable(table.elements, searched).classes
 
     @pytest.mark.parametrize("n,i,q", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 3)])
@@ -289,8 +294,8 @@ class TestParabolicTables:
         (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 5),
     ])
     def test_gl_generators_are_the_listed_ones(self, n, q):
-        gl = gl_table(n, q)
-        assert [gl.elements[g] for g in gl.generators] == listed_gl_generators(n, q)
+        ground = tuple(range(1, n + 1))
+        assert _gl_generators(q, ground, ground) == listed_gl_generators(n, q)
 
     @pytest.mark.parametrize("n,i,q", [
         (2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 2, 2),
