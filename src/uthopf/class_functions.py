@@ -251,8 +251,9 @@ def _deflation(group, levi, radical):
     """For each class representative l of levi, the (class in group, count)
     pairs of the products l * x as x runs over radical, multiplied on codes.
     Raises ValueError unless levi and radical lie in group and meet only in
-    the identity."""
-    if not all(m in group for m in levi.elements + radical.elements):
+    the identity; a factor that is group itself is not scanned."""
+    if not all(m in group for factor in (levi, radical) if factor is not group
+               for m in factor.elements):
         raise ValueError("%s and %s do not both lie in %s"
                          % (levi.name, radical.name, group.name))
     if sum(1 for m in radical.elements if m in levi) != 1:

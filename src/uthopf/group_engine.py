@@ -506,26 +506,33 @@ def gl_table(n, p):
     Each row is a vector outside the span of the rows before it.  Prefixes
     grow one level at a time through the candidates in lexicographic order,
     so the elements come out in lexicographic row-major order.  A prefix
-    keeps its span only while more rows remain: the last row completes each
-    matrix directly, encoded with entries already reduced.  For n = 0 the
-    group is the one empty matrix.
+    carries its code, the sum of the codes of its rows, each read from a
+    table of the codes of the p^n vectors at that row; the last row
+    completes each matrix by one more addition, so no element is encoded
+    from its entries.  A prefix keeps its span only while more rows remain.
+    For n = 0 the group is the one empty matrix.
     """
     _check_prime(p)
     _check_gl_budget(n, p)
     ground = tuple(range(1, n + 1))
+    zero = (0,) * n
     vectors = list(itertools.product(range(p), repeat=n))
-    level = [((), {(0,) * n})]
+    encode = kernel(p, n).encode
+    at_row = [[encode([v if r == k else zero for r in range(n)]) for v in vectors]
+              for k in range(n)]
+    level = [(0, {zero})]
     for k in range(n - 1):
         level = [
-            (rows + (v,), {
+            (code + c, {
                 tuple((x + a * y) % p for x, y in zip(w, v))
                 for w in span for a in range(p)
             })
-            for rows, span in level for v in vectors if v not in span
+            for code, span in level for v, c in zip(vectors, at_row[k])
+            if v not in span
         ]
-    encode = kernel(p, n).encode
-    codes = [encode(rows + (v,)) for rows, span in level
-             for v in vectors if v not in span] if n else [0]
+    codes = [code + c for code, span in level
+             for v, c in zip(vectors, at_row[-1]) if v not in span] if n else [0]
+    del level  # the last spans are not needed while the table is built
     elements = [FqMatrix._from_code(p, ground, c) for c in codes]
     return GroupTable(elements, generators=_gl_generators(p, ground, ground),
                       name="GL%dq%d" % (n, p))
@@ -533,20 +540,35 @@ def gl_table(n, p):
 
 def _gl_generators(p, ground, block):
     """Generators of the invertible matrices on the labels of block, a
-    tuple, embedded into the identity on ground: the transvection at the
-    first two labels, the matrix of the cycle through block in order, and
-    for p > 2 the primitive root scaling the first label (the identity
-    when block is empty)."""
-    gens = []
-    if len(block) >= 2:
-        gens.append(FqMatrix.one_off(p, ground, block[0], block[1], 1))
+    tuple, embedded into the identity on ground (Waterhouse, Linear and
+    Multilinear Algebra 24, 1989): for two labels or more the transvection
+    at the first two, then for two labels or more, or for p > 2, the matrix
+    w of the cycle through block in order with the column of its first
+    label scaled by s = r (-1)^(k-1), r the primitive root and k the number
+    of labels (the identity when block is empty).  As p is prime the
+    transvection gives every x_12(a), its conjugates under w give SL, and
+    det w = (-1)^(k-1) s = r generates the determinants.  At p = 2, s = 1
+    and w is the cycle.
+
+    >>> t, w = _gl_generators(3, (1, 2), (1, 2))
+    >>> t.rows, w.rows, primitive_root(3)
+    (((1, 1), (0, 1)), ((0, 1), (1, 0)), 2)
+    >>> [(a * d - b * c) % 3 for (a, b), (c, d) in (t.rows, w.rows)]
+    [1, 2]
+    """
+    k = len(block)
+    gens = [FqMatrix.one_off(p, ground, block[0], block[1], 1)] if k >= 2 else []
+    if k >= 2 or p > 2:
         cycle = dict(zip(ground, ground))
         cycle.update(zip(block, block[1:] + block[:1]))
-        gens.append(permutation_matrix(cycle, p, ground))
-    if p > 2:
-        gens.append(FqMatrix.one_off(
-            p, ground, block[0], block[0], primitive_root(p) - 1
-        ) if block else FqMatrix.identity(p, ground))
+        w = permutation_matrix(cycle, p, ground)
+        if block:
+            pos = _positions(ground)
+            one = w.code & kernel(p, len(ground)).mask(
+                [(pos[cycle[block[0]]], pos[block[0]])])
+            s = primitive_root(p) * (-1) ** (k - 1) % p
+            w = FqMatrix._from_code(p, ground, w.code + (s - 1) * one)
+        gens.append(w)
     return gens
 
 

@@ -257,6 +257,14 @@ class TestVerify:
             "52632f18bc8c2c128297f63edf855c66d9a25b01442d1e298ded4a26dd563dab",
             id="induction-hom-text"),
         pytest.param(
+            ("induction-hom", "--n", "3", "--q", "3", "--format", "json"),
+            "697b21a35e896a61bef07f3bf6eeabe286b7326957aed7ecb1a4ee747b49e579",
+            id="induction-hom-n3-q3-json"),
+        pytest.param(
+            ("induction-hom", "--n", "3", "--q", "3"),
+            "51c54106767027b3012f67d4dd5742be4053fddad867a7f0731736350cd8a41d",
+            id="induction-hom-n3-q3-text"),
+        pytest.param(
             ("noncocommutativity", "--format", "json"),
             "57b154c5e83bc4a6240df59ccd23521e058fa39a026a289c8315d0b8e034ca2a",
             id="noncocommutativity-json"),

@@ -61,19 +61,60 @@ def block_predicate(n, i):
 
 def listed_gl_generators(n, p):
     """Reference generators of GL_n(F_p), listed for the whole group: the
-    transvection at (1, 2) and the n-cycle for n >= 2, then for p > 2 the
-    diagonal matrix scaling label 1 by the primitive root."""
+    transvection at (1, 2) for n >= 2, then for n >= 2 or p > 2 the monomial
+    matrix sending e_k to e_(k+1) (k + 1 read mod n), scaled at k = 1 by
+    s = r (-1)^(n-1), r the primitive root, so that its determinant is r."""
     ground = tuple(range(1, n + 1))
     gens = []
     if n >= 2:
         gens.append(FqMatrix.one_off(p, ground, 1, 2, 1))
-        gens.append(permutation_matrix({k: k % n + 1 for k in ground}, p, ground))
-    if p > 2:
+    if n >= 2 or p > 2:
+        s = primitive_root(p) * (-1) ** (n - 1) % p
         gens.append(FqMatrix(p, ground, [
-            [(primitive_root(p) if r == 0 else 1) if r == c else 0 for c in range(n)]
+            [(s if c == 0 else 1) if r == (c + 1) % n else 0 for c in range(n)]
             for r in range(n)
         ]))
     return gens
+
+
+def three_generator_reference(p, ground, block):
+    """The generators of the invertible matrices on block, embedded into the
+    identity on ground, that gl_table and levi_table were built from before
+    two sufficed: the transvection at the first two labels and the cycle
+    through block for two labels or more, then for p > 2 the diagonal matrix
+    scaling the first label by the primitive root (the identity when block
+    is empty)."""
+    gens = []
+    if len(block) >= 2:
+        gens.append(FqMatrix.one_off(p, ground, block[0], block[1], 1))
+        cycle = dict(zip(ground, ground))
+        cycle.update(zip(block, block[1:] + block[:1]))
+        gens.append(permutation_matrix(cycle, p, ground))
+    if p > 2:
+        gens.append(FqMatrix.one_off(
+            p, ground, block[0], block[0], primitive_root(p) - 1
+        ) if block else FqMatrix.identity(p, ground))
+    return gens
+
+
+def monomial_determinant(m):
+    """The determinant of a matrix with one nonzero entry in each row and
+    column: the sign of its permutation times the product of the entries."""
+    n = len(m.ground)
+    image, scale = {}, 1
+    for r, row in enumerate(m.rows):
+        (c,) = [c for c in range(n) if row[c]]
+        image[c] = r
+        scale *= row[c]
+    assert sorted(image) == list(range(n))
+    sign, seen = 1, set()
+    for start in range(n):
+        c, length = start, 0
+        while c not in seen:
+            seen.add(c)
+            c, length = image[c], length + 1
+        sign *= (-1) ** max(length - 1, 0)
+    return sign * scale % m.p
 
 
 def parabolic_generators(n, i, q):
@@ -296,6 +337,32 @@ class TestParabolicTables:
     def test_gl_generators_are_the_listed_ones(self, n, q):
         ground = tuple(range(1, n + 1))
         assert _gl_generators(q, ground, ground) == listed_gl_generators(n, q)
+
+    @pytest.mark.parametrize("n,i,q", [
+        (1, 1, 3), (2, 2, 3), (3, 3, 3), (1, 1, 5), (2, 2, 5), (2, 2, 7),
+        (2, 2, 11), (3, 1, 3), (3, 2, 3),
+    ])
+    def test_two_generators_give_the_three_generator_classes(self, n, i, q):
+        # i = n is gl_table(n, q) itself; the classes the construction pass
+        # joins under the two generators of each block are those under the
+        # three of the old list and under a searched generating set
+        table = levi_table(n, i, q)
+        ground = table.ground
+        old = three_generator_reference(q, ground, ground[:i])
+        if i < n:
+            old += three_generator_reference(q, ground, ground[i:])
+        searched = search_generators(table.elements)
+        assert table.classes == GroupTable(table.elements, old).classes
+        assert table.classes == GroupTable(table.elements, searched).classes
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_monomial_generator_has_the_primitive_root_as_determinant(self, k, p):
+        ground = tuple(range(1, 6))
+        block = ground[1:k + 1]
+        gens = _gl_generators(p, ground, block)
+        assert len(gens) == min(k, 2)
+        assert monomial_determinant(gens[-1]) == primitive_root(p)
 
     @pytest.mark.parametrize("n,i,q", [
         (2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 2), (3, 1, 3), (4, 2, 2),

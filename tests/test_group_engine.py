@@ -450,7 +450,8 @@ class TestElementBuildersAgainstReference:
                        reference_pattern_elements(chain_order(range(1, n + 1)), 2))
 
     @pytest.mark.parametrize("n, p", [(0, 2), (1, 2), (2, 2), (3, 2), (0, 3), (1, 3),
-                                      (2, 3), (0, 5), (1, 5), (2, 5), (3, 3)])
+                                      (2, 3), (0, 5), (1, 5), (2, 5), (3, 3), (4, 2),
+                                      (2, 7)])
     def test_general_linear_groups(self, n, p):
         self.check(gl_table(n, p), reference_gl_elements(n, p))
 
