@@ -157,8 +157,8 @@ class ClassFunction(Combination):
         """Evaluate fn at class representatives; a ValueError is raised
         unless fn, evaluated at every element, is constant on classes."""
         values = [_exact(fn(group.elements[r])) for r in group.class_reps]
-        for i, m in enumerate(group.elements):
-            if fn(m) != values[group.class_of[i]]:
+        for m, c in zip(group.elements, group.class_of):
+            if fn(m) != values[c]:
                 raise ValueError(f"not constant on classes at {m!r}")
         return cls._trusted((group,), dict(enumerate(values)))
 
@@ -249,7 +249,8 @@ def _class_map(source, target, move=None, arg=()):
 @functools.lru_cache(maxsize=None)
 def _deflation(group, levi, radical):
     """For each class representative l of levi, the (class in group, count)
-    pairs of the products l * x as x runs over radical, multiplied on codes.
+    pairs of the products l * x as x runs over radical, one batched product
+    on codes per l.
     Raises ValueError unless levi and radical lie in group and meet only in
     the identity; a factor that is group itself is not scanned."""
     if not all(m in group for factor in (levi, radical) if factor is not group
@@ -259,12 +260,12 @@ def _deflation(group, levi, radical):
     if sum(1 for m in radical.elements if m in levi) != 1:
         raise ValueError("%s and %s must meet only in the identity"
                          % (levi.name, radical.name))
-    mul = kernel(group.p, len(group.ground)).mul
+    left = kernel(group.p, len(group.ground)).left
     class_of, index = group.class_of, group.index
     xs = [x.code for x in radical.elements]
     return tuple(
         tuple(collections.Counter(
-            class_of[index[mul(l, x)]] for x in xs
+            class_of[index[lx]] for lx in left(l, xs)
         ).items())
         for l in (levi.elements[r].code for r in levi.class_reps)
     )

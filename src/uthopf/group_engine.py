@@ -5,14 +5,17 @@ generators.  A matrix is its packed code, the entries of an n x n matrix
 over F_p in one int, decoded on read by the kernel of (p, n), which also
 multiplies codes.  At odd p a product reduces its fields mod p with one
 byte-table translate when the unreduced sum fits in 4 bits (F_3 up to
-n = 3), and field by field when it does not.  Tables build the codes of
-their elements directly and are indexed by them.  One pass looks up every
-left product and conjugate of an element by a generator, computed on codes
-(products are never cached); it proves that the generators generate the
-list and joins its conjugacy classes.  Matrices carry a sorted ground set
-of row/column labels, so a matrix on ground (2, 4) is 2x2 with label pairs
-drawn from {2, 4}; a code names a matrix only together with its field and
-ground.
+n = 3), and field by field when it does not; a batched product multiplies
+one matrix by many codes packed into one int.  Tables build the codes of
+their elements directly and are indexed by them.  At construction each
+generator takes two batched products over the whole table, its left
+products and its conjugates, read back as element indices (products are
+never cached): a walk from the identity along the left products proves
+that the generators generate the list, and the orbits of the conjugation
+lists, walked on first read, are its conjugacy classes.  Matrices carry
+a sorted ground set of row/column labels, so a matrix on ground (2, 4) is
+2x2 with label pairs drawn from {2, 4}; a code names a matrix only
+together with its field and ground.
 
 The library does not read GroupTable.factorization: inflation reads the
 coset class counts of class_functions._deflation.  It is a reference for
@@ -25,10 +28,12 @@ before any element is built.
 
 from __future__ import annotations
 
+import array
 import collections
 import functools
 import itertools
 import math
+import sys
 
 from .combinatorics import BudgetError, PartialOrder, _check_budget, \
     chain_order, enumeration_budget
@@ -47,7 +52,7 @@ def _positions(ground):
     return {label: k for k, label in enumerate(ground)}
 
 
-Kernel = collections.namedtuple("Kernel", "encode decode mul mask")
+Kernel = collections.namedtuple("Kernel", "encode decode mul mask left right")
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,17 +68,28 @@ def kernel(p, n):
     unreduced sum, and is at least 4; the fields are then reduced mod p.
     At w = 4 one pass of bytes.translate through a 256-byte table reduces
     the two fields of every byte (a SWAR table step; Warren, Hacker's
-    Delight, ch. 2); wider fields are reduced one by one.  Returns
-    Kernel(encode(rows) -> code, decode(code) -> rows, mul(a, b) -> code,
-    mask(cells) -> the bits of the entries at the (row, column) cells);
-    encode expects entries already reduced mod p, so an entry at a cell is 0
-    exactly when code & mask([cell]) is.
+    Delight, ch. 2); wider fields are reduced one by one.
+
+    A batch runs the same sum once over many codes: each code takes its own
+    slot of ceil(n^2 w / 64) 64-bit words in one int, and the row or column
+    masks are repeated in every slot, so each term stays inside its slot.
+    The batch is reduced as a whole at w = 4, slot by slot when wider.
+
+    Returns Kernel(encode(rows) -> code, decode(code) -> rows, mul(a, b) ->
+    code, mask(cells) -> the bits of the entries at the (row, column) cells,
+    left(a, codes) -> the codes a * b for b in codes, right(codes, b) -> the
+    codes a * b for a in codes); encode expects entries already reduced mod
+    p, so an entry at a cell is 0 exactly when code & mask([cell]) is.
+
+    Over F_3, x = ((1, 2), (0, 1)) has code 4129 and the identity 4097:
 
     >>> k, m = kernel(2, 2), kernel(3, 2)
     >>> k.encode(((1, 0), (1, 1))), k.decode(13), 13 & k.mask([(0, 1)])
     (13, ((1, 0), (1, 1)), 0)
     >>> m.encode(((1, 2), (0, 1))), m.decode(4129), 4129 & m.mask([(0, 1)])
     (4129, ((1, 2), (0, 1)), 32)
+    >>> list(m.left(4129, [4129, 4097])), list(m.right([4097, 4113], 4129))
+    ([4113, 4129], [4129, 4097])
     """
     w = 1 if p == 2 else max(4, (n * (p - 1) ** 2).bit_length())
     field = (1 << w) - 1
@@ -82,6 +98,8 @@ def kernel(p, n):
     steps = [(k * w, k * n * w) for k in range(n)]
     shifts = [[(r * n + c) * w for c in range(n)] for r in range(n)]
     flat = [s for line in shifts for s in line]
+    slot = 8 * max(1, -(-n * n * w // 64))  # bytes per code in a batch
+    order = sys.byteorder
 
     def encode(rows):
         return sum(e << s for e, s in zip(itertools.chain(*rows), flat))
@@ -92,40 +110,68 @@ def kernel(p, n):
     def mask(cells):
         return sum(field << shifts[r][c] for r, c in cells)
 
+    def words(data):
+        """The codes in the slots of data, the bytes of a batch."""
+        if slot == 8:
+            return memoryview(data).cast("Q")
+        return [int.from_bytes(data[i:i + slot], order)
+                for i in range(0, len(data), slot)]
+
     if p == 2:
-        def mul(a, b):
+        def mul(a, b, column=column, row=row):
             out = 0
             for ka, kb in steps:
                 out ^= (a >> ka & column) * (b >> kb & row)
             return out
-    elif w == 4:
-        size = (n * n + 1) // 2
-        table = bytes((b >> 4) % p << 4 | (b & 15) % p for b in range(256))
 
-        def mul(a, b):
-            acc = 0
-            for ka, kb in steps:
-                acc += (a >> ka & column) * (b >> kb & row)
-            return int.from_bytes(acc.to_bytes(size, "little").translate(table),
-                                  "little")
+        dot, reduce = mul, words
     else:
-        def mul(a, b):
+        def dot(a, b, column=column, row=row):
             acc = 0
             for ka, kb in steps:
                 acc += (a >> ka & column) * (b >> kb & row)
-            out = 0
-            for s in flat:
-                out |= (acc >> s & field) % p << s
-            return out
+            return acc
 
-    return Kernel(encode, decode, mul, mask)
+        if w == 4:
+            size = (n * n + 1) // 2
+            table = bytes((b >> 4) % p << 4 | (b & 15) % p for b in range(256))
 
+            def mul(a, b):
+                return int.from_bytes(
+                    dot(a, b).to_bytes(size, "little").translate(table), "little")
 
-def _find(root, i):
-    """Root of i in a union-find forest, halving the path on the way."""
-    while root[i] != i:
-        root[i] = i = root[root[i]]
-    return i
+            def reduce(data):
+                return words(data.translate(table))
+        else:
+            def fields(acc):
+                out = 0
+                for s in flat:
+                    out |= (acc >> s & field) % p << s
+                return out
+
+            def mul(a, b):
+                return fields(dot(a, b))
+
+            def reduce(data):
+                return list(map(fields, words(data)))
+
+    def pack(codes):
+        if slot == 8:
+            return int.from_bytes(array.array("Q", codes), order)
+        return int.from_bytes(b"".join(c.to_bytes(slot, order) for c in codes), order)
+
+    def repeat(bits, count):
+        return int.from_bytes(bits.to_bytes(slot, order) * count, order)
+
+    def left(a, codes):
+        acc = dot(a, pack(codes), row=repeat(row, len(codes)))
+        return reduce(acc.to_bytes(slot * len(codes), order))
+
+    def right(codes, b):
+        acc = dot(pack(codes), b, column=repeat(column, len(codes)))
+        return reduce(acc.to_bytes(slot * len(codes), order))
+
+    return Kernel(encode, decode, mul, mask, left, right)
 
 
 class FqMatrix:
@@ -270,14 +316,29 @@ class FqMatrix:
             [[rows[a][b] for b in at] for a in at]))
 
 
+def _orbit(start, steps, seen, label):
+    """The indices reached from start along the index lists in steps,
+    start first, each marked seen[i] = label; seen holds None where unseen."""
+    seen[start] = label
+    orbit = [start]
+    for i in orbit:
+        for step in steps:
+            j = step[i]
+            if seen[j] is None:
+                seen[j] = label
+                orbit.append(j)
+    return orbit
+
+
 class GroupTable:
     """A finite matrix group held as an explicit element list.
 
     The element list order is preserved as given; constructors in this
     module always supply lexicographic row-major order.  The generators are
-    given; one pass at construction checks that they generate the whole list
-    and joins each element to its conjugates under them.  The classes are
-    labelled on first read.  There is no product cache.
+    given; two batched products per generator at construction check that
+    they generate the whole list and give each element's conjugate under
+    it.  The classes, the orbits of those conjugates, are walked on first
+    read.  There is no product cache.
     """
 
     def __init__(self, elements, generators, name=""):
@@ -318,50 +379,42 @@ class GroupTable:
         return self.position(matrix) is not None
 
     def _ensure_generating(self, gens):
-        """One pass over every element m and generator g (element indices):
-        m is joined to g * m in a Cayley forest and to g * m * g^-1 in the
-        conjugation forest _root, both products computed on codes by the
-        kernel.  Raises ValueError unless every product lies in the table
-        and the Cayley tree of the identity holds all of it; the
-        conjugation trees are then the conjugacy classes."""
+        """Two batched products per generator g (element indices) on the
+        codes of every element m: the left products g * m, then those times
+        g^-1 on the right, the conjugates g * m * g^-1, each read back as
+        element indices.  Raises ValueError unless every product lies in the
+        table and the walk from the identity along the left products reaches
+        all of it; the conjugation lists are kept for _conjugacy."""
         index = self.index
-        mul = kernel(self.p, len(self.ground)).mul
-        pairs = [(self.elements[g].code, self.elements[g].inverse().code)
-                 for g in gens]
-        cayley = list(range(self.order))
-        root = self._root = list(range(self.order))
-        for i, m in enumerate([m.code for m in self.elements]):
-            for g, ginv in pairs:
-                gm = mul(g, m)
-                j = index.get(gm)
-                k = index.get(mul(gm, ginv))
-                if j is None or k is None:
-                    raise ValueError("%s is not closed under products"
-                                     % self.name)
-                cayley[_find(cayley, i)] = _find(cayley, j)
-                root[_find(root, i)] = _find(root, k)
-        ident = _find(cayley, self.identity_index)
-        reached = sum(_find(cayley, i) == ident for i in range(self.order))
+        k = kernel(self.p, len(self.ground))
+        codes = [m.code for m in self.elements]
+        lefts, self._conjugates = [], []
+        for g in gens:
+            moved = k.left(self.elements[g].code, codes)
+            conjugated = k.right(moved, self.elements[g].inverse().code)
+            lefts.append(list(map(index.get, moved)))
+            self._conjugates.append(list(map(index.get, conjugated)))
+            if None in lefts[-1] or None in self._conjugates[-1]:
+                raise ValueError("%s is not closed under products" % self.name)
+        reached = len(_orbit(self.identity_index, lefts, [None] * self.order, 0))
         if reached < self.order:
             raise ValueError("the generators of %s reach %d of its %d elements"
                              % (self.name, reached, self.order))
 
     def _conjugacy(self):
-        """Label the conjugation trees on first read: classes in order of
-        their least element, members ascending; returns (classes, class_of,
-        class_reps, class_sizes)."""
+        """Label the orbits of the conjugation lists on first read: classes
+        in order of their least element, members ascending; returns
+        (classes, class_of, class_reps, class_sizes)."""
         if self._classes is None:
-            trees = {}
+            class_of = [None] * self.order
+            classes = []
             for i in range(self.order):
-                trees.setdefault(_find(self._root, i), []).append(i)
-            classes = tuple(map(tuple, trees.values()))
-            class_of = [0] * self.order
-            for label, members in enumerate(classes):
-                for i in members:
-                    class_of[i] = label
-            self._classes = (classes, tuple(class_of),
+                if class_of[i] is None:
+                    orbit = _orbit(i, self._conjugates, class_of, len(classes))
+                    classes.append(tuple(sorted(orbit)))
+            self._classes = (tuple(classes), tuple(class_of),
                              tuple(c[0] for c in classes), tuple(map(len, classes)))
-            del self._root
+            del self._conjugates
         return self._classes
 
     @property

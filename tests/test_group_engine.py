@@ -390,6 +390,45 @@ class TestKernel:
                 vanish = all(m.rows[r][c] == 0 for r, c in named)
                 assert (m.code & mask(named) == 0) == vanish
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_batches_against_the_single_product(self, p):
+        rng = random.Random(400 + p)
+        for n in range(6):
+            check_batches(rng, p, n)
+
+    # codes wider than one 64-bit word take two words of a batch each
+    @pytest.mark.parametrize("p, n, bits", [(3, 4, 80), (2, 9, 81)])
+    def test_batches_of_two_word_codes(self, p, n, bits):
+        k = kernel(p, n)
+        if k.mask(itertools.product(range(n), repeat=2)).bit_length() != bits:
+            raise AssertionError("kernel(%d, %d) codes are not %d bits" % (p, n, bits))
+        check_batches(random.Random(500 + p * n), p, n)
+
+
+def check_batches(rng, p, n):
+    """left and right against mul and reference_mul on random n x n matrices
+    over F_p, the all-(p - 1) matrix (the largest unreduced sums) among
+    them, right also on a batch that left returned, and on empty batches;
+    explicit comparisons, so that python -O checks them too."""
+    k = kernel(p, n)
+    top = FqMatrix(p, tuple(range(1, n + 1)), [[p - 1] * n] * n)
+    ms = [top] + [random_matrix(rng, p, n) for _ in range(12)]
+    codes = [m.code for m in ms]
+    for a in ms[:4]:
+        got = list(k.left(a.code, codes))
+        if not got == [k.mul(a.code, c) for c in codes] == \
+                [reference_mul(a, b).code for b in ms]:
+            raise AssertionError("left(%r, ...) over F_%d gave %s" % (a, p, got))
+        got = list(k.right(codes, a.code))
+        if not got == [k.mul(c, a.code) for c in codes] == \
+                [reference_mul(b, a).code for b in ms]:
+            raise AssertionError("right(..., %r) over F_%d gave %s" % (a, p, got))
+        got = list(k.right(k.left(a.code, codes), top.code))
+        if got != [k.mul(k.mul(a.code, c), top.code) for c in codes]:
+            raise AssertionError("right of a left batch over F_%d gave %s" % (p, got))
+        if list(k.left(a.code, [])) or list(k.right([], a.code)):
+            raise AssertionError("an empty batch over F_%d is not empty" % p)
+
 
 def reference_pattern_elements(order, p):
     """The element list pattern_group built before codes: for each value
