@@ -293,6 +293,9 @@ def standardize(labels):
 
 # Every order built by Nuio.from_profile, keyed by its profile tuple.
 _INTERNED = {}
+# Every shifted sum taken, keyed by the profiles of its two summands; the
+# sums are interned orders.
+_SUMS = {}
 
 
 class Nuio:
@@ -447,10 +450,18 @@ class Nuio:
         ))
 
     def shifted_sum(self, other):
-        """Ordinal sum with the labels of other shifted up past self."""
-        return Nuio.from_profile(
-            self._profile + tuple(c + self.n for c in other._profile)
-        )
+        """Ordinal sum with the labels of other shifted up past self; each
+        pair of profiles is summed once per process.
+
+        >>> Nuio(1).shifted_sum(Nuio(2)) is Nuio.from_profile((2, 4, 4))
+        True
+        """
+        key = self._profile, other._profile
+        out = _SUMS.get(key)
+        if out is None:
+            out = _SUMS[key] = Nuio.from_profile(
+                self._profile + tuple(c + self.n for c in other._profile))
+        return out
 
     def top_piece(self):
         """(rest, top): the top connected piece and the order below it,
@@ -497,7 +508,14 @@ class Nuio:
                        get(map((len(outs) + 1).__sub__, outs)), ascents)
 
     def to_dict(self):
-        return {"n": self.n, "strict": [list(p) for p in self._strict]}
+        """{"n": n, "strict": pairs}, the pairs being the order's own stored
+        tuple of pair tuples, which nothing changes; json writes them as
+        lists.
+
+        >>> Nuio(2, [(1, 2)]).to_dict()
+        {'n': 2, 'strict': ((1, 2),)}
+        """
+        return {"n": self.n, "strict": self._strict}
 
     @classmethod
     def from_dict(cls, data):

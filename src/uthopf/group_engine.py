@@ -35,8 +35,7 @@ import itertools
 import math
 import sys
 
-from .combinatorics import BudgetError, PartialOrder, _check_budget, \
-    chain_order, enumeration_budget
+from .combinatorics import PartialOrder, _check_budget, chain_order
 
 
 @functools.lru_cache(maxsize=None)

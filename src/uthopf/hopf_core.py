@@ -33,8 +33,11 @@ GradedClassFunction, GradedTensor) is a class_functions.Combination: its
 `terms` dict maps exponents, orders, pairs of orders, degrees or bidegrees to
 nonzero coefficients.  Sums of many pieces go through one `collect` call,
 which coerces each coefficient once; a LaurentT product by the unit is the
-other factor.  The graded families have class functions and tensors as
-coefficients.
+other factor.  Values are never changed in place, so results are shared:
+the coproduct and antipode of a basis element, with the unit coefficient,
+are the cached values themselves, and Nuio.to_dict() hands out the order's
+own tuple of strict pairs, which json writes as the same list text.  The
+graded families have class functions and tensors as coefficients.
 """
 
 from __future__ import annotations
@@ -209,7 +212,20 @@ class ScfElement(Combination):
     def counit(self):
         return self.terms.get(Nuio(0), LaurentT.zero())
 
+    def _basis_order(self):
+        """pi when this is basis(pi), with the unit coefficient; else None."""
+        if len(self.terms) == 1:
+            (pi, c), = self.terms.items()
+            if c.terms == LaurentT._UNIT:
+                return pi
+        return None
+
     def coproduct(self):
+        """Of basis(pi), the cached value itself, which nobody changes in
+        place; of any other element, one sum of the scaled cached values."""
+        pi = self._basis_order()
+        if pi is not None:
+            return _coproduct_basis(pi)
         return TensorScf.collect(
             (key, c * v)
             for pi, c in self.terms.items()
@@ -217,6 +233,10 @@ class ScfElement(Combination):
         )
 
     def antipode(self):
+        """Served like the coproduct: basis(pi) gets the cached value."""
+        pi = self._basis_order()
+        if pi is not None:
+            return _antipode_basis(pi)
         return ScfElement.collect(
             (rho, c * v)
             for pi, c in self.terms.items()
@@ -224,7 +244,7 @@ class ScfElement(Combination):
         )
 
     def dagger(self):
-        return ScfElement({pi.dagger(): c for pi, c in self.terms.items()})
+        return self._like({pi.dagger(): c for pi, c in self.terms.items()})
 
     def to_dict(self):
         return {
@@ -252,7 +272,7 @@ class TensorScf(Combination):
     def sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda kv: (kv[0][0].n, kv[0][0].key(), kv[0][1].key()),
+            key=lambda kv: (kv[0][0].key(), kv[0][1].key()),
         )
 
     def __mul__(self, other):
@@ -263,7 +283,7 @@ class TensorScf(Combination):
         )
 
     def swap(self):
-        return TensorScf({(r, l): c for (l, r), c in self.terms.items()})
+        return self._like({(r, l): c for (l, r), c in self.terms.items()})
 
     def component(self, i, j):
         return self._like({k: c for k, c in self.terms.items()
@@ -635,9 +655,10 @@ def _compatibility(A, taus, B):
 def _naturality(sigma, A, op, order):
     """Both sides of relabelling op(order, A, psi) along sigma."""
     moved = SetComposition([[sigma[i] for i in b] for b in A.blocks])
+    image = order.relabel(sigma)
     return lambda psi: (
         monoid_relabel(op(order, A, psi), sigma),
-        op(order.relabel(sigma), moved, monoid_relabel(psi, sigma)),
+        op(image, moved, monoid_relabel(psi, sigma)),
     )
 
 

@@ -8,6 +8,7 @@ words against pinned examples.
 """
 
 import itertools
+import json
 import math
 import random
 
@@ -666,6 +667,7 @@ class TestNuio:
             assign(self, prof)
 
         monkeypatch.setattr(combinatorics, "_INTERNED", {})
+        monkeypatch.setattr(combinatorics, "_SUMS", {})
         monkeypatch.setattr(Nuio, "_assign", counted)
         orders = [pi for n in range(6) for pi in natural_unit_interval_orders(n)]
         for pi in orders:
@@ -744,6 +746,42 @@ class TestNuio:
     def test_dict_round_trip(self):
         pi = Nuio(4, [(1, 4), (2, 4)])
         assert Nuio.from_dict(pi.to_dict()) == pi
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_dict_shares_the_pairs_and_prints_the_list_form(self, n):
+        for pi in natural_unit_interval_orders(n):
+            data = pi.to_dict()
+            # the stored pairs themselves, immutable all the way down
+            assert data["strict"] is pi.strict
+            assert all(type(p) is tuple for p in data["strict"])
+            listed = {"n": n, "strict": [list(p) for p in pi.strict]}
+            assert json.dumps(data, sort_keys=True) == json.dumps(listed, sort_keys=True)
+            assert Nuio.from_dict(data) == pi
+            # a caller that adds to or replaces keys of its dict, as
+            # `nuio list --dyck` adds "dyck", changes no later call
+            data["dyck"] = pi.to_dyck()
+            data["strict"], data["n"] = [], -1
+            assert pi.to_dict() == {"n": n, "strict": pi.strict}
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_memoized_sum_is_the_interned_concatenation(self, n, monkeypatch):
+        # every pair of total degree n, summed into fresh tables twice:
+        # each call gives the interned order of the shifted concatenation
+        monkeypatch.setattr(combinatorics, "_INTERNED", {})
+        monkeypatch.setattr(combinatorics, "_SUMS", {})
+        pairs = [(a, b) for k in range(n + 1)
+                 for a in natural_unit_interval_orders(k)
+                 for b in natural_unit_interval_orders(n - k)]
+        for _ in range(2):
+            for a, b in pairs:
+                prof = a.profile() + tuple(c + a.n for c in b.profile())
+                got = a.shifted_sum(b)
+                assert got is Nuio.from_profile(prof)
+                assert got is combinatorics._INTERNED[prof]
+                # an equal order from the validating constructor, not
+                # interned, sums to the same interned order
+                assert Nuio(a.n, a.strict).shifted_sum(Nuio(b.n, b.strict)) is got
+        assert len(combinatorics._SUMS) == len(pairs)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,8 +8,10 @@ import re
 import pytest
 
 from uthopf.combinatorics import (
+    BudgetError,
     SetComposition,
     chain_order,
+    enumeration_budget,
     levi_pattern,
     natural_unit_interval_orders,
     radical_pattern,
@@ -17,12 +19,10 @@ from uthopf.combinatorics import (
 )
 from uthopf.gl_bridge import levi_table, parabolic_table, radical_table
 from uthopf.group_engine import (
-    BudgetError,
     FqMatrix,
     GroupTable,
     _check_prime,
     _gl_generators,
-    enumeration_budget,
     gl_order,
     gl_table,
     kernel,

@@ -373,6 +373,36 @@ class TestCoproduct:
         for pi in natural_unit_interval_orders(n):
             assert basis(pi).coproduct() == reference_coproduct_basis(pi)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_basis_value_is_the_cached_one(self, n):
+        # the sum through collect that served every element before basis
+        # elements got the cached value itself is kept here as the reference
+        for pi in natural_unit_interval_orders(n):
+            cached = hopf_core._coproduct_basis(pi)
+            got = basis(pi).coproduct()
+            assert got is cached
+            assert got == TensorScf.collect(
+                (key, ONE * v) for key, v in cached.terms.items())
+            # any other coefficient, or a second term, still sums
+            scaled = basis(pi).scale(T).coproduct()
+            assert scaled is not cached and scaled == cached.scale(T)
+            assert scaled == TensorScf.collect(
+                (key, T * v) for key, v in cached.terms.items())
+            assert basis(pi).scale(2).coproduct() == cached.scale(2)
+            assert (basis(pi) + basis(PT)).coproduct() == cached + basis(PT).coproduct()
+        assert ScfElement.zero().coproduct() == TensorScf.zero()
+
+    def test_serializing_a_result_leaves_the_cache_intact(self):
+        for pi in [pi for n in range(6) for pi in natural_unit_interval_orders(n)]:
+            data = basis(pi).coproduct().to_dict()
+            for term in data["terms"]:
+                term["left"]["n"] = term["right"]["strict"] = None
+                term["coeff"].clear()
+            data["terms"].clear()
+            fresh = hopf_core._coproduct_basis.__wrapped__(pi)
+            assert hopf_core._coproduct_basis(pi) == fresh == reference_coproduct_basis(pi)
+            assert basis(pi).coproduct().to_dict() == fresh.to_dict()
+
     def test_compatible_with_product(self):
         for n1 in range(4):
             for n2 in range(4 - n1):
@@ -410,6 +440,21 @@ class TestAntipode:
     def test_equals_the_counit_recursion(self, n):
         for pi in natural_unit_interval_orders(n):
             assert basis(pi).antipode() == reference_antipode_basis(pi)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_basis_value_is_the_cached_one(self, n):
+        for pi in natural_unit_interval_orders(n):
+            cached = hopf_core._antipode_basis(pi)
+            got = basis(pi).antipode()
+            assert got is cached
+            assert got == ScfElement.collect(
+                (rho, ONE * v) for rho, v in cached.terms.items())
+            scaled = basis(pi).scale(T).antipode()
+            assert scaled is not cached and scaled == cached.scale(T)
+            assert scaled == ScfElement.collect(
+                (rho, T * v) for rho, v in cached.terms.items())
+            assert (basis(pi) + basis(PT)).antipode() == cached + basis(PT).antipode()
+        assert ScfElement.zero().antipode() == ScfElement.zero()
 
     def test_antihomomorphism(self):
         # Against the reference recursion: the library reads the antipode
@@ -463,6 +508,13 @@ class TestSerialization:
         cop = basis(A2).coproduct()
         keys = [(l.n, r.n) for (l, r), _ in cop.sorted_terms()]
         assert keys == sorted(keys)
+        # key() starts with n, so the order is the one that sorted on
+        # (left n, left key, right key)
+        for pi in [pi for n in range(7) for pi in natural_unit_interval_orders(n)]:
+            cop = basis(pi).coproduct()
+            assert cop.sorted_terms() == sorted(
+                cop.terms.items(), key=lambda kv: (kv[0][0].n, kv[0][0].key(),
+                                                   kv[0][1].key()))
 
 
 def assert_trusted_form(x):
@@ -485,7 +537,7 @@ class TestTrustedConstruction:
         orders = [pi for n in range(7) for pi in natural_unit_interval_orders(n)]
         for pi in orders:
             x = basis(pi)
-            for y in (x.coproduct(), x.antipode(), x.dagger(),
+            for y in (x.coproduct(), x.antipode(), x.dagger(), x.coproduct().swap(),
                       x.antipode() - x.scale(Fraction(3, 2) * T), -x.coproduct()):
                 assert_trusted_form(y)
         for a in orders:
