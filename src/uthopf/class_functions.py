@@ -56,8 +56,8 @@ class Combination:
     Zero coefficients are dropped on construction, so equality of the dicts
     is equality of the combinations.  `context` is the tuple of leading
     constructor arguments, the attributes named by `_fields`, that two
-    combinations must share to be added or equal; `_coerce` turns a given
-    coefficient or scalar into coefficient form.  The constructor
+    combinations of one type must share to be added or equal; `_coerce`
+    turns a coefficient or scalar into coefficient form.  The constructor
     validates; collect, linear operations and transports use _trusted.
     """
 
@@ -105,6 +105,9 @@ class Combination:
         return self._trusted(self.context, terms)
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            raise TypeError("cannot add %s to %s"
+                            % (type(other).__name__, type(self).__name__))
         if self.context != other.context:
             raise ValueError("cannot add combinations in different contexts")
         out = dict(self.terms)

@@ -304,7 +304,8 @@ class Nuio:
     Row i is strictly below exactly the labels c(i), c(i) + 1, ..., n, where
     the profile c is nondecreasing with i < c(i) <= n + 1; it is the Dyck
     path of the order.  The sorted strict pairs, the hash and the sort key
-    are derived from it once, when the profile is checked, and stored.
+    are derived from it once, when the profile is checked, and stored; the
+    number of pairs, the sum of n + 1 - c(i), is held to the budget first.
     Every operation computes the profile of its result directly and builds
     it with from_profile, which interns: each profile is checked and built
     once per process.
@@ -332,14 +333,14 @@ class Nuio:
             if i < j:
                 above[i].add(j)
         prof = [n + 1] * n
-        # Every pair points upward, so the rows above i are closed before
-        # row i is: one downward pass takes the transitive closure.
+        # Rows are read top down: row i's closure is every label from low,
+        # the least row minimum of its direct successors, and those of them
+        # below low, which must then be exactly c(i), ..., low - 1.
         for i in range(n, 0, -1):
             row = above[i]
-            for j in list(row):
-                row |= above[j]
-            prof[i - 1] = min(row, default=n + 1)
-            if row != set(range(prof[i - 1], n + 1)):
+            low = min((prof[j - 1] for j in row), default=n + 1)
+            c = prof[i - 1] = min(row, default=low)
+            if sum(j < low for j in row) != low - c:
                 raise ValueError("row %d is not an upper interval" % i)
         self._assign(tuple(prof))
 
@@ -373,6 +374,7 @@ class Nuio:
                                  % (i, c, i, n + 1))
         if any(a > b for a, b in zip(prof, prof[1:])):
             raise ValueError("row minima must be nondecreasing")
+        _check_budget(n * (n + 1) - sum(prof), "the strict pairs of an order")
         self.n = n
         self._profile = prof
         self._hash = hash(prof)

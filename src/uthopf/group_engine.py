@@ -3,19 +3,20 @@
 Groups are explicit sorted lists of immutable matrices with given
 generators.  A matrix is its packed code, the entries of an n x n matrix
 over F_p in one int, decoded on read by the kernel of (p, n), which also
-multiplies codes.  At odd p a product reduces its fields mod p with one
-byte-table translate when the unreduced sum fits in 4 bits (F_3 up to
-n = 3), and field by field when it does not; a batched product multiplies
-one matrix by many codes packed into one int.  Tables build the codes of
-their elements directly and are indexed by them.  At construction each
-generator takes two batched products over the whole table, its left
-products and its conjugates, read back as element indices (products are
-never cached): a walk from the identity along the left products proves
-that the generators generate the list, and the orbits of the conjugation
-lists, walked on first read, are its conjugacy classes.  Matrices carry
-a sorted ground set of row/column labels, so a matrix on ground (2, 4) is
-2x2 with label pairs drawn from {2, 4}; a code names a matrix only
-together with its field and ground.
+multiplies codes.  Every product is a batched one, one matrix times many
+codes packed into one int; a single product is a batch of one.  At odd p
+a batch reduces its fields mod p with one byte-table translate when the
+unreduced sum fits in 4 bits (F_3 up to n = 3), and field by field when
+it does not.  Tables build the codes of their elements directly and are
+indexed by them.  At construction each generator takes two batched
+products over the whole table, its left products and its conjugates,
+read back as element indices (products are never cached): a walk from
+the identity along the left products proves that the generators generate
+the list, and the orbits of the conjugation lists, walked on first read,
+are its conjugacy classes.  Matrices carry a sorted ground set of
+row/column labels, so a matrix on ground (2, 4) is 2x2 with label pairs
+drawn from {2, 4}; a code names a matrix only together with its field
+and ground.
 
 The library does not read GroupTable.factorization: inflation reads the
 coset class counts of class_functions._deflation.  It is a reference for
@@ -65,14 +66,14 @@ def kernel(p, n):
     an XOR, the rows of b selected by the bits of a (M4RI; Albrecht, Bard
     and Hart, ACM TOMS 2010).  At odd p, w holds n (p - 1)^2, the largest
     unreduced sum, and is at least 4; the fields are then reduced mod p.
-    At w = 4 one pass of bytes.translate through a 256-byte table reduces
-    the two fields of every byte (a SWAR table step; Warren, Hacker's
-    Delight, ch. 2); wider fields are reduced one by one.
 
-    A batch runs the same sum once over many codes: each code takes its own
-    slot of ceil(n^2 w / 64) 64-bit words in one int, and the row or column
-    masks are repeated in every slot, so each term stays inside its slot.
-    The batch is reduced as a whole at w = 4, slot by slot when wider.
+    Every product runs as a batch, the same sum once over many codes: each
+    code takes its own slot of ceil(n^2 w / 64) 64-bit words in one int,
+    and the row or column masks are repeated in every slot, so each term
+    stays inside its slot.  Each field width has one reduction of a batch:
+    at w = 4 one pass of bytes.translate through a 256-byte table reduces
+    the two fields of every byte (a SWAR table step; Warren, Hacker's
+    Delight, ch. 2); wider fields are reduced one by one, slot by slot.
 
     Returns Kernel(encode(rows) -> code, decode(code) -> rows, mul(a, b) ->
     code, mask(cells) -> the bits of the entries at the (row, column) cells,
@@ -117,13 +118,13 @@ def kernel(p, n):
                 for i in range(0, len(data), slot)]
 
     if p == 2:
-        def mul(a, b, column=column, row=row):
+        def dot(a, b, column=column, row=row):
             out = 0
             for ka, kb in steps:
                 out ^= (a >> ka & column) * (b >> kb & row)
             return out
 
-        dot, reduce = mul, words
+        reduce = words
     else:
         def dot(a, b, column=column, row=row):
             acc = 0
@@ -132,27 +133,14 @@ def kernel(p, n):
             return acc
 
         if w == 4:
-            size = (n * n + 1) // 2
             table = bytes((b >> 4) % p << 4 | (b & 15) % p for b in range(256))
-
-            def mul(a, b):
-                return int.from_bytes(
-                    dot(a, b).to_bytes(size, "little").translate(table), "little")
 
             def reduce(data):
                 return words(data.translate(table))
         else:
-            def fields(acc):
-                out = 0
-                for s in flat:
-                    out |= (acc >> s & field) % p << s
-                return out
-
-            def mul(a, b):
-                return fields(dot(a, b))
-
             def reduce(data):
-                return list(map(fields, words(data)))
+                return [sum((acc >> s & field) % p << s for s in flat)
+                        for acc in words(data)]
 
     def pack(codes):
         if slot == 8:
@@ -169,6 +157,9 @@ def kernel(p, n):
     def right(codes, b):
         acc = dot(pack(codes), b, column=repeat(column, len(codes)))
         return reduce(acc.to_bytes(slot * len(codes), order))
+
+    def mul(a, b):
+        return left(a, (b,))[0]
 
     return Kernel(encode, decode, mul, mask, left, right)
 

@@ -537,6 +537,24 @@ class TestErrors:
         assert out == ""
         assert "budget exceeded" in err
 
+    def test_strict_pairs_past_the_budget_exit_two(self, capsys, monkeypatch, tmp_path):
+        # explicit comparisons, so that python -O checks them too.  Chains
+        # given as their covering pairs: on 400 labels the closure has
+        # 79,800 pairs; two of 200 labels (19,900 each) are read, and
+        # their product is the 400-label chain
+        monkeypatch.setenv("UTHOPF_BUDGET", "25000")
+        chain = {}
+        for n in (400, 200):
+            chain[n] = str(tmp_path / ("chain%d.json" % n))
+            with open(chain[n], "w") as fh:
+                json.dump({"n": n, "strict": [[i, i + 1] for i in range(1, n)]}, fh)
+        for argv in [("scf", "dagger", "--input", chain[400]),
+                     ("scf", "product", "--input", chain[200], "--input", chain[200])]:
+            code, out, err = run(capsys, *argv)
+            if (code, out) != (2, "") or "budget exceeded" not in err \
+                    or "79800" not in err:
+                raise AssertionError("%s gave %r, %r, %r" % (argv, code, out, err))
+
     @pytest.mark.parametrize("argv", [
         # Catalan(3) = 5 orders
         ("nuio", "list", "--n", "3"),

@@ -454,6 +454,35 @@ def test_standardize():
     assert standardize(()) == {}
 
 
+def upper_cells(n):
+    """The pairs i <= j of labels in {1, ..., n}; the constructor ignores
+    the pairs (i, i)."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+def reference_closure_profile(n, strict):
+    """The profile that Nuio(n, strict) read off the transitive closure
+    before its closed form: each row's set grown by the sets of the rows
+    it holds, top row first, then checked to be an upper interval; or the
+    message of the ValueError that it, or the profile check, raised."""
+    above = {i: set() for i in range(1, n + 1)}
+    for i, j in strict:
+        if i < j:
+            above[i].add(j)
+    prof = [n + 1] * n
+    for i in range(n, 0, -1):
+        row = above[i]
+        for j in list(row):
+            row |= above[j]
+        prof[i - 1] = min(row, default=n + 1)
+        if row != set(range(prof[i - 1], n + 1)):
+            return "row %d is not an upper interval" % i
+    try:
+        return Nuio.from_profile(prof).profile()
+    except ValueError as err:
+        return str(err)
+
+
 def brute_nuio_strict_sets(n):
     """All strict sets closed under shrinking i and growing j.
 
@@ -695,6 +724,47 @@ class TestNuio:
         pi = Nuio.from_profile((2,))
         assert combinatorics._INTERNED == {(2,): pi}
         assert Nuio.from_profile((2.0,)) is pi and type(pi.profile()[0]) is int
+
+    def test_closed_form_profile_against_the_closure(self):
+        rng = random.Random(11)
+        cases = [(n, chosen) for n in range(5)
+                 for k in range(len(upper_cells(n)) + 1)
+                 for chosen in itertools.combinations(upper_cells(n), k)]
+        for _ in range(4000):
+            n = rng.randrange(5, 10)
+            cells = upper_cells(n)
+            cases.append((n, rng.sample(cells, rng.randrange(len(cells) + 1))))
+        for n, chosen in cases:
+            want = reference_closure_profile(n, chosen)
+            try:
+                got = Nuio(n, chosen).profile()
+            except ValueError as err:
+                got = str(err)
+            if got != want:
+                raise AssertionError("Nuio(%d, %s) gave %r, not %r" % (n, chosen, got, want))
+
+    def test_strict_pairs_past_the_budget_are_refused(self, monkeypatch):
+        # explicit comparisons, so that python -O checks them too
+        monkeypatch.setenv("UTHOPF_BUDGET", "25000")
+        monkeypatch.setattr(combinatorics, "_INTERNED", {})
+        monkeypatch.setattr(combinatorics, "_SUMS", {})
+        # 399 covering pairs whose closure has 79,800 pairs
+        chain = [(i, i + 1) for i in range(1, 400)]
+        half = Nuio(200, chain[:199])  # 19,900 pairs
+        for build in (lambda: Nuio(400, chain),
+                      lambda: Nuio.from_profile(range(2, 402)),
+                      lambda: half.shifted_sum(half)):
+            try:
+                build()
+            except combinatorics.BudgetError as err:
+                if "79800" not in str(err):
+                    raise AssertionError(str(err))
+            else:
+                raise AssertionError("a 400-label chain was built")
+        if combinatorics._INTERNED or combinatorics._SUMS:
+            raise AssertionError("a refused profile was interned")
+        if len(half.strict) != 19900:
+            raise AssertionError("the 200-label chain has %d pairs" % len(half.strict))
 
     def test_profile(self):
         assert Nuio(4, [(1, 4), (2, 4)]).profile() == (4, 4, 5, 5)

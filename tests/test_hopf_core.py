@@ -267,6 +267,43 @@ class TestLaurentT:
                 LaurentT.from_dict({"0": coeff})
 
 
+class TestAddition:
+    """Combinations add only to their own type; their keys would mix."""
+
+    def test_other_types_raise(self):
+        # explicit comparisons, so that python -O checks them too
+        x = ScfElement.basis(A2)
+        table = ut_table(1, 2)
+        graded = GradedClassFunction(2, {1: trivial(table)})
+        tensor = specialize_tensor(ScfElement.basis(PT).coproduct(), 2)
+        cf = trivial(table)
+        pairs = [
+            (x, x.coproduct()), (x.coproduct(), x), (graded, tensor),
+            (tensor, graded), (T, x), (x, T), (cf, TensorFunction(table, table)),
+            (x, 1), (T, 1), (graded, 0), (cf, Fraction(1, 2)),
+        ]
+        for a, b in pairs:
+            for op in (operator.add, operator.sub):
+                try:
+                    op(a, b)
+                except TypeError as err:
+                    if str(err) != "cannot add %s to %s" % (
+                            type(b).__name__, type(a).__name__):
+                        raise AssertionError("%r + %r: %s" % (a, b, err))
+                else:
+                    raise AssertionError("%r %s %r did not raise" % (a, op, b))
+
+    def test_other_contexts_raise_value_error(self):
+        graded = GradedClassFunction(2, {1: trivial(ut_table(1, 2))})
+        for a, b in [(graded, GradedClassFunction(3, {1: trivial(ut_table(1, 3))})),
+                     (trivial(ut_table(1, 2)), trivial(ut_table(2, 2)))]:
+            try:
+                a + b
+            except ValueError:
+                continue
+            raise AssertionError("%r + %r did not raise" % (a, b))
+
+
 class TestProduct:
     def test_basis_product_is_the_shifted_sum(self):
         assert basis(PT) * basis(PT) == basis(C2)
