@@ -198,8 +198,16 @@ class ClassFunction(Combination):
 
     __rmul__ = __mul__
 
+    def _values_repr(self):
+        """The text of list(self.values), written from terms without a
+        dense copy: Fraction(0, 1) at a class that terms leave out."""
+        parts = ["Fraction(0, 1)"] * len(self.group.class_reps)
+        for c, v in self.terms.items():
+            parts[c] = "Fraction(%d, %d)" % (v.numerator, v.denominator)
+        return "[%s]" % ", ".join(parts)
+
     def __repr__(self):
-        return "ClassFunction(%s, %s)" % (self.group.name, list(self.values))
+        return "ClassFunction(%s, %s)" % (self.group.name, self._values_repr())
 
     def inner(self, other):
         """Averaged pairing; values here are rational, so no conjugation."""

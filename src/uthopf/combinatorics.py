@@ -489,12 +489,20 @@ class Nuio:
         places the labels top down, so the labels above i are placed with
         it: those on its side that are >= c(i) fix its row (side size + 1
         minus their count), and the rest ones in (i, c(i)) its ascents.
+        Each side order is built once per walk, from its tuple of counts.
 
         >>> [(s[0], s[1].profile(), s[2].profile(), s[3])
         ...  for s in Nuio(2).splits()]
         [(6, (3, 3), (), 0), (4, (2,), (2,), 0), (2, (2,), (2,), 1), (0, (), (3, 3), 0)]
         """
-        prof, get = self._profile, Nuio.from_profile
+        prof, get, sides = self._profile, Nuio.from_profile, {}
+
+        def side(rows):
+            order = sides.get(rows)
+            if order is None:
+                order = sides[rows] = get(map((len(rows) + 1).__sub__, rows))
+            return order
+
         stack = [(self.n, 0, 0, (), (), 0)]
         while stack:
             i, inside, rest, ins, outs, ascents = stack.pop()
@@ -506,8 +514,7 @@ class Nuio:
                               ((inside >> c).bit_count(),) + ins, outs,
                               ascents + (rest & (1 << c) - (bit << 1)).bit_count()))
             else:
-                yield (inside, get(map((len(ins) + 1).__sub__, ins)),
-                       get(map((len(outs) + 1).__sub__, outs)), ascents)
+                yield inside, side(ins), side(outs), ascents
 
     def to_dict(self):
         """{"n": n, "strict": pairs}, the pairs being the order's own stored

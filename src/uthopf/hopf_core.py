@@ -37,6 +37,10 @@ other factor.  Values are never changed in place, so results are shared:
 the coproduct and antipode of a basis element, with the unit coefficient,
 are the cached values themselves, and Nuio.to_dict() hands out the order's
 own tuple of strict pairs, which json writes as the same list text.  The
+coefficients of a connected order's coproduct are interned where they are
+made (_interned): one LaurentT per distinct value, its printed dict built
+once, every basis element's unit coefficient among them.  A TensorScf
+product multiplies each distinct pair of coefficient objects once.  The
 graded families have class functions and tensors as coefficients.
 """
 
@@ -133,11 +137,19 @@ class LaurentT(Combination):
         return hash(tuple(sorted(self.terms.items())))
 
     def evaluate(self, x):
+        """The value at x as a Fraction, summed over the common denominator:
+        with x = n/d and exponents lo..hi, sum v n^(k - lo) d^(hi - k) and
+        scale by n^lo d^-hi once.  A negative exponent at x = 0 raises
+        ZeroDivisionError."""
         x = Fraction(_exact(x))
-        total = Fraction(0)
-        for k, v in self.terms.items():
-            total += v * x ** k
-        return total
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        n, d = x.numerator, x.denominator
+        lo, hi = min(terms), max(terms)
+        total = sum(v * n ** (k - lo) * d ** (hi - k) for k, v in terms.items())
+        return Fraction(total * n ** max(lo, 0) * d ** max(-hi, 0),
+                        n ** max(-lo, 0) * d ** max(hi, 0))
 
     def __repr__(self):
         if not self.terms:
@@ -154,6 +166,11 @@ class LaurentT(Combination):
         return " + ".join(bits)
 
     def to_dict(self):
+        """{exponent: "num/den"} in exponent order; an interned value hands
+        out a copy of the dict printed when it was interned."""
+        printed = _PRINTED.get(id(self))
+        if printed is not None:
+            return dict(printed)
         return {str(k): frac_str(v) for k, v in sorted(self.terms.items())}
 
     @classmethod
@@ -172,6 +189,27 @@ class LaurentT(Combination):
         return cls(terms)
 
 
+# The interned coefficients: one LaurentT per distinct value, keyed by its
+# sorted (exponent, coefficient) items, and the printed dict of each, keyed
+# by its id, which stays its own as the table keeps every value alive.
+_INTERNED = {}
+_PRINTED = {}
+
+
+def _interned(terms):
+    """The one shared LaurentT with these nonzero int coefficients; the
+    first call with a value builds it, and its printed dict, once."""
+    key = tuple(sorted(terms.items()))
+    value = _INTERNED.get(key)
+    if value is None:
+        value = _INTERNED[key] = LaurentT._trusted((), terms)
+        _PRINTED[id(value)] = value.to_dict()
+    return value
+
+
+_ONE = _interned({0: 1})
+
+
 def _laurent(c):
     return c if isinstance(c, LaurentT) else LaurentT.scalar(c)
 
@@ -185,14 +223,14 @@ class ScfElement(Combination):
 
     @classmethod
     def basis(cls, pi):
-        return cls({pi: LaurentT.one()})
+        return cls._trusted((), {pi: _ONE})
 
     @classmethod
     def unit(cls):
         return cls.basis(Nuio(0))
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].key())
+        return sorted(self.terms.items(), key=lambda kv: kv[0]._key)
 
     def __mul__(self, other):
         return ScfElement.collect(
@@ -272,15 +310,21 @@ class TensorScf(Combination):
     def sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda kv: (kv[0][0].key(), kv[0][1].key()),
+            key=lambda kv: (kv[0][0]._key, kv[0][1]._key),
         )
 
     def __mul__(self, other):
-        return TensorScf.collect(
-            ((l1.shifted_sum(l2), r1.shifted_sum(r2)), a * b)
-            for (l1, r1), a in self.terms.items()
-            for (l2, r2), b in other.terms.items()
-        )
+        """Factorwise shifted sums; each distinct pair of coefficient objects
+        is multiplied once per call, so equal pairs share one product."""
+        products, pairs = {}, []
+        for (l1, r1), a in self.terms.items():
+            for (l2, r2), b in other.terms.items():
+                key = id(a), id(b)
+                c = products.get(key)
+                if c is None:
+                    c = products[key] = a * b
+                pairs.append(((l1.shifted_sum(l2), r1.shifted_sum(r2)), c))
+        return TensorScf.collect(pairs)
 
     def swap(self):
         return self._like({(r, l): c for (l, r), c in self.terms.items()})
@@ -314,8 +358,8 @@ def _coproduct_basis(pi):
     """Coproduct of one basis element.  It is multiplicative, so a shifted
     sum has the cached coproduct of the order below its top piece times
     that of the piece; a connected order sums t^ascents over its splits,
-    read off one walk (Nuio.splits).  The budget is checked against 2^n
-    first."""
+    read off one walk (Nuio.splits), into interned coefficients.  The
+    budget is checked against 2^n first."""
     _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
     rest, top = pi.top_piece()
     if rest.n:
@@ -325,7 +369,7 @@ def _coproduct_basis(pi):
         counts = exponents.setdefault((left, right), {})
         counts[ascents] = counts.get(ascents, 0) + 1
     return TensorScf._trusted((), {
-        key: LaurentT._trusted((), counts) for key, counts in exponents.items()})
+        key: _interned(counts) for key, counts in exponents.items()})
 
 
 @functools.lru_cache(maxsize=None)
@@ -366,10 +410,8 @@ class GradedClassFunction(_AtPrime):
     __slots__ = ()
 
     def __repr__(self):
-        return "GradedClassFunction(q=%d, %s)" % (
-            self.q,
-            {n: list(f.values) for n, f in sorted(self.terms.items())},
-        )
+        return "GradedClassFunction(q=%d, {%s})" % (self.q, ", ".join(
+            "%d: %s" % (n, f._values_repr()) for n, f in sorted(self.terms.items())))
 
     def to_dict(self):
         comps = []

@@ -29,10 +29,14 @@ KERNEL = "src/uthopf/group_engine.py"
 TUPLE_PRODUCT = "tests/test_group_engine.py::TestKernel::test_kernel_against_the_tuple_product"
 WIDTH_BOUNDARY = ("tests/test_group_engine.py::TestKernel::"
                   "test_width_boundaries_against_the_field_loop[3-3-4]")
+HOPF = "src/uthopf/hopf_core.py"
+ORDERS = "src/uthopf/combinatorics.py"
+SUBSET_SUM = "tests/test_hopf_core.py::TestCoproduct::test_equals_the_subset_sum"
+AGAINST_STRICT = "tests/test_combinatorics.py::TestProfileAgainstStrictPairs::"
 
 MUTANTS = [
     # the byte table reducing each byte as one number, not as two nibbles;
-    # the pattern groups built at collection are then not closed
+    # no table is built at collection, so the kernel tests fail by name
     (KERNEL,
      "table = bytes((b >> 4) % p << 4 | (b & 15) % p for b in range(256))",
      "table = bytes(b % p for b in range(256))",
@@ -52,6 +56,33 @@ MUTANTS = [
      "out ^= (a >> ka & column) * (b >> kb & row)",
      "out += (a >> ka & column) * (b >> kb & row)",
      [TUPLE_PRODUCT + "[2]"]),
+    # coefficients interned by their exponents alone, so that values with
+    # the same exponents share one object; the first such pair is at degree 5
+    (HOPF, "key = tuple(sorted(terms.items()))", "key = tuple(sorted(terms))",
+     [SUBSET_SUM + "[5]",
+      "tests/test_hopf_core.py::TestSharedCoefficients::"
+      "test_interned_values_equal_their_counts"]),
+    # the products of a tensor product memoized by the left coefficient only
+    (HOPF, "key = id(a), id(b)", "key = id(a)",
+     [SUBSET_SUM + "[4]",
+      "tests/test_hopf_core.py::TestSharedCoefficients::"
+      "test_tensor_product_matches_the_pair_sum"]),
+    # the side orders of a splits walk memoized by their size only
+    (ORDERS,
+     "order = sides.get(rows)\n"
+     "            if order is None:\n"
+     "                order = sides[rows]",
+     "order = sides.get(len(rows))\n"
+     "            if order is None:\n"
+     "                order = sides[len(rows)]",
+     [SUBSET_SUM + "[3]", AGAINST_STRICT + "test_shifted_restrict_and_ascent_count"]),
+    # shifted sums memoized by the left profile only
+    (ORDERS, "key = self._profile, other._profile", "key = self._profile",
+     [AGAINST_STRICT + "test_shifted_sum",
+      "tests/test_combinatorics.py::TestNuio::test_shifted_sum"]),
+    # class members kept in orbit order, not sorted
+    (KERNEL, "classes.append(tuple(sorted(orbit)))", "classes.append(tuple(orbit))",
+     ["tests/test_group_engine.py::TestGroupTable::test_conjugacy_equals_the_orbit_search"]),
 ]
 
 

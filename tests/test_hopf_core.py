@@ -254,6 +254,37 @@ class TestLaurentT:
         got = LaurentT({0: Fraction(1, 2), 2: Fraction(1, 2)}) * LaurentT({1: 4})
         assert got.terms == {1: 2, 3: 2} and {type(v) for v in got.terms.values()} == {int}
 
+    @staticmethod
+    def loop_evaluate(a, x):
+        # the Fraction loop evaluate ran before it summed over one denominator
+        x = Fraction(x)
+        total = Fraction(0)
+        for k, v in a.terms.items():
+            total += v * x ** k
+        return total
+
+    def test_evaluate_matches_the_fraction_loop(self):
+        rng = random.Random(23)
+        coeffs = [1, -1, 3, -7, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
+        polys = [LaurentT({rng.randrange(-5, 6): rng.choice(coeffs)
+                           for _ in range(rng.randrange(6))}) for _ in range(80)]
+        # only negative, only positive, and only zero exponents
+        polys += [LaurentT({-2: Fraction(1, 2), -1: 3}), LaurentT({2: 1, 3: Fraction(-1, 2)}),
+                  LaurentT.t(-3), LaurentT.t(4), ONE, LaurentT.scalar(Fraction(-5, 3)),
+                  LaurentT.zero()]
+        points = [Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(7, 3),
+                  Fraction(-1, 7), 1, -1, 2, 5]
+        for a in polys:
+            for x in points:
+                got = a.evaluate(x)
+                assert type(got) is Fraction and got == self.loop_evaluate(a, x)
+            if any(k < 0 for k in a.terms):
+                for evaluate in (a.evaluate, lambda x: self.loop_evaluate(a, x)):
+                    with pytest.raises(ZeroDivisionError):
+                        evaluate(0)
+            else:
+                assert a.evaluate(0) == self.loop_evaluate(a, 0) == a.terms.get(0, 0)
+
     def test_frac_str_of_an_int_matches_its_fraction(self):
         for k in (0, 1, -1, 7, -12, 10 ** 30, -(10 ** 30) - 1):
             assert frac_str(k) == frac_str(Fraction(k)) == "%d/1" % k
@@ -447,6 +478,64 @@ class TestCoproduct:
                     for p2 in natural_unit_interval_orders(n2):
                         x, y = basis(p1), basis(p2)
                         assert (x * y).coproduct() == x.coproduct() * y.coproduct()
+
+
+class TestSharedCoefficients:
+    """Coefficients of a connected order's coproduct are interned: one
+    LaurentT per value, printed once when it is interned."""
+
+    @staticmethod
+    def all_orders(top=7):
+        return [pi for n in range(top + 1) for pi in natural_unit_interval_orders(n)]
+
+    def test_interned_values_equal_their_counts(self):
+        for pi in self.all_orders():
+            basis(pi).coproduct()
+        assert len(hopf_core._INTERNED) >= 152
+        for key, value in hopf_core._INTERNED.items():
+            counts = dict(key)
+            assert value == LaurentT._trusted((), counts) and value.terms == counts
+            assert value.to_dict() == LaurentT._trusted((), counts).to_dict()
+
+    def test_connected_coproducts_hold_interned_values(self):
+        for pi in self.all_orders(6):
+            if pi.top_piece()[0].n:
+                continue
+            for c in basis(pi).coproduct().terms.values():
+                assert c is hopf_core._INTERNED[tuple(sorted(c.terms.items()))]
+
+    def test_the_basis_unit_coefficient_is_shared(self):
+        assert basis(PT).terms[PT] is basis(W4).terms[W4] is hopf_core._ONE
+        assert hopf_core._ONE == ONE and (T * hopf_core._ONE) is T
+
+    def test_to_dict_hands_out_a_fresh_copy(self):
+        for c in list(hopf_core._INTERNED.values()) + [T + ONE, LaurentT.zero()]:
+            first, second = c.to_dict(), c.to_dict()
+            assert first == second and first is not second
+            first["0"] = "9/1"
+            first.clear()
+            assert c.to_dict() == second == {
+                str(k): frac_str(v) for k, v in sorted(c.terms.items())}
+
+    def test_tensor_product_matches_the_pair_sum(self):
+        # shared and distinct coefficient objects, equal in value or not,
+        # against one product per pair of terms
+        rng = random.Random(11)
+        orders = self.all_orders(3)
+        shared = [ONE, T, ONE + T, hopf_core._ONE, LaurentT({0: 2, -1: Fraction(1, 2)})]
+
+        def tensor():
+            return TensorScf.collect(
+                ((rng.choice(orders), rng.choice(orders)),
+                 rng.choice(shared) if rng.random() < 0.7 else T + ONE)
+                for _ in range(rng.randrange(1, 8)))
+
+        for _ in range(60):
+            x, y = tensor(), tensor()
+            assert x * y == TensorScf.collect(
+                ((l1.shifted_sum(l2), r1.shifted_sum(r2)), a * b)
+                for (l1, r1), a in x.terms.items()
+                for (l2, r2), b in y.terms.items())
 
 
 class TestAntipode:
@@ -796,6 +885,40 @@ class TestReportHashes:
             assert repr(lhs) == repr(rhs), (check, instance)
             equal += 1
         assert equal == 5007
+
+    def test_class_function_reprs_match_the_dense_text(self):
+        # the reprs as they were written before they printed from terms:
+        # through the dense values tuple, one Fraction per class
+        def dense(x):
+            if isinstance(x, ClassFunction):
+                return "ClassFunction(%s, %s)" % (x.group.name, list(x.values))
+            return "GradedClassFunction(q=%d, %s)" % (
+                x.q, {n: list(f.values) for n, f in sorted(x.terms.items())})
+
+        suites = [
+            axiom_cases(3, 2),
+            axiom_cases(2, 3, samples=20, sample_size=3, seed=1),
+            product_oracle_cases(3, 2),
+            coproduct_oracle_cases(3, 2),
+            *(cases(n, q) for n, q in ((3, 2), (2, 3)) for cases in (
+                product_hom_cases, coproduct_hom_cases, dagger_invariance_cases)),
+        ]
+        seen = {ClassFunction: 0, GradedClassFunction: 0}
+        sparse = 0
+        for _, _, lhs, rhs, *_ in itertools.chain(*suites):
+            for x in (lhs, rhs):
+                pieces = x.terms.values() if type(x) is GradedClassFunction else ()
+                for f in (x, *pieces):
+                    if type(f) in seen:
+                        assert repr(f) == dense(f)
+                        seen[type(f)] += 1
+                        sparse += type(f) is ClassFunction and \
+                            len(f.terms) < len(f.group.class_reps)
+        assert min(seen.values()) > 100 and sparse > 100
+        empty = GradedClassFunction(2)
+        assert repr(empty) == dense(empty) == "GradedClassFunction(q=2, {})"
+        zero = ClassFunction(ut_table(2, 3))
+        assert repr(zero) == dense(zero)
 
     def test_only_a_holding_equality_shares_its_hash(self):
         x = specialize(basis(V3), 3)
