@@ -92,13 +92,21 @@ class Combination:
     @classmethod
     def _trusted(cls, context, terms):
         """Build from coerced coefficients, with neither the context nor the
-        keys checked: only zeros are dropped, and an integral Fraction (a
-        sum or product of Fractions can be one) is held as its int."""
+        keys checked.  The new value adopts the dict terms, which every
+        caller has just built and hands over: zeros are deleted from it and
+        an integral Fraction (a sum or product of Fractions can be one) is
+        replaced by its int, in place, so no key is hashed again unless it
+        changes; the other keys keep their order."""
         self = cls.__new__(cls)
         for name, value in zip(cls._fields, context):
             setattr(self, name, value)
-        self.terms = {key: c.numerator if type(c) is Fraction and c.denominator == 1
-                      else c for key, c in terms.items() if c}
+        for key, c in [(key, c) for key, c in terms.items()
+                       if not c or type(c) is Fraction and c.denominator == 1]:
+            if c:
+                terms[key] = c.numerator
+            else:
+                del terms[key]
+        self.terms = terms
         return self
 
     def _like(self, terms):
@@ -163,7 +171,7 @@ class ClassFunction(Combination):
         for m, c in zip(group.elements, group.class_of):
             if fn(m) != values[c]:
                 raise ValueError(f"not constant on classes at {m!r}")
-        return cls._trusted((group,), dict(enumerate(values)))
+        return cls._trusted((group,), {c: v for c, v in enumerate(values) if v})
 
     @classmethod
     def class_indicator(cls, group, c):
@@ -351,8 +359,8 @@ def induce_tensor(tensor, left, right):
 def pullback_cf(psi, target, move=None, arg=()):
     """Pull back along the isomorphism m -> move(m, *arg), target -> psi.group."""
     terms, classes = psi.terms, _class_map(psi.group, target, move, arg)
-    return ClassFunction._trusted((target,), {c: terms.get(b, 0)
-                                             for c, b in enumerate(classes)})
+    return ClassFunction._trusted((target,), {c: terms[b] for c, b in enumerate(classes)
+                                             if b in terms})
 
 
 def dagger_cf(psi):

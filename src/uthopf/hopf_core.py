@@ -31,17 +31,23 @@ its own budget first; verify_reports is the one driver that reports them.
 Every sparse value here (LaurentT, ScfElement, TensorScf,
 GradedClassFunction, GradedTensor) is a class_functions.Combination: its
 `terms` dict maps exponents, orders, pairs of orders, degrees or bidegrees to
-nonzero coefficients.  Sums of many pieces go through one `collect` call,
-which coerces each coefficient once; a LaurentT product by the unit is the
-other factor.  Values are never changed in place, so results are shared:
-the coproduct and antipode of a basis element, with the unit coefficient,
-are the cached values themselves, and Nuio.to_dict() hands out the order's
-own tuple of strict pairs, which json writes as the same list text.  The
-coefficients of a connected order's coproduct are interned where they are
-made (_interned): one LaurentT per distinct value, its printed dict built
-once, every basis element's unit coefficient among them.  A TensorScf
-product multiplies each distinct pair of coefficient objects once.  The
-graded families have class functions and tensors as coefficients.
+nonzero coefficients, and adopts the dict it is built from (_trusted).
+Sums of many pieces go through one `collect` call, which coerces each
+coefficient once; a LaurentT product by the unit is the other factor.
+Values are never changed in place, so results are shared: the coproduct
+and antipode of a basis element, with the unit coefficient, are the cached
+values themselves, and Nuio.to_dict() hands out the order's own tuple of
+strict pairs, which json writes as the same list text.  Coefficients are
+interned where they are made (_interned): one LaurentT per distinct value,
+its printed dict built once, every basis element's unit coefficient among
+them.  A connected order interns the coefficients of its coproduct and
+those of its antipode, which the counit recursion sums in place into one
+exponent dict per result order.  The product of two interned values is
+interned too, made once per process (_times); ScfElement and TensorScf
+products go through it, a TensorScf product once per distinct pair of
+coefficient objects, so the antipode of every basis element holds
+interned values.  The graded families have class functions and tensors as
+coefficients.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 from .combinatorics import (
@@ -101,14 +108,6 @@ class LaurentT(Combination):
 
     _coerce = staticmethod(_exact)
     _UNIT = {0: 1}
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def t(cls, k=1):
-        return cls({k: 1})
 
     @classmethod
     def scalar(cls, x):
@@ -191,23 +190,43 @@ class LaurentT(Combination):
 
 # The interned coefficients: one LaurentT per distinct value, keyed by its
 # sorted (exponent, coefficient) items, and the printed dict of each, keyed
-# by its id, which stays its own as the table keeps every value alive.
+# by its id, which stays its own as the table keeps every value alive.  The
+# printed dicts share their few distinct texts (sys.intern).
 _INTERNED = {}
 _PRINTED = {}
 
 
 def _interned(terms):
     """The one shared LaurentT with these nonzero int coefficients; the
-    first call with a value builds it, and its printed dict, once."""
+    first call with a value builds it on terms, which it adopts, and its
+    printed dict, once."""
     key = tuple(sorted(terms.items()))
     value = _INTERNED.get(key)
     if value is None:
         value = _INTERNED[key] = LaurentT._trusted((), terms)
-        _PRINTED[id(value)] = value.to_dict()
+        _PRINTED[id(value)] = {
+            sys.intern(str(k)): sys.intern(frac_str(v)) for k, v in key}
     return value
 
 
 _ONE = _interned({0: 1})
+
+# The product of each pair of interned values that has been multiplied,
+# keyed by both ids, which stay theirs as interned values never die.
+_PRODUCTS = {}
+
+
+def _times(a, b):
+    """a * b; when both are interned, their product is interned too, made
+    once per process.  Only interned pairs are kept, so a hit on the ids of
+    a pair is that pair."""
+    key = id(a), id(b)
+    c = _PRODUCTS.get(key)
+    if c is None:
+        c = a * b
+        if id(a) in _PRINTED and id(b) in _PRINTED:
+            c = _PRODUCTS[key] = _interned(c.terms)
+    return c
 
 
 def _laurent(c):
@@ -234,7 +253,7 @@ class ScfElement(Combination):
 
     def __mul__(self, other):
         return ScfElement.collect(
-            (pi.shifted_sum(rho), a * b)
+            (pi.shifted_sum(rho), _times(a, b))
             for pi, a in self.terms.items()
             for rho, b in other.terms.items()
         )
@@ -315,14 +334,15 @@ class TensorScf(Combination):
 
     def __mul__(self, other):
         """Factorwise shifted sums; each distinct pair of coefficient objects
-        is multiplied once per call, so equal pairs share one product."""
+        is multiplied once per call, so equal pairs share one product, which
+        is interned when both factors are (_times)."""
         products, pairs = {}, []
         for (l1, r1), a in self.terms.items():
             for (l2, r2), b in other.terms.items():
-                key = id(a), id(b)
-                c = products.get(key)
+                pair = id(a), id(b)
+                c = products.get(pair)
                 if c is None:
-                    c = products[key] = a * b
+                    c = products[pair] = _times(a, b)
                 pairs.append(((l1.shifted_sum(l2), r1.shifted_sum(r2)), c))
         return TensorScf.collect(pairs)
 
@@ -377,18 +397,29 @@ def _antipode_basis(pi):
     """Antipode of one basis element.  The antipode reverses products, so a
     shifted sum has the cached antipode of its top piece times that of the
     order below it; a connected order runs the recursion from the counit
-    identity.  Past degree 0 the budget is checked against 2^n first."""
+    identity, S(pi) = -pi - sum c S(left) right over the proper splits,
+    subtracting each product's terms in place from one exponent dict per
+    result order, and interns each nonzero sum.  Past degree 0 the budget
+    is checked against 2^n first."""
     if pi.n == 0:
         return ScfElement.unit()
     _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
     rest, top = pi.top_piece()
     if rest.n:
         return _antipode_basis(top) * _antipode_basis(rest)
-    return -ScfElement.collect(itertools.chain([(pi, 1)], (
-        (rho.shifted_sum(right), c * v)
-        for (left, right), c in _coproduct_basis(pi).terms.items()
-        if left.n and right.n
-        for rho, v in _antipode_basis(left).terms.items())))
+    sums = {pi: {0: -1}}
+    for (left, right), c in _coproduct_basis(pi).terms.items():
+        if left.n and right.n:
+            for rho, v in _antipode_basis(left).terms.items():
+                exponents = sums.setdefault(rho.shifted_sum(right), {})
+                for k, x in (c * v).terms.items():
+                    exponents[k] = exponents.get(k, 0) - x
+    terms = {}
+    for rho, exponents in sums.items():
+        exponents = {k: x for k, x in exponents.items() if x}
+        if exponents:
+            terms[rho] = _interned(exponents)
+    return ScfElement._trusted((), terms)
 
 
 class _AtPrime(Combination):

@@ -31,7 +31,10 @@ WIDTH_BOUNDARY = ("tests/test_group_engine.py::TestKernel::"
                   "test_width_boundaries_against_the_field_loop[3-3-4]")
 HOPF = "src/uthopf/hopf_core.py"
 ORDERS = "src/uthopf/combinatorics.py"
+COMBINATIONS = "src/uthopf/class_functions.py"
 SUBSET_SUM = "tests/test_hopf_core.py::TestCoproduct::test_equals_the_subset_sum"
+ANTIPODE_RECURSION = ("tests/test_hopf_core.py::TestAntipode::"
+                      "test_equals_the_counit_recursion")
 AGAINST_STRICT = "tests/test_combinatorics.py::TestProfileAgainstStrictPairs::"
 
 MUTANTS = [
@@ -63,10 +66,31 @@ MUTANTS = [
       "tests/test_hopf_core.py::TestSharedCoefficients::"
       "test_interned_values_equal_their_counts"]),
     # the products of a tensor product memoized by the left coefficient only
-    (HOPF, "key = id(a), id(b)", "key = id(a)",
+    (HOPF, "pair = id(a), id(b)", "pair = id(a)",
      [SUBSET_SUM + "[4]",
       "tests/test_hopf_core.py::TestSharedCoefficients::"
       "test_tensor_product_matches_the_pair_sum"]),
+    # the interned products of interned values keyed by the left factor only
+    (HOPF, "key = id(a), id(b)", "key = id(a)",
+     [SUBSET_SUM + "[4]", ANTIPODE_RECURSION + "[4]",
+      "tests/test_hopf_core.py::TestSharedCoefficients::"
+      "test_products_of_interned_values_are_interned"]),
+    # the counit recursion of a connected order seeded with +pi, not -pi
+    (HOPF, "sums = {pi: {0: -1}}", "sums = {pi: {0: 1}}",
+     [ANTIPODE_RECURSION + "[1]",
+      "tests/test_hopf_core.py::TestAntipode::test_point_and_antichain"]),
+    # a pattern group class function relabelled along the mapping itself,
+    # not its inverse; a 3-cycle tells the two apart
+    (HOPF, "inverse = tuple(sorted((v, k) for k, v in mapping.items()))",
+     "inverse = tuple(sorted(mapping.items()))",
+     ["tests/test_hopf_core.py::TestMonoidLevel::"
+      "test_relabel_moves_values_along_the_mapping"]),
+    # trusted construction keeping zero coefficients
+    (COMBINATIONS, "if not c or type(c) is Fraction and c.denominator == 1]",
+     "if type(c) is Fraction and c.denominator == 1]",
+     ["tests/test_hopf_core.py::TestTrustedConstruction::"
+      "test_adopts_its_dict_like_the_comprehension",
+      "tests/test_hopf_core.py::TestLaurentT::test_zero_coefficients_are_dropped"]),
     # the side orders of a splits walk memoized by their size only
     (ORDERS,
      "order = sides.get(rows)\n"

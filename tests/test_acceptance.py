@@ -25,7 +25,6 @@ from uthopf.gl_bridge import (
 )
 from uthopf.group_engine import gl_order, gl_table, pattern_group, ut_table
 from uthopf.hopf_core import (
-    LaurentT,
     ScfElement,
     axiom_cases,
     coproduct_oracle_cases,
@@ -34,11 +33,7 @@ from uthopf.hopf_core import (
 )
 
 from test_combinatorics import all_partial_orders, parabolic_pattern
-from test_hopf_core import map_factors
-
-ONE = LaurentT.one()
-T = LaurentT.t(1)
-T2 = LaurentT.t(2)
+from test_hopf_core import ONE, T, T2, map_factors
 
 PT = Nuio(1, [])
 A2 = Nuio(2, [])

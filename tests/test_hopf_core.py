@@ -66,9 +66,14 @@ def map_factors(tensor, f):
     )
 
 
-ONE = LaurentT.one()
-T = LaurentT.t(1)
-T2 = LaurentT.t(2)
+def t_power(k=1):
+    """The monomial t^k."""
+    return LaurentT({k: 1})
+
+
+ONE = t_power(0)
+T = t_power(1)
+T2 = t_power(2)
 
 
 def basis(pi):
@@ -93,7 +98,7 @@ def reference_coproduct_basis(pi):
                     outside = tuple(j for j in labels if j not in chosen)
                     key = (ref_shifted_restrict(pi, inside),
                            ref_shifted_restrict(pi, outside))
-                    yield key, LaurentT.t(ref_ascent_count(pi, inside))
+                    yield key, t_power(ref_ascent_count(pi, inside))
 
         _REFERENCE_COPRODUCTS[pi] = TensorScf.collect(splits())
     return _REFERENCE_COPRODUCTS[pi]
@@ -124,7 +129,7 @@ def reference_antipode_basis(pi):
 class TestLaurentT:
     def test_ring_laws(self):
         assert (ONE + T) * (ONE - T) == ONE - T2
-        assert T * LaurentT.t(-1) == ONE
+        assert T * t_power(-1) == ONE
         assert LaurentT.scalar(Fraction(1, 2)) + LaurentT.scalar(Fraction(1, 2)) == ONE
         assert -(T - T) == LaurentT.zero()
         assert not LaurentT.zero()
@@ -137,7 +142,7 @@ class TestLaurentT:
     def test_evaluate(self):
         x = T2 + T + ONE
         assert x.evaluate(Fraction(1, 2)) == Fraction(7, 4)
-        assert LaurentT.t(-2).evaluate(Fraction(1, 3)) == 9
+        assert t_power(-2).evaluate(Fraction(1, 3)) == 9
 
     def test_dict_round_trip(self):
         x = LaurentT({2: Fraction(1), -1: Fraction(-3, 2)})
@@ -200,7 +205,7 @@ class TestLaurentT:
             for _ in range(60)
         ]
         # cancelling terms, and Fraction sums that are integral
-        polys += [ONE + T, ONE - T, T - LaurentT.t(-1),
+        polys += [ONE + T, ONE - T, T - t_power(-1),
                   LaurentT({0: Fraction(1, 2), 1: Fraction(1, 2)}),
                   LaurentT({0: Fraction(1, 3), 1: Fraction(2, 3), 2: Fraction(-1, 3)}),
                   LaurentT.zero()]
@@ -236,7 +241,7 @@ class TestLaurentT:
                              for _ in range(size)})
 
         units = [ONE, LaurentT({0: Fraction(2, 2)}), LaurentT.scalar(1)]
-        monomials = [poly(1) for _ in range(30)] + [LaurentT.t(-2), T2]
+        monomials = [poly(1) for _ in range(30)] + [t_power(-2), T2]
         general = [poly(rng.randrange(2, 6)) for _ in range(30)]
         values = units + monomials + general + [LaurentT.zero()]
         for a in values:
@@ -270,7 +275,7 @@ class TestLaurentT:
                            for _ in range(rng.randrange(6))}) for _ in range(80)]
         # only negative, only positive, and only zero exponents
         polys += [LaurentT({-2: Fraction(1, 2), -1: 3}), LaurentT({2: 1, 3: Fraction(-1, 2)}),
-                  LaurentT.t(-3), LaurentT.t(4), ONE, LaurentT.scalar(Fraction(-5, 3)),
+                  t_power(-3), t_power(4), ONE, LaurentT.scalar(Fraction(-5, 3)),
                   LaurentT.zero()]
         points = [Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(7, 3),
                   Fraction(-1, 7), 1, -1, 2, 5]
@@ -504,6 +509,45 @@ class TestSharedCoefficients:
             for c in basis(pi).coproduct().terms.values():
                 assert c is hopf_core._INTERNED[tuple(sorted(c.terms.items()))]
 
+    def test_antipodes_hold_interned_values(self):
+        # connected or not: a connected order interns its sums, any other
+        # order multiplies interned values of its pieces (_times)
+        for pi in self.all_orders(6):
+            for c in basis(pi).antipode().terms.values():
+                assert c is hopf_core._INTERNED[tuple(sorted(c.terms.items()))]
+
+    def test_antipode_to_dict_hands_out_fresh_dicts(self):
+        for pi in self.all_orders(6):
+            data = basis(pi).antipode().to_dict()
+            for term in data["terms"]:
+                term["n"] = None
+                term["coeff"]["0"] = "9/1"
+                term["coeff"].clear()
+            data["terms"].clear()
+            fresh = hopf_core._antipode_basis.__wrapped__(pi)
+            assert hopf_core._antipode_basis(pi) == fresh == reference_antipode_basis(pi)
+            assert basis(pi).antipode().to_dict() == fresh.to_dict()
+
+    def test_products_of_interned_values_are_interned(self):
+        values = [c for pi in self.all_orders(4)
+                  for c in basis(pi).coproduct().terms.values()]
+        interned = list({id(c): c for c in values
+                         if c is hopf_core._INTERNED.get(tuple(sorted(c.terms.items())))
+                         }.values())
+        assert len(interned) > 5
+        for a in interned:
+            for b in interned:
+                c = hopf_core._times(a, b)
+                assert c == a * b
+                assert c is hopf_core._times(a, b)
+                assert c is hopf_core._INTERNED[tuple(sorted(c.terms.items()))]
+        # a factor that is not interned gives a plain product, not kept
+        # (the unit is left out: a product by it is the other factor)
+        x, y = [c for c in interned if c is not hopf_core._ONE][:2]
+        for a, b in [(T + ONE, x), (y, T + ONE), (T, T2)]:
+            c = hopf_core._times(a, b)
+            assert c == a * b and c is not hopf_core._times(a, b)
+
     def test_the_basis_unit_coefficient_is_shared(self):
         assert basis(PT).terms[PT] is basis(W4).terms[W4] is hopf_core._ONE
         assert hopf_core._ONE == ONE and (T * hopf_core._ONE) is T
@@ -627,7 +671,7 @@ class TestDagger:
 
 class TestSerialization:
     def test_element_round_trip(self):
-        x = basis(W4).antipode() + basis(PT).scale(LaurentT.t(-1))
+        x = basis(W4).antipode() + basis(PT).scale(t_power(-1))
         assert ScfElement.from_dict(x.to_dict()) == x
 
     def test_tensor_sorted_terms(self):
@@ -670,6 +714,70 @@ class TestTrustedConstruction:
             for b in orders:
                 if a.n + b.n <= 6:
                     assert_trusted_form((basis(a) * basis(b)).dagger())
+
+    def test_adopts_its_dict_like_the_comprehension(self):
+        # _trusted normalizes the dict it is given in place; the copying
+        # comprehension it replaced is the reference for values, key order
+        # and int / Fraction types
+        def reference(terms):
+            return {key: c.numerator if type(c) is Fraction and c.denominator == 1
+                    else c for key, c in terms.items() if c}
+
+        rng = random.Random(5)
+        table = ut_table(2, 2)
+        orders = [pi for n in range(4) for pi in natural_unit_interval_orders(n)]
+        rationals = [0, Fraction(0), 1, -3, Fraction(4), Fraction(-6, 3),
+                     Fraction(1, 2), Fraction(-5, 3)]
+        kinds = [
+            (LaurentT, (), lambda: rng.randrange(-4, 5), lambda: rng.choice(rationals)),
+            (ScfElement, (), lambda: rng.choice(orders), lambda: rng.choice(
+                [LaurentT.zero(), ONE, T + ONE, hopf_core._ONE, t_power(-2)])),
+            (GradedClassFunction, (2,), lambda: rng.randrange(6), lambda: rng.choice(
+                [ClassFunction(table), trivial(table),
+                 ClassFunction.class_indicator(table, 1)])),
+        ]
+        for cls, context, key, value in kinds:
+            for _ in range(200):
+                terms = {key(): value() for _ in range(rng.randrange(8))}
+                want = reference(terms)
+                x = cls._trusted(context, terms)
+                assert x.terms is terms
+                assert list(x.terms.items()) == list(want.items())
+                assert [type(v) for v in x.terms.values()] == [
+                    type(v) for v in want.values()]
+                assert x.context == context
+
+    def test_mutating_a_result_leaves_the_caches_intact(self):
+        # every result owns the dict it adopted: clearing it, and the
+        # class functions it holds, changes no cached value
+        def clear(x):
+            for v in x.terms.values():
+                if isinstance(v, (ClassFunction, TensorFunction)):
+                    v.terms.clear()
+            x.terms.clear()
+
+        orders = [pi for n in range(6) for pi in natural_unit_interval_orders(n)]
+        for pi in orders:
+            x = basis(pi)
+            cop, anti = x.coproduct(), x.antipode()
+            results = [cop + cop, -cop, cop.scale(T), cop.swap(),
+                       cop.component(1, pi.n - 1), cop * basis(PT).coproduct(),
+                       x.scale(2).coproduct(),
+                       anti + anti, -anti, anti.scale(T), anti * x, anti.dagger(),
+                       (x + basis(PT)).antipode(), x * x, ScfElement.collect([(pi, ONE)])]
+            if pi.n <= 3:
+                results += [specialize(x, 2), specialize(anti, 2),
+                            specialize_tensor(cop, 2)]
+            for y in results:
+                assert y is not cop and y is not anti
+                clear(y)
+        for pi in orders:
+            assert hopf_core._coproduct_basis(pi) == \
+                hopf_core._coproduct_basis.__wrapped__(pi) == reference_coproduct_basis(pi)
+            assert hopf_core._antipode_basis(pi) == \
+                hopf_core._antipode_basis.__wrapped__(pi) == reference_antipode_basis(pi)
+            if pi.n <= 3:
+                assert pattern_indicator(pi, 2) == pattern_indicator.__wrapped__(pi, 2)
 
     def test_oracle_sides(self):
         for case in itertools.chain(product_oracle_cases(3, 2),
@@ -800,6 +908,19 @@ class TestMonoidLevel:
         back = {v: k for k, v in sigma.items()}
         psi = ClassFunction.class_indicator(table, 1)
         assert monoid_relabel(monoid_relabel(psi, sigma), back) == psi
+
+    def test_relabel_moves_values_along_the_mapping(self):
+        # a 3-cycle, so that the mapping and its inverse differ
+        from uthopf.group_engine import pattern_group
+
+        order = from_strict((1, 2, 3), [(1, 3), (2, 3)])
+        table = pattern_group(order, 3)
+        sigma = {1: 2, 2: 3, 3: 1}
+        for c in range(len(table.class_reps)):
+            psi = ClassFunction.class_indicator(table, c)
+            moved = monoid_relabel(psi, sigma)
+            for m in table.elements:
+                assert moved.at_matrix(m.relabel(sigma)) == psi.at_matrix(m)
 
     def test_axiom_reports_small(self):
         reports = verify_reports(axiom_cases(2, 2))
