@@ -294,16 +294,17 @@ def inflate_cf(psi, group, levi, radical):
     """Parabolic induction: inflate psi from levi over radical, then induce
     up to group; plain inflation when group is levi * radical.  The adjoint
     of deflate_cf, read off the same counts K: the value at a class b of
-    group is |group| / (|levi| |radical| |b|) sum_c |c| K[c][b] psi(c)."""
+    group is |group| / (|levi| |radical| |b|) sum_c |c| K[c][b] psi(c),
+    the sum added first and divided once per b."""
     if psi.group is not levi:
         raise ValueError("%s is not the levi %s" % (psi.group.name, levi.name))
-    rows = _deflation(group, levi, radical)
-    parts = levi.order * radical.order
-    return ClassFunction.collect((
-        (b, Fraction(group.order * levi.class_sizes[c] * k * v,
-                     parts * group.class_sizes[b]))
-        for c, v in psi.terms.items() for b, k in rows[c]
-    ), group)
+    rows, sizes, sums = _deflation(group, levi, radical), levi.class_sizes, {}
+    for c, v in psi.terms.items():
+        for b, k in rows[c]:
+            sums[b] = sums.get(b, 0) + sizes[c] * k * v
+    parts, big = levi.order * radical.order, group.class_sizes
+    return ClassFunction._trusted((group,), {
+        b: Fraction(group.order * s, parts * big[b]) for b, s in sums.items()})
 
 
 def deflate_cf(psi, levi, radical):

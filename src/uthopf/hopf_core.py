@@ -33,7 +33,10 @@ GradedClassFunction, GradedTensor) is a class_functions.Combination: its
 `terms` dict maps exponents, orders, pairs of orders, degrees or bidegrees to
 nonzero coefficients, and adopts the dict it is built from (_trusted).
 Sums of many pieces go through one `collect` call, which coerces each
-coefficient once; a LaurentT product by the unit is the other factor.
+coefficient once; the graded tensor sums of the oracle (parabolic_coproduct,
+specialize_tensor) instead add int numerators over one denominator, one
+dict per bidegree, and divide once per class pair.  A LaurentT product by
+the unit is the other factor.
 Values are never changed in place, so results are shared: the coproduct
 and antipode of a basis element, with the unit coefficient, are the cached
 values themselves, and Nuio.to_dict() hands out the order's own tuple of
@@ -80,12 +83,13 @@ from .class_functions import (
     ClassFunction,
     Combination,
     TensorFunction,
+    _block_classes,
+    _deflation,
     _exact,
     dagger_cf,
     deflate_cf,
     inflate_cf,
     pullback_cf,
-    straighten_cf,
     unstraighten_cf,
 )
 
@@ -548,21 +552,40 @@ def ut_product(a, b):
     return parabolic_product(a, b, ut_table, _ut_levi)
 
 
+def _graded_tensor(q, ambient, sums, d):
+    """The graded tensor at q whose (i, j) component, on ambient(i, q) and
+    ambient(j, q), holds the numerators sums[i, j] over d: one Fraction per
+    class pair, zeros and empty components dropped."""
+    return GradedTensor._trusted((q,), {
+        (i, j): TensorFunction._trusted((ambient(i, q), ambient(j, q)), {
+            key: Fraction(s, d) for key, s in out.items()})
+        for (i, j), out in sums.items()})
+
+
 def parabolic_coproduct(a, ambient, splits):
-    """The coproduct of ambient(n, q): each component of degree n is
+    """The coproduct of ambient(n, q): each component psi of degree n is
     deflated over every split (inside, levi, radical) in splits(n, q) and
-    straightened onto ambient(k, q) and ambient(n - k, q), k = len(inside)."""
-    q = a.q
-
-    def pieces():
-        for n, psi in a.terms.items():
-            for inside, levi, radical in splits(n, q):
-                k = len(inside)
-                on_levi = deflate_cf(psi, levi, radical)
-                yield (k, n - k), straighten_cf(on_levi, inside, ambient(k, q),
-                                                ambient(n - k, q))
-
-    return GradedTensor.collect(pieces(), q)
+    straightened onto ambient(k, q) and ambient(n - k, q), k = len(inside),
+    read off the cached _deflation rows and _block_classes pairs.  With D
+    the common denominator of the values and d the lcm of the radical
+    orders, each row sums D psi as ints and adds that sum, times
+    d / |radical|, into one dict per bidegree, divided by D d once per
+    class pair (_graded_tensor)."""
+    q, sums = a.q, {}
+    cuts = {n: list(splits(n, q)) for n in a.terms}
+    d = math.lcm(*(radical.order for cut in cuts.values() for *_, radical in cut))
+    D = math.lcm(*(v.denominator for psi in a.terms.values() for v in psi.terms.values()))
+    for n, psi in a.terms.items():
+        nums = {c: v.numerator * (D // v.denominator) for c, v in psi.terms.items()}
+        for inside, levi, radical in cuts[n]:
+            k, w = len(inside), d // radical.order
+            pairs = _block_classes(levi, inside, ambient(k, q), ambient(n - k, q))
+            out = sums.setdefault((k, n - k), {})
+            for key, row in zip(pairs, _deflation(psi.group, levi, radical)):
+                s = sum(m * nums[c] for c, m in row if c in nums)
+                if s:
+                    out[key] = out.get(key, 0) + s * w
+    return _graded_tensor(q, ambient, sums, D * d)
 
 
 def _ut_splits(n, q):
@@ -577,21 +600,19 @@ def ut_coproduct(a):
 
 
 def specialize_tensor(tx, q):
+    """Evaluate coefficients at t = 1/q and realize each pair of orders as
+    the outer product of their indicators; with d the lcm of the values'
+    denominators, each product adds into one dict of int numerators per
+    bidegree, divided by d once per class pair (_graded_tensor)."""
     point = Fraction(1, q)
-    values = ((key, c.evaluate(point)) for key, c in tx.terms.items())
-    return GradedTensor.collect(
-        (
-            (
-                (l.n, r.n),
-                TensorFunction.outer(
-                    pattern_indicator(l, q), pattern_indicator(r, q)
-                ).scale(v),
-            )
-            for (l, r), v in values
-            if v
-        ),
-        q,
-    )
+    values = [(key, c.evaluate(point)) for key, c in tx.terms.items()]
+    d, sums = math.lcm(*(v.denominator for _, v in values)), {}
+    for (l, r), v in values:
+        w, out = v.numerator * (d // v.denominator), sums.setdefault((l.n, r.n), {})
+        for c1, x in pattern_indicator(l, q).terms.items():
+            for c2, y in pattern_indicator(r, q).terms.items():
+                out[c1, c2] = out.get((c1, c2), 0) + x * y * w
+    return _graded_tensor(q, ut_table, sums, d)
 
 
 def _report(check, instance, lhs, rhs, relation=operator.eq):
@@ -672,10 +693,16 @@ def monoid_deflate(ambient, comp, psi):
     return deflate_cf(psi, *pattern_split(ambient, comp, psi.group.p))
 
 
-def monoid_relabel(psi, mapping):
-    """Push a pattern group class function forward along a relabelling."""
-    target = pattern_group(psi.group.pattern.relabel(mapping), psi.group.p)
-    inverse = tuple(sorted((v, k) for k, v in mapping.items()))
+def monoid_relabel(psi, mapping, moves=None):
+    """Push a pattern group class function forward along a relabelling.
+    moves, a dict kept by a caller that relabels along one mapping only,
+    holds (target table, inverse mapping) by source table, each built once."""
+    moves = {} if moves is None else moves
+    if psi.group not in moves:
+        moves[psi.group] = (
+            pattern_group(psi.group.pattern.relabel(mapping), psi.group.p),
+            tuple(sorted((v, k) for k, v in mapping.items())))
+    target, inverse = moves[psi.group]
     return pullback_cf(psi, target, FqMatrix.relabel, (inverse,))
 
 
@@ -728,10 +755,10 @@ def _compatibility(A, taus, B):
 def _naturality(sigma, A, op, order):
     """Both sides of relabelling op(order, A, psi) along sigma."""
     moved = SetComposition([[sigma[i] for i in b] for b in A.blocks])
-    image = order.relabel(sigma)
+    image, moves = order.relabel(sigma), {}
     return lambda psi: (
-        monoid_relabel(op(order, A, psi), sigma),
-        op(image, moved, monoid_relabel(psi, sigma)),
+        monoid_relabel(op(order, A, psi), sigma, moves),
+        op(image, moved, monoid_relabel(psi, sigma, moves)),
     )
 
 

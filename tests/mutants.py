@@ -36,6 +36,7 @@ SUBSET_SUM = "tests/test_hopf_core.py::TestCoproduct::test_equals_the_subset_sum
 ANTIPODE_RECURSION = ("tests/test_hopf_core.py::TestAntipode::"
                       "test_equals_the_counit_recursion")
 AGAINST_STRICT = "tests/test_combinatorics.py::TestProfileAgainstStrictPairs::"
+ORACLE_SUMS = "tests/test_hopf_core.py::TestOracleSums::"
 
 MUTANTS = [
     # the byte table reducing each byte as one number, not as two nibbles;
@@ -81,10 +82,24 @@ MUTANTS = [
       "tests/test_hopf_core.py::TestAntipode::test_point_and_antichain"]),
     # a pattern group class function relabelled along the mapping itself,
     # not its inverse; a 3-cycle tells the two apart
-    (HOPF, "inverse = tuple(sorted((v, k) for k, v in mapping.items()))",
-     "inverse = tuple(sorted(mapping.items()))",
+    (HOPF, "tuple(sorted((v, k) for k, v in mapping.items()))",
+     "tuple(sorted(mapping.items()))",
      ["tests/test_hopf_core.py::TestMonoidLevel::"
       "test_relabel_moves_values_along_the_mapping"]),
+    # the splits of a coproduct added over the lcm of the radical orders
+    # without their weight d / |radical|
+    (HOPF, "d // radical.order", "1",
+     [ORACLE_SUMS + "test_parabolic_coproduct[ut-4-2]",
+      "tests/test_hopf_core.py::TestSpecialize::test_coproduct_oracle_small[2]"]),
+    # the coefficients of a specialized tensor added as their numerators
+    # alone, not over the lcm of their denominators
+    (HOPF, "v.numerator * (d // v.denominator)", "v.numerator",
+     [ORACLE_SUMS + "test_specialize_tensor[2]",
+      "tests/test_hopf_core.py::TestSpecialize::test_ut_coproduct_matches_symbolic"]),
+    # inflation without the size of each Levi class
+    (COMBINATIONS, "sizes[c] * k * v", "k * v",
+     ["tests/test_class_functions.py::TestClassMapsAgainstReference::test_product[ut-4-2]",
+      "tests/test_class_functions.py::TestInduction::test_classwise_equals_naive[3-2]"]),
     # trusted construction keeping zero coefficients
     (COMBINATIONS, "if not c or type(c) is Fraction and c.denominator == 1]",
      "if type(c) is Fraction and c.denominator == 1]",

@@ -565,6 +565,12 @@ class TestClassMapsAgainstReference:
         ("ut", 4, 2), ("ut", 3, 3), ("gl", 3, 2), ("gl", 3, 3),
     ])
     def test_product(self, family, top, q):
+        # the indicators, and a Fraction-valued function with some integral
+        # and some negative values
+        def functions(group):
+            return indicators(group) + [ClassFunction(group, {
+                c: Fraction((-1) ** c * (c + 1), 3) for c in range(len(group.classes))})]
+
         product, ambient, reference = {
             "ut": (ut_product, ut_table, reference_ut_product_component),
             "gl": (gl_product, gl_table, reference_gl_product_component),
@@ -572,19 +578,21 @@ class TestClassMapsAgainstReference:
         for n in range(top + 1):
             for i in range(n + 1):
                 for f, g in itertools.product(
-                    indicators(ambient(i, q)), indicators(ambient(n - i, q))
+                    functions(ambient(i, q)), functions(ambient(n - i, q))
                 ):
                     got = product(GradedClassFunction(q, {i: f}),
                                   GradedClassFunction(q, {n - i: g}))
                     assert got == GradedClassFunction(q, {n: reference(f, g)})
 
     def test_relabel_on_every_naturality_square(self, monkeypatch):
-        # every relabelling on either side of a square is checked as it runs
+        # every relabelling on either side of a square is checked as it
+        # runs; a square relabels from at most its two source tables
         relabelled = []
 
-        def checked(psi, mapping):
-            got = monoid_relabel(psi, mapping)
+        def checked(psi, mapping, moves):
+            got = monoid_relabel(psi, mapping, moves)
             assert got == reference_monoid_relabel(psi, mapping)
+            assert psi.group in moves and len(moves) <= 2
             relabelled.append(mapping)
             return got
 

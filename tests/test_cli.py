@@ -248,6 +248,19 @@ class TestVerify:
             ("oracle", "--n", "3", "--q", "2"),
             "57f85674ba80b1bcfa95e4c1c4746846ead4ab8fc17f253a744abbd89d6c1517",
             id="oracle-text"),
+        # several splits with different radical orders meet in one bidegree
+        pytest.param(
+            ("oracle", "--n", "4", "--q", "2", "--format", "json"),
+            "1a556d8c9198bbe178047f027244babbc3d6d8ae2e0d850f2b20c3391e95da41",
+            id="oracle-n4-q2-json"),
+        pytest.param(
+            ("oracle", "--n", "3", "--q", "3", "--format", "json"),
+            "11dca2c1a16439c6015acb302f9454e3d3d4f2701d0314b6da87f5d2c4ba3f02",
+            id="oracle-n3-q3-json"),
+        pytest.param(
+            ("induction-hom", "--n", "3", "--q", "2", "--format", "json"),
+            "878c5a6b0cf6f4a7e154fc6823795dd479f8367e4cafacebb4d90b15dbb89113",
+            id="induction-hom-n3-q2-json"),
         pytest.param(
             ("induction-hom", "--n", "2", "--q", "3", "--format", "json"),
             "7a90c413846bf0fef504d7189a99080b69a35f8376e651d9a76b3a7c67cd7092",

@@ -5,7 +5,8 @@ algebra and coalgebra laws are checked symbolically; the coproduct and
 antipode, which the library reads off connected pieces, are compared with
 the subset sum and the counit recursion kept here as references; the group
 realization is compared against the symbolic side through the oracle
-reports.
+reports, and the oracle's numerator sums (parabolic_coproduct,
+specialize_tensor) against the collect sums they replaced.
 """
 
 import itertools
@@ -16,13 +17,15 @@ from fractions import Fraction
 
 import pytest
 
-from uthopf.class_functions import ClassFunction, Combination, TensorFunction, _exact
+from uthopf.class_functions import ClassFunction, Combination, TensorFunction, _exact, \
+    deflate_cf, straighten_cf
 from uthopf import combinatorics, hopf_core
 from uthopf.combinatorics import Nuio, SetComposition, \
     natural_unit_interval_orders
+from uthopf import gl_bridge
 from uthopf.gl_bridge import coproduct_hom_cases, dagger_invariance_cases, \
-    product_hom_cases
-from uthopf.group_engine import ut_table
+    gl_coproduct, induce_to_gl, product_hom_cases
+from uthopf.group_engine import gl_table, ut_table
 from uthopf.hopf_core import (
     GradedClassFunction,
     GradedTensor,
@@ -47,7 +50,7 @@ from uthopf.hopf_core import (
     verify_reports,
 )
 
-from test_class_functions import assert_exact_form, trivial
+from test_class_functions import assert_exact_form, indicators, trivial
 from test_combinatorics import from_strict, ref_ascent_count, ref_shifted_restrict
 
 PT = Nuio(1, [])
@@ -124,6 +127,34 @@ def reference_antipode_basis(pi):
             ))
         _REFERENCE_ANTIPODES[pi] = value
     return _REFERENCE_ANTIPODES[pi]
+
+
+def reference_parabolic_coproduct(a, ambient, splits):
+    """Reference parabolic coproduct: each component deflated over every
+    split and straightened, a Fraction per deflated value, the pieces
+    summed by collect with a tensor addition per piece."""
+    q = a.q
+
+    def pieces():
+        for n, psi in a.terms.items():
+            for inside, levi, radical in splits(n, q):
+                k = len(inside)
+                on_levi = deflate_cf(psi, levi, radical)
+                yield (k, n - k), straighten_cf(on_levi, inside, ambient(k, q),
+                                                ambient(n - k, q))
+
+    return GradedTensor.collect(pieces(), q)
+
+
+def reference_specialize_tensor(tx, q):
+    """Reference tensor specialization: the outer product of each pair of
+    indicators scaled by the coefficient at 1/q, summed by collect."""
+    point = Fraction(1, q)
+    values = ((key, c.evaluate(point)) for key, c in tx.terms.items())
+    return GradedTensor.collect((
+        ((l.n, r.n), TensorFunction.outer(
+            pattern_indicator(l, q), pattern_indicator(r, q)).scale(v))
+        for (l, r), v in values if v), q)
 
 
 class TestLaurentT:
@@ -870,6 +901,59 @@ class TestSpecialize:
     def test_ut_dagger_matches_symbolic(self):
         x = basis(W4)
         assert specialize(x, 2).dagger() == specialize(x.dagger(), 2)
+
+
+class TestOracleSums:
+    """parabolic_coproduct and specialize_tensor add int numerators over one
+    denominator and divide once per class pair; the collect sums they
+    replaced are the references, and every result is in trusted form."""
+
+    @pytest.mark.parametrize("family,top,q", [("ut", 4, 2), ("ut", 4, 3), ("gl", 3, 2)])
+    def test_parabolic_coproduct(self, family, top, q):
+        ambient, splits, coproduct = {
+            "ut": (ut_table, hopf_core._ut_splits, ut_coproduct),
+            "gl": (gl_table, gl_bridge._gl_splits, gl_coproduct),
+        }[family]
+
+        def support(x):
+            return {(key, pair) for key, t in x.terms.items() for pair in t.terms}
+
+        cancelled, forms = 0, set()
+        for n in range(top + 1):
+            # indicators; induced inputs: the pattern indicators, which are
+            # normalized induced trivial characters, scaled by t = 1/q so
+            # that they are Fraction-valued, and on GL induced up once more;
+            # and two-term differences, whose contributions can cancel
+            ones = [GradedClassFunction(q, {n: f}) for f in indicators(ambient(n, q))]
+            induced = [specialize(basis(pi).scale(T), q)
+                       for pi in natural_unit_interval_orders(n)]
+            if family == "gl":
+                induced = [induce_to_gl(x) for x in induced]
+            forms.update(type(v) for x in induced for v in x.terms[n].terms.values())
+            pairs = list(zip(ones, ones[1:])) + [(ones[0], g) for g in ones[2:]]
+            for a in ones + induced + [f - g for f, g in pairs]:
+                got = coproduct(a)
+                assert got == reference_parabolic_coproduct(a, ambient, splits)
+                assert_trusted_form(got)
+            for f, g in pairs:
+                both = support(coproduct(f)) | support(coproduct(g))
+                cancelled += not both <= support(coproduct(f - g))
+        assert cancelled and Fraction in forms
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_specialize_tensor(self, q):
+        orders = [pi for n in range(5) for pi in natural_unit_interval_orders(n)]
+        inputs = [basis(pi).coproduct() for pi in orders]
+        inputs += [(basis(pi) + basis(PT).scale(Fraction(2, 3) * T2 - T)).coproduct()
+                   for pi in orders]
+        # the identity class pair cancels; A2 and C2 differ at another class
+        cancelling = TensorScf({(A2, PT): ONE, (C2, PT): -ONE})
+        for tx in inputs + [cancelling, cancelling.scale(T)]:
+            got = specialize_tensor(tx, q)
+            assert got == reference_specialize_tensor(tx, q)
+            assert_trusted_form(got)
+        got = specialize_tensor(cancelling, q).terms[2, 1]
+        assert got.terms and (0, 0) not in got.terms
 
 
 class TestMonoidLevel:
