@@ -101,15 +101,6 @@ class SetComposition:
         self.ground = _labels(i for b in blocks for i in b)
         self.blocks = blocks
 
-    def __len__(self):
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, k):
-        return self.blocks[k]
-
     def __eq__(self, other):
         return isinstance(other, SetComposition) and self.blocks == other.blocks
 

@@ -37,20 +37,20 @@ coefficient once; the graded tensor sums of the oracle (parabolic_coproduct,
 specialize_tensor) instead add int numerators over one denominator, one
 dict per bidegree, and divide once per class pair.  A LaurentT product by
 the unit is the other factor.
-Values are never changed in place, so results are shared: the coproduct
-and antipode of a basis element, with the unit coefficient, are the cached
-values themselves, and Nuio.to_dict() hands out the order's own tuple of
-strict pairs, which json writes as the same list text.  Coefficients are
-interned where they are made (_interned): one LaurentT per distinct value,
-its printed dict built once, every basis element's unit coefficient among
-them.  A connected order interns the coefficients of its coproduct and
-those of its antipode, which the counit recursion sums in place into one
-exponent dict per result order.  The product of two interned values is
-interned too, made once per process (_times); ScfElement and TensorScf
-products go through it, a TensorScf product once per distinct pair of
-coefficient objects, so the antipode of every basis element holds
-interned values.  The graded families have class functions and tensors as
-coefficients.
+Values are never changed in place, so results are shared.  The coproduct
+and the antipode are one linear extension of their cached basis values
+(ScfElement._extend): basis(pi) with the unit coefficient gets the cached
+value itself, any other element one collect of the scaled cached values.
+Nuio.to_dict() hands out the order's own tuple of strict pairs, which json
+writes as the same list text.  Coefficients are interned where they are
+made (_interned): one LaurentT per distinct value, its printed dict built
+once, the unit coefficient of every basis element among them.  A connected
+order interns the coefficients of its coproduct and antipode, the latter
+summed in place by the counit recursion.  Every coefficient of an
+ScfElement or TensorScf product goes through one memo (_times), which
+makes and interns the product of two interned values once per process, so
+every basis antipode holds interned values.  The graded families have
+class functions and tensors as coefficients.
 """
 
 from __future__ import annotations
@@ -120,8 +120,7 @@ class LaurentT(Combination):
     __add__ = Combination.__add__
 
     def __mul__(self, other):
-        if not isinstance(other, LaurentT):
-            other = LaurentT.scalar(other)
+        other = _laurent(other)
         left, right = self.terms, other.terms
         if right == self._UNIT or not left:
             return self
@@ -179,7 +178,8 @@ class LaurentT(Combination):
     @classmethod
     def from_dict(cls, data):
         """Inverse of to_dict; coefficients may also be ints.  A non-dict,
-        or a float (inexact), bool or exponent-notation coefficient, raises
+        a float (inexact), bool or exponent-notation coefficient, or two keys
+        naming one exponent ("1", " 1" and "+1" all read as 1) raise
         ValueError; an exponent past the budget raises BudgetError, as
         specializing t^k builds a number of |k| digits."""
         if not isinstance(data, dict):
@@ -187,7 +187,12 @@ class LaurentT(Combination):
         if any(isinstance(v, (bool, float)) or isinstance(v, str) and "e" in v.lower()
                for v in data.values()):
             raise ValueError("coefficients must be ints or fraction strings")
-        terms = {int(k): Fraction(v) for k, v in data.items()}
+        terms = {}
+        for k, v in data.items():
+            k = int(k)
+            if k in terms:
+                raise ValueError("two keys name the exponent %d" % k)
+            terms[k] = Fraction(v)
         _check_budget(max(map(abs, terms), default=0), "a power of t")
         return cls(terms)
 
@@ -263,46 +268,31 @@ class ScfElement(Combination):
         )
 
     def __repr__(self):
-        if not self.terms:
-            return "ScfElement(0)"
-        bits = [
-            "(%s) * %r" % (c, pi) for pi, c in self.sorted_terms()
-        ]
-        return "ScfElement(%s)" % " + ".join(bits)
+        bits = ["(%s) * %r" % (c, pi) for pi, c in self.sorted_terms()]
+        return "ScfElement(%s)" % (" + ".join(bits) if bits else "0")
 
     def counit(self):
         return self.terms.get(Nuio(0), LaurentT.zero())
 
-    def _basis_order(self):
-        """pi when this is basis(pi), with the unit coefficient; else None."""
+    def _extend(self, image, cls):
+        """The linear map of class cls with basis values image(pi): of
+        basis(pi), the cached value itself, which nobody changes in place;
+        of any other element, one sum of the scaled cached values."""
         if len(self.terms) == 1:
             (pi, c), = self.terms.items()
             if c.terms == LaurentT._UNIT:
-                return pi
-        return None
-
-    def coproduct(self):
-        """Of basis(pi), the cached value itself, which nobody changes in
-        place; of any other element, one sum of the scaled cached values."""
-        pi = self._basis_order()
-        if pi is not None:
-            return _coproduct_basis(pi)
-        return TensorScf.collect(
+                return image(pi)
+        return cls.collect(
             (key, c * v)
             for pi, c in self.terms.items()
-            for key, v in _coproduct_basis(pi).terms.items()
+            for key, v in image(pi).terms.items()
         )
 
+    def coproduct(self):
+        return self._extend(_coproduct_basis, TensorScf)
+
     def antipode(self):
-        """Served like the coproduct: basis(pi) gets the cached value."""
-        pi = self._basis_order()
-        if pi is not None:
-            return _antipode_basis(pi)
-        return ScfElement.collect(
-            (rho, c * v)
-            for pi, c in self.terms.items()
-            for rho, v in _antipode_basis(pi).terms.items()
-        )
+        return self._extend(_antipode_basis, ScfElement)
 
     def dagger(self):
         return self._like({pi.dagger(): c for pi, c in self.terms.items()})
@@ -337,18 +327,11 @@ class TensorScf(Combination):
         )
 
     def __mul__(self, other):
-        """Factorwise shifted sums; each distinct pair of coefficient objects
-        is multiplied once per call, so equal pairs share one product, which
-        is interned when both factors are (_times)."""
-        products, pairs = {}, []
-        for (l1, r1), a in self.terms.items():
-            for (l2, r2), b in other.terms.items():
-                pair = id(a), id(b)
-                c = products.get(pair)
-                if c is None:
-                    c = products[pair] = _times(a, b)
-                pairs.append(((l1.shifted_sum(l2), r1.shifted_sum(r2)), c))
-        return TensorScf.collect(pairs)
+        return TensorScf.collect(
+            ((l1.shifted_sum(l2), r1.shifted_sum(r2)), _times(a, b))
+            for (l1, r1), a in self.terms.items()
+            for (l2, r2), b in other.terms.items()
+        )
 
     def swap(self):
         return self._like({(r, l): c for (l, r), c in self.terms.items()})
@@ -418,12 +401,9 @@ def _antipode_basis(pi):
                 exponents = sums.setdefault(rho.shifted_sum(right), {})
                 for k, x in (c * v).terms.items():
                     exponents[k] = exponents.get(k, 0) - x
-    terms = {}
-    for rho, exponents in sums.items():
-        exponents = {k: x for k, x in exponents.items() if x}
-        if exponents:
-            terms[rho] = _interned(exponents)
-    return ScfElement._trusted((), terms)
+    return ScfElement._trusted((), {
+        rho: _interned(nonzero) for rho, exponents in sums.items()
+        if (nonzero := {k: x for k, x in exponents.items() if x})})
 
 
 class _AtPrime(Combination):

@@ -56,6 +56,17 @@ class TestNuioList:
         assert code == 0
         assert out.splitlines() == ["n=2 strict=", "n=2 strict=1<2"]
 
+    def test_dyck_column_in_text(self, capsys):
+        code, out, _ = run(capsys, "nuio", "list", "--n", "3", "--dyck")
+        assert code == 0
+        assert out.splitlines() == [
+            "n=3 strict= dyck=EEESSS",
+            "n=3 strict=1<2;1<3 dyck=ESEESS",
+            "n=3 strict=1<2;1<3;2<3 dyck=ESESES",
+            "n=3 strict=1<3 dyck=EESESS",
+            "n=3 strict=1<3;2<3 dyck=EESSES",
+        ]
+
 
 class TestScf:
     def test_product(self, capsys):
@@ -160,6 +171,23 @@ class TestScf:
         assert poset_first == run(capsys, "scf", "product", "--poset", POSET_A2,
                                   "--poset", POSET_PT)[1]
         assert file_first != poset_first
+
+    @pytest.mark.parametrize("verb, text", [
+        ("coproduct", "TensorScf(0)"), ("antipode", "ScfElement(0)"),
+        ("dagger", "ScfElement(0)"),
+    ])
+    def test_empty_combination_prints_zero(self, capsys, verb, text):
+        code, out, _ = run(capsys, "scf", verb, "--poset", '{"terms": []}')
+        assert (code, out) == (0, text + "\n")
+        code, out, _ = run(capsys, "scf", verb, "--poset", '{"terms": []}',
+                           "--format", "json")
+        assert (code, out) == (0, '{"terms": []}\n')
+
+    def test_repeated_terms_of_one_order_add(self, capsys):
+        operand = json.dumps({"terms": [{"n": 1, "coeff": {"0": "1/1"}},
+                                        {"n": 1, "coeff": {"0": "2/1"}}]})
+        code, out, _ = run(capsys, "scf", "dagger", "--poset", operand)
+        assert (code, out) == (0, "ScfElement((3) * Nuio(1, []))\n")
 
     def test_deterministic_output(self, capsys):
         args = ("scf", "coproduct", "--poset", '{"n": 3, "strict": [[1, 3]]}')
@@ -435,6 +463,29 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("coeff, exponent", [
+        ({"0": "1/1", "00": "2/1"}, 0),
+        ({"1": "1/1", " 1": "5/1", "+1": "7/1"}, 1),
+    ])
+    def test_two_keys_of_one_exponent_exit_two(self, capsys, coeff, exponent):
+        # read into one dict, these would print (2) and (7*t), the last
+        # coefficient only, where repeated terms of one order add up
+        operand = json.dumps({"terms": [{"n": 1, "coeff": coeff}]})
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "scf", "dagger", "--poset", operand)
+        out = capsys.readouterr()
+        assert err.value.code == 2
+        assert out.out == ""
+        assert "two keys name the exponent %d" % exponent in out.err
+
+    @pytest.mark.parametrize("budget", ["abc", "1e3", "0", "-3"])
+    def test_bad_budget_setting_exits_two(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("UTHOPF_BUDGET", budget)
+        code, out, err = run(capsys, "nuio", "list", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert "UTHOPF_BUDGET must be" in err
 
     @pytest.mark.parametrize("flag,value", [("--samples", "-5"), ("--size", "0")])
     def test_bad_sampling_flags_exit_two(self, capsys, flag, value):

@@ -189,6 +189,11 @@ class TestSetComposition:
         with pytest.raises(ValueError):
             SetComposition([(1, 2), (2, 3)])
 
+    def test_rejects_empty_blocks(self):
+        for blocks in ([[1], []], [[]], [[], [2]]):
+            with pytest.raises(ValueError, match="nonempty"):
+                SetComposition(blocks)
+
     def test_concat_requires_disjoint_grounds(self):
         with pytest.raises(ValueError):
             comp((1,)).concat(comp((1, 2)))
@@ -298,6 +303,12 @@ class TestPartialOrder:
         diag = {(i, i) for i in (1, 2, 3)}
         with pytest.raises(ValueError):
             PartialOrder((1, 2, 3), frozenset(diag | {(1, 2), (2, 3)}))
+
+    def test_rejects_non_reflexive_pairs(self):
+        for ground, pairs in [((1, 2), [(1, 2)]), ((1, 2), [(1, 1), (1, 2)]),
+                              ((1, 2, 3), [(1, 1), (2, 2), (1, 2)])]:
+            with pytest.raises(ValueError, match="reflexive"):
+                PartialOrder(ground, pairs)
 
     def test_restrict(self):
         p = chain_order((1, 2, 3, 4))

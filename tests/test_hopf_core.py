@@ -333,6 +333,26 @@ class TestLaurentT:
             with pytest.raises(ValueError):
                 LaurentT.from_dict({"0": coeff})
 
+    @pytest.mark.parametrize("data, exponent", [
+        ({"0": "1/1", "00": "2/1"}, 0),
+        ({"1": "1/1", " 1": "5/1", "+1": "7/1"}, 1),
+        ({"-2": 3, "-02": 3}, -2),
+    ])
+    def test_from_dict_rejects_two_keys_of_one_exponent(self, data, exponent):
+        # read into one dict, all but the last coefficient would be lost
+        with pytest.raises(ValueError, match="exponent %d$" % exponent):
+            LaurentT.from_dict(data)
+
+    def test_equal_values_hash_equal(self):
+        # built in different key orders and by different paths
+        built = [LaurentT({1: 2, 0: Fraction(1, 2)}), LaurentT({0: Fraction(1, 2), 1: 2}),
+                 LaurentT.from_dict({"1": "2/1", "0": "1/2"}),
+                 T.scale(2) + LaurentT.scalar(Fraction(1, 2))]
+        assert all(x == built[0] for x in built)
+        assert len({hash(x) for x in built}) == 1
+        assert len({x: None for x in built}) == 1
+        assert hash(hopf_core._ONE) == hash(ONE) == hash(LaurentT.from_dict({"0": "2/2"}))
+
 
 class TestAddition:
     """Combinations add only to their own type; their keys would mix."""
