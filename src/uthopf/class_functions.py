@@ -36,7 +36,6 @@ import collections
 import functools
 from fractions import Fraction
 
-from .combinatorics import standardize
 from .group_engine import FqMatrix, GroupTable, kernel
 
 
@@ -164,27 +163,8 @@ class ClassFunction(Combination):
         super().__init__(terms)
 
     @classmethod
-    def from_function(cls, group, fn):
-        """Evaluate fn at class representatives; a ValueError is raised
-        unless fn, evaluated at every element, is constant on classes."""
-        values = [_exact(fn(group.elements[r])) for r in group.class_reps]
-        for m, c in zip(group.elements, group.class_of):
-            if fn(m) != values[c]:
-                raise ValueError(f"not constant on classes at {m!r}")
-        return cls._trusted((group,), {c: v for c, v in enumerate(values) if v})
-
-    @classmethod
     def class_indicator(cls, group, c):
         return cls(group, {c: 1})
-
-    @classmethod
-    def subgroup_indicator(cls, group, member):
-        """Indicator of a subset given by a membership predicate on matrices.
-
-        Checked for class constancy, so this only succeeds on unions of
-        conjugacy classes (for subgroups: exactly the normal ones).
-        """
-        return cls.from_function(group, lambda m: int(bool(member(m))))
 
     @property
     def values(self):
@@ -370,8 +350,9 @@ def dagger_cf(psi):
 
 
 def _standard_block(m, labels):
-    """The block of m on labels, moved onto an initial segment."""
-    return m.block(labels).relabel(standardize(labels))
+    """The block of m on labels, a sorted tuple of labels of its ground,
+    moved onto an initial segment."""
+    return m._pick(tuple(range(1, len(labels) + 1)), labels)
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,7 +360,10 @@ def _block_classes(levi, inside, left, right):
     """For each class of levi, the pair (class in left of its inside block,
     class in right of its outside block), each block standardized onto an
     initial segment.  Raises ValueError unless this is a bijection onto all
-    class pairs, that is unless levi is the product of the two blocks."""
+    class pairs, that is unless levi is the product of the two blocks, and
+    unless inside is a sorted tuple of distinct labels of the ground."""
+    if tuple(sorted(set(inside).intersection(levi.ground))) != inside:
+        raise ValueError("%r are not sorted distinct labels of %s" % (inside, levi.name))
     outside = tuple(k for k in levi.ground if k not in inside)
     pairs = tuple(zip(_class_map(left, levi, _standard_block, (inside,)),
                       _class_map(right, levi, _standard_block, (outside,))))
@@ -392,7 +376,7 @@ def _block_classes(levi, inside, left, right):
 def straighten_cf(psi, inside, left_table, right_table):
     """Split a block diagonal class function into a two factor tensor on the
     canonical tables, along the bijection of _block_classes."""
-    pairs = _block_classes(psi.group, tuple(inside), left_table, right_table)
+    pairs = _block_classes(psi.group, tuple(sorted(inside)), left_table, right_table)
     return TensorFunction._trusted(
         (left_table, right_table), {pairs[c]: v for c, v in psi.terms.items()}
     )
@@ -400,7 +384,7 @@ def straighten_cf(psi, inside, left_table, right_table):
 
 def unstraighten_cf(tensor, inside, levi_table):
     """Inverse of straighten_cf, read along the same bijection."""
-    pairs = _block_classes(levi_table, tuple(inside), *tensor.context)
+    pairs = _block_classes(levi_table, tuple(sorted(inside)), *tensor.context)
     return ClassFunction._trusted((levi_table,), {
         c: tensor.terms[pair] for c, pair in enumerate(pairs) if pair in tensor.terms
     })

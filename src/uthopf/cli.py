@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verification finds a mismatch, 2 on usage
-errors or when an enumeration budget is exceeded.  All output is
+errors, a malformed UTHOPF_BUDGET setting, or when an enumeration budget is
+exceeded.  All output is
 deterministic: JSON is emitted with sorted keys and collections are sorted
 before printing.
 """
@@ -12,7 +13,8 @@ import argparse
 import json
 import sys
 
-from .combinatorics import BudgetError, Nuio, natural_unit_interval_orders
+from .combinatorics import BudgetError, Nuio, enumeration_budget, \
+    natural_unit_interval_orders
 from .group_engine import _check_prime
 from .hopf_core import (
     ScfElement,
@@ -231,6 +233,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        enumeration_budget()
+    except ValueError as exc:
+        print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
+        return 2
     try:
         if args.command == "nuio":
             return _cmd_nuio_list(parser, args)

@@ -37,13 +37,15 @@ class BudgetError(RuntimeError):
 
 
 def enumeration_budget():
+    """The setting UTHOPF_BUDGET, 25000 when unset; a malformed or
+    non-positive setting raises ValueError, not BudgetError."""
     raw = os.environ.get("UTHOPF_BUDGET", "25000")
     try:
         value = int(raw)
     except ValueError:
-        raise BudgetError(f"UTHOPF_BUDGET must be an integer, got {raw!r}")
+        raise ValueError(f"UTHOPF_BUDGET must be an integer, got {raw!r}") from None
     if value < 1:
-        raise BudgetError(f"UTHOPF_BUDGET must be positive, got {value}")
+        raise ValueError(f"UTHOPF_BUDGET must be positive, got {value}")
     return value
 
 
@@ -271,15 +273,6 @@ def radical_pattern(order, comp):
     block = _block_index(order, comp)
     return PartialOrder._trusted(order.ground, frozenset(
         (i, j) for i, j in order.pairs if block[i] < block[j] or i == j))
-
-
-def standardize(labels):
-    """Map the k-th smallest label to k, as a dict.
-
-    >>> standardize((2, 5, 3))
-    {2: 1, 3: 2, 5: 3}
-    """
-    return {s: r for r, s in enumerate(sorted(labels), start=1)}
 
 
 # Every order built by Nuio.from_profile, keyed by its profile tuple.

@@ -8,12 +8,15 @@ codes packed into one int; a single product is a batch of one.  At odd p
 a batch reduces its fields mod p with one byte-table translate when the
 unreduced sum fits in 4 bits (F_3 up to n = 3), and field by field when
 it does not.  Tables build the codes of their elements directly and are
-indexed by them.  At construction each generator takes two batched
-products over the whole table, its left products and its conjugates,
-read back as element indices (products are never cached): a walk from
-the identity along the left products proves that the generators generate
-the list, and the orbits of the conjugation lists, walked on first read,
-are its conjugacy classes.  Matrices carry a sorted ground set of
+indexed by them; a pattern group adds the unit code of each cell, the
+lowest bit of the cell's field in the kernel's mask, to the identity's.
+At construction each generator takes two batched products over the whole
+table, its left products and its conjugates, read back as element indices
+(products are never cached): each generator's inverse is the element its
+left products send to the identity, a walk from the identity along the
+left products proves that the generators generate the list, and the
+orbits of the conjugation lists, walked on first read, are its conjugacy
+classes.  Matrices carry a sorted ground set of
 row/column labels, so a matrix on ground (2, 4) is 2x2 with label pairs
 drawn from {2, 4}; a code names a matrix only together with its field
 and ground.
@@ -290,13 +293,6 @@ class FqMatrix:
         return FqMatrix._from_code(self.p, self.ground, kernel(self.p, n).encode(
             [[row[-1 - r] for row in rows] for r in range(n)]))
 
-    def block(self, labels):
-        """Square submatrix on the given labels, keeping those labels."""
-        labels = tuple(sorted(labels))
-        if len(set(labels).intersection(self.ground)) != len(labels):
-            raise ValueError("block labels must be distinct labels of the ground")
-        return self._pick(labels, labels)
-
     def _pick(self, ground, labels):
         """The matrix on ground, a sorted tuple, whose entry (k, l) is this
         one's at (labels[k], labels[l]): not validated."""
@@ -372,19 +368,27 @@ class GroupTable:
         """Two batched products per generator g (element indices) on the
         codes of every element m: the left products g * m, then those times
         g^-1 on the right, the conjugates g * m * g^-1, each read back as
-        element indices.  Raises ValueError unless every product lies in the
-        table and the walk from the identity along the left products reaches
-        all of it; the conjugation lists are kept for _conjugacy."""
+        element indices; g^-1 is the element m with g * m the identity.
+        Raises ValueError unless every product lies in the table, each
+        generator's left products reach the identity and the walk from the
+        identity along the left products reaches all of the table; the
+        conjugation lists are kept for _conjugacy."""
         index = self.index
         k = kernel(self.p, len(self.ground))
         codes = [m.code for m in self.elements]
         lefts, self._conjugates = [], []
         for g in gens:
             moved = k.left(self.elements[g].code, codes)
-            conjugated = k.right(moved, self.elements[g].inverse().code)
             lefts.append(list(map(index.get, moved)))
-            self._conjugates.append(list(map(index.get, conjugated)))
-            if None in lefts[-1] or None in self._conjugates[-1]:
+            if None in lefts[-1]:
+                raise ValueError("%s is not closed under products" % self.name)
+            try:
+                inverse = codes[lefts[-1].index(self.identity_index)]
+            except ValueError:
+                raise ValueError("a generator of %s has no inverse among its elements"
+                                 % self.name) from None
+            self._conjugates.append(list(map(index.get, k.right(moved, inverse))))
+            if None in self._conjugates[-1]:
                 raise ValueError("%s is not closed under products" % self.name)
         reached = len(_orbit(self.identity_index, lefts, [None] * self.order, 0))
         if reached < self.order:
@@ -469,7 +473,8 @@ class GroupTable:
 @functools.lru_cache(maxsize=None)
 def pattern_group(order, p):
     """All matrices with unit diagonal supported on the strict cells, each
-    code the identity's plus v times the unit code of each cell, v < p.
+    code the identity's plus v times the unit code of each cell, v < p;
+    the unit code is the lowest bit of the cell's field in the kernel's mask.
 
     The order must be a PartialOrder; transitivity of its relation is what
     makes the matrix set a group.  It is generated by the elementary
@@ -484,14 +489,15 @@ def pattern_group(order, p):
     _check_budget(lambda: p ** len(cells), f"pattern group on {len(cells)} cells",
                   bits=len(cells) * (p.bit_length() - 1))
     ident = FqMatrix.identity(p, ground).code
-    codes = [ident]
+    mask, pos, strict = kernel(p, len(ground)).mask, _positions(ground), set(cells)
+    codes, gens = [ident], []
     for i, j in cells:
-        unit = FqMatrix.one_off(p, ground, i, j, 1).code - ident
+        bits = mask([(pos[i], pos[j])])
+        unit = bits & -bits
         codes = [c + v * unit for c in codes for v in range(p)]
+        if not any((i, k) in strict and (k, j) in strict for k in ground):
+            gens.append(FqMatrix._from_code(p, ground, ident + unit))
     elements = [FqMatrix._from_code(p, ground, c) for c in codes]
-    strict = set(cells)
-    gens = [FqMatrix.one_off(p, ground, i, j, 1) for i, j in cells
-            if not any((i, k) in strict and (k, j) in strict for k in ground)]
     name = "UT[%s|%s]q%d" % (
         ",".join(map(str, ground)),
         ";".join("%d<%d" % c for c in cells),

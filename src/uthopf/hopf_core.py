@@ -461,17 +461,33 @@ class GradedTensor(_AtPrime):
 
 @functools.lru_cache(maxsize=None)
 def pattern_indicator(pi, q):
-    """Indicator of the pattern subgroup inside the full unitriangular group.
-
-    Built with a class constancy check, so constructing it doubles as a
-    certificate that the pattern subgroup is normal.
-    """
+    """Indicator of the pattern subgroup inside the full unitriangular group,
+    the elements whose codes vanish at the cells (i, j), i < j < c(i), off
+    the strict pairs.  Built through the flag certificate of
+    _vanishing_indicator, so constructing it certifies that the pattern
+    subgroup is normal."""
     table = ut_table(pi.n, q)
     prof = pi.profile()
     mask = kernel(q, pi.n).mask(
         (i - 1, j - 1) for i, j in itertools.combinations(table.ground, 2)
         if j < prof[i - 1])
-    return ClassFunction.subgroup_indicator(table, lambda m: not m.code & mask)
+    return _vanishing_indicator(table, mask)
+
+
+def _vanishing_indicator(table, mask):
+    """Indicator of the elements of table whose codes vanish under mask.
+
+    A flag certificate: the member flags are read once from the codes, and
+    each element's flag must equal its class representative's, else
+    ValueError; so for a subgroup this succeeds exactly when it is normal.
+    """
+    member = [not m.code & mask for m in table.elements]
+    reps = table.class_reps
+    if any(f != member[reps[c]] for f, c in zip(member, table.class_of)):
+        raise ValueError("the elements of %s vanishing under %#x are not a union "
+                         "of its classes" % (table.name, mask))
+    return ClassFunction._trusted((table,), {c: 1 for c, r in enumerate(reps)
+                                             if member[r]})
 
 
 def specialize(x, q):

@@ -37,6 +37,7 @@ ANTIPODE_RECURSION = ("tests/test_hopf_core.py::TestAntipode::"
                       "test_equals_the_counit_recursion")
 AGAINST_STRICT = "tests/test_combinatorics.py::TestProfileAgainstStrictPairs::"
 ORACLE_SUMS = "tests/test_hopf_core.py::TestOracleSums::"
+FROM_CODES = "tests/test_group_engine.py::TestTablesFromCodes::"
 
 MUTANTS = [
     # the byte table reducing each byte as one number, not as two nibbles;
@@ -146,6 +147,59 @@ MUTANTS = [
     # class members kept in orbit order, not sorted
     (KERNEL, "classes.append(tuple(sorted(orbit)))", "classes.append(tuple(orbit))",
      ["tests/test_group_engine.py::TestGroupTable::test_conjugacy_equals_the_orbit_search"]),
+    # a pattern group cell's unit code taken as its whole field, not its
+    # lowest bit; the two agree at p = 2, where the fields are one bit wide
+    (KERNEL, "unit = bits & -bits", "unit = bits",
+     [FROM_CODES + "test_nuio_pattern_tables_against_one_off[2-3]",
+      "tests/test_group_engine.py::TestElementBuildersAgainstReference::"
+      "test_pattern_groups_on_three_labels[5]"]),
+    # each generator's inverse read as the element its left products send
+    # to the first element, the identity only in the pattern groups
+    (KERNEL, "lefts[-1].index(self.identity_index)", "lefts[-1].index(0)",
+     [FROM_CODES + "test_generator_inverses_read_from_the_left_products[gl2q3]",
+      "tests/test_group_engine.py::TestGroupTable::test_conjugacy_against_full_conjugation"]),
+    # the pattern certificate passing every flag
+    (HOPF, "f != member[reps[c]]", "False",
+     ["tests/test_hopf_core.py::TestSpecialize::"
+      "test_flag_certificate_rejects_a_pattern_that_is_not_normal[12-in-ut3-2]"]),
+    # a standardized block read on its labels in reverse order
+    (COMBINATIONS, "m._pick(tuple(range(1, len(labels) + 1)), labels)",
+     "m._pick(tuple(range(1, len(labels) + 1)), labels[::-1])",
+     ["tests/test_group_engine.py::TestFqMatrix::"
+      "test_transports_match_the_validating_constructor[ut3q3]",
+      "tests/test_class_functions.py::TestClassMapsAgainstReference::"
+      "test_straighten[ut-4-2]"]),
+    # deflation adding each class once per row, not k times
+    (COMBINATIONS, "sum(k * terms[c] for c, k in row if c in terms)",
+     "sum(terms[c] for c, k in row if c in terms)",
+     ["tests/test_class_functions.py::TestClassMapsAgainstReference::test_deflate[ut-4-2]"]),
+    # unstraightening reading each class pair reversed
+    (COMBINATIONS, "tensor.terms[pair] for c, pair in enumerate(pairs) if pair in tensor.terms",
+     "tensor.terms[pair[::-1]] for c, pair in enumerate(pairs)\n"
+     "        if pair[::-1] in tensor.terms",
+     ["tests/test_class_functions.py::TestClassMapsAgainstReference::"
+      "test_unstraighten[ut-4-2]"]),
+    # the dagger's profile counting the rows at most n + 1 - i, not below it
+    (ORDERS, "bisect.bisect_right(prof, n + 1 - i)", "bisect.bisect_left(prof, n + 1 - i)",
+     [AGAINST_STRICT + "test_dagger", "tests/test_combinatorics.py::TestNuio::test_dagger_pin"]),
+    # the dagger's profile reflected through n - i, not n + 1 - i
+    (ORDERS, "n + 1 - bisect.bisect_right(prof, n + 1 - i)",
+     "n + 1 - bisect.bisect_right(prof, n - i)",
+     [AGAINST_STRICT + "test_dagger", "tests/test_combinatorics.py::TestNuio::test_dagger_pin"]),
+    # a restriction's row counting the inside labels from c(i) + 1, not c(i)
+    (ORDERS, "((inside >> c).bit_count(),) + ins", "((inside >> c + 1).bit_count(),) + ins",
+     [AGAINST_STRICT + "test_shifted_restrict_and_ascent_count"]),
+    # a restriction's row counting the other side's labels from c(i) + 1
+    (ORDERS, "((rest >> c).bit_count(),) + outs", "((rest >> c + 1).bit_count(),) + outs",
+     [AGAINST_STRICT + "test_shifted_restrict_and_ascent_count"]),
+    # the ascents of i counting the label c(i) too
+    (ORDERS, "(rest & (1 << c) - (bit << 1)).bit_count()",
+     "(rest & (1 << c + 1) - (bit << 1)).bit_count()",
+     [AGAINST_STRICT + "test_shifted_restrict_and_ascent_count", SUBSET_SUM + "[3]"]),
+    # the ascents of i counting the inside labels, not the other side's
+    (ORDERS, "(rest & (1 << c) - (bit << 1)).bit_count()",
+     "(inside & (1 << c) - (bit << 1)).bit_count()",
+     [AGAINST_STRICT + "test_shifted_restrict_and_ascent_count", SUBSET_SUM + "[3]"]),
 ]
 
 

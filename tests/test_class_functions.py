@@ -19,6 +19,7 @@ import pytest
 
 from uthopf.class_functions import (
     ClassFunction,
+    _exact,
     TensorFunction,
     dagger_cf,
     deflate_cf,
@@ -36,7 +37,6 @@ from uthopf.combinatorics import (
     chain_order,
     levi_pattern,
     radical_pattern,
-    standardize,
 )
 from uthopf import hopf_core
 from uthopf.gl_bridge import gl_product, levi_table, parabolic_table, radical_table
@@ -45,8 +45,26 @@ from uthopf.hopf_core import GradedClassFunction, _all_squares, monoid_relabel, 
     ut_product
 from uthopf.hopf_core import split_tables as ut_split_tables
 
-from test_combinatorics import parabolic_pattern
-from test_group_engine import direct_sum
+from test_combinatorics import parabolic_pattern, standardize
+from test_group_engine import block, direct_sum
+
+
+def from_function(group, fn):
+    """Reference class function: fn at the class representatives; a
+    ValueError is raised unless fn, evaluated at every element, is
+    constant on classes."""
+    values = [_exact(fn(group.elements[r])) for r in group.class_reps]
+    for m, c in zip(group.elements, group.class_of):
+        if fn(m) != values[c]:
+            raise ValueError(f"not constant on classes at {m!r}")
+    return ClassFunction(group, {c: v for c, v in enumerate(values) if v})
+
+
+def subgroup_indicator(group, member):
+    """Reference indicator of a subset given by a membership predicate on
+    matrices, checked for class constancy, so this only succeeds on unions
+    of conjugacy classes (for subgroups: exactly the normal ones)."""
+    return from_function(group, lambda m: int(bool(member(m))))
 
 
 def trivial(group):
@@ -138,8 +156,6 @@ class TestClassFunction:
                 ClassFunction(g, {0: bad})
             with pytest.raises(TypeError):
                 one.scale(bad)
-            with pytest.raises(TypeError):
-                ClassFunction.from_function(g, lambda m: bad)
         with pytest.raises(TypeError):
             0.5 * one
         with pytest.raises(TypeError):
@@ -150,8 +166,8 @@ class TestClassFunction:
         # entry is set; the superdiagonal entries themselves stay fixed
         g = ut_table(3, 2)
         with pytest.raises(ValueError):
-            ClassFunction.from_function(g, lambda m: m.entry(1, 3))
-        ClassFunction.from_function(g, lambda m: m.entry(1, 2))
+            from_function(g, lambda m: m.entry(1, 3))
+        from_function(g, lambda m: m.entry(1, 2))
 
     def test_indicator_inner_products(self):
         g = gl_table(2, 3)
@@ -167,13 +183,13 @@ class TestClassFunction:
     def test_subgroup_indicator_requires_normality(self):
         g = ut_table(3, 2)
         # entries above the diagonal in column 3 only: normal
-        normal = ClassFunction.subgroup_indicator(
+        normal = subgroup_indicator(
             g, lambda m: m.entry(1, 2) == 0
         )
         assert normal.at_matrix(g.elements[g.identity_index]) == 1
         # entry (2, 3) only: conjugation leaks into the corner, not normal
         with pytest.raises(ValueError):
-            ClassFunction.subgroup_indicator(
+            subgroup_indicator(
                 g, lambda m: m.entry(1, 2) == 0 and m.entry(1, 3) == 0
             )
 
@@ -505,8 +521,8 @@ def reference_unstraighten_cf(tensor, inside, levi_table):
     values = []
     for r in levi_table.class_reps:
         m = levi_table.elements[r]
-        c1 = tensor.left_group.class_of_matrix(m.block(inside).relabel(std_in))
-        c2 = tensor.right_group.class_of_matrix(m.block(outside).relabel(std_out))
+        c1 = tensor.left_group.class_of_matrix(block(m, inside).relabel(std_in))
+        c2 = tensor.right_group.class_of_matrix(block(m, outside).relabel(std_out))
         values.append(tensor.terms.get((c1, c2), Fraction(0)))
     return ClassFunction(levi_table, dict(enumerate(values)))
 
@@ -622,6 +638,18 @@ class TestClassMapsAgainstReference:
         with pytest.raises(ValueError):
             unstraighten_cf(tensor, (1,), g)
 
+    @pytest.mark.parametrize("inside", [(1, 5), (1, 1), (0,)])
+    def test_straightening_needs_labels_of_the_ground(self, inside):
+        # _block_classes checks the labels once, before it picks any block
+        levi = ut_split_tables(3, (1,), 2)[0]
+        left, right = ut_table(1, 2), ut_table(2, 2)
+        tensor = straighten_cf(trivial(levi), (1,), left, right)
+        assert unstraighten_cf(tensor, (1,), levi) == trivial(levi)
+        with pytest.raises(ValueError, match="not sorted distinct labels"):
+            straighten_cf(trivial(levi), inside, left, right)
+        with pytest.raises(ValueError, match="not sorted distinct labels"):
+            unstraighten_cf(tensor, inside, levi)
+
 
 class TestExactForm:
     """Transport results hold integral values as ints, the rest as Fractions,
@@ -674,7 +702,7 @@ class TestTrustedTransports:
         monkeypatch.setattr(TensorFunction, "__init__", refuse)
         results = []
         for (group, levi, radical, inside, left, right), fs, ls, lefts, rights in splits:
-            results.append(ClassFunction.from_function(group, lambda m: 1))
+            results.append(hopf_core._vanishing_indicator(group, 0))
             for f in fs:
                 results += [deflate_cf(f, levi, radical), restrict_cf(f, levi),
                             dagger_cf(f), pullback_cf(f, group)]

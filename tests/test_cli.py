@@ -486,6 +486,25 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "UTHOPF_BUDGET must be" in err
+        assert "budget exceeded" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("scf", "antipode", "--poset", POSET_A2),
+        ("verify", "oracle", "--n", "2"),
+        ("verify", "oracle", "--n", "2", "--q", "3"),
+    ], ids=["scf", "verify", "verify-prime"])
+    def test_bad_budget_setting_names_the_setting(self, capsys, monkeypatch, argv):
+        # --q 3 reads the setting while argparse converts it (_prime)
+        monkeypatch.setenv("UTHOPF_BUDGET", "abc")
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "UTHOPF_BUDGET must be an integer, got 'abc'" in err
+        assert "budget exceeded" not in err
 
     @pytest.mark.parametrize("flag,value", [("--samples", "-5"), ("--size", "0")])
     def test_bad_sampling_flags_exit_two(self, capsys, flag, value):

@@ -28,9 +28,17 @@ from uthopf.combinatorics import (
     radical_pattern,
     refinements,
     set_compositions,
-    standardize,
     total_orders,
 )
+
+
+def standardize(labels):
+    """Map the k-th smallest label to k, as a dict.
+
+    >>> standardize((2, 5, 3))
+    {2: 1, 3: 2, 5: 3}
+    """
+    return {s: r for r, s in enumerate(sorted(labels), start=1)}
 
 
 def equal_pairs(comp):

@@ -7,6 +7,8 @@ import re
 
 import pytest
 
+from uthopf import group_engine
+from uthopf.class_functions import _standard_block
 from uthopf.combinatorics import (
     BudgetError,
     SetComposition,
@@ -78,6 +80,16 @@ def scan_gl_elements(n, p):
         if is_invertible(m):
             out.append(m)
     return out
+
+
+def block(m, labels):
+    """Square submatrix of m on the given labels, keeping those labels."""
+    labels = tuple(sorted(labels))
+    if len(set(labels).intersection(m.ground)) != len(labels):
+        raise ValueError("block labels must be distinct labels of the ground")
+    pos = {label: k for k, label in enumerate(m.ground)}
+    return FqMatrix(m.p, labels, [[m.rows[pos[i]][pos[j]] for j in labels]
+                                  for i in labels])
 
 
 def direct_sum(a, b):
@@ -199,8 +211,8 @@ class TestFqMatrix:
         b = FqMatrix(3, (3,), [[2]])
         s = direct_sum(a, b)
         assert s.ground == (1, 2, 3)
-        assert s.block((1, 2)) == a
-        assert s.block((3,)) == b
+        assert block(s, (1, 2)) == a
+        assert block(s, (3,)) == b
         assert s.entry(1, 3) == 0 and s.entry(3, 1) == 0
 
     def test_relabel_needs_a_bijection_from_the_ground(self):
@@ -211,18 +223,20 @@ class TestFqMatrix:
 
     def test_block_needs_labels_in_the_ground(self):
         with pytest.raises(ValueError):
-            FqMatrix.identity(2, (1, 2)).block((1, 3))
+            block(FqMatrix.identity(2, (1, 2)), (1, 3))
         with pytest.raises(ValueError):
-            FqMatrix.identity(2, (1, 2)).block((1, 1))
+            block(FqMatrix.identity(2, (1, 2)), (1, 1))
 
     # the tables are built in the test, so a kernel fault fails it by name
     # rather than erroring the collection of the module
     @pytest.mark.parametrize("build, n, q", [(ut_table, 3, 3), (gl_table, 2, 3)],
                              ids=["ut3q3", "gl2q3"])
     def test_transports_match_the_validating_constructor(self, build, n, q):
-        # relabel, dagger, block and inverse build their codes unchecked
+        # relabel, dagger, the standardized block and inverse build their
+        # codes unchecked
         table = build(n, q)
         p, ground = table.p, table.ground
+        initial = tuple(range(1, n))
         shift = {i: 2 * n + 1 - i for i in ground}
         back = {v: k for k, v in shift.items()}
         moved = tuple(sorted(back))
@@ -233,7 +247,7 @@ class TestFqMatrix:
                     [m.entry(back[i], back[j]) for j in moved] for i in moved])),
                 (m.dagger(), FqMatrix(p, ground, [
                     [rows[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)])),
-                (m.block(ground[1:]), FqMatrix(p, ground[1:], [
+                (_standard_block(m, ground[1:]), FqMatrix(p, initial, [
                     [m.entry(i, j) for j in ground[1:]] for i in ground[1:]])),
                 (m.inverse(), FqMatrix(p, ground, m.inverse().rows)),
             ]
@@ -814,6 +828,80 @@ class TestFactorization:
         assert len(search_factorization(big, fake, radical)) == big.order
         with pytest.raises(ValueError):
             big.factorization(fake, radical)
+
+
+def built_with_generators(monkeypatch, build, *args):
+    """A fresh build.__wrapped__(*args) and the generators it passed to
+    GroupTable."""
+    passed = []
+
+    class Spy(GroupTable):
+        def __init__(self, elements, generators, name=""):
+            passed.append(list(generators))
+            super().__init__(elements, generators, name)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(group_engine, "GroupTable", Spy)
+        table = build.__wrapped__(*args)
+    return table, passed[-1]
+
+
+def nuio_patterns(n):
+    return [from_strict(range(1, n + 1), pi.strict)
+            for pi in natural_unit_interval_orders(n)]
+
+
+class TestTablesFromCodes:
+    """pattern_group takes each cell's unit code from the kernel's mask and
+    GroupTable reads each generator's inverse from its left products; both
+    against the paths they replaced, FqMatrix.one_off and FqMatrix.inverse."""
+
+    @pytest.mark.parametrize("n, q", [(n, q) for q in (2, 3, 5) for n in range(5)])
+    def test_nuio_pattern_tables_against_one_off(self, monkeypatch, n, q):
+        for order in nuio_patterns(n):
+            table, gens = built_with_generators(monkeypatch, pattern_group, order, q)
+            want_gens = cover_generators(order, q)
+            assert [g.code for g in gens] == [g.code for g in want_gens]
+            assert gens == want_gens
+            want = GroupTable(reference_pattern_elements(order, q), want_gens)
+            assert table.elements == want.elements
+            assert [m.code for m in table.elements] == [m.code for m in want.elements]
+            assert table.classes == want.classes
+            assert table.class_of == want.class_of
+
+    @pytest.mark.parametrize("build, args", [
+        (pattern_group, (chain_order((1, 2, 3)), 3)),
+        (pattern_group, (chain_order((1, 2, 3, 4)), 2)),
+        (pattern_group, (from_strict((1, 2, 3, 4), [(1, 3), (1, 4), (2, 4)]), 5)),
+        (gl_table, (2, 3)),
+        (gl_table, (3, 2)),
+    ], ids=["ut3q3", "ut4q2", "nuio4q5", "gl2q3", "gl3q2"])
+    def test_generator_inverses_read_from_the_left_products(self, monkeypatch, build,
+                                                            args):
+        # the conjugation pass multiplies on the right by each inverse
+        table, gens = built_with_generators(monkeypatch, build, *args)
+        k = kernel(table.p, len(table.ground))
+        used = []
+
+        def right(codes, b):
+            used.append(b)
+            return k.right(codes, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(group_engine, "kernel", lambda p, n: k._replace(right=right))
+            again = GroupTable(table.elements, gens)
+        assert used == [g.inverse().code for g in gens]
+        assert len(gens) >= 2
+        assert (again.classes, again.class_of) == (table.classes, table.class_of)
+
+    @pytest.mark.parametrize("p, rows", [(2, [[0, 0], [0, 0]]), (3, [[0, 0], [0, 0]]),
+                                         (3, [[1, 0], [0, 0]])],
+                             ids=["zero-f2", "zero-f3", "idempotent-f3"])
+    def test_generator_without_an_inverse_raises(self, p, rows):
+        # g * {1, g} = {g}: closed, but no left product is the identity
+        ident, g = FqMatrix.identity(p, (1, 2)), FqMatrix(p, (1, 2), rows)
+        with pytest.raises(ValueError, match="no inverse"):
+            GroupTable([ident, g], [g])
 
 
 class TestGl:

@@ -25,7 +25,7 @@ from uthopf.combinatorics import Nuio, SetComposition, \
 from uthopf import gl_bridge
 from uthopf.gl_bridge import coproduct_hom_cases, dagger_invariance_cases, \
     gl_coproduct, induce_to_gl, product_hom_cases
-from uthopf.group_engine import gl_table, ut_table
+from uthopf.group_engine import gl_table, kernel, ut_table
 from uthopf.hopf_core import (
     GradedClassFunction,
     GradedTensor,
@@ -50,7 +50,8 @@ from uthopf.hopf_core import (
     verify_reports,
 )
 
-from test_class_functions import assert_exact_form, indicators, trivial
+from test_class_functions import assert_exact_form, indicators, subgroup_indicator, \
+    trivial
 from test_combinatorics import from_strict, ref_ascent_count, ref_shifted_restrict
 
 PT = Nuio(1, [])
@@ -868,6 +869,28 @@ class TestSpecialize:
                 induced = induce_cf(trivial(sub), big)
                 index = Fraction(big.order, sub.order)
                 assert induced == pattern_indicator(pi, q) * index
+
+    @pytest.mark.parametrize("n, q", [(n, q) for q in (2, 3, 5) for n in range(5)])
+    def test_pattern_indicator_against_the_predicate(self, n, q):
+        # the flag certificate against the per-element predicate it replaced
+        table = ut_table(n, q)
+        for pi in natural_unit_interval_orders(n):
+            off = kernel(q, n).mask([(i - 1, j - 1) for i, j in
+                                     itertools.combinations(range(1, n + 1), 2)
+                                     if (i, j) not in pi.strict])
+            want = subgroup_indicator(table, lambda m: not m.code & off)
+            assert pattern_indicator.__wrapped__(pi, q) == want
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("n, cells", [
+        (3, [(1, 2)]), (3, [(2, 3)]), (4, [(1, 2), (1, 3), (1, 4), (2, 3)]),
+    ], ids=["12-in-ut3", "23-in-ut3", "24-missing-in-ut4"])
+    def test_flag_certificate_rejects_a_pattern_that_is_not_normal(self, n, cells, q):
+        off = kernel(q, n).mask([(i - 1, j - 1) for i, j in
+                                 itertools.combinations(range(1, n + 1), 2)
+                                 if (i, j) not in cells])
+        with pytest.raises(ValueError, match="not a union of its classes"):
+            hopf_core._vanishing_indicator(ut_table(n, q), off)
 
     def test_linear(self):
         x = basis(A2) + basis(C2).scale(T)

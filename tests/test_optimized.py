@@ -121,6 +121,13 @@ NODE_IDS = [
     "tests/test_cli.py::TestErrors::test_bad_budget_setting_exits_two",
     "tests/test_combinatorics.py::TestSetComposition::test_rejects_empty_blocks",
     "tests/test_combinatorics.py::TestPartialOrder::test_rejects_non_reflexive_pairs",
+    "tests/test_group_engine.py::TestTablesFromCodes::"
+    "test_generator_without_an_inverse_raises",
+    "tests/test_hopf_core.py::TestSpecialize::"
+    "test_flag_certificate_rejects_a_pattern_that_is_not_normal",
+    "tests/test_class_functions.py::TestClassMapsAgainstReference::"
+    "test_straightening_needs_labels_of_the_ground",
+    "tests/test_cli.py::TestErrors::test_bad_budget_setting_names_the_setting",
 ]
 
 
@@ -135,5 +142,5 @@ def test_validation_survives_optimize():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "133 passed" in proc.stdout, proc.stdout[-3000:]
+    assert "151 passed" in proc.stdout, proc.stdout[-3000:]
     assert "python -O" in proc.stdout, "the subprocess did not run optimized"
