@@ -36,7 +36,7 @@ import collections
 import functools
 from fractions import Fraction
 
-from .group_engine import FqMatrix, GroupTable, kernel
+from .group_engine import Codes, FqMatrix, GroupTable, kernel
 
 
 def _exact(x):
@@ -241,7 +241,7 @@ def _class_map(source, target, move=None, arg=()):
     """The class in source of each class representative m of target, moved
     to move(m, *arg) unless move is None; KeyError if one is not in source.
     arg is a tuple of hashable values, compared by value in the cache key."""
-    reps = [target.elements[r] for r in target.class_reps]
+    reps = map(target.element, target.class_reps)
     return tuple(source.class_of_matrix(move(m, *arg) if move else m) for m in reps)
 
 
@@ -252,21 +252,22 @@ def _deflation(group, levi, radical):
     on codes per l.
     Raises ValueError unless levi and radical lie in group and meet only in
     the identity; a factor that is group itself is not scanned."""
-    if not all(m in group for factor in (levi, radical) if factor is not group
-               for m in factor.elements):
+    index = group.index
+    if not all((f.p, f.ground) == (group.p, group.ground)
+               and all(c in index for c in f.codes)
+               for f in (levi, radical) if f is not group):
         raise ValueError("%s and %s do not both lie in %s"
                          % (levi.name, radical.name, group.name))
-    if sum(1 for m in radical.elements if m in levi) != 1:
+    if sum(1 for c in radical.codes if c in levi.index) != 1:
         raise ValueError("%s and %s must meet only in the identity"
                          % (levi.name, radical.name))
     left = kernel(group.p, len(group.ground)).left
-    class_of, index = group.class_of, group.index
-    xs = [x.code for x in radical.elements]
+    class_of, xs = group.class_of, radical.codes
     return tuple(
         tuple(collections.Counter(
-            class_of[index[lx]] for lx in left(l, xs)
+            class_of[index[lx]] for lx in left(levi.codes[r], xs)
         ).items())
-        for l in (levi.elements[r].code for r in levi.class_reps)
+        for r in levi.class_reps
     )
 
 
@@ -303,7 +304,7 @@ def deflate_cf(psi, levi, radical):
 def _trivial(p, ground):
     """The one-element group on ground over F_p: the radical over which
     deflation is restriction and inflation is induction."""
-    return GroupTable([FqMatrix.identity(p, ground)], (),
+    return GroupTable(Codes(p, ground, [kernel(p, len(ground)).one]), (),
                       name="1[%s]q%d" % (",".join(map(str, ground)), p))
 
 

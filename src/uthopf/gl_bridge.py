@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 
-from .group_engine import FqMatrix, GroupTable, _check_gl_budget, _gl_generators, \
-    gl_table, kernel
+from .group_engine import Codes, FqMatrix, GroupTable, _check_gl_budget, \
+    _gl_generators, gl_table, kernel
 # deflate_cf is bound here too: perfbench/test_perfbench.py checks that
 # the tracer rebinds this copy of it.
 from .class_functions import deflate_cf, induce_cf, induce_tensor  # noqa: F401
@@ -60,7 +60,7 @@ def parabolic_table(n, i, q):
     corner = FqMatrix.one_off(q, gl.ground, i, i + 1, 1)
     lower = kernel(q, n).mask((r, c) for r in range(i, n) for c in range(i))
     return GroupTable(
-        [m for m in gl.elements if not m.code & lower],
+        Codes(q, gl.ground, [c for c in gl.codes if not c & lower]),
         generators=_levi_generators(n, i, q) + [corner],
         name="GL%dP%dq%d" % (n, i, q),
     )
@@ -78,7 +78,7 @@ def levi_table(n, i, q):
     off = kernel(q, n).mask((r, c) for r in range(n) for c in range(n)
                             if (r < i) != (c < i))
     return GroupTable(
-        [m for m in gl.elements if not m.code & off],
+        Codes(q, gl.ground, [c for c in gl.codes if not c & off]),
         generators=_levi_generators(n, i, q),
         name="GL%dL%dq%d" % (n, i, q),
     )

@@ -1,13 +1,15 @@
 """Brute-force matrix groups over prime fields.
 
-Groups are explicit sorted lists of immutable matrices with given
-generators.  A matrix is its packed code, the entries of an n x n matrix
-over F_p in one int, decoded on read by the kernel of (p, n), which also
-multiplies codes.  Every product is a batched one, one matrix times many
-codes packed into one int; a single product is a batch of one.  At odd p
-a batch reduces its fields mod p with one byte-table translate when the
-unreduced sum fits in 4 bits (F_3 up to n = 3), and field by field when
-it does not.  Tables build the codes of their elements directly and are
+A group table is the list of the codes of its elements, with given
+generators; the matrices of its element list are built on first read,
+which no library path makes.  A matrix is its packed code, the entries of
+an n x n matrix over F_p in one int, decoded on read by the kernel of
+(p, n), which also multiplies codes and holds the identity's code.  Every
+product is a batched one, one matrix times many codes packed into one int;
+a single product is a batch of one.  At odd p a batch reduces its fields
+mod p with one byte-table translate when the unreduced sum fits in 4 bits
+(F_3 up to n = 3), and field by field when it does not.  Tables build the
+codes of their elements directly, as Codes(p, ground, codes), and are
 indexed by them; a pattern group adds the unit code of each cell, the
 lowest bit of the cell's field in the kernel's mask, to the identity's.
 At construction each generator takes two batched products over the whole
@@ -55,7 +57,7 @@ def _positions(ground):
     return {label: k for k, label in enumerate(ground)}
 
 
-Kernel = collections.namedtuple("Kernel", "encode decode mul mask left right")
+Kernel = collections.namedtuple("Kernel", "encode decode mul mask left right one")
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,12 +83,15 @@ def kernel(p, n):
     Returns Kernel(encode(rows) -> code, decode(code) -> rows, mul(a, b) ->
     code, mask(cells) -> the bits of the entries at the (row, column) cells,
     left(a, codes) -> the codes a * b for b in codes, right(codes, b) -> the
-    codes a * b for a in codes); encode expects entries already reduced mod
-    p, so an entry at a cell is 0 exactly when code & mask([cell]) is.
+    codes a * b for a in codes, one, the code of the identity); encode
+    expects entries already reduced mod p, so an entry at a cell is 0
+    exactly when code & mask([cell]) is.
 
     Over F_3, x = ((1, 2), (0, 1)) has code 4129 and the identity 4097:
 
     >>> k, m = kernel(2, 2), kernel(3, 2)
+    >>> k.one, m.one
+    (9, 4097)
     >>> k.encode(((1, 0), (1, 1))), k.decode(13), 13 & k.mask([(0, 1)])
     (13, ((1, 0), (1, 1)), 0)
     >>> m.encode(((1, 2), (0, 1))), m.decode(4129), 4129 & m.mask([(0, 1)])
@@ -164,7 +169,8 @@ def kernel(p, n):
     def mul(a, b):
         return left(a, (b,))[0]
 
-    return Kernel(encode, decode, mul, mask, left, right)
+    return Kernel(encode, decode, mul, mask, left, right,
+                  sum(1 << shifts[r][r] for r in range(n)))
 
 
 class FqMatrix:
@@ -198,11 +204,6 @@ class FqMatrix:
     @property
     def rows(self):
         return kernel(self.p, len(self.ground)).decode(self.code)
-
-    @classmethod
-    def identity(cls, p, ground):
-        n = len(tuple(ground))
-        return cls(p, ground, [[int(r == c) for c in range(n)] for r in range(n)])
 
     @classmethod
     def one_off(cls, p, ground, i, j, value):
@@ -316,31 +317,40 @@ def _orbit(start, steps, seen, label):
     return orbit
 
 
-class GroupTable:
-    """A finite matrix group held as an explicit element list.
+Codes = collections.namedtuple("Codes", "p ground codes")
 
-    The element list order is preserved as given; constructors in this
-    module always supply lexicographic row-major order.  The generators are
-    given; two batched products per generator at construction check that
-    they generate the whole list and give each element's conjugate under
-    it.  The classes, the orbits of those conjugates, are walked on first
-    read.  There is no product cache.
+
+class GroupTable:
+    """A finite matrix group held as p, ground and the codes of its elements.
+
+    elements is a list of matrices over one field and ground, or Codes(p,
+    ground, codes) built over a checked prime; the matrices of elements are
+    built on first read.  The order is preserved as given; constructors in
+    this module always supply lexicographic row-major order.  The
+    generators are given; two batched products per generator at
+    construction check that they generate the whole list and give each
+    element's conjugate under it.  The classes, the orbits of those
+    conjugates, are walked on first read.  There is no product cache.
     """
 
     def __init__(self, elements, generators, name=""):
-        self.elements = list(elements)
-        if not self.elements:
-            raise ValueError("a group needs at least the identity")
-        self.p = self.elements[0].p
-        self.ground = self.elements[0].ground
-        if any(m.p != self.p or m.ground != self.ground for m in self.elements):
-            raise ValueError("elements over different fields or grounds")
-        self.index = {m.code: i for i, m in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+        self._elements = None
+        if not isinstance(elements, Codes):
+            self._elements = list(elements)
+            if not self._elements:
+                raise ValueError("a group needs at least the identity")
+            p, ground = self._elements[0].p, self._elements[0].ground
+            if any(m.p != p or m.ground != ground for m in self._elements):
+                raise ValueError("elements over different fields or grounds")
+            elements = Codes(p, ground, [m.code for m in self._elements])
+        self.p, self.ground, codes = elements
+        self.codes = list(codes)
+        self.index = {c: i for i, c in enumerate(self.codes)}
+        if len(self.index) != len(self.codes):
             raise ValueError("repeated elements")
-        self.order = len(self.elements)
+        self.order = len(self.codes)
         self.name = name or "group/%d/%d" % (self.p, self.order)
-        self.identity_index = self.position(FqMatrix.identity(self.p, self.ground))
+        self.identity_index = self.index.get(kernel(self.p, len(self.ground)).one)
         if self.identity_index is None:
             raise ValueError("identity missing")
         self._classes = None
@@ -350,6 +360,17 @@ class GroupTable:
             raise ValueError("a generator of %s is not in its element list"
                              % self.name)
         self._ensure_generating(gens)
+
+    @property
+    def elements(self):
+        """The element list as matrices, built from the codes on first read."""
+        if self._elements is None:
+            self._elements = list(map(self.element, range(self.order)))
+        return self._elements
+
+    def element(self, i):
+        """The matrix of the element at index i."""
+        return FqMatrix._from_code(self.p, self.ground, self.codes[i])
 
     def __repr__(self):
         return "GroupTable(%s, order=%d)" % (self.name, self.order)
@@ -373,12 +394,11 @@ class GroupTable:
         generator's left products reach the identity and the walk from the
         identity along the left products reaches all of the table; the
         conjugation lists are kept for _conjugacy."""
-        index = self.index
+        index, codes = self.index, self.codes
         k = kernel(self.p, len(self.ground))
-        codes = [m.code for m in self.elements]
         lefts, self._conjugates = [], []
         for g in gens:
-            moved = k.left(self.elements[g].code, codes)
+            moved = k.left(codes[g], codes)
             lefts.append(list(map(index.get, moved)))
             if None in lefts[-1]:
                 raise ValueError("%s is not closed under products" % self.name)
@@ -488,8 +508,8 @@ def pattern_group(order, p):
     cells = list(order.strict_pairs)
     _check_budget(lambda: p ** len(cells), f"pattern group on {len(cells)} cells",
                   bits=len(cells) * (p.bit_length() - 1))
-    ident = FqMatrix.identity(p, ground).code
-    mask, pos, strict = kernel(p, len(ground)).mask, _positions(ground), set(cells)
+    kern, pos, strict = kernel(p, len(ground)), _positions(ground), set(cells)
+    ident, mask = kern.one, kern.mask
     codes, gens = [ident], []
     for i, j in cells:
         bits = mask([(pos[i], pos[j])])
@@ -497,13 +517,12 @@ def pattern_group(order, p):
         codes = [c + v * unit for c in codes for v in range(p)]
         if not any((i, k) in strict and (k, j) in strict for k in ground):
             gens.append(FqMatrix._from_code(p, ground, ident + unit))
-    elements = [FqMatrix._from_code(p, ground, c) for c in codes]
     name = "UT[%s|%s]q%d" % (
         ",".join(map(str, ground)),
         ";".join("%d<%d" % c for c in cells),
         p,
     )
-    table = GroupTable(elements, generators=gens, name=name)
+    table = GroupTable(Codes(p, ground, codes), generators=gens, name=name)
     table.pattern = order
     return table
 
@@ -558,8 +577,11 @@ def gl_table(n, p):
     carries its code, the sum of the codes of its rows, each read from a
     table of the codes of the p^n vectors at that row; the last row
     completes each matrix by one more addition, so no element is encoded
-    from its entries.  A prefix keeps its span only while more rows remain.
-    For n = 0 the group is the one empty matrix.
+    from its entries.  A vector is held as its index, its entries as base-p
+    digits, and a span as a set of indices, kept only while more rows
+    remain and grown through tables of multiples and, for n >= 3, of sums
+    (at n = 2 the only span grown is {0}): for n >= 2 only, and smaller
+    than the group.  For n = 0 the group is the one empty matrix.
     """
     _check_prime(p)
     _check_gl_budget(n, p)
@@ -569,22 +591,22 @@ def gl_table(n, p):
     encode = kernel(p, n).encode
     at_row = [[encode([v if r == k else zero for r in range(n)]) for v in vectors]
               for k in range(n)]
-    level = [(0, {zero})]
+    if n >= 2:
+        index = {v: i for i, v in enumerate(vectors)}
+        scaled = [[index[tuple(a * x % p for x in v)] for a in range(1, p)]
+                  for v in vectors]
+        sums = [[index[tuple((x + y) % p for x, y in zip(u, v))] for v in vectors]
+                for u in vectors] if n >= 3 else [range(p ** n)]
+    level = [(0, {0})]
     for k in range(n - 1):
-        level = [
-            (code + c, {
-                tuple((x + a * y) % p for x, y in zip(w, v))
-                for w in span for a in range(p)
-            })
-            for code, span in level for v, c in zip(vectors, at_row[k])
-            if v not in span
-        ]
+        level = [(code + c, span.union([sums[w][m] for w in span for m in scaled[v]]))
+                 for code, span in level for v, c in enumerate(at_row[k])
+                 if v not in span]
     codes = [code + c for code, span in level
-             for v, c in zip(vectors, at_row[-1]) if v not in span] if n else [0]
+             for v, c in enumerate(at_row[-1]) if v not in span] if n else [0]
     del level  # the last spans are not needed while the table is built
-    elements = [FqMatrix._from_code(p, ground, c) for c in codes]
-    return GroupTable(elements, generators=_gl_generators(p, ground, ground),
-                      name="GL%dq%d" % (n, p))
+    return GroupTable(Codes(p, ground, codes),
+                      generators=_gl_generators(p, ground, ground), name="GL%dq%d" % (n, p))
 
 
 def _gl_generators(p, ground, block):

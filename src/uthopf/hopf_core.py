@@ -437,7 +437,7 @@ class GradedClassFunction(_AtPrime):
                 "group": f.group.name,
                 "values": [
                     {
-                        "class_rep": f.group.elements[r].to_digits(),
+                        "class_rep": f.group.element(r).to_digits(),
                         "value": frac_str(v),
                     }
                     for r, v in zip(f.group.class_reps, f.values)
@@ -481,7 +481,7 @@ def _vanishing_indicator(table, mask):
     each element's flag must equal its class representative's, else
     ValueError; so for a subgroup this succeeds exactly when it is normal.
     """
-    member = [not m.code & mask for m in table.elements]
+    member = [not c & mask for c in table.codes]
     reps = table.class_reps
     if any(f != member[reps[c]] for f, c in zip(member, table.class_of)):
         raise ValueError("the elements of %s vanishing under %#x are not a union "

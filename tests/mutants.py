@@ -38,6 +38,8 @@ ANTIPODE_RECURSION = ("tests/test_hopf_core.py::TestAntipode::"
 AGAINST_STRICT = "tests/test_combinatorics.py::TestProfileAgainstStrictPairs::"
 ORACLE_SUMS = "tests/test_hopf_core.py::TestOracleSums::"
 FROM_CODES = "tests/test_group_engine.py::TestTablesFromCodes::"
+AGAINST_MATRICES = "tests/test_group_engine.py::TestCodesAgainstMatrices::"
+ROW_BUILT = "tests/test_group_engine.py::TestGl::test_row_built_elements_equal_the_scan"
 
 MUTANTS = [
     # the byte table reducing each byte as one number, not as two nibbles;
@@ -200,6 +202,39 @@ MUTANTS = [
     (ORDERS, "(rest & (1 << c) - (bit << 1)).bit_count()",
      "(inside & (1 << c) - (bit << 1)).bit_count()",
      [AGAINST_STRICT + "test_shifted_restrict_and_ascent_count", SUBSET_SUM + "[3]"]),
+    # the identity's code read off the first column, not the diagonal; the
+    # two agree at n = 1
+    (KERNEL, "sum(1 << shifts[r][r] for r in range(n))",
+     "sum(1 << shifts[r][0] for r in range(n))",
+     [AGAINST_MATRICES + "test_gl_tables[2-3]",
+      "src/uthopf/group_engine.py::uthopf.group_engine.kernel"]),
+    # the containment of a deflation's factors read in the levi, not the group
+    (COMBINATIONS, "all(c in index for c in f.codes)",
+     "all(c in levi.index for c in f.codes)",
+     ["tests/test_class_functions.py::TestClassMapsAgainstReference::test_deflate[ut-4-2]"]),
+    # a span grown by the new vector alone, without its other multiples; the
+    # two agree at p = 2
+    (KERNEL, "span.union([sums[w][m] for w in span for m in scaled[v]])",
+     "span.union([sums[w][v] for w in span])",
+     [ROW_BUILT + "[2-3]", AGAINST_MATRICES + "test_gl_tables[3-3]"]),
+    # repeated codes let through when the table is built from Codes
+    (KERNEL, "if len(self.index) != len(self.codes):",
+     "if self._elements is not None and len(self.index) != len(self.codes):",
+     [AGAINST_MATRICES + "test_bad_code_lists_raise_as_matrix_lists_do[repeated]"]),
+    # straightening pairing each class with the values in reverse order
+    (COMBINATIONS, "{pairs[c]: v for c, v in psi.terms.items()}",
+     "{pairs[c]: v for c, v in zip(psi.terms, reversed(psi.terms.values()))}",
+     ["tests/test_class_functions.py::TestClassMapsAgainstReference::"
+      "test_straighten[ut-4-2]"]),
+    # a sampled compatibility square drawing its total orders before B
+    (HOPF,
+     "B = _random_composition(rng, ground)\n"
+     "            yield _compatibility(A, [_random_total(rng, b) for b in A.blocks], B)",
+     "taus = [_random_total(rng, b) for b in A.blocks]\n"
+     "            yield _compatibility(A, taus, _random_composition(rng, ground))",
+     ["tests/test_cli.py::TestVerify::test_verify_output_is_pinned[monoid-axioms-json]",
+      "tests/test_cli.py::TestVerify::"
+      "test_verify_output_is_pinned[monoid-axioms-n3-q2-sampled]"]),
 ]
 
 

@@ -551,6 +551,13 @@ def indicators(group):
     return [ClassFunction.class_indicator(group, c) for c in range(len(group.classes))]
 
 
+def functions(group):
+    """The indicators, and a Fraction-valued function with distinct values,
+    some integral and some negative."""
+    return indicators(group) + [ClassFunction(group, {
+        c: Fraction((-1) ** c * (c + 1), 3) for c in range(len(group.classes))})]
+
+
 class TestClassMapsAgainstReference:
     @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
     def test_deflate(self, family, top, q):
@@ -563,7 +570,7 @@ class TestClassMapsAgainstReference:
     @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
     def test_straighten(self, family, top, q):
         for _, levi, _, inside, left, right in coproduct_splits(family, top, q):
-            for psi in indicators(levi):
+            for psi in functions(levi):
                 assert straighten_cf(psi, inside, left, right) == (
                     reference_straighten_cf(psi, inside, left, right)
                 )
@@ -581,12 +588,6 @@ class TestClassMapsAgainstReference:
         ("ut", 4, 2), ("ut", 3, 3), ("gl", 3, 2), ("gl", 3, 3),
     ])
     def test_product(self, family, top, q):
-        # the indicators, and a Fraction-valued function with some integral
-        # and some negative values
-        def functions(group):
-            return indicators(group) + [ClassFunction(group, {
-                c: Fraction((-1) ** c * (c + 1), 3) for c in range(len(group.classes))})]
-
         product, ambient, reference = {
             "ut": (ut_product, ut_table, reference_ut_product_component),
             "gl": (gl_product, gl_table, reference_gl_product_component),

@@ -35,7 +35,7 @@ from uthopf.hopf_core import ScfElement, specialize, split_tables, ut_coproduct,
 
 from test_combinatorics import parabolic_pattern
 from test_group_engine import coset_rep_permutation, cover_generators, direct_sum, \
-    search_generators
+    identity, search_generators
 
 
 def conjugate(m, g, h):
@@ -93,7 +93,7 @@ def three_generator_reference(p, ground, block):
     if p > 2:
         gens.append(FqMatrix.one_off(
             p, ground, block[0], block[0], primitive_root(p) - 1
-        ) if block else FqMatrix.identity(p, ground))
+        ) if block else identity(p, ground))
     return gens
 
 

@@ -4,10 +4,11 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
-from uthopf import group_engine
+from uthopf import gl_bridge, group_engine
 from uthopf.class_functions import _standard_block
 from uthopf.combinatorics import (
     BudgetError,
@@ -21,6 +22,7 @@ from uthopf.combinatorics import (
 )
 from uthopf.gl_bridge import levi_table, parabolic_table, radical_table
 from uthopf.group_engine import (
+    Codes,
     FqMatrix,
     GroupTable,
     _check_prime,
@@ -45,6 +47,12 @@ def rank(m):
 
 def is_invertible(m):
     return rank(m) == len(m.rows)
+
+
+def identity(p, ground):
+    """The identity matrix on ground, through the validating constructor."""
+    n = len(tuple(ground))
+    return FqMatrix(p, ground, [[int(r == c) for c in range(n)] for r in range(n)])
 
 
 def from_digits(digits, p, ground):
@@ -148,7 +156,7 @@ class TestFqMatrix:
                 assert a * b == reference_mul(a, b)
 
     def test_identity_and_one_off(self):
-        e = FqMatrix.identity(3, (1, 2, 3))
+        e = identity(3, (1, 2, 3))
         m = FqMatrix.one_off(3, (1, 2, 3), 1, 3, 2)
         assert e * m == m and m * e == m
         assert m.entry(1, 3) == 2 and m.entry(1, 1) == 1 and m.entry(2, 3) == 0
@@ -156,7 +164,7 @@ class TestFqMatrix:
     def test_inverse(self):
         rng = random.Random(11)
         for p in (2, 3, 5):
-            e = FqMatrix.identity(p, (1, 2, 3))
+            e = identity(p, (1, 2, 3))
             found = 0
             while found < 10:
                 m = random_matrix(rng, p, 3)
@@ -171,7 +179,7 @@ class TestFqMatrix:
 
     def test_rank(self):
         g = (1, 2, 3)
-        assert rank(FqMatrix.identity(2, g)) == 3
+        assert rank(identity(2, g)) == 3
         assert rank(FqMatrix(2, g, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])) == 2
         assert rank(FqMatrix(3, g, [[0] * 3] * 3)) == 0
 
@@ -223,9 +231,9 @@ class TestFqMatrix:
 
     def test_block_needs_labels_in_the_ground(self):
         with pytest.raises(ValueError):
-            block(FqMatrix.identity(2, (1, 2)), (1, 3))
+            block(identity(2, (1, 2)), (1, 3))
         with pytest.raises(ValueError):
-            block(FqMatrix.identity(2, (1, 2)), (1, 1))
+            block(identity(2, (1, 2)), (1, 1))
 
     # the tables are built in the test, so a kernel fault fails it by name
     # rather than erroring the collection of the module
@@ -253,7 +261,7 @@ class TestFqMatrix:
             ]
             for got, want in expect:
                 assert got == want and got.ground == want.ground
-            assert m.inverse() * m == FqMatrix.identity(p, ground)
+            assert m.inverse() * m == identity(p, ground)
 
     def test_digit_round_trip(self):
         rng = random.Random(19)
@@ -280,9 +288,9 @@ class TestFqMatrix:
 
     def test_prime_field_required(self):
         with pytest.raises(ValueError):
-            FqMatrix.identity(4, (1, 2))
+            identity(4, (1, 2))
         with pytest.raises(ValueError):
-            FqMatrix.identity(9, (1, 2))
+            identity(9, (1, 2))
 
     def test_rows_must_match_the_ground(self):
         with pytest.raises(ValueError):
@@ -345,7 +353,8 @@ class TestKernel:
     def test_inverse_gives_the_identity(self, p):
         rng = random.Random(100 + p)
         for n in range(6):
-            ident = FqMatrix.identity(p, tuple(range(1, n + 1)))
+            ident = identity(p, tuple(range(1, n + 1)))
+            assert kernel(p, n).one == ident.code
             for _ in range(10):
                 m = random_invertible(rng, p, n)
                 assert m * m.inverse() == ident == m.inverse() * m
@@ -522,7 +531,7 @@ def cover_generators(order, p):
 def search_generators(elements):
     """Reference generating set: starting from none, append the first element
     outside the closure of the generators so far until nothing is outside."""
-    ident = FqMatrix.identity(elements[0].p, elements[0].ground)
+    ident = identity(elements[0].p, elements[0].ground)
     gens = []
     while True:
         seen = {ident}
@@ -713,7 +722,7 @@ class TestGroupTable:
             GroupTable(ut_table(2, 2).elements)
 
     def test_bad_element_lists_raise(self):
-        ident = FqMatrix.identity(2, (1, 2))
+        ident = identity(2, (1, 2))
         x = FqMatrix.one_off(2, (1, 2), 1, 2, 1)
         with pytest.raises(ValueError):
             GroupTable([], [])
@@ -725,7 +734,7 @@ class TestGroupTable:
         with pytest.raises(ValueError):
             GroupTable([ident], [x])
         # not closed: (I + e12)^2 = I + 2 e12 over F_3
-        ident3 = FqMatrix.identity(3, (1, 2))
+        ident3 = identity(3, (1, 2))
         x3 = FqMatrix.one_off(3, (1, 2), 1, 2, 1)
         with pytest.raises(ValueError):
             GroupTable([ident3, x3], [x3])
@@ -733,10 +742,10 @@ class TestGroupTable:
         with pytest.raises(ValueError):
             GroupTable([ident, ident3], [ident])
         with pytest.raises(ValueError):
-            GroupTable([ident, FqMatrix.identity(2, (1, 3))], [ident])
+            GroupTable([ident, identity(2, (1, 3))], [ident])
 
     def test_singular_generator_raises(self):
-        ident = FqMatrix.identity(2, (1, 2))
+        ident = identity(2, (1, 2))
         zero = FqMatrix(2, (1, 2), [[0, 0], [0, 0]])
         with pytest.raises(ValueError):
             GroupTable([ident, zero], [zero])
@@ -821,7 +830,7 @@ class TestFactorization:
         # search factors every element; but the part of I + e13 on the
         # support of {1, x} is I + e13 itself, which is not in {1, x}
         big = ut_table(3, 2)
-        ident = FqMatrix.identity(2, (1, 2, 3))
+        ident = identity(2, (1, 2, 3))
         x = FqMatrix(2, (1, 2, 3), [[1, 1, 1], [0, 1, 0], [0, 0, 1]])
         fake = GroupTable([ident, x], [x], name="fake")
         radical = strict_pattern_group([(1, 3), (2, 3)], 2)
@@ -832,7 +841,7 @@ class TestFactorization:
 
 def built_with_generators(monkeypatch, build, *args):
     """A fresh build.__wrapped__(*args) and the generators it passed to
-    GroupTable."""
+    GroupTable, seen from group_engine and gl_bridge."""
     passed = []
 
     class Spy(GroupTable):
@@ -842,6 +851,7 @@ def built_with_generators(monkeypatch, build, *args):
 
     with monkeypatch.context() as patch:
         patch.setattr(group_engine, "GroupTable", Spy)
+        patch.setattr(gl_bridge, "GroupTable", Spy)
         table = build.__wrapped__(*args)
     return table, passed[-1]
 
@@ -899,9 +909,102 @@ class TestTablesFromCodes:
                              ids=["zero-f2", "zero-f3", "idempotent-f3"])
     def test_generator_without_an_inverse_raises(self, p, rows):
         # g * {1, g} = {g}: closed, but no left product is the identity
-        ident, g = FqMatrix.identity(p, (1, 2)), FqMatrix(p, (1, 2), rows)
+        ident, g = identity(p, (1, 2)), FqMatrix(p, (1, 2), rows)
         with pytest.raises(ValueError, match="no inverse"):
             GroupTable([ident, g], [g])
+
+
+def assert_equals_the_matrix_table(table, gens):
+    """table, built from codes, against GroupTable of its matrices and gens."""
+    assert table._elements is None  # no matrix is built before this read
+    want = GroupTable(table.elements, gens)
+    ident = identity(table.p, table.ground)
+    assert table.codes == want.codes == [m.code for m in want.elements]
+    assert all((m.p, m.ground) == (table.p, table.ground) for m in table.elements)
+    assert table.index == want.index
+    assert table.identity_index == want.identity_index == want.position(ident)
+    assert table.classes == want.classes
+    assert table.class_of == want.class_of
+
+
+def block_cells(n, i, parabolic):
+    """The cells off the two diagonal blocks of sizes i and n - i, or for a
+    parabolic only those below them."""
+    return [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)
+            if (r <= i) != (c <= i) and (r > i or not parabolic)]
+
+
+class TestCodesAgainstMatrices:
+    """Every table the library builds from Codes equals the table built from
+    its matrices; the containment filters of levi_table and parabolic_table
+    against entries read one by one."""
+
+    @pytest.mark.parametrize("n, q", [(n, q) for q in (2, 3) for n in range(4)]
+                             + [(n, q) for q in (5, 7) for n in (1, 2)])
+    def test_gl_tables(self, monkeypatch, n, q):
+        table, gens = built_with_generators(monkeypatch, gl_table, n, q)
+        assert_equals_the_matrix_table(table, gens)
+
+    @pytest.mark.parametrize("build, parabolic", [(levi_table, False),
+                                                  (parabolic_table, True)],
+                             ids=["levi", "parabolic"])
+    @pytest.mark.parametrize("n, i, q", [(n, i, q) for q in (2, 3) for n in (2, 3)
+                                         for i in range(1, n)])
+    def test_split_tables(self, monkeypatch, build, parabolic, n, i, q):
+        table, gens = built_with_generators(monkeypatch, build, n, i, q)
+        assert_equals_the_matrix_table(table, gens)
+        cells = block_cells(n, i, parabolic)
+        assert table.elements == [m for m in gl_table(n, q).elements
+                                  if not any(m.entry(r, c) for r, c in cells)]
+
+    @pytest.mark.parametrize("n, q", [(n, q) for q in (2, 3) for n in range(5)])
+    def test_nuio_pattern_tables(self, monkeypatch, n, q):
+        for order in nuio_patterns(n):
+            table, gens = built_with_generators(monkeypatch, pattern_group, order, q)
+            assert_equals_the_matrix_table(table, gens)
+
+    def test_gl_table_builds_no_matrix_per_element(self, monkeypatch):
+        made = []
+        from_code = FqMatrix._from_code.__func__
+
+        def spy(cls, p, ground, code):
+            made.append(code)
+            return from_code(cls, p, ground, code)
+
+        monkeypatch.setattr(FqMatrix, "_from_code", classmethod(spy))
+        table = gl_table.__wrapped__(3, 3)
+        assert len(table.classes) == 24 and table.order == 11232
+        # the one scaled cycle among the generators, and no element
+        assert len(made) == 1 and table._elements is None
+
+    def test_one_by_one_tables_hold_no_square_of_p(self):
+        # a table of sums or multiples at n = 1 would hold p^2 = 1,018,081 entries
+        gl_table(1, 5)  # the modules' one-off caches are filled first
+        tracemalloc.start()
+        try:
+            table = gl_table.__wrapped__(1, 1009)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.order == 1008
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("p, ground, codes, gens, match", [
+        (2, (1, 2), [9, 11, 11], [(2, (1, 2), 11)], "repeated elements"),
+        (2, (1, 2), [11], [(2, (1, 2), 11)], "identity missing"),
+        (3, (1,), [1, 2], [(5, (1,), 2)], "not in its element list"),
+        (2, (1, 2), [9, 11], [(2, (1, 3), 11)], "not in its element list"),
+    ], ids=["repeated", "identity-missing", "generator-over-f5", "generator-on-1-3"])
+    def test_bad_code_lists_raise_as_matrix_lists_do(self, p, ground, codes, gens,
+                                                     match):
+        # over F_2 on (1, 2) the identity has code 9 and I + e12 code 11; a
+        # generator's code is in the list, but over another field or ground
+        gens = [FqMatrix._from_code(*g) for g in gens]
+        with pytest.raises(ValueError, match=match) as from_codes:
+            GroupTable(Codes(p, ground, codes), gens)
+        with pytest.raises(ValueError) as from_matrices:
+            GroupTable([FqMatrix._from_code(p, ground, c) for c in codes], gens)
+        assert str(from_codes.value) == str(from_matrices.value)
 
 
 class TestGl:
@@ -921,7 +1024,7 @@ class TestGl:
 
     @pytest.mark.parametrize("n,q", [
         (0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (0, 3), (1, 3), (2, 3), (3, 3),
-        (2, 5),
+        (1, 5), (2, 5), (1, 7), (2, 7),
     ])
     def test_row_built_elements_equal_the_scan(self, n, q):
         assert gl_table(n, q).elements == scan_gl_elements(n, q)
@@ -1003,7 +1106,7 @@ class TestBudget:
         with pytest.raises(BudgetError):
             _check_prime(10 ** 18 + 3)
         with pytest.raises(BudgetError):
-            FqMatrix.identity(10 ** 18 + 3, (1,))
+            identity(10 ** 18 + 3, (1,))
         monkeypatch.setenv("UTHOPF_BUDGET", "4")
         _check_prime.__wrapped__(23)
         with pytest.raises(BudgetError):
