@@ -11,11 +11,11 @@ Deflation lands on the Levi as a complement rather than on a quotient;
 inflation is parabolic induction, plain inflation when the group is
 Levi * radical.  Restriction and induction are the pair over the trivial
 radical (_trivial).  Straightening and unstraightening read the block
-bijection Levi = left x right (_block_classes) both ways.  Straightening,
-the flip and relabelling read one class map (_class_map).  Each map is
-built once and cached with lru_cache, keyed on the identity of its tables
-like the tables themselves; a class map also on its module-level move and
-arg.
+bijection Levi = left x right (_block_classes) both ways, its two blocks
+read off the code of each Levi class representative (_field_moves).  The
+flip and relabelling read one class map (_class_map).  Each map is built
+once and cached with lru_cache, keyed on the identity of its tables like
+the tables themselves; a class map also on its module-level move and arg.
 
 Sparse data is a Combination: a finite linear combination held in its
 `terms` dict from keys to nonzero coefficients.  The base class owns the
@@ -27,7 +27,8 @@ TensorFunction are defined here; hopf_core builds its Laurent polynomials,
 symbolic combinations and graded families on the same class.  Rational
 coefficients, here and in hopf_core's LaurentT, have one coercion, _exact:
 stored as an int when integral and as a Fraction otherwise, anything
-inexact refused.  Every division here builds its Fraction explicitly.
+inexact refused.  Every division here goes through _ratio: an exact
+quotient stays an int, and only an inexact one builds a Fraction.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ def _exact(x):
     if type(x) is not Fraction:
         raise TypeError(f"inexact scalar {x!r}")
     return x.numerator if x.denominator == 1 else x
+
+
+def _ratio(num, den):
+    """num / den for an int den > 0: the int quotient when the division is
+    exact, a Fraction otherwise; one rule for every division here."""
+    quotient, rest = divmod(num, den)
+    return Fraction(num, den) if rest else quotient
 
 
 class Combination:
@@ -254,19 +262,18 @@ def _deflation(group, levi, radical):
     the identity; a factor that is group itself is not scanned."""
     index = group.index
     if not all((f.p, f.ground) == (group.p, group.ground)
-               and all(c in index for c in f.codes)
+               and index.keys() >= set(f.codes)
                for f in (levi, radical) if f is not group):
         raise ValueError("%s and %s do not both lie in %s"
                          % (levi.name, radical.name, group.name))
-    if sum(1 for c in radical.codes if c in levi.index) != 1:
+    if len(levi.index.keys() & radical.codes) != 1:
         raise ValueError("%s and %s must meet only in the identity"
                          % (levi.name, radical.name))
     left = kernel(group.p, len(group.ground)).left
-    class_of, xs = group.class_of, radical.codes
+    at, class_at, xs = index.__getitem__, group.class_of.__getitem__, radical.codes
     return tuple(
         tuple(collections.Counter(
-            class_of[index[lx]] for lx in left(levi.codes[r], xs)
-        ).items())
+            map(class_at, map(at, left(levi.codes[r], xs)))).items())
         for r in levi.class_reps
     )
 
@@ -285,7 +292,7 @@ def inflate_cf(psi, group, levi, radical):
             sums[b] = sums.get(b, 0) + sizes[c] * k * v
     parts, big = levi.order * radical.order, group.class_sizes
     return ClassFunction._trusted((group,), {
-        b: Fraction(group.order * s, parts * big[b]) for b, s in sums.items()})
+        b: _ratio(group.order * s, parts * big[b]) for b, s in sums.items()})
 
 
 def deflate_cf(psi, levi, radical):
@@ -296,8 +303,8 @@ def deflate_cf(psi, levi, radical):
     """
     terms, rows = psi.terms, _deflation(psi.group, levi, radical)
     sums = (sum(k * terms[c] for c, k in row if c in terms) for row in rows)
-    return ClassFunction.collect(
-        ((l, Fraction(s, radical.order)) for l, s in enumerate(sums) if s), levi)
+    return ClassFunction._trusted((levi,), {
+        l: _ratio(s, radical.order) for l, s in enumerate(sums) if s})
 
 
 @functools.lru_cache(maxsize=None)
@@ -350,24 +357,51 @@ def dagger_cf(psi):
     return pullback_cf(psi, psi.group, FqMatrix.dagger)
 
 
-def _standard_block(m, labels):
-    """The block of m on labels, a sorted tuple of labels of its ground,
-    moved onto an initial segment."""
-    return m._pick(tuple(range(1, len(labels) + 1)), labels)
+def _field_moves(p, ground, labels):
+    """The (mask, shift) moves taking a code of kernel(p, len(ground)) to the
+    code of its block on labels, moved onto an initial segment: the block's
+    code is the sum of (code & mask) >> shift.  Each cell's field moves down
+    from its place in the ground to its place in the block, in the
+    kernel's row-major layout of fields of w and v bits (the widths of one
+    cell's mask); the cells with one shift share one mask."""
+    at = [ground.index(i) for i in labels]
+    n, k, moves = len(ground), len(at), {}
+    if at:
+        w, v = (kernel(p, m).mask([(0, 0)]).bit_length() for m in (n, k))
+        field = (1 << w) - 1
+        for x, a in enumerate(at):
+            for y, b in enumerate(at):
+                start = (a * n + b) * w
+                shift = start - (x * k + y) * v
+                moves[shift] = moves.get(shift, 0) | field << start
+    return [(bits, shift) for shift, bits in moves.items()]
 
 
 @functools.lru_cache(maxsize=None)
 def _block_classes(levi, inside, left, right):
     """For each class of levi, the pair (class in left of its inside block,
     class in right of its outside block), each block standardized onto an
-    initial segment.  Raises ValueError unless this is a bijection onto all
-    class pairs, that is unless levi is the product of the two blocks, and
-    unless inside is a sorted tuple of distinct labels of the ground."""
-    if tuple(sorted(set(inside).intersection(levi.ground))) != inside:
+    initial segment and read off the code of the class representative
+    (_field_moves).  Raises ValueError unless inside is a sorted tuple of
+    distinct labels of the ground, unless left and right are on the initial
+    segments over the field of levi, and unless this is a bijection onto all
+    class pairs, that is unless levi is the product of the two blocks;
+    KeyError if a block is not in its table."""
+    p, ground = levi.p, levi.ground
+    if tuple(sorted(set(inside).intersection(ground))) != inside:
         raise ValueError("%r are not sorted distinct labels of %s" % (inside, levi.name))
-    outside = tuple(k for k in levi.ground if k not in inside)
-    pairs = tuple(zip(_class_map(left, levi, _standard_block, (inside,)),
-                      _class_map(right, levi, _standard_block, (outside,))))
+    outside = tuple(k for k in ground if k not in inside)
+    sides = ((left, inside), (right, outside))
+    if any((table.p, table.ground) != (p, tuple(range(1, len(labels) + 1)))
+           for table, labels in sides):
+        raise ValueError("%s is not the block product of %s and %s"
+                         % (levi.name, left.name, right.name))
+    sides = [(table.class_of, table.index, _field_moves(p, ground, labels))
+             for table, labels in sides]
+    pairs = tuple(
+        tuple(class_of[index[sum((code & bits) >> shift for bits, shift in moves)]]
+              for class_of, index, moves in sides)
+        for code in map(levi.codes.__getitem__, levi.class_reps))
     if not len(set(pairs)) == len(pairs) == len(left.classes) * len(right.classes):
         raise ValueError("%s is not the block product of %s and %s"
                          % (levi.name, left.name, right.name))

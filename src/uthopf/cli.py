@@ -10,6 +10,7 @@ before printing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -181,7 +182,9 @@ def _cmd_verify(parser, args):
     return _print_reports(verify_reports(*suites), args.format)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The parser of the command line, built once per process."""
     parser = argparse.ArgumentParser(
         prog="uthopf",
         description="Exact Hopf algebra computations on unit interval orders "

@@ -16,7 +16,12 @@ input refused.
 Setting t = 1/q turns a basis element into the normalized indicator of its
 pattern subgroup inside the full unitriangular group, and the symbolic
 operations match inflation and parabolic deflation of those indicators; that
-match is what the oracle checks in this module verify.
+match is what the oracle checks in this module verify.  Its group side
+reads codes and ints: a unit coefficient takes its own copy of the cached
+indicator, neither evaluated nor scaled (specialize), an int coefficient
+is evaluated at 1/q as an int over a power of q (_at_inverse), the
+pattern certificate compares flag lists, and every division keeps an exact
+quotient as an int (class_functions._ratio).
 
 Species side: the same operations before quotienting by relabelling,
 realized on explicit pattern groups over a composition of the ground set.
@@ -86,6 +91,7 @@ from .class_functions import (
     _block_classes,
     _deflation,
     _exact,
+    _ratio,
     dagger_cf,
     deflate_cf,
     inflate_cf,
@@ -482,21 +488,27 @@ def _vanishing_indicator(table, mask):
     ValueError; so for a subgroup this succeeds exactly when it is normal.
     """
     member = [not c & mask for c in table.codes]
-    reps = table.class_reps
-    if any(f != member[reps[c]] for f, c in zip(member, table.class_of)):
+    at_rep = [member[r] for r in table.class_reps]
+    if list(map(at_rep.__getitem__, table.class_of)) != member:
         raise ValueError("the elements of %s vanishing under %#x are not a union "
                          "of its classes" % (table.name, mask))
-    return ClassFunction._trusted((table,), {c: 1 for c, r in enumerate(reps)
-                                             if member[r]})
+    return ClassFunction._trusted((table,), {c: 1 for c, f in enumerate(at_rep) if f})
 
 
 def specialize(x, q):
-    """Evaluate coefficients at t = 1/q and realize basis elements as indicators."""
+    """Evaluate coefficients at t = 1/q and realize basis elements as
+    indicators; a unit coefficient takes its own copy of the cached
+    indicator, neither evaluated nor scaled."""
     point = Fraction(1, q)
-    values = ((pi, c.evaluate(point)) for pi, c in x.terms.items())
+
+    def piece(pi, c):
+        f = pattern_indicator(pi, q)
+        if c.terms == LaurentT._UNIT:
+            return f._like(dict(f.terms))
+        return f.scale(c.evaluate(point))
+
     return GradedClassFunction.collect(
-        ((pi.n, pattern_indicator(pi, q).scale(v)) for pi, v in values if v), q
-    )
+        ((pi.n, piece(pi, c)) for pi, c in x.terms.items()), q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -550,11 +562,12 @@ def ut_product(a, b):
 
 def _graded_tensor(q, ambient, sums, d):
     """The graded tensor at q whose (i, j) component, on ambient(i, q) and
-    ambient(j, q), holds the numerators sums[i, j] over d: one Fraction per
-    class pair, zeros and empty components dropped."""
+    ambient(j, q), holds the numerators sums[i, j] over d: one division per
+    class pair, an int where it is exact (_ratio), zeros and empty components
+    dropped."""
     return GradedTensor._trusted((q,), {
         (i, j): TensorFunction._trusted((ambient(i, q), ambient(j, q)), {
-            key: Fraction(s, d) for key, s in out.items()})
+            key: _ratio(s, d) for key, s in out.items()})
         for (i, j), out in sums.items()})
 
 
@@ -595,16 +608,29 @@ def ut_coproduct(a):
     return parabolic_coproduct(a, ut_table, _ut_splits)
 
 
+def _at_inverse(c, q):
+    """The value of the LaurentT c at t = 1/q as (numerator, denominator).
+    With int coefficients a_k and hi = max(0, top exponent) it is the int
+    sum of a_k q^(hi - k) over q^hi, not reduced; otherwise the numerator
+    and denominator of evaluate."""
+    terms = c.terms
+    if all(type(a) is int for a in terms.values()):
+        hi = max([0, *terms])
+        return sum(a * q ** (hi - k) for k, a in terms.items()), q ** hi
+    v = c.evaluate(Fraction(1, q))
+    return v.numerator, v.denominator
+
+
 def specialize_tensor(tx, q):
-    """Evaluate coefficients at t = 1/q and realize each pair of orders as
-    the outer product of their indicators; with d the lcm of the values'
-    denominators, each product adds into one dict of int numerators per
-    bidegree, divided by d once per class pair (_graded_tensor)."""
-    point = Fraction(1, q)
-    values = [(key, c.evaluate(point)) for key, c in tx.terms.items()]
-    d, sums = math.lcm(*(v.denominator for _, v in values)), {}
-    for (l, r), v in values:
-        w, out = v.numerator * (d // v.denominator), sums.setdefault((l.n, r.n), {})
+    """Evaluate coefficients at t = 1/q (_at_inverse) and realize each pair
+    of orders as the outer product of their indicators; with d the lcm of
+    the values' denominators, each product adds into one dict of int
+    numerators per bidegree, divided by d once per class pair
+    (_graded_tensor)."""
+    values = [(key, *_at_inverse(c, q)) for key, c in tx.terms.items()]
+    d, sums = math.lcm(*(den for *_, den in values)), {}
+    for (l, r), num, den in values:
+        w, out = num * (d // den), sums.setdefault((l.n, r.n), {})
         for c1, x in pattern_indicator(l, q).terms.items():
             for c2, y in pattern_indicator(r, q).terms.items():
                 out[c1, c2] = out.get((c1, c2), 0) + x * y * w

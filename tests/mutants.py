@@ -39,6 +39,8 @@ AGAINST_STRICT = "tests/test_combinatorics.py::TestProfileAgainstStrictPairs::"
 ORACLE_SUMS = "tests/test_hopf_core.py::TestOracleSums::"
 FROM_CODES = "tests/test_group_engine.py::TestTablesFromCodes::"
 AGAINST_MATRICES = "tests/test_group_engine.py::TestCodesAgainstMatrices::"
+BLOCKS = ("tests/test_class_functions.py::TestClassMapsAgainstReference::"
+          "test_block_classes_against_the_matrix_blocks")
 ROW_BUILT = "tests/test_group_engine.py::TestGl::test_row_built_elements_equal_the_scan"
 
 MUTANTS = [
@@ -91,7 +93,7 @@ MUTANTS = [
       "tests/test_hopf_core.py::TestSpecialize::test_coproduct_oracle_small[2]"]),
     # the coefficients of a specialized tensor added as their numerators
     # alone, not over the lcm of their denominators
-    (HOPF, "v.numerator * (d // v.denominator)", "v.numerator",
+    (HOPF, "num * (d // den)", "num",
      [ORACLE_SUMS + "test_specialize_tensor[2]",
       "tests/test_hopf_core.py::TestSpecialize::test_ut_coproduct_matches_symbolic"]),
     # inflation without the size of each Levi class
@@ -131,7 +133,8 @@ MUTANTS = [
      [SUBSET_SUM + "[3]", "tests/test_hopf_core.py::TestCoproduct::test_coassociative"]),
     # every one-term element served the cached basis value, whatever its
     # coefficient
-    (HOPF, "if c.terms == LaurentT._UNIT:", "if True:",
+    (HOPF, "(pi, c), = self.terms.items()\n            if c.terms == LaurentT._UNIT:",
+     "(pi, c), = self.terms.items()\n            if True:",
      ["tests/test_hopf_core.py::TestCoproduct::test_basis_value_is_the_cached_one[2]",
       "tests/test_hopf_core.py::TestAntipode::test_basis_value_is_the_cached_one[2]"]),
     # the dagger of a class function read at the class itself, not moved
@@ -161,16 +164,37 @@ MUTANTS = [
      [FROM_CODES + "test_generator_inverses_read_from_the_left_products[gl2q3]",
       "tests/test_group_engine.py::TestGroupTable::test_conjugacy_against_full_conjugation"]),
     # the pattern certificate passing every flag
-    (HOPF, "f != member[reps[c]]", "False",
+    (HOPF, "list(map(at_rep.__getitem__, table.class_of)) != member", "False",
      ["tests/test_hopf_core.py::TestSpecialize::"
       "test_flag_certificate_rejects_a_pattern_that_is_not_normal[12-in-ut3-2]"]),
-    # a standardized block read on its labels in reverse order
-    (COMBINATIONS, "m._pick(tuple(range(1, len(labels) + 1)), labels)",
+    # the matrix reference of a standardized block read on its labels in
+    # reverse order
+    ("tests/test_group_engine.py", "m._pick(tuple(range(1, len(labels) + 1)), labels)",
      "m._pick(tuple(range(1, len(labels) + 1)), labels[::-1])",
      ["tests/test_group_engine.py::TestFqMatrix::"
       "test_transports_match_the_validating_constructor[ut3q3]",
+      BLOCKS + "[ut-4-2]"]),
+    # a block read off the code with each cell's field taken from the
+    # transposed cell
+    (COMBINATIONS, "start = (a * n + b) * w", "start = (b * n + a) * w",
+     [BLOCKS + "[ut-4-2]",
       "tests/test_class_functions.py::TestClassMapsAgainstReference::"
       "test_straighten[ut-4-2]"]),
+    # every exact quotient taken as num // den, also when it is not exact
+    (COMBINATIONS, "return Fraction(num, den) if rest else quotient", "return quotient",
+     ["tests/test_class_functions.py::TestExactForm::"
+      "test_ratio_is_an_int_exactly_when_the_division_is_exact",
+      ORACLE_SUMS + "test_specialize_tensor[2]"]),
+    # every coefficient of specialize taken as the unit
+    (HOPF, "if c.terms == LaurentT._UNIT:\n            return f._like",
+     "if True:\n            return f._like",
+     ["tests/test_hopf_core.py::TestSpecialize::"
+      "test_unit_coefficients_skip_evaluate_and_scale[2]",
+      "tests/test_hopf_core.py::TestSpecialize::test_linear"]),
+    # the int value at 1/q summed without the factors q^(hi - k)
+    (HOPF, "sum(a * q ** (hi - k) for k, a in terms.items())", "sum(terms.values())",
+     [ORACLE_SUMS + "test_int_value_at_one_over_q_equals_evaluate[2]",
+      "tests/test_hopf_core.py::TestSpecialize::test_ut_coproduct_matches_symbolic"]),
     # deflation adding each class once per row, not k times
     (COMBINATIONS, "sum(k * terms[c] for c, k in row if c in terms)",
      "sum(terms[c] for c, k in row if c in terms)",
@@ -209,8 +233,8 @@ MUTANTS = [
      [AGAINST_MATRICES + "test_gl_tables[2-3]",
       "src/uthopf/group_engine.py::uthopf.group_engine.kernel"]),
     # the containment of a deflation's factors read in the levi, not the group
-    (COMBINATIONS, "all(c in index for c in f.codes)",
-     "all(c in levi.index for c in f.codes)",
+    (COMBINATIONS, "index.keys() >= set(f.codes)",
+     "levi.index.keys() >= set(f.codes)",
      ["tests/test_class_functions.py::TestClassMapsAgainstReference::test_deflate[ut-4-2]"]),
     # a span grown by the new vector alone, without its other multiples; the
     # two agree at p = 2

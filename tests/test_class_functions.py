@@ -19,7 +19,10 @@ import pytest
 
 from uthopf.class_functions import (
     ClassFunction,
+    _block_classes,
+    _class_map,
     _exact,
+    _ratio,
     TensorFunction,
     dagger_cf,
     deflate_cf,
@@ -46,7 +49,7 @@ from uthopf.hopf_core import GradedClassFunction, _all_squares, monoid_relabel, 
 from uthopf.hopf_core import split_tables as ut_split_tables
 
 from test_combinatorics import parabolic_pattern, standardize
-from test_group_engine import block, direct_sum
+from test_group_engine import _standard_block, block, direct_sum
 
 
 def from_function(group, fn):
@@ -575,6 +578,18 @@ class TestClassMapsAgainstReference:
                     reference_straighten_cf(psi, inside, left, right)
                 )
 
+    @pytest.mark.parametrize("family,top,q", [
+        ("ut", 4, 2), ("ut", 4, 3), ("ut", 4, 5), ("gl", 3, 2), ("gl", 3, 3),
+    ])
+    def test_block_classes_against_the_matrix_blocks(self, family, top, q):
+        # the blocks read off the codes against the blocks picked from the
+        # decoded class representatives, on every split of the coproducts
+        for _, levi, _, inside, left, right in coproduct_splits(family, top, q):
+            outside = tuple(k for k in levi.ground if k not in inside)
+            want = tuple(zip(_class_map(left, levi, _standard_block, (inside,)),
+                             _class_map(right, levi, _standard_block, (outside,))))
+            assert _block_classes.__wrapped__(levi, inside, left, right) == want
+
     @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
     def test_unstraighten(self, family, top, q):
         for _, levi, _, inside, left, right in coproduct_splits(family, top, q):
@@ -639,6 +654,18 @@ class TestClassMapsAgainstReference:
         with pytest.raises(ValueError):
             unstraighten_cf(tensor, (1,), g)
 
+    def test_straightening_needs_tables_on_the_initial_segments(self):
+        # the blocks are read as codes, so a factor table on other labels
+        # or over another field is refused rather than read
+        levi = ut_split_tables(3, (1,), 2)[0]
+        moved = pattern_group(chain_order((2, 3)), 2)
+        for left, right in ((ut_table(1, 2), moved), (ut_table(1, 3), ut_table(2, 2))):
+            with pytest.raises(ValueError, match="not the block product"):
+                straighten_cf(trivial(levi), (1,), left, right)
+            tensor = TensorFunction.outer(trivial(left), trivial(right))
+            with pytest.raises(ValueError, match="not the block product"):
+                unstraighten_cf(tensor, (1,), levi)
+
     @pytest.mark.parametrize("inside", [(1, 5), (1, 1), (0,)])
     def test_straightening_needs_labels_of_the_ground(self, inside):
         # _block_classes checks the labels once, before it picks any block
@@ -670,6 +697,14 @@ class TestExactForm:
                 assert_exact_form(up, deflate_cf(up, levi, radical))
                 forms.update(map(type, up.terms.values()))
         assert forms == {int, Fraction}
+
+    def test_ratio_is_an_int_exactly_when_the_division_is_exact(self):
+        numerators = list(range(-40, 41)) + [Fraction(n, 3) for n in range(-12, 13)]
+        for num, den in itertools.product(numerators, range(1, 13)):
+            want = Fraction(num) / den
+            got = _ratio(num, den)
+            assert got == want
+            assert (type(got) is int) == (want.denominator == 1)
 
     @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
     def test_induction(self, n, q):

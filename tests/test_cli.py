@@ -285,6 +285,16 @@ class TestVerify:
             ("oracle", "--n", "3", "--q", "3", "--format", "json"),
             "11dca2c1a16439c6015acb302f9454e3d3d4f2701d0314b6da87f5d2c4ba3f02",
             id="oracle-n3-q3-json"),
+        # odd primes at n = 4: values that are not integral, and 5- and
+        # 7-bit kernel fields under the blocks read off the codes
+        pytest.param(
+            ("oracle", "--n", "4", "--q", "3", "--format", "json"),
+            "f90dfdbd0552b3a8994def7023fa8bacc97f02f69ad27e5fbade5ef194535486",
+            id="oracle-n4-q3-json"),
+        pytest.param(
+            ("oracle", "--n", "4", "--q", "5", "--format", "json"),
+            "8bae00dfc29f938c46e2d4d866aac318194b9f378af215eeecc0d27efa45433f",
+            id="oracle-n4-q5-json"),
         pytest.param(
             ("induction-hom", "--n", "3", "--q", "2", "--format", "json"),
             "878c5a6b0cf6f4a7e154fc6823795dd479f8367e4cafacebb4d90b15dbb89113",
@@ -534,10 +544,12 @@ class TestErrors:
         assert err.value.code == 2
 
     def test_budget_exceeded(self, capsys, monkeypatch):
-        # q = 5 so the table is not already sitting in a cache
+        # q = 7, which no earlier test builds, so the table is not already
+        # sitting in a cache (the tables at q = 5 are built by the block
+        # class tests in test_class_functions.py)
         monkeypatch.setenv("UTHOPF_BUDGET", "4")
         code, _, err = run(
-            capsys, "ut", "specialize", "--q", "5",
+            capsys, "ut", "specialize", "--q", "7",
             "--poset", '{"n": 3, "strict": [[1, 2], [1, 3], [2, 3]]}',
         )
         assert code == 2

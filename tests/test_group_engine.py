@@ -9,7 +9,6 @@ import tracemalloc
 import pytest
 
 from uthopf import gl_bridge, group_engine
-from uthopf.class_functions import _standard_block
 from uthopf.combinatorics import (
     BudgetError,
     SetComposition,
@@ -98,6 +97,13 @@ def block(m, labels):
     pos = {label: k for k, label in enumerate(m.ground)}
     return FqMatrix(m.p, labels, [[m.rows[pos[i]][pos[j]] for j in labels]
                                   for i in labels])
+
+
+def _standard_block(m, labels):
+    """The block of m on labels, a sorted tuple of labels of its ground,
+    moved onto an initial segment: the matrix reference for the blocks that
+    class_functions._block_classes reads off the codes."""
+    return m._pick(tuple(range(1, len(labels) + 1)), labels)
 
 
 def direct_sum(a, b):

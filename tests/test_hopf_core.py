@@ -158,6 +158,15 @@ def reference_specialize_tensor(tx, q):
         for (l, r), v in values if v), q)
 
 
+def reference_specialize(x, q):
+    """Reference specialization: each indicator scaled by its coefficient
+    at 1/q, summed by collect."""
+    point = Fraction(1, q)
+    values = ((pi, c.evaluate(point)) for pi, c in x.terms.items())
+    return GradedClassFunction.collect(
+        ((pi.n, pattern_indicator(pi, q).scale(v)) for pi, v in values if v), q)
+
+
 class TestLaurentT:
     def test_ring_laws(self):
         assert (ONE + T) * (ONE - T) == ONE - T2
@@ -912,6 +921,30 @@ class TestSpecialize:
                         assert all(type(v) is Fraction for v in f.values)
         assert forms == {int, Fraction}
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_unit_coefficients_skip_evaluate_and_scale(self, q, monkeypatch):
+        # the unit path against the scale path, on unit coefficients
+        # interned or not; it evaluates and scales nothing, and each result
+        # owns the dict of its indicator
+        orders = [pi for n in range(4) for pi in natural_unit_interval_orders(n)]
+        units = [basis(pi) for pi in orders]
+        units += [ScfElement({pi: LaurentT({0: 1})}) for pi in orders]
+        mixed = [x + basis(C2).scale(LaurentT({0: 1, -1: 2})) + basis(PT).scale(T)
+                 for x in units]
+        want = [reference_specialize(x, q) for x in units + mixed]
+        calls = []
+        for cls, name in ((LaurentT, "evaluate"), (ClassFunction, "scale")):
+            monkeypatch.setattr(cls, name, lambda *args, f=getattr(cls, name):
+                                calls.append(args[0]) or f(*args))
+        assert [specialize(x, q) for x in units] == want[:len(units)]
+        assert calls == []
+        assert [specialize(x, q) for x in mixed] == want[len(units):]
+        assert calls
+        for x in units:
+            (pi,) = x.terms
+            got, cached = specialize(x, q).terms[pi.n], pattern_indicator(pi, q)
+            assert got is not cached and got.terms is not cached.terms
+
     def test_unit(self):
         one = specialize(ScfElement.unit(), 2)
         assert list(one.terms) == [0]
@@ -982,6 +1015,25 @@ class TestOracleSums:
                 both = support(coproduct(f)) | support(coproduct(g))
                 cancelled += not both <= support(coproduct(f - g))
         assert cancelled and Fraction in forms
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 11])
+    def test_int_value_at_one_over_q_equals_evaluate(self, q, monkeypatch):
+        # int coefficients, negative exponents among them, are summed as
+        # ints; Fraction coefficients fall back to evaluate
+        rng = random.Random(q)
+        ints = [LaurentT({}), ONE, T, t_power(-2), ONE - T, T2 - t_power(-1)]
+        ints += [LaurentT({rng.randrange(-4, 5): rng.randrange(-3, 4) for _ in range(4)})
+                 for _ in range(40)]
+        fractions = [LaurentT({1: Fraction(1, 2)}),
+                     LaurentT({-1: Fraction(2, 3), 2: 5}), ONE.scale(Fraction(q, q + 1))]
+        evaluate, evaluated = LaurentT.evaluate, []
+        monkeypatch.setattr(LaurentT, "evaluate", lambda c, x: evaluated.append(c) or
+                            evaluate(c, x))
+        for c in ints + fractions:
+            num, den = hopf_core._at_inverse(c, q)
+            assert type(num) is int and type(den) is int and den > 0
+            assert Fraction(num, den) == evaluate(c, Fraction(1, q))
+        assert evaluated == fractions
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_specialize_tensor(self, q):

@@ -130,6 +130,8 @@ NODE_IDS = [
     "tests/test_cli.py::TestErrors::test_bad_budget_setting_names_the_setting",
     "tests/test_group_engine.py::TestCodesAgainstMatrices::"
     "test_bad_code_lists_raise_as_matrix_lists_do",
+    "tests/test_class_functions.py::TestClassMapsAgainstReference::"
+    "test_straightening_needs_tables_on_the_initial_segments",
 ]
 
 
@@ -144,5 +146,5 @@ def test_validation_survives_optimize():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "155 passed" in proc.stdout, proc.stdout[-3000:]
+    assert "156 passed" in proc.stdout, proc.stdout[-3000:]
     assert "python -O" in proc.stdout, "the subprocess did not run optimized"
