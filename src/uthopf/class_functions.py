@@ -10,12 +10,12 @@ coset class counts of a Levi and a radical inside a group (_deflation).
 Deflation lands on the Levi as a complement rather than on a quotient;
 inflation is parabolic induction, plain inflation when the group is
 Levi * radical.  Restriction and induction are the pair over the trivial
-radical (_trivial).  Straightening and unstraightening read the block
-bijection Levi = left x right (_block_classes) both ways, its two blocks
-read off the code of each Levi class representative (_field_moves).  The
-flip and relabelling read one class map (_class_map).  Each map is built
-once and cached with lru_cache, keyed on the identity of its tables like
-the tables themselves; a class map also on its module-level move and arg.
+radical (_trivial).  Straightening, the flip and relabelling read class
+maps (_class_map), the codes of one table's class representatives moved by
+a cell move of group_engine and looked up in another, no matrix decoded;
+(un)straightening reads two of them, Levi = left x right (_block_classes).
+Each map is built once and cached with lru_cache, keyed on the identity of
+its tables like the tables themselves and on its move, cached by value.
 
 Sparse data is a Combination: a finite linear combination held in its
 `terms` dict from keys to nonzero coefficients.  The base class owns the
@@ -37,7 +37,7 @@ import collections
 import functools
 from fractions import Fraction
 
-from .group_engine import Codes, FqMatrix, GroupTable, kernel
+from .group_engine import Codes, GroupTable, flip_move, kernel, pick_move
 
 
 def _exact(x):
@@ -245,12 +245,12 @@ class TensorFunction(Combination):
 
 
 @functools.lru_cache(maxsize=None)
-def _class_map(source, target, move=None, arg=()):
-    """The class in source of each class representative m of target, moved
-    to move(m, *arg) unless move is None; KeyError if one is not in source.
-    arg is a tuple of hashable values, compared by value in the cache key."""
-    reps = map(target.element, target.class_reps)
-    return tuple(source.class_of_matrix(move(m, *arg) if move else m) for m in reps)
+def _class_map(source, target, move=None):
+    """The class in source of the code of each class representative of
+    target, moved by the code map move if given; KeyError if not in source."""
+    codes = map(target.codes.__getitem__, target.class_reps)
+    at, class_of = source.index, source.class_of
+    return tuple(class_of[at[c]] for c in (map(move, codes) if move else codes))
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,48 +345,27 @@ def induce_tensor(tensor, left, right):
     ), left, right)
 
 
-def pullback_cf(psi, target, move=None, arg=()):
-    """Pull back along the isomorphism m -> move(m, *arg), target -> psi.group."""
-    terms, classes = psi.terms, _class_map(psi.group, target, move, arg)
+def pullback_cf(psi, target, move=None):
+    """Pull back along the isomorphism of codes move, target -> psi.group."""
+    terms, classes = psi.terms, _class_map(psi.group, target, move)
     return ClassFunction._trusted((target,), {c: terms[b] for c, b in enumerate(classes)
                                              if b in terms})
 
 
 def dagger_cf(psi):
     """Precompose with the transpose-flip antiautomorphism."""
-    return pullback_cf(psi, psi.group, FqMatrix.dagger)
-
-
-def _field_moves(p, ground, labels):
-    """The (mask, shift) moves taking a code of kernel(p, len(ground)) to the
-    code of its block on labels, moved onto an initial segment: the block's
-    code is the sum of (code & mask) >> shift.  Each cell's field moves down
-    from its place in the ground to its place in the block, in the
-    kernel's row-major layout of fields of w and v bits (the widths of one
-    cell's mask); the cells with one shift share one mask."""
-    at = [ground.index(i) for i in labels]
-    n, k, moves = len(ground), len(at), {}
-    if at:
-        w, v = (kernel(p, m).mask([(0, 0)]).bit_length() for m in (n, k))
-        field = (1 << w) - 1
-        for x, a in enumerate(at):
-            for y, b in enumerate(at):
-                start = (a * n + b) * w
-                shift = start - (x * k + y) * v
-                moves[shift] = moves.get(shift, 0) | field << start
-    return [(bits, shift) for shift, bits in moves.items()]
+    return pullback_cf(psi, psi.group, flip_move(psi.group.p, len(psi.group.ground)))
 
 
 @functools.lru_cache(maxsize=None)
 def _block_classes(levi, inside, left, right):
     """For each class of levi, the pair (class in left of its inside block,
-    class in right of its outside block), each block standardized onto an
-    initial segment and read off the code of the class representative
-    (_field_moves).  Raises ValueError unless inside is a sorted tuple of
-    distinct labels of the ground, unless left and right are on the initial
-    segments over the field of levi, and unless this is a bijection onto all
-    class pairs, that is unless levi is the product of the two blocks;
-    KeyError if a block is not in its table."""
+    class in right of its outside block), the zip of two class maps along
+    picks onto initial segments.  Raises ValueError unless inside is a sorted
+    tuple of distinct labels of the ground, unless left and right are on the
+    initial segments over the field of levi, and unless this is a bijection
+    onto all class pairs (levi is the product of the two blocks); KeyError
+    if a block is not in its table."""
     p, ground = levi.p, levi.ground
     if tuple(sorted(set(inside).intersection(ground))) != inside:
         raise ValueError("%r are not sorted distinct labels of %s" % (inside, levi.name))
@@ -396,12 +375,8 @@ def _block_classes(levi, inside, left, right):
            for table, labels in sides):
         raise ValueError("%s is not the block product of %s and %s"
                          % (levi.name, left.name, right.name))
-    sides = [(table.class_of, table.index, _field_moves(p, ground, labels))
-             for table, labels in sides]
-    pairs = tuple(
-        tuple(class_of[index[sum((code & bits) >> shift for bits, shift in moves)]]
-              for class_of, index, moves in sides)
-        for code in map(levi.codes.__getitem__, levi.class_reps))
+    pairs = tuple(zip(*(_class_map(table, levi, pick_move(p, ground, labels))
+                        for table, labels in sides)))
     if not len(set(pairs)) == len(pairs) == len(left.classes) * len(right.classes):
         raise ValueError("%s is not the block product of %s and %s"
                          % (levi.name, left.name, right.name))

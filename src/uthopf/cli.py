@@ -16,7 +16,7 @@ import sys
 
 from .combinatorics import BudgetError, Nuio, enumeration_budget, \
     natural_unit_interval_orders
-from .group_engine import _check_prime
+from .group_engine import _check_gl_budget, _check_prime, _check_ut_budget
 from .hopf_core import (
     ScfElement,
     axiom_cases,
@@ -139,8 +139,12 @@ def _cmd_scf(parser, args):
 
 
 def _cmd_realize(parser, args):
-    """ut specialize, and gl induce: the specialization induced up to GL."""
+    """ut specialize, and gl induce: the specialization induced up to GL;
+    every group's budget is checked first, as a fresh process would."""
     (x,) = _load_operands(parser, args, 1)
+    for check in [_check_ut_budget] + [_check_gl_budget] * (args.command == "gl"):
+        for n in dict.fromkeys(pi.n for pi in x.terms):
+            check(n, args.q)
     result = specialize(x, args.q)
     if args.command == "gl":
         result = gl_bridge.induce_to_gl(result)

@@ -1,32 +1,19 @@
 """Brute-force matrix groups over prime fields.
 
-A group table is the list of the codes of its elements, with given
-generators; the matrices of its element list are built on first read,
-which no library path makes.  A matrix is its packed code, the entries of
-an n x n matrix over F_p in one int, decoded on read by the kernel of
-(p, n), which also multiplies codes and holds the identity's code.  Every
-product is a batched one, one matrix times many codes packed into one int;
-a single product is a batch of one.  At odd p a batch reduces its fields
-mod p with one byte-table translate when the unreduced sum fits in 4 bits
-(F_3 up to n = 3), and field by field when it does not.  Tables build the
-codes of their elements directly, as Codes(p, ground, codes), and are
-indexed by them; a pattern group adds the unit code of each cell, the
-lowest bit of the cell's field in the kernel's mask, to the identity's.
-At construction each generator takes two batched products over the whole
-table, its left products and its conjugates, read back as element indices
-(products are never cached): each generator's inverse is the element its
-left products send to the identity, a walk from the identity along the
-left products proves that the generators generate the list, and the
-orbits of the conjugation lists, walked on first read, are its conjugacy
-classes.  Matrices carry a sorted ground set of
-row/column labels, so a matrix on ground (2, 4) is 2x2 with label pairs
-drawn from {2, 4}; a code names a matrix only together with its field
-and ground.
+A matrix is its packed code, the entries of an n x n matrix over F_p in one
+int, decoded and multiplied by the kernel of (p, n), which also holds the
+identity's code; a code names a matrix only with its field and ground, the
+sorted tuple of its row/column labels.  Every product is a batched one.  A
+cell move (cell_move) takes codes of one layout to another, each entry field
+moved to a given cell; relabelling, straightening and the flip of class
+functions run on two of them, the block pick and the transpose-flip.
 
-The library does not read GroupTable.factorization: inflation reads the
-coset class counts of class_functions._deflation.  It is a reference for
-the tests, and perfbench/tracer.py wraps it by name.
-
+A group table is the list of the codes of its elements, indexed by them;
+one pass of batched products over it per given generator yields the
+inverses, the proof of generation and the conjugacy classes
+(GroupTable._ensure_generating).  The matrices of its element list are
+built on first read, which no library path makes.  A pattern group adds the
+unit code of each cell, the lowest bit of its field, to the identity's.
 Enumeration order is always lexicographic on the row-major entry vector,
 and the enumeration budget (combinatorics.enumeration_budget) is enforced
 before any element is built.
@@ -58,6 +45,11 @@ def _positions(ground):
 
 
 Kernel = collections.namedtuple("Kernel", "encode decode mul mask left right one")
+
+
+def _width(p, n):
+    """The bits of each entry field of kernel(p, n)."""
+    return 1 if p == 2 else max(4, (n * (p - 1) ** 2).bit_length())
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,7 +91,7 @@ def kernel(p, n):
     >>> list(m.left(4129, [4129, 4097])), list(m.right([4097, 4113], 4129))
     ([4113, 4129], [4129, 4097])
     """
-    w = 1 if p == 2 else max(4, (n * (p - 1) ** 2).bit_length())
+    w = _width(p, n)
     field = (1 << w) - 1
     row = (1 << n * w) - 1
     column = sum(field << r * n * w for r in range(n))
@@ -171,6 +163,41 @@ def kernel(p, n):
 
     return Kernel(encode, decode, mul, mask, left, right,
                   sum(1 << shifts[r][r] for r in range(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def cell_move(p, n, m, cells):
+    """The map of codes moving the field of each cell (r, c) of kernel(p, n)
+    to the cell (s, t) of kernel(p, m), for the pairs ((r, c), (s, t)) in
+    the tuple cells, dropping the other fields; the fields that move by one
+    shift share one mask.  Cached by value, so class maps can key on it.
+
+    >>> k = kernel(3, 2)  # the flip over F_3
+    >>> k.decode(flip_move(3, 2)(k.encode(((2, 1), (0, 1)))))
+    ((1, 1), (0, 2))
+    """
+    w, v, moves = _width(p, n), _width(p, m), {}
+    for (r, c), (s, t) in cells:
+        start = (r * n + c) * w
+        shift = start - (s * m + t) * v
+        moves[shift] = moves.get(shift, 0) | ((1 << w) - 1) << start
+    moves = [(bits, max(shift, 0), max(-shift, 0)) for shift, bits in moves.items()]
+    return lambda code: sum((code & bits) >> down << up for bits, down, up in moves)
+
+
+def pick_move(p, ground, labels):
+    """The cell move from codes on ground, a sorted tuple, to codes on
+    len(labels) labels, entry (k, l) taken from (labels[k], labels[l])."""
+    at = list(map(_positions(ground).__getitem__, labels))
+    return cell_move(p, len(ground), len(at), tuple(
+        ((a, b), (x, y)) for x, a in enumerate(at) for y, b in enumerate(at)))
+
+
+def flip_move(p, n):
+    """The cell move of the transpose-flip of kernel(p, n): entry (r, c)
+    goes to (n - 1 - c, n - 1 - r)."""
+    return cell_move(p, n, n, tuple(((r, c), (n - 1 - c, n - 1 - r))
+                                    for r in range(n) for c in range(n)))
 
 
 class FqMatrix:
@@ -285,22 +312,13 @@ class FqMatrix:
         if set(mapping) != set(self.ground) or len(new_ground) != len(self.ground):
             raise ValueError("relabelling must be a bijection from the ground")
         back = {v: k for k, v in mapping.items()}
-        return self._pick(new_ground, [back[v] for v in new_ground])
+        move = pick_move(self.p, self.ground, [back[v] for v in new_ground])
+        return FqMatrix._from_code(self.p, new_ground, move(self.code))
 
     def dagger(self):
         """Transpose composed with the order-reversing relabelling of the ground."""
-        n = len(self.ground)
-        rows = self.rows[::-1]
-        return FqMatrix._from_code(self.p, self.ground, kernel(self.p, n).encode(
-            [[row[-1 - r] for row in rows] for r in range(n)]))
-
-    def _pick(self, ground, labels):
-        """The matrix on ground, a sorted tuple, whose entry (k, l) is this
-        one's at (labels[k], labels[l]): not validated."""
-        pos, rows = _positions(self.ground), self.rows
-        at = [pos[i] for i in labels]
-        return FqMatrix._from_code(self.p, ground, kernel(self.p, len(at)).encode(
-            [[rows[a][b] for b in at] for a in at]))
+        move = flip_move(self.p, len(self.ground))
+        return FqMatrix._from_code(self.p, self.ground, move(self.code))
 
 
 def _orbit(start, steps, seen, label):
@@ -462,6 +480,9 @@ class GroupTable:
         levi and l^-1 * g in radical.  Raises ValueError unless the orders
         multiply, levi and radical meet only in the identity (so the
         factorization is unique) and both lookups succeed for every g.
+        The library does not read it (inflation reads the coset class counts
+        of class_functions._deflation); it is a reference for the tests, and
+        perfbench/tracer.py wraps it by name.
         """
         key = (levi.name, radical.name)
         got = self._factorizations.get(key)

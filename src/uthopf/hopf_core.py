@@ -26,12 +26,12 @@ quotient as an int (class_functions._ratio).
 Species side: the same operations before quotienting by relabelling,
 realized on explicit pattern groups over a composition of the ground set.
 `pattern_split` is the one builder of their Levi and radical tables;
-`parabolic_product` and `parabolic_coproduct` serve both towers.  The axiom
-checks run the associativity, coassociativity, compatibility and
-naturality squares on concrete class function bases, each of the five
-square families declared once.  Every verify suite, here and in gl_bridge,
-is a generator of cases (check, instance, lhs, rhs[, relation]) that checks
-its own budget first; verify_reports is the one driver that reports them.
+`parabolic_product` and `parabolic_coproduct` serve both towers; a
+relabelling is a pullback along a pick of codes (monoid_relabel).  The
+associativity, coassociativity, compatibility and naturality squares, five
+families declared once, run on class function bases.  Every verify suite,
+here and in gl_bridge, is a generator of cases (check, instance, lhs,
+rhs[, relation]) checking its own budget first, run by verify_reports.
 
 Every sparse value here (LaurentT, ScfElement, TensorScf,
 GradedClassFunction, GradedTensor) is a class_functions.Combination: its
@@ -83,7 +83,7 @@ from .combinatorics import (
     total_orders,
     _check_budget,
 )
-from .group_engine import FqMatrix, _check_ut_budget, kernel, pattern_group, ut_table
+from .group_engine import _check_ut_budget, kernel, pattern_group, pick_move, ut_table
 from .class_functions import (
     ClassFunction,
     Combination,
@@ -718,14 +718,14 @@ def monoid_deflate(ambient, comp, psi):
 def monoid_relabel(psi, mapping, moves=None):
     """Push a pattern group class function forward along a relabelling.
     moves, a dict kept by a caller that relabels along one mapping only,
-    holds (target table, inverse mapping) by source table, each built once."""
+    holds (target table, code move) by source table, each built once."""
     moves = {} if moves is None else moves
-    if psi.group not in moves:
-        moves[psi.group] = (
-            pattern_group(psi.group.pattern.relabel(mapping), psi.group.p),
-            tuple(sorted((v, k) for k, v in mapping.items())))
-    target, inverse = moves[psi.group]
-    return pullback_cf(psi, target, FqMatrix.relabel, (inverse,))
+    source = psi.group
+    if source not in moves:
+        target = pattern_group(source.pattern.relabel(mapping), source.p)
+        moves[source] = target, pick_move(source.p, target.ground,
+                                          [mapping[i] for i in source.ground])
+    return pullback_cf(psi, *moves[source])
 
 
 # Each square family returns (check, instance, source, sides): the square is

@@ -42,6 +42,7 @@ AGAINST_MATRICES = "tests/test_group_engine.py::TestCodesAgainstMatrices::"
 BLOCKS = ("tests/test_class_functions.py::TestClassMapsAgainstReference::"
           "test_block_classes_against_the_matrix_blocks")
 ROW_BUILT = "tests/test_group_engine.py::TestGl::test_row_built_elements_equal_the_scan"
+CELL_MOVE = "tests/test_group_engine.py::TestCellMove::"
 
 MUTANTS = [
     # the byte table reducing each byte as one number, not as two nibbles;
@@ -80,10 +81,9 @@ MUTANTS = [
     (HOPF, "sums = {pi: {0: -1}}", "sums = {pi: {0: 1}}",
      [ANTIPODE_RECURSION + "[1]",
       "tests/test_hopf_core.py::TestAntipode::test_point_and_antichain"]),
-    # a pattern group class function relabelled along the mapping itself,
-    # not its inverse; a 3-cycle tells the two apart
-    (HOPF, "tuple(sorted((v, k) for k, v in mapping.items()))",
-     "tuple(sorted(mapping.items()))",
+    # a pattern group class function relabelled along the inverse of the
+    # mapping, not the mapping itself; a 3-cycle tells the two apart
+    (HOPF, "[mapping[i] for i in source.ground]", "sorted(mapping, key=mapping.get)",
      ["tests/test_hopf_core.py::TestMonoidLevel::"
       "test_relabel_moves_values_along_the_mapping"]),
     # the splits of a coproduct added over the lcm of the radical orders
@@ -138,7 +138,8 @@ MUTANTS = [
      ["tests/test_hopf_core.py::TestCoproduct::test_basis_value_is_the_cached_one[2]",
       "tests/test_hopf_core.py::TestAntipode::test_basis_value_is_the_cached_one[2]"]),
     # the dagger of a class function read at the class itself, not moved
-    (COMBINATIONS, "pullback_cf(psi, psi.group, FqMatrix.dagger)",
+    (COMBINATIONS,
+     "pullback_cf(psi, psi.group, flip_move(psi.group.p, len(psi.group.ground)))",
      "pullback_cf(psi, psi.group)",
      ["tests/test_class_functions.py::TestClassMapsAgainstReference::test_dagger[3-2]",
       "tests/test_hopf_core.py::TestSpecialize::test_ut_dagger_matches_symbolic"]),
@@ -169,17 +170,31 @@ MUTANTS = [
       "test_flag_certificate_rejects_a_pattern_that_is_not_normal[12-in-ut3-2]"]),
     # the matrix reference of a standardized block read on its labels in
     # reverse order
-    ("tests/test_group_engine.py", "m._pick(tuple(range(1, len(labels) + 1)), labels)",
-     "m._pick(tuple(range(1, len(labels) + 1)), labels[::-1])",
+    ("tests/test_group_engine.py", "[[m.entry(i, j) for j in labels] for i in labels]",
+     "[[m.entry(i, j) for j in labels[::-1]] for i in labels[::-1]]",
      ["tests/test_group_engine.py::TestFqMatrix::"
       "test_transports_match_the_validating_constructor[ut3q3]",
       BLOCKS + "[ut-4-2]"]),
-    # a block read off the code with each cell's field taken from the
-    # transposed cell
-    (COMBINATIONS, "start = (a * n + b) * w", "start = (b * n + a) * w",
-     [BLOCKS + "[ut-4-2]",
+    # a picked block with each cell's field taken from the transposed cell
+    (KERNEL, "((a, b), (x, y)) for x, a in enumerate(at)",
+     "((b, a), (x, y)) for x, a in enumerate(at)",
+     [BLOCKS + "[ut-4-2]", CELL_MOVE + "test_picks_against_the_decoded_rows[2-4]",
       "tests/test_class_functions.py::TestClassMapsAgainstReference::"
       "test_straighten[ut-4-2]"]),
+    # the flip moving entry (r, c) to the cell reflected through the
+    # antidiagonal point, not the transposed one; both are involutions
+    (KERNEL, "((r, c), (n - 1 - c, n - 1 - r))", "((r, c), (n - 1 - r, n - 1 - c))",
+     [CELL_MOVE + "test_flip_against_the_rows_and_twice_the_identity[3]",
+      "tests/test_group_engine.py::TestFqMatrix::test_dagger_pin"]),
+    # fields that move up, to a higher bit, left where they are
+    (KERNEL, "max(shift, 0), max(-shift, 0)", "max(shift, 0), 0",
+     [CELL_MOVE + "test_moves_against_the_decoded_rows[3-4-3-5-4]",
+      CELL_MOVE + "test_flip_against_the_rows_and_twice_the_identity[2]"]),
+    # the target fields taken as wide as the source fields
+    (KERNEL, "w, v, moves = _width(p, n), _width(p, m), {}",
+     "w, v, moves = _width(p, n), _width(p, n), {}",
+     [CELL_MOVE + "test_moves_against_the_decoded_rows[5-4-2-7-6]",
+      CELL_MOVE + "test_picks_against_the_decoded_rows[5-4]", BLOCKS + "[ut-4-5]"]),
     # every exact quotient taken as num // den, also when it is not exact
     (COMBINATIONS, "return Fraction(num, den) if rest else quotient", "return quotient",
      ["tests/test_class_functions.py::TestExactForm::"

@@ -20,7 +20,6 @@ import pytest
 from uthopf.class_functions import (
     ClassFunction,
     _block_classes,
-    _class_map,
     _exact,
     _ratio,
     TensorFunction,
@@ -43,13 +42,14 @@ from uthopf.combinatorics import (
 )
 from uthopf import hopf_core
 from uthopf.gl_bridge import gl_product, levi_table, parabolic_table, radical_table
-from uthopf.group_engine import FqMatrix, gl_table, pattern_group, ut_table
+from uthopf.group_engine import gl_table, pattern_group, pick_move, ut_table
 from uthopf.hopf_core import GradedClassFunction, _all_squares, monoid_relabel, \
     ut_product
 from uthopf.hopf_core import split_tables as ut_split_tables
 
 from test_combinatorics import parabolic_pattern, standardize
-from test_group_engine import _standard_block, block, direct_sum
+from test_group_engine import _standard_block, block, direct_sum, matrix_class_map, \
+    rows_dagger, rows_relabel
 
 
 def from_function(group, fn):
@@ -391,9 +391,8 @@ class TestDagger:
     def test_pullback_needs_the_moved_classes_in_the_group(self):
         # swapping labels 1 and 2 moves the entry (1, 2) below the diagonal
         g = ut_table(3, 2)
-        swap = ((1, 2), (2, 1), (3, 3))
         with pytest.raises(KeyError):
-            pullback_cf(trivial(g), g, FqMatrix.relabel, (swap,))
+            pullback_cf(trivial(g), g, pick_move(2, g.ground, (2, 1, 3)))
 
 
 class TestStraightening:
@@ -445,8 +444,9 @@ def reference_deflate_cf(psi, levi, radical):
 
 
 def reference_pullback_cf(psi, target, matrix_map):
-    """Reference pullback: psi at the image of each class representative of
-    target under matrix_map, looked up in psi.group on every call."""
+    """Reference pullback: psi at the image of each decoded class
+    representative of target under matrix_map, looked up in psi.group on
+    every call."""
     return ClassFunction(target, {
         c: psi.at_matrix(matrix_map(target.elements[r]))
         for c, r in enumerate(target.class_reps)
@@ -458,7 +458,7 @@ def reference_monoid_relabel(psi, mapping):
     relabelling, onto the pattern group of the relabelled order."""
     target = pattern_group(psi.group.pattern.relabel(mapping), psi.group.p)
     inverse = {v: k for k, v in mapping.items()}
-    return reference_pullback_cf(psi, target, lambda m: m.relabel(inverse))
+    return reference_pullback_cf(psi, target, lambda m: rows_relabel(m, inverse))
 
 
 def reference_inflate_cf(psi, group, levi, radical):
@@ -504,9 +504,9 @@ def reference_straighten_cf(psi, inside, left_table, right_table):
     into_outside = {v: k for k, v in standardize(outside).items()}
     terms = {}
     for c1, r1 in enumerate(left_table.class_reps):
-        m1 = left_table.elements[r1].relabel(into_inside)
+        m1 = rows_relabel(left_table.elements[r1], into_inside)
         for c2, r2 in enumerate(right_table.class_reps):
-            m2 = right_table.elements[r2].relabel(into_outside)
+            m2 = rows_relabel(right_table.elements[r2], into_outside)
             v = psi.at_matrix(direct_sum(m1, m2))
             if v:
                 terms[(c1, c2)] = v
@@ -524,8 +524,8 @@ def reference_unstraighten_cf(tensor, inside, levi_table):
     values = []
     for r in levi_table.class_reps:
         m = levi_table.elements[r]
-        c1 = tensor.left_group.class_of_matrix(block(m, inside).relabel(std_in))
-        c2 = tensor.right_group.class_of_matrix(block(m, outside).relabel(std_out))
+        c1 = tensor.left_group.class_of_matrix(rows_relabel(block(m, inside), std_in))
+        c2 = tensor.right_group.class_of_matrix(rows_relabel(block(m, outside), std_out))
         values.append(tensor.terms.get((c1, c2), Fraction(0)))
     return ClassFunction(levi_table, dict(enumerate(values)))
 
@@ -582,12 +582,13 @@ class TestClassMapsAgainstReference:
         ("ut", 4, 2), ("ut", 4, 3), ("ut", 4, 5), ("gl", 3, 2), ("gl", 3, 3),
     ])
     def test_block_classes_against_the_matrix_blocks(self, family, top, q):
-        # the blocks read off the codes against the blocks picked from the
+        # the blocks picked off the codes against the blocks read off the
         # decoded class representatives, on every split of the coproducts
         for _, levi, _, inside, left, right in coproduct_splits(family, top, q):
             outside = tuple(k for k in levi.ground if k not in inside)
-            want = tuple(zip(_class_map(left, levi, _standard_block, (inside,)),
-                             _class_map(right, levi, _standard_block, (outside,))))
+            want = tuple(zip(
+                matrix_class_map(left, levi, lambda m: _standard_block(m, inside)),
+                matrix_class_map(right, levi, lambda m: _standard_block(m, outside))))
             assert _block_classes.__wrapped__(levi, inside, left, right) == want
 
     @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
@@ -640,7 +641,7 @@ class TestClassMapsAgainstReference:
     def test_dagger(self, n, q):
         g = ut_table(n, q)
         for psi in indicators(g):
-            assert dagger_cf(psi) == reference_pullback_cf(psi, g, FqMatrix.dagger)
+            assert dagger_cf(psi) == reference_pullback_cf(psi, g, rows_dagger)
 
     def test_straightening_needs_a_block_product(self):
         # UT_3 is not UT_1 x UT_2: its entries (1, 2) and (1, 3) join the blocks

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from uthopf import class_functions, cli, gl_bridge, hopf_core
 from uthopf.class_functions import ClassFunction
 from uthopf.combinatorics import natural_unit_interval_orders
+from uthopf.group_engine import gl_table, ut_table
 from uthopf.hopf_core import GradedClassFunction
 
 
@@ -33,6 +34,44 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 POSET_A2 = '{"n": 2, "strict": []}'
 POSET_PT = '{"n": 1, "strict": []}'
+CHAIN3 = '{"n": 3, "strict": [[1, 2], [1, 3], [2, 3]]}'
+
+
+def run_fresh(argv, **env):
+    """The command run in a fresh interpreter (under -O when this one is),
+    with the given settings, its caches empty."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
+# Counts the matrices that FqMatrix._from_code makes during one command, and
+# how many of them are generators handed to a GroupTable.
+FROM_CODE_SPY = """
+import contextlib, io, sys
+from uthopf import cli, group_engine
+made, gens = [], []
+from_code = group_engine.FqMatrix._from_code.__func__
+init = group_engine.GroupTable.__init__
+
+def spy(cls, p, ground, code):
+    made.append(from_code(cls, p, ground, code))
+    return made[-1]
+
+def table(self, elements, generators, name=""):
+    generators = list(generators)
+    gens.extend(generators)
+    init(self, elements, generators, name)
+
+group_engine.FqMatrix._from_code = classmethod(spy)
+group_engine.GroupTable.__init__ = table
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+ids = {id(g) for g in gens}
+print(code, len(made), sum(id(m) in ids for m in made))
+"""
 
 
 class TestNuioList:
@@ -343,6 +382,15 @@ class TestVerify:
         info = class_map.cache_info()
         assert (info.misses, info.hits) == (85, 11615)
 
+    def test_class_representatives_are_not_decoded(self):
+        # every matrix made from a code is a generator: the class maps of
+        # the flip and of straightening read codes, not matrices
+        proc = run_fresh(["-c", FROM_CODE_SPY, "verify", "induction-hom",
+                          "--n", "2", "--q", "3"])
+        code, made, generators = map(int, proc.stdout.split())
+        assert (code, proc.stderr) == (0, "")
+        assert made == generators > 0
+
     def test_oracle_small_text(self, capsys):
         code, out, _ = run(
             capsys, "verify", "oracle", "--n", "2", "--q", "2",
@@ -544,16 +592,30 @@ class TestErrors:
         assert err.value.code == 2
 
     def test_budget_exceeded(self, capsys, monkeypatch):
-        # q = 7, which no earlier test builds, so the table is not already
-        # sitting in a cache (the tables at q = 5 are built by the block
-        # class tests in test_class_functions.py)
         monkeypatch.setenv("UTHOPF_BUDGET", "4")
-        code, _, err = run(
-            capsys, "ut", "specialize", "--q", "7",
-            "--poset", '{"n": 3, "strict": [[1, 2], [1, 3], [2, 3]]}',
-        )
+        code, _, err = run(capsys, "ut", "specialize", "--q", "5", "--poset", CHAIN3)
         assert code == 2
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("argv, budget, build", [
+        (("ut", "specialize", "--q", "5", "--poset", CHAIN3), "4",
+         lambda: ut_table(3, 5)),
+        # the unitriangular group of degree 2 fits, its GL does not
+        (("gl", "induce", "--q", "3", "--poset", '{"n": 2, "strict": [[1, 2]]}'), "10",
+         lambda: gl_table(2, 3)),
+    ], ids=["ut", "gl"])
+    def test_budget_refuses_a_table_already_built(self, capsys, monkeypatch, argv,
+                                                  budget, build):
+        # explicit comparisons, so that python -O checks them too; the table
+        # is cached before the budget is lowered, and the command is refused
+        # with the message of a fresh process
+        build()
+        monkeypatch.setenv("UTHOPF_BUDGET", budget)
+        got = run(capsys, *argv)
+        fresh = run_fresh(["-m", "uthopf.cli", *argv], UTHOPF_BUDGET=budget)
+        if got != (fresh.returncode, fresh.stdout, fresh.stderr) or got[0] != 2 \
+                or "budget exceeded" not in got[2]:
+            raise AssertionError("in process %r, fresh %r" % (got, fresh))
 
     def test_axiom_budget_counts_the_largest_family(self, capsys, monkeypatch):
         # n!^2 Fubini(n) coproduct naturality squares: 12 at n = 2, 468 at n = 3

@@ -14,7 +14,7 @@ import itertools
 import pytest
 
 from uthopf.class_functions import ClassFunction, TensorFunction, induce_cf, \
-    induce_tensor, pullback_cf, restrict_cf, straighten_cf
+    induce_tensor, restrict_cf, straighten_cf
 from uthopf.combinatorics import Nuio, chain_order, split_composition
 from uthopf.gl_bridge import (
     _levi_generators,
@@ -33,14 +33,10 @@ from uthopf.group_engine import FqMatrix, GroupTable, _gl_generators, gl_order, 
 from uthopf.hopf_core import ScfElement, specialize, split_tables, ut_coproduct, \
     verify_reports
 
+from test_class_functions import reference_pullback_cf
 from test_combinatorics import parabolic_pattern
 from test_group_engine import coset_rep_permutation, cover_generators, direct_sum, \
     identity, search_generators
-
-
-def conjugate(m, g, h):
-    """The move m -> g m h, for pullback_cf."""
-    return g * m * h
 
 
 def block_predicate(n, i):
@@ -191,7 +187,7 @@ def mackey_cases(n, i, q):
                 [winv * g * wmat for g in cover_generators(sub_parabolic.pattern, q)],
                 name="w*UP[%s]w/%d/%d" % (",".join(map(str, labels)), n, q),
             )
-            pulled = pullback_cf(psi, conjugated, conjugate, (wmat, winv))
+            pulled = reference_pullback_cf(psi, conjugated, lambda m: wmat * m * winv)
             rhs = rhs + induce_cf(pulled, parabolic)
         yield "mackey", "n=%d;i=%d;q=%d;basis=%d" % (n, i, q, c), lhs, rhs
 
@@ -270,7 +266,7 @@ def straighten_transport_cases(n, labels, q):
     for c in range(len(levi_sub.class_reps)):
         psi = ClassFunction.class_indicator(levi_sub, c)
         lhs = straighten_cf(psi, labels, ut_table(i, q), ut_table(n - i, q))
-        pulled = pullback_cf(psi, levi_init, conjugate, (wmat, winv))
+        pulled = reference_pullback_cf(psi, levi_init, lambda m: wmat * m * winv)
         rhs = straighten_cf(
             pulled, range(1, i + 1), ut_table(i, q), ut_table(n - i, q)
         )

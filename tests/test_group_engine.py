@@ -26,11 +26,15 @@ from uthopf.group_engine import (
     GroupTable,
     _check_prime,
     _gl_generators,
+    _width,
+    cell_move,
+    flip_move,
     gl_order,
     gl_table,
     kernel,
     pattern_group,
     permutation_matrix,
+    pick_move,
     primitive_root,
     ut_table,
 )
@@ -101,9 +105,33 @@ def block(m, labels):
 
 def _standard_block(m, labels):
     """The block of m on labels, a sorted tuple of labels of its ground,
-    moved onto an initial segment: the matrix reference for the blocks that
-    class_functions._block_classes reads off the codes."""
-    return m._pick(tuple(range(1, len(labels) + 1)), labels)
+    moved onto an initial segment and read off the decoded rows: the matrix
+    reference for the block picks of class_functions._block_classes."""
+    return FqMatrix(m.p, tuple(range(1, len(labels) + 1)),
+                    [[m.entry(i, j) for j in labels] for i in labels])
+
+
+def rows_relabel(m, mapping):
+    """Reference relabelling read off the decoded rows: entry (i, j) of m
+    moves to (mapping[i], mapping[j])."""
+    back = {v: k for k, v in mapping.items()}
+    ground = tuple(sorted(back))
+    return FqMatrix(m.p, ground, [[m.entry(back[i], back[j]) for j in ground]
+                                  for i in ground])
+
+
+def rows_dagger(m):
+    """Reference transpose-flip read off the decoded rows."""
+    n, rows = len(m.ground), m.rows
+    return FqMatrix(m.p, m.ground, [[rows[n - 1 - c][n - 1 - r] for c in range(n)]
+                                    for r in range(n)])
+
+
+def matrix_class_map(source, target, move):
+    """Reference class map: the class in source of move(m) for each decoded
+    class representative m of target; KeyError if one is not in source."""
+    return tuple(source.class_of_matrix(move(target.element(r)))
+                 for r in target.class_reps)
 
 
 def direct_sum(a, b):
@@ -246,23 +274,18 @@ class TestFqMatrix:
     @pytest.mark.parametrize("build, n, q", [(ut_table, 3, 3), (gl_table, 2, 3)],
                              ids=["ut3q3", "gl2q3"])
     def test_transports_match_the_validating_constructor(self, build, n, q):
-        # relabel, dagger, the standardized block and inverse build their
-        # codes unchecked
+        # relabel, dagger, the picked block and inverse build their codes
+        # unchecked
         table = build(n, q)
         p, ground = table.p, table.ground
-        initial = tuple(range(1, n))
         shift = {i: 2 * n + 1 - i for i in ground}
-        back = {v: k for k, v in shift.items()}
-        moved = tuple(sorted(back))
+        pick = pick_move(p, ground, ground[1:])
         for m in table.elements:
-            rows = m.rows
             expect = [
-                (m.relabel(shift), FqMatrix(p, moved, [
-                    [m.entry(back[i], back[j]) for j in moved] for i in moved])),
-                (m.dagger(), FqMatrix(p, ground, [
-                    [rows[n - 1 - c][n - 1 - r] for c in range(n)] for r in range(n)])),
-                (_standard_block(m, ground[1:]), FqMatrix(p, initial, [
-                    [m.entry(i, j) for j in ground[1:]] for i in ground[1:]])),
+                (m.relabel(shift), rows_relabel(m, shift)),
+                (m.dagger(), rows_dagger(m)),
+                (FqMatrix._from_code(p, tuple(range(1, n)), pick(m.code)),
+                 _standard_block(m, ground[1:])),
                 (m.inverse(), FqMatrix(p, ground, m.inverse().rows)),
             ]
             for got, want in expect:
@@ -324,6 +347,69 @@ class TestFqMatrix:
                 FqMatrix(3, (1, 2), [[1, bad], [0, 1]])
         assert FqMatrix(3, (1, 2), [[4, -1], [0, 1]]).rows == ((1, 2), (0, 1))
 
+
+class TestCellMove:
+    """Cell moves against the decoded rows, on both sides of every switch of
+    field width: one bit at p = 2, four bits at p = 3 up to n = 3 and five
+    at n = 4, seven at p = 5, n = 4 and six at n = 2, six to eight at p = 7."""
+
+    @pytest.mark.parametrize("p, n, m, w, v", [
+        (2, 3, 2, 1, 1), (2, 2, 4, 1, 1), (3, 3, 2, 4, 4), (3, 3, 4, 4, 5),
+        (3, 4, 3, 5, 4), (3, 4, 4, 5, 5), (5, 4, 2, 7, 6), (5, 2, 4, 6, 7),
+        (7, 1, 4, 6, 8), (7, 4, 2, 8, 7),
+    ])
+    def test_moves_against_the_decoded_rows(self, p, n, m, w, v):
+        # random partial maps of cells, so fields move up and down and some drop
+        assert (_width(p, n), _width(p, m)) == (w, v)
+        rng = random.Random(1000 * p + 10 * n + m)
+        source, target = kernel(p, n), kernel(p, m)
+        cells_n = list(itertools.product(range(n), repeat=2))
+        cells_m = list(itertools.product(range(m), repeat=2))
+        for _ in range(20):
+            k = rng.randint(1, min(len(cells_n), len(cells_m)))
+            pairs = tuple(zip(rng.sample(cells_n, k), rng.sample(cells_m, k)))
+            rows = random_matrix(rng, p, n).rows
+            want = [[0] * m for _ in range(m)]
+            for (r, c), (s, t) in pairs:
+                want[s][t] = rows[r][c]
+            got = cell_move(p, n, m, pairs)(source.encode(rows))
+            assert target.decode(got) == tuple(map(tuple, want))
+
+    @pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (3, 4), (5, 4), (7, 3)])
+    def test_picks_against_the_decoded_rows(self, p, n):
+        # labels in any order, from none to all; p = 5 picks 7-bit fields
+        # into 6-bit ones at two labels
+        rng = random.Random(2000 + 10 * p + n)
+        ground = tuple(range(1, n + 1))
+        for size in range(n + 1):
+            for _ in range(6):
+                labels = rng.sample(ground, size)
+                a = random_matrix(rng, p, n)
+                got = kernel(p, size).decode(pick_move(p, ground, labels)(a.code))
+                assert got == tuple(tuple(a.entry(i, j) for j in labels) for i in labels)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_flip_against_the_rows_and_twice_the_identity(self, p):
+        rng = random.Random(3000 + p)
+        for n in range(6):
+            flip = flip_move(p, n)
+            for _ in range(6):
+                a = random_matrix(rng, p, n)
+                assert flip(a.code) == rows_dagger(a).code
+                assert flip(flip(a.code)) == a.code
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_relabellings_compose_and_match_the_rows(self, p):
+        rng = random.Random(4000 + p)
+        ground = (1, 2, 3, 4)
+        for _ in range(10):
+            tau = dict(zip(ground, rng.sample(ground, 4)))
+            sigma = dict(zip(ground, rng.sample(range(1, 9), 4)))
+            compose = {i: sigma[tau[i]] for i in ground}
+            m = random_matrix(rng, p, 4)
+            assert m.relabel(tau) == rows_relabel(m, tau)
+            assert m.relabel(tau).relabel(sigma) == m.relabel(compose)
+            assert m.relabel(compose) == rows_relabel(m, compose)
 
 def random_invertible(rng, p, n):
     while True:

@@ -132,6 +132,7 @@ NODE_IDS = [
     "test_bad_code_lists_raise_as_matrix_lists_do",
     "tests/test_class_functions.py::TestClassMapsAgainstReference::"
     "test_straightening_needs_tables_on_the_initial_segments",
+    "tests/test_cli.py::TestErrors::test_budget_refuses_a_table_already_built",
 ]
 
 
@@ -146,5 +147,5 @@ def test_validation_survives_optimize():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "156 passed" in proc.stdout, proc.stdout[-3000:]
+    assert "158 passed" in proc.stdout, proc.stdout[-3000:]
     assert "python -O" in proc.stdout, "the subprocess did not run optimized"
