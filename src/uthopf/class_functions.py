@@ -6,16 +6,21 @@ GroupTable.  All transport maps (restriction, induction, inflation,
 deflation, pullback along a group isomorphism) return class functions on
 explicitly enumerated targets.
 Among them is one adjoint pair, deflation and inflation, both read off the
-coset class counts of a Levi and a radical inside a group (_deflation).
-Deflation lands on the Levi as a complement rather than on a quotient;
-inflation is parabolic induction, plain inflation when the group is
-Levi * radical.  Restriction and induction are the pair over the trivial
+coset class counts K of a Levi and a radical inside a group, in opposite
+orientations: inflation by Levi class (_inflation, the rows), deflation by
+group class (_deflation, the columns), so a deflation walks only the
+classes its input is nonzero on.  One batched product pass per split makes
+the orientation read first; the other is transposed from it when first
+read.  Deflation lands on the Levi as a complement rather than on a
+quotient; inflation is parabolic induction, plain inflation when the group
+is Levi * radical.  Restriction and induction are the pair over the trivial
 radical (_trivial).  Straightening, the flip and relabelling read class
 maps (_class_map), the codes of one table's class representatives moved by
 a cell move of group_engine and looked up in another, no matrix decoded;
 (un)straightening reads two of them, Levi = left x right (_block_classes).
-Each map is built once and cached with lru_cache, keyed on the identity of
-its tables like the tables themselves and on its move, cached by value.
+Each map is built once and cached, keyed on the identity of its tables
+like the tables themselves and on its move, cached by value: the class
+maps with lru_cache, the two orientations of K in one dict each.
 
 Sparse data is a Combination: a finite linear combination held in its
 `terms` dict from keys to nonzero coefficients.  The base class owns the
@@ -253,13 +258,17 @@ def _class_map(source, target, move=None):
     return tuple(class_of[at[c]] for c in (map(move, codes) if move else codes))
 
 
-@functools.lru_cache(maxsize=None)
-def _deflation(group, levi, radical):
-    """For each class representative l of levi, the (class in group, count)
-    pairs of the products l * x as x runs over radical, one batched product
-    on codes per l.
-    Raises ValueError unless levi and radical lie in group and meet only in
-    the identity; a factor that is group itself is not scanned."""
+_ROWS, _COLUMNS = {}, {}
+
+
+def _products(group, levi, radical):
+    """The one batched product pass of a split: for each class
+    representative l of levi, the (class in group, count) pairs of the
+    products l * x as x runs over radical, one batched product on codes per
+    l, made as they are read.
+    Raises ValueError, before any product, unless levi and radical lie in
+    group and meet only in the identity; a factor that is group itself is
+    not scanned."""
     index = group.index
     if not all((f.p, f.ground) == (group.p, group.ground)
                and index.keys() >= set(f.codes)
@@ -271,22 +280,60 @@ def _deflation(group, levi, radical):
                          % (levi.name, radical.name))
     left = kernel(group.p, len(group.ground)).left
     at, class_at, xs = index.__getitem__, group.class_of.__getitem__, radical.codes
-    return tuple(
-        tuple(collections.Counter(
-            map(class_at, map(at, left(levi.codes[r], xs)))).items())
-        for r in levi.class_reps
-    )
+    return (tuple(collections.Counter(
+        map(class_at, map(at, left(levi.codes[r], xs)))).items())
+        for r in levi.class_reps)
+
+
+def _transpose(lines, size):
+    """The pairs (j, k) of each lines[i] regrouped by j: the size lines of
+    the result hold the pairs (i, k), i ascending."""
+    out = [[] for _ in range(size)]
+    for i, line in enumerate(lines):
+        for j, k in line:
+            out[j].append((i, k))
+    return tuple(map(tuple, out))
+
+
+def _inflation(group, levi, radical):
+    """The coset class counts K of a split by Levi class, the rows that
+    inflation reads: for each class l of levi, the pairs (class b of group,
+    count k) of the products l * x, x in radical, that land in b.  Built
+    once per split (_ROWS): transposed from the columns if deflation read
+    them first, otherwise made by the product pass (_products)."""
+    key = group, levi, radical
+    rows = _ROWS.get(key)
+    if rows is None:
+        columns = _COLUMNS.get(key)
+        rows = _ROWS[key] = (tuple(_products(*key)) if columns is None
+                             else _transpose(columns, len(levi.classes)))
+    return rows
+
+
+def _deflation(group, levi, radical):
+    """The same counts K by group class, the columns that deflation reads:
+    for each class b of group, the pairs (class l of levi, count k), l
+    ascending.  Built once per split (_COLUMNS): transposed from the rows
+    if inflation read them first, otherwise straight from the product pass,
+    so a split that only deflation reads keeps no rows."""
+    key = group, levi, radical
+    columns = _COLUMNS.get(key)
+    if columns is None:
+        rows = _ROWS.get(key)
+        columns = _COLUMNS[key] = _transpose(
+            _products(*key) if rows is None else rows, len(group.classes))
+    return columns
 
 
 def inflate_cf(psi, group, levi, radical):
     """Parabolic induction: inflate psi from levi over radical, then induce
     up to group; plain inflation when group is levi * radical.  The adjoint
-    of deflate_cf, read off the same counts K: the value at a class b of
-    group is |group| / (|levi| |radical| |b|) sum_c |c| K[c][b] psi(c),
-    the sum added first and divided once per b."""
+    of deflate_cf, read off the rows of the same counts K: the value at a
+    class b of group is |group| / (|levi| |radical| |b|) sum_c |c| K[c][b]
+    psi(c), the sum added first and divided once per b."""
     if psi.group is not levi:
         raise ValueError("%s is not the levi %s" % (psi.group.name, levi.name))
-    rows, sizes, sums = _deflation(group, levi, radical), levi.class_sizes, {}
+    rows, sizes, sums = _inflation(group, levi, radical), levi.class_sizes, {}
     for c, v in psi.terms.items():
         for b, k in rows[c]:
             sums[b] = sums.get(b, 0) + sizes[c] * k * v
@@ -299,10 +346,14 @@ def deflate_cf(psi, levi, radical):
     """Average psi over radical cosets, landing on the complement levi.
 
     psi may live on the semidirect product itself or on any enumerated
-    overgroup of it; only the products levi * radical are read.
+    overgroup of it; only the products levi * radical are read, by column:
+    each nonzero class c of psi adds k psi(c) to the Levi class l of each
+    pair (l, k) of its column, and each sum is divided once.
     """
-    terms, rows = psi.terms, _deflation(psi.group, levi, radical)
-    sums = (sum(k * terms[c] for c, k in row if c in terms) for row in rows)
+    columns, sums = _deflation(psi.group, levi, radical), [0] * len(levi.classes)
+    for c, v in psi.terms.items():
+        for l, k in columns[c]:
+            sums[l] += k * v
     return ClassFunction._trusted((levi,), {
         l: _ratio(s, radical.order) for l, s in enumerate(sums) if s})
 

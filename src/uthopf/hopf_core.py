@@ -40,8 +40,10 @@ nonzero coefficients, and adopts the dict it is built from (_trusted).
 Sums of many pieces go through one `collect` call, which coerces each
 coefficient once; the graded tensor sums of the oracle (parabolic_coproduct,
 specialize_tensor) instead add int numerators over one denominator, one
-dict per bidegree, and divide once per class pair.  A LaurentT product by
-the unit is the other factor.
+dict per bidegree, and divide once per class pair.  The coproduct adds
+them by column of the coset class counts (class_functions._deflation),
+walking only the classes a component is nonzero on.  A LaurentT product
+by the unit is the other factor.
 Values are never changed in place, so results are shared.  The coproduct
 and the antipode are one linear extension of their cached basis values
 (ScfElement._extend): basis(pi) with the unit coefficient gets the cached
@@ -575,11 +577,12 @@ def parabolic_coproduct(a, ambient, splits):
     """The coproduct of ambient(n, q): each component psi of degree n is
     deflated over every split (inside, levi, radical) in splits(n, q) and
     straightened onto ambient(k, q) and ambient(n - k, q), k = len(inside),
-    read off the cached _deflation rows and _block_classes pairs.  With D
+    read off the cached _deflation columns and _block_classes pairs.  With D
     the common denominator of the values and d the lcm of the radical
-    orders, each row sums D psi as ints and adds that sum, times
-    d / |radical|, into one dict per bidegree, divided by D d once per
-    class pair (_graded_tensor)."""
+    orders, each nonzero class c of psi adds m D psi(c) d / |radical|, as
+    an int, for each pair (l, m) of its column into the sum at the class
+    pair of l, one dict per bidegree, divided by D d once per class pair
+    (_graded_tensor)."""
     q, sums = a.q, {}
     cuts = {n: list(splits(n, q)) for n in a.terms}
     d = math.lcm(*(radical.order for cut in cuts.values() for *_, radical in cut))
@@ -590,10 +593,12 @@ def parabolic_coproduct(a, ambient, splits):
             k, w = len(inside), d // radical.order
             pairs = _block_classes(levi, inside, ambient(k, q), ambient(n - k, q))
             out = sums.setdefault((k, n - k), {})
-            for key, row in zip(pairs, _deflation(psi.group, levi, radical)):
-                s = sum(m * nums[c] for c, m in row if c in nums)
-                if s:
-                    out[key] = out.get(key, 0) + s * w
+            columns = _deflation(psi.group, levi, radical)
+            for c, v in nums.items():
+                v *= w
+                for l, m in columns[c]:
+                    key = pairs[l]
+                    out[key] = out.get(key, 0) + m * v
     return _graded_tensor(q, ambient, sums, D * d)
 
 

@@ -210,9 +210,12 @@ MUTANTS = [
     (HOPF, "sum(a * q ** (hi - k) for k, a in terms.items())", "sum(terms.values())",
      [ORACLE_SUMS + "test_int_value_at_one_over_q_equals_evaluate[2]",
       "tests/test_hopf_core.py::TestSpecialize::test_ut_coproduct_matches_symbolic"]),
-    # deflation adding each class once per row, not k times
-    (COMBINATIONS, "sum(k * terms[c] for c, k in row if c in terms)",
-     "sum(terms[c] for c, k in row if c in terms)",
+    # deflation adding each pair of a column once, not k times
+    (COMBINATIONS, "sums[l] += k * v", "sums[l] += v",
+     ["tests/test_class_functions.py::TestClassMapsAgainstReference::test_deflate[ut-4-2]"]),
+    # deflation reading only the first pair of each column, so a group class
+    # that meets two Levi classes adds to the first of them alone
+    (COMBINATIONS, "for l, k in columns[c]:", "for l, k in columns[c][:1]:",
      ["tests/test_class_functions.py::TestClassMapsAgainstReference::test_deflate[ut-4-2]"]),
     # unstraightening reading each class pair reversed
     (COMBINATIONS, "tensor.terms[pair] for c, pair in enumerate(pairs) if pair in tensor.terms",

@@ -12,15 +12,19 @@ GroupTable.factorization and, on the general linear side, induced up from a
 built parabolic table.
 """
 
+import collections
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from uthopf import class_functions
 from uthopf.class_functions import (
     ClassFunction,
     _block_classes,
+    _deflation,
     _exact,
+    _inflation,
     _ratio,
     TensorFunction,
     dagger_cf,
@@ -353,6 +357,30 @@ class TestInflationDeflation:
         with pytest.raises(ValueError):
             deflate_cf(trivial(big), big, radical)
 
+    def test_deflation_validates_before_inflation_reads(self, monkeypatch):
+        # on fresh caches deflation reads first, by column; both splits are
+        # refused before any product, and nothing is cached for them
+        fresh_coset_counts(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("a product was made before the split was checked")
+
+        monkeypatch.setattr(class_functions, "kernel", refuse)
+        big = ut_table(2, 2)
+        levi = pattern_group(PartialOrder((1, 2), [(1, 1), (2, 2)]), 2)
+        lower = pattern_group(chain_order((2, 1)), 2)
+        with pytest.raises(ValueError, match="do not both lie"):
+            deflate_cf(trivial(big), levi, lower)
+        with pytest.raises(ValueError, match="do not both lie"):
+            inflate_cf(trivial(levi), big, levi, lower)
+        big = ut_table(3, 2)
+        radical = ut_split_tables(3, (1,), 2)[1]
+        with pytest.raises(ValueError, match="meet only in the identity"):
+            deflate_cf(trivial(big), big, radical)
+        with pytest.raises(ValueError, match="meet only in the identity"):
+            inflate_cf(trivial(big), big, big, radical)
+        assert not class_functions._ROWS and not class_functions._COLUMNS
+
     def test_deflate_from_overgroup(self):
         # deflating a function on the ambient group only reads the coset
         # products, so restricting to the parabolic first changes nothing
@@ -561,14 +589,49 @@ def functions(group):
         c: Fraction((-1) ** c * (c + 1), 3) for c in range(len(group.classes))})]
 
 
+def fresh_coset_counts(monkeypatch):
+    """Empty row and column caches of the coset class counts, for one test."""
+    monkeypatch.setattr(class_functions, "_ROWS", {})
+    monkeypatch.setattr(class_functions, "_COLUMNS", {})
+
+
+def cancelling_difference(ambient, levi, radical):
+    """A difference of two scaled class indicators of ambient whose
+    deflation cancels at a Levi class l, and l; read off reference_deflate_cf
+    of the indicators.  None when no Levi class meets two classes of ambient."""
+    down = [reference_deflate_cf(psi, levi, radical) for psi in indicators(ambient)]
+    for l in range(len(levi.classes)):
+        hit = [b for b, f in enumerate(down) if l in f.terms]
+        if len(hit) > 1:
+            b1, b2 = hit[:2]
+            return ClassFunction(ambient, {b1: down[b2].terms[l],
+                                           b2: -down[b1].terms[l]}), l
+    return None
+
+
 class TestClassMapsAgainstReference:
     @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
     def test_deflate(self, family, top, q):
+        # signed Fraction values and a difference that cancels at a Levi
+        # class as well as the indicators; a column with two Levi classes
+        # tells a walk that reads every pair from one that stops early
+        cancelled = shared = 0
         for ambient, levi, radical, _, _, _ in coproduct_splits(family, top, q):
-            for psi in indicators(ambient):
-                assert deflate_cf(psi, levi, radical) == reference_deflate_cf(
-                    psi, levi, radical
-                )
+            fs = functions(ambient)
+            difference = cancelling_difference(ambient, levi, radical)
+            if difference is not None:
+                fs.append(difference[0])
+            for psi in fs:
+                got = deflate_cf(psi, levi, radical)
+                assert got == reference_deflate_cf(psi, levi, radical)
+                assert_exact_form(got)
+                assert all(got.terms.values())
+                assert list(got.terms) == sorted(got.terms)
+            if difference is not None:
+                assert difference[1] not in deflate_cf(difference[0], levi, radical).terms
+                cancelled += 1
+            shared += any(len(column) > 1 for column in _deflation(ambient, levi, radical))
+        assert cancelled and shared
 
     @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
     def test_straighten(self, family, top, q):
@@ -678,6 +741,47 @@ class TestClassMapsAgainstReference:
             straighten_cf(trivial(levi), inside, left, right)
         with pytest.raises(ValueError, match="not sorted distinct labels"):
             unstraighten_cf(tensor, inside, levi)
+
+
+class TestCosetCountOrientations:
+    """The coset class counts of a split, read by Levi class (inflation)
+    and by group class (deflation), come from one product pass."""
+
+    @pytest.mark.parametrize("first", ["rows", "columns"])
+    @pytest.mark.parametrize("family,top,q", SPLIT_FAMILIES)
+    def test_columns_hold_the_triples_of_the_rows(self, monkeypatch, family, top, q,
+                                                  first):
+        fresh_coset_counts(monkeypatch)
+        passes = collections.Counter()
+        products = class_functions._products
+
+        def spy(*split):
+            passes[split] += 1
+            return products(*split)
+
+        monkeypatch.setattr(class_functions, "_products", spy)
+        splits = list(dict.fromkeys(
+            split[:3] for split in coproduct_splits(family, top, q)))
+        for split in splits:
+            group, levi, radical = split
+            if first == "rows":
+                rows = _inflation(*split)
+                columns = _deflation(*split)
+            else:
+                columns = _deflation(*split)
+                assert split not in class_functions._ROWS
+                rows = _inflation(*split)
+            assert (len(rows), len(columns)) == (len(levi.classes), len(group.classes))
+            by_rows = [(l, b, k) for l, row in enumerate(rows) for b, k in row]
+            by_columns = [(l, b, k) for b, column in enumerate(columns) for l, k in column]
+            assert sorted(by_rows) == sorted(by_columns)
+            assert len(set(by_rows)) == len(by_rows)
+            assert all(sum(k for _, k in row) == radical.order for row in rows)
+            assert all(k > 0 for _, _, k in by_rows)
+            assert all([l for l, _ in column] == sorted(l for l, _ in column)
+                       for column in columns)
+            assert _inflation(*split) is rows and _deflation(*split) is columns
+        assert passes == collections.Counter(dict.fromkeys(splits, 1))
 
 
 class TestExactForm:

@@ -46,6 +46,8 @@ NODE_IDS = [
     "tests/test_class_functions.py::TestClassFunction::test_caller_errors_raise",
     "tests/test_class_functions.py::TestInflationDeflation::"
     "test_inflate_requires_a_function_on_the_levi",
+    "tests/test_class_functions.py::TestInflationDeflation::"
+    "test_deflation_validates_before_inflation_reads",
     "tests/test_hopf_core.py::TestSpecialize::test_ut_product_rejects_mixed_primes",
     "tests/test_hopf_core.py::TestMonoidLevel::"
     "test_inflate_needs_the_parabolic_to_be_everything",
@@ -147,5 +149,5 @@ def test_validation_survives_optimize():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "158 passed" in proc.stdout, proc.stdout[-3000:]
+    assert "159 passed" in proc.stdout, proc.stdout[-3000:]
     assert "python -O" in proc.stdout, "the subprocess did not run optimized"
