@@ -295,7 +295,7 @@ class Nuio:
     once per process.
     """
 
-    __slots__ = ("n", "_profile", "_strict", "_hash", "_key")
+    __slots__ = ("n", "_profile", "_strict", "_hash", "_key", "_dagger")
 
     def __init__(self, n, strict=()):
         """Accept strict pairs whose transitive closure is such an order.
@@ -367,6 +367,7 @@ class Nuio:
         # sorts like (n, strict): an empty row, c = n + 1 read as 0, ends
         # the strict pairs, as every later row is empty too
         self._key = (n, tuple(c if c <= n else 0 for c in prof))
+        self._dagger = None
 
     @property
     def strict(self):
@@ -425,15 +426,25 @@ class Nuio:
         return cls.from_profile(tuple(prof))
 
     def dagger(self):
-        """Reverse both coordinates through i -> n + 1 - i.
+        """Reverse both coordinates through i -> n + 1 - i.  The interned
+        result is kept on the order at the first call, so each order finds
+        its flip once.
 
         >>> Nuio(4, [(1, 4), (2, 4)]).dagger().strict
         ((1, 3), (1, 4))
+        >>> pi = Nuio.from_profile((4, 4, 5, 5))
+        >>> pi.dagger().dagger() is pi
+        True
+        >>> Nuio(4, [(1, 4), (2, 4)]).dagger() is pi.dagger()
+        True
         """
-        n, prof = self.n, self._profile
-        return Nuio.from_profile(tuple(
-            n + 1 - bisect.bisect_right(prof, n + 1 - i) for i in range(1, n + 1)
-        ))
+        dual = self._dagger
+        if dual is None:
+            n, prof = self.n, self._profile
+            dual = self._dagger = Nuio.from_profile(tuple(
+                n + 1 - bisect.bisect_right(prof, n + 1 - i) for i in range(1, n + 1)
+            ))
+        return dual
 
     def shifted_sum(self, other):
         """Ordinal sum with the labels of other shifted up past self; each

@@ -10,9 +10,17 @@ coproduct is multiplicative and the antipode an anti-homomorphism, such an
 order multiplies the two cached results, the antipodes in reverse order;
 only a connected order runs the counit recursion or sums over its splits,
 all read off one walk over its labels (Nuio.splits).  Both check the budget
-against the 2^n subsets of the whole order on entry.  Coefficients follow
-class_functions._exact: an int when integral, a Fraction otherwise, inexact
-input refused.
+against the 2^n subsets of the whole order on entry.  Each is computed
+once per pair of an order and its flip (Nuio.dagger): the one with the
+smaller key takes the path above, the other reads the mirror of its
+value, as reversing the labels maps pi restricted to S onto the flip
+restricted to the reversed S and an ascent leaving S to one leaving the
+reversed complement, so the coproduct of the flip is that of pi with its
+factors swapped and flipped, and the antipode of the flip is the flip of
+the antipode.  The side is chosen by key, not by which value is cached
+first, so no value depends on the order of the calls.  Coefficients
+follow class_functions._exact: an int when integral, a Fraction
+otherwise, inexact input refused.
 Setting t = 1/q turns a basis element into the normalized indicator of its
 pattern subgroup inside the full unitriangular group, and the symbolic
 operations match inflation and parabolic deflation of those indicators; that
@@ -370,12 +378,23 @@ class TensorScf(Combination):
 
 @functools.lru_cache(maxsize=None)
 def _coproduct_basis(pi):
-    """Coproduct of one basis element.  It is multiplicative, so a shifted
-    sum has the cached coproduct of the order below its top piece times
-    that of the piece; a connected order sums t^ascents over its splits,
-    read off one walk (Nuio.splits), into interned coefficients.  The
-    budget is checked against 2^n first."""
+    """Coproduct of one basis element.  The budget is checked against 2^n
+    first.  When the flip of pi has the smaller key, the value is the
+    mirror of the flip's: reversing the labels carries each split of pi
+    to the split of its flip with the sides swapped and both reversed,
+    and each ascent leaving a side to one leaving the other, so a term
+    (l, r, c) of the flip's coproduct becomes (r.dagger(), l.dagger(), c),
+    with the same coefficient object.  Otherwise, as the coproduct is
+    multiplicative, a shifted sum has the cached coproduct of the order
+    below its top piece times that of the piece; a connected order sums
+    t^ascents over its splits, read off one walk (Nuio.splits), into
+    interned coefficients."""
     _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
+    dual = pi.dagger()
+    if dual.key() < pi.key():
+        return TensorScf._trusted((), {
+            (r.dagger(), l.dagger()): c
+            for (l, r), c in _coproduct_basis(dual).terms.items()})
     rest, top = pi.top_piece()
     if rest.n:
         return _coproduct_basis(rest) * _coproduct_basis(top)
@@ -389,16 +408,23 @@ def _coproduct_basis(pi):
 
 @functools.lru_cache(maxsize=None)
 def _antipode_basis(pi):
-    """Antipode of one basis element.  The antipode reverses products, so a
+    """Antipode of one basis element.  Past degree 0 the budget is checked
+    against 2^n first.  When the flip of pi has the smaller key, the value
+    is the flip of the flip's antipode: the flip reverses products and
+    flips the coproduct with its factors swapped, so it commutes with the
+    antipode, and a term (rho, c) becomes (rho.dagger(), c), with the same
+    coefficient object.  Otherwise, as the antipode reverses products, a
     shifted sum has the cached antipode of its top piece times that of the
     order below it; a connected order runs the recursion from the counit
     identity, S(pi) = -pi - sum c S(left) right over the proper splits,
     subtracting each product's terms in place from one exponent dict per
-    result order, and interns each nonzero sum.  Past degree 0 the budget
-    is checked against 2^n first."""
+    result order, and interns each nonzero sum."""
     if pi.n == 0:
         return ScfElement.unit()
     _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
+    dual = pi.dagger()
+    if dual.key() < pi.key():
+        return _antipode_basis(dual).dagger()
     rest, top = pi.top_piece()
     if rest.n:
         return _antipode_basis(top) * _antipode_basis(rest)

@@ -131,6 +131,14 @@ MUTANTS = [
     (HOPF, "return _coproduct_basis(rest) * _coproduct_basis(top)",
      "return _coproduct_basis(top) * _coproduct_basis(rest)",
      [SUBSET_SUM + "[3]", "tests/test_hopf_core.py::TestCoproduct::test_coassociative"]),
+    # the coproduct of an order read off its flip's with both factors
+    # flipped but not swapped; the first order it gets wrong has degree 4
+    (HOPF, "(r.dagger(), l.dagger()): c", "(l.dagger(), r.dagger()): c",
+     [SUBSET_SUM + "[4]"]),
+    # the antipode of an order read off its flip's with the orders left
+    # unflipped
+    (HOPF, "return _antipode_basis(dual).dagger()", "return _antipode_basis(dual)",
+     [ANTIPODE_RECURSION + "[3]"]),
     # every one-term element served the cached basis value, whatever its
     # coefficient
     (HOPF, "(pi, c), = self.terms.items()\n            if c.terms == LaurentT._UNIT:",

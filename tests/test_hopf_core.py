@@ -10,9 +10,13 @@ specialize_tensor) against the collect sums they replaced.
 """
 
 import itertools
+import json
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +57,24 @@ from uthopf.hopf_core import (
 from test_class_functions import assert_exact_form, indicators, subgroup_indicator, \
     trivial
 from test_combinatorics import from_strict, ref_ascent_count, ref_shifted_restrict
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Prints, as canonical JSON, every order of degree at most 7 in ascending
+# key order with its coproduct and, to degree 6, its antipode, having
+# computed them in the order named by its argument.
+CALL_ORDER_SWEEP = """
+import json, sys
+from uthopf import Nuio, ScfElement, natural_unit_interval_orders
+orders = sorted((pi for n in range(8) for pi in natural_unit_interval_orders(n)),
+                key=Nuio.key, reverse=sys.argv[1] == "descending")
+values = {}
+for pi in orders:
+    x = ScfElement.basis(pi)
+    values[pi] = [x.coproduct().to_dict(), x.antipode().to_dict() if pi.n <= 6 else None]
+sys.stdout.write(json.dumps(
+    [[pi.to_dict(), *values[pi]] for pi in sorted(values, key=Nuio.key)], sort_keys=True))
+"""
 
 PT = Nuio(1, [])
 A2 = Nuio(2, [])
@@ -717,6 +739,11 @@ class TestDagger:
                         assert (x * y).dagger() == y.dagger() * x.dagger()
 
     def test_flips_coproducts(self):
+        # The library reads the coproduct of the order of each pair with
+        # the larger key off its flip's by this very rule, so for half of
+        # the pairs this restates it; the subset sum in
+        # TestCoproduct::test_equals_the_subset_sum is the independent
+        # referee, on every order of degree at most 7.
         for n in range(8):
             for pi in natural_unit_interval_orders(n):
                 x = basis(pi)
@@ -724,10 +751,60 @@ class TestDagger:
                 assert x.dagger().coproduct() == flipped
 
     def test_commutes_with_antipode(self):
+        # The library reads the antipode of the order of each pair with the
+        # larger key off its flip's by this very rule, so for half of the
+        # pairs this restates it; the counit recursion in
+        # TestAntipode::test_equals_the_counit_recursion is the independent
+        # referee, on every order of degree at most 7.
         for n in range(8):
             for pi in natural_unit_interval_orders(n):
                 x = basis(pi)
                 assert x.antipode().dagger() == x.dagger().antipode()
+
+    def test_values_do_not_depend_on_the_call_order(self):
+        # Each of two fresh interpreters computes every coproduct to degree
+        # 7 and every antipode to degree 6, one walking the orders by
+        # ascending key, so each flip's partner is cached first, and one by
+        # descending key, so each mirror is asked for first.
+        outputs = []
+        for walk in ("ascending", "descending"):
+            proc = subprocess.run(
+                [sys.executable, *["-O"] * sys.flags.optimize,
+                 "-c", CALL_ORDER_SWEEP, walk],
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                    filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
+                capture_output=True, text=True, timeout=120)
+            if proc.returncode != 0:
+                raise AssertionError(proc.stderr[-3000:])
+            outputs.append(proc.stdout)
+        if outputs[0] != outputs[1]:
+            raise AssertionError("the two walks printed different values")
+        rows = json.loads(outputs[0])
+        orders = sorted((pi for n in range(8) for pi in natural_unit_interval_orders(n)),
+                        key=Nuio.key)
+        assert len(rows) == len(orders) == 626
+        for pi, row in zip(orders, rows):
+            want = [pi.to_dict(), reference_coproduct_basis(pi).to_dict(),
+                    reference_antipode_basis(pi).to_dict() if pi.n <= 6 else None]
+            assert row == json.loads(json.dumps(want))
+
+    @pytest.mark.parametrize("image", ["_coproduct_basis", "_antipode_basis"])
+    def test_budget_is_checked_before_the_flip(self, image, monkeypatch):
+        # an order of degree 9 whose flip has the smaller key
+        canonical = Nuio.from_profile((3,) + (10,) * 8)
+        pi = canonical.dagger()
+        assert canonical.key() < pi.key() and pi.dagger() is canonical
+        cached = getattr(hopf_core, image)
+        before = cached.cache_info().currsize
+
+        def refuse(self):
+            raise AssertionError("the flip was looked up before the budget check")
+
+        monkeypatch.setattr(Nuio, "dagger", refuse)
+        monkeypatch.setenv("UTHOPF_BUDGET", str(2 ** 9 - 1))
+        with pytest.raises(combinatorics.BudgetError, match="needs 512 elements"):
+            cached(pi)
+        assert cached.cache_info().currsize == before
 
 
 class TestSerialization:
