@@ -70,7 +70,9 @@ class Combination:
     constructor arguments, the attributes named by `_fields`, that two
     combinations of one type must share to be added or equal; `_coerce`
     turns a coefficient or scalar into coefficient form.  The constructor
-    validates; collect, linear operations and transports use _trusted.
+    validates; collect, linear operations and transports use _trusted,
+    which normalizes the dict and adopts it (_adopt); a value whose
+    coefficients are kept or made nonzero and coerced adopts it directly.
     """
 
     __slots__ = ("terms",)
@@ -104,20 +106,25 @@ class Combination:
     @classmethod
     def _trusted(cls, context, terms):
         """Build from coerced coefficients, with neither the context nor the
-        keys checked.  The new value adopts the dict terms, which every
-        caller has just built and hands over: zeros are deleted from it and
-        an integral Fraction (a sum or product of Fractions can be one) is
-        replaced by its int, in place, so no key is hashed again unless it
-        changes; the other keys keep their order."""
-        self = cls.__new__(cls)
-        for name, value in zip(cls._fields, context):
-            setattr(self, name, value)
+        keys checked: normalize the dict terms, then _adopt it.  Zeros are
+        deleted and an integral Fraction (a sum or product of Fractions can
+        be one) is replaced by its int, in place, so no key is hashed again
+        unless it changes; the other keys keep their order."""
         for key, c in [(key, c) for key, c in terms.items()
                        if not c or type(c) is Fraction and c.denominator == 1]:
             if c:
                 terms[key] = c.numerator
             else:
                 del terms[key]
+        return cls._adopt(context, terms)
+
+    @classmethod
+    def _adopt(cls, context, terms):
+        """The value on the dict terms as it is, which the caller has just
+        built and hands over, its coefficients nonzero and coerced."""
+        self = cls.__new__(cls)
+        for name, value in zip(cls._fields, context):
+            setattr(self, name, value)
         self.terms = terms
         return self
 

@@ -364,9 +364,10 @@ class Nuio:
         self._hash = hash(prof)
         self._strict = tuple((i, j) for i, c in enumerate(prof, start=1)
                              for j in range(c, n + 1))
-        # sorts like (n, strict): an empty row, c = n + 1 read as 0, ends
-        # the strict pairs, as every later row is empty too
-        self._key = (n, tuple(c if c <= n else 0 for c in prof))
+        key = 1
+        for c in prof:
+            key = key * (n + 1) + (c if c <= n else 0)
+        self._key = key
         self._dagger = None
 
     @property
@@ -377,6 +378,14 @@ class Nuio:
         return self._profile
 
     def key(self):
+        """An int that sorts like (n, strict): the rows as base n + 1 digits
+        after a leading 1, an empty row, c = n + 1, read as 0, as it ends the
+        strict pairs; the keys of degree n lie in [(n + 1)^n, 2 (n + 1)^n),
+        below (n + 2)^(n + 1), the least key of degree n + 1.
+
+        >>> [Nuio.from_profile(p).key() for p in [(), (2,), (3, 3), (2, 3)]]
+        [1, 2, 9, 15]
+        """
         return self._key
 
     def __eq__(self, other):

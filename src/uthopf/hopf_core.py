@@ -43,29 +43,24 @@ rhs[, relation]) checking its own budget first, run by verify_reports.
 
 Every sparse value here (LaurentT, ScfElement, TensorScf,
 GradedClassFunction, GradedTensor) is a class_functions.Combination: its
-`terms` dict maps exponents, orders, pairs of orders, degrees or bidegrees to
-nonzero coefficients, and adopts the dict it is built from (_trusted).
-Sums of many pieces go through one `collect` call, which coerces each
-coefficient once; the graded tensor sums of the oracle (parabolic_coproduct,
-specialize_tensor) instead add int numerators over one denominator, one
-dict per bidegree, and divide once per class pair.  The coproduct adds
-them by column of the coset class counts (class_functions._deflation),
-walking only the classes a component is nonzero on.  A LaurentT product
-by the unit is the other factor.
-Values are never changed in place, so results are shared.  The coproduct
-and the antipode are one linear extension of their cached basis values
-(ScfElement._extend): basis(pi) with the unit coefficient gets the cached
-value itself, any other element one collect of the scaled cached values.
-Nuio.to_dict() hands out the order's own tuple of strict pairs, which json
-writes as the same list text.  Coefficients are interned where they are
-made (_interned): one LaurentT per distinct value, its printed dict built
-once, the unit coefficient of every basis element among them.  A connected
-order interns the coefficients of its coproduct and antipode, the latter
-summed in place by the counit recursion.  Every coefficient of an
-ScfElement or TensorScf product goes through one memo (_times), which
-makes and interns the product of two interned values once per process, so
-every basis antipode holds interned values.  The graded families have
-class functions and tensors as coefficients.
+`terms` dict maps exponents, orders, pairs of orders, degrees or bidegrees
+to nonzero coefficients.  Sums of many pieces go through one `collect`
+call; the oracle's graded tensor sums (parabolic_coproduct,
+specialize_tensor) add int numerators over one denominator, one dict per
+bidegree, the coproduct's by column of the coset class counts
+(class_functions._deflation), and divide once per class pair.
+Values are never changed in place, so results are shared: a LaurentT
+product by the unit is the other factor, and basis(pi) with the unit
+coefficient gets the cached coproduct or antipode itself
+(ScfElement._extend).  Coefficients are interned where they are made
+(_interned): one LaurentT per distinct value, its printed dict built once.
+A connected order interns its coproduct and antipode coefficients.  An
+ScfElement or TensorScf product (_product) makes each term through one
+memo (_times), which interns the product of two interned values, and sums
+in place, interning a sum of two interned values, so every basis
+coproduct and antipode holds interned values only.  A value that carries
+its coefficients over unchanged, or makes them interned, adopts its dict
+with no rescan (Combination._adopt).
 """
 
 from __future__ import annotations
@@ -228,7 +223,7 @@ def _interned(terms):
     key = tuple(sorted(terms.items()))
     value = _INTERNED.get(key)
     if value is None:
-        value = _INTERNED[key] = LaurentT._trusted((), terms)
+        value = _INTERNED[key] = LaurentT._adopt((), terms)
         _PRINTED[id(value)] = {
             sys.intern(str(k)): sys.intern(frac_str(v)) for k, v in key}
     return value
@@ -254,6 +249,29 @@ def _times(a, b):
     return c
 
 
+def _product(x, y, join):
+    """x * y summed in place: the product of the terms (k1, a) and (k2, b),
+    made by _times, adds into the key join(k1, k2).  A key met again holds
+    the sum, interned when both summands are, or is dropped where the sum is
+    zero: the only place a zero can arise, as the product of two nonzero
+    Laurent polynomials is nonzero, so the dict is adopted as it is."""
+    out = {}
+    for k1, a in x.terms.items():
+        for k2, b in y.terms.items():
+            key, c = join(k1, k2), _times(a, b)
+            old = out.get(key)
+            if old is not None:
+                both = id(old) in _PRINTED and id(c) in _PRINTED
+                c = old + c
+                if not c.terms:
+                    del out[key]
+                    continue
+                if both:
+                    c = _interned(c.terms)
+            out[key] = c
+    return x._adopt((), out)
+
+
 def _laurent(c):
     return c if isinstance(c, LaurentT) else LaurentT.scalar(c)
 
@@ -267,7 +285,7 @@ class ScfElement(Combination):
 
     @classmethod
     def basis(cls, pi):
-        return cls._trusted((), {pi: _ONE})
+        return cls._adopt((), {pi: _ONE})
 
     @classmethod
     def unit(cls):
@@ -277,11 +295,7 @@ class ScfElement(Combination):
         return sorted(self.terms.items(), key=lambda kv: kv[0]._key)
 
     def __mul__(self, other):
-        return ScfElement.collect(
-            (pi.shifted_sum(rho), _times(a, b))
-            for pi, a in self.terms.items()
-            for rho, b in other.terms.items()
-        )
+        return _product(self, other, Nuio.shifted_sum)
 
     def __repr__(self):
         bits = ["(%s) * %r" % (c, pi) for pi, c in self.sorted_terms()]
@@ -311,7 +325,7 @@ class ScfElement(Combination):
         return self._extend(_antipode_basis, ScfElement)
 
     def dagger(self):
-        return self._like({pi.dagger(): c for pi, c in self.terms.items()})
+        return self._adopt((), {pi.dagger(): c for pi, c in self.terms.items()})
 
     def to_dict(self):
         return {
@@ -343,18 +357,15 @@ class TensorScf(Combination):
         )
 
     def __mul__(self, other):
-        return TensorScf.collect(
-            ((l1.shifted_sum(l2), r1.shifted_sum(r2)), _times(a, b))
-            for (l1, r1), a in self.terms.items()
-            for (l2, r2), b in other.terms.items()
-        )
+        return _product(self, other, lambda x, y: (
+            x[0].shifted_sum(y[0]), x[1].shifted_sum(y[1])))
 
     def swap(self):
-        return self._like({(r, l): c for (l, r), c in self.terms.items()})
+        return self._adopt((), {(r, l): c for (l, r), c in self.terms.items()})
 
     def component(self, i, j):
-        return self._like({k: c for k, c in self.terms.items()
-                           if k[0].n == i and k[1].n == j})
+        return self._adopt((), {k: c for k, c in self.terms.items()
+                                if k[0].n == i and k[1].n == j})
 
     def __repr__(self):
         bits = [
@@ -378,21 +389,17 @@ class TensorScf(Combination):
 
 @functools.lru_cache(maxsize=None)
 def _coproduct_basis(pi):
-    """Coproduct of one basis element.  The budget is checked against 2^n
-    first.  When the flip of pi has the smaller key, the value is the
-    mirror of the flip's: reversing the labels carries each split of pi
-    to the split of its flip with the sides swapped and both reversed,
-    and each ascent leaving a side to one leaving the other, so a term
-    (l, r, c) of the flip's coproduct becomes (r.dagger(), l.dagger(), c),
-    with the same coefficient object.  Otherwise, as the coproduct is
-    multiplicative, a shifted sum has the cached coproduct of the order
-    below its top piece times that of the piece; a connected order sums
-    t^ascents over its splits, read off one walk (Nuio.splits), into
-    interned coefficients."""
+    """Coproduct of one basis element, the budget checked against 2^n
+    first.  When the flip of pi has the smaller key, it is the mirror of
+    the flip's: a term (l, r, c) becomes (r.dagger(), l.dagger(), c), with
+    the same coefficient object.  Otherwise a shifted sum multiplies the
+    cached coproducts of the order below its top piece and of that piece;
+    a connected order sums t^ascents over its splits, read off one walk
+    (Nuio.splits), into interned coefficients."""
     _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
     dual = pi.dagger()
     if dual.key() < pi.key():
-        return TensorScf._trusted((), {
+        return TensorScf._adopt((), {
             (r.dagger(), l.dagger()): c
             for (l, r), c in _coproduct_basis(dual).terms.items()})
     rest, top = pi.top_piece()
@@ -402,23 +409,20 @@ def _coproduct_basis(pi):
     for _, left, right, ascents in pi.splits():
         counts = exponents.setdefault((left, right), {})
         counts[ascents] = counts.get(ascents, 0) + 1
-    return TensorScf._trusted((), {
+    return TensorScf._adopt((), {
         key: _interned(counts) for key, counts in exponents.items()})
 
 
 @functools.lru_cache(maxsize=None)
 def _antipode_basis(pi):
-    """Antipode of one basis element.  Past degree 0 the budget is checked
-    against 2^n first.  When the flip of pi has the smaller key, the value
-    is the flip of the flip's antipode: the flip reverses products and
-    flips the coproduct with its factors swapped, so it commutes with the
-    antipode, and a term (rho, c) becomes (rho.dagger(), c), with the same
-    coefficient object.  Otherwise, as the antipode reverses products, a
-    shifted sum has the cached antipode of its top piece times that of the
-    order below it; a connected order runs the recursion from the counit
-    identity, S(pi) = -pi - sum c S(left) right over the proper splits,
-    subtracting each product's terms in place from one exponent dict per
-    result order, and interns each nonzero sum."""
+    """Antipode of one basis element, past degree 0 the budget checked
+    against 2^n first.  When the flip of pi has the smaller key, it is the
+    flip of the flip's: a term (rho, c) becomes (rho.dagger(), c), with the
+    same coefficient object.  Otherwise a shifted sum multiplies the cached
+    antipodes of its top piece and of the order below it; a connected order
+    runs the counit recursion S(pi) = -pi - sum c S(left) right over the
+    proper splits, subtracting each product's terms in place from one
+    exponent dict per result order, and interns each nonzero sum."""
     if pi.n == 0:
         return ScfElement.unit()
     _check_budget(2 ** pi.n, "splitting a degree %d order" % pi.n)
@@ -435,7 +439,7 @@ def _antipode_basis(pi):
                 exponents = sums.setdefault(rho.shifted_sum(right), {})
                 for k, x in (c * v).terms.items():
                     exponents[k] = exponents.get(k, 0) - x
-    return ScfElement._trusted((), {
+    return ScfElement._adopt((), {
         rho: _interned(nonzero) for rho, exponents in sums.items()
         if (nonzero := {k: x for k, x in exponents.items() if x})})
 

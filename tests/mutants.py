@@ -41,6 +41,8 @@ FROM_CODES = "tests/test_group_engine.py::TestTablesFromCodes::"
 AGAINST_MATRICES = "tests/test_group_engine.py::TestCodesAgainstMatrices::"
 BLOCKS = ("tests/test_class_functions.py::TestClassMapsAgainstReference::"
           "test_block_classes_against_the_matrix_blocks")
+PRODUCT_SUMS = "tests/test_hopf_core.py::TestProductSums::test_sums_against_collect"
+INT_KEY = "tests/test_combinatorics.py::TestProfileAgainstStrictPairs::"
 ROW_BUILT = "tests/test_group_engine.py::TestGl::test_row_built_elements_equal_the_scan"
 CELL_MOVE = "tests/test_group_engine.py::TestCellMove::"
 
@@ -285,6 +287,33 @@ MUTANTS = [
      ["tests/test_cli.py::TestVerify::test_verify_output_is_pinned[monoid-axioms-json]",
       "tests/test_cli.py::TestVerify::"
       "test_verify_output_is_pinned[monoid-axioms-n3-q2-sampled]"]),
+    # the order key read in base n, not n + 1, so that the row value n
+    # carries into the row before it
+    (ORDERS, "key = key * (n + 1) + (c if c <= n else 0)",
+     "key = key * n + (c if c <= n else 0)",
+     [INT_KEY + "test_int_key_sorts_like_the_profile_tuple",
+      INT_KEY + "test_key_sorts_like_the_strict_pairs"]),
+    # the order key without its leading digit, so that the keys of two
+    # degrees overlap
+    (ORDERS, "key = 1\n        for c in prof:", "key = 0\n        for c in prof:",
+     [INT_KEY + "test_int_key_sorts_like_the_profile_tuple",
+      "src/uthopf/combinatorics.py::uthopf.combinatorics.Nuio.key"]),
+    # a product's key met twice holding the later term, not the sum
+    (HOPF, "c = old + c", "c = c",
+     [PRODUCT_SUMS + "[ScfElement]", SUBSET_SUM + "[2]"]),
+    # a product's sum that cancels kept as a zero coefficient
+    (HOPF, "if not c.terms:\n                    del out[key]",
+     "if False:\n                    del out[key]",
+     [PRODUCT_SUMS + "[ScfElement]", PRODUCT_SUMS + "[TensorScf]"]),
+    # a product's sum interned when either summand is, not both
+    (HOPF, "both = id(old) in _PRINTED and id(c) in _PRINTED",
+     "both = id(old) in _PRINTED or id(c) in _PRINTED",
+     [PRODUCT_SUMS + "[ScfElement]", PRODUCT_SUMS + "[TensorScf]"]),
+    # collect adopting its sums as they are, zeros and integral Fractions
+    # included
+    (COMBINATIONS, "return cls._trusted(context, out)", "return cls._adopt(context, out)",
+     ["tests/test_hopf_core.py::TestLaurentT::test_product_matches_the_collect_reference",
+      "tests/test_hopf_core.py::TestAntipode::test_convolution_identities[1]"]),
 ]
 
 

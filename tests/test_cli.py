@@ -334,6 +334,11 @@ class TestVerify:
             ("oracle", "--n", "4", "--q", "5", "--format", "json"),
             "8bae00dfc29f938c46e2d4d866aac318194b9f378af215eeecc0d27efa45433f",
             id="oracle-n4-q5-json"),
+        # the ut-oracle benchmark workload (perfbench/workloads.json)
+        pytest.param(
+            ("oracle", "--n", "5", "--q", "2", "--format", "json"),
+            "17d871521236171646e05288ef0fca536fa7de8809dd8ac26cdbca9e3191009e",
+            id="oracle-n5-q2-json"),
         pytest.param(
             ("induction-hom", "--n", "3", "--q", "2", "--format", "json"),
             "878c5a6b0cf6f4a7e154fc6823795dd479f8367e4cafacebb4d90b15dbb89113",
@@ -368,6 +373,20 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workload", ["gl-induction", "ut-oracle", "symbolic-tower"])
+    def test_benchmark_pass_matches_its_pin(self, workload):
+        # one pass of the benchmark worker in a fresh interpreter, against
+        # the operation count and digest pinned in perfbench/workloads.json
+        bench = os.path.join(os.path.dirname(SRC), "perfbench")
+        with open(os.path.join(bench, "workloads.json")) as fh:
+            pin = json.load(fh)["workloads"][workload]
+        proc = subprocess.run(
+            [sys.executable, os.path.join(bench, "worker.py"), "--workload", workload,
+             "--seed", "1"], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert (out["failed"], out["ops"], out["sha256"]) == (0, pin["ops"], pin["sha256"])
 
     def test_relabelling_builds_one_class_map_per_move(self, capsys):
         # 11,700 relabellings fall on 85 (source, target, mapping) keys; a

@@ -637,6 +637,17 @@ class TestProfileAgainstStrictPairs:
             orders, key=lambda pi: (pi.n, pi.strict)
         )
 
+    def test_int_key_sorts_like_the_profile_tuple(self):
+        # the int key against the (n, rows) tuple it replaced, an empty row
+        # read as 0, on all 2,056 orders of degree <= 8 in a shuffled order
+        orders = [pi for n in range(9) for pi in natural_unit_interval_orders(n)]
+        keys = {pi.key() for pi in orders}
+        assert len(keys) == len(orders) == 2056
+        assert all(type(k) is int for k in keys)
+        random.Random(1).shuffle(orders)
+        assert sorted(orders, key=Nuio.key) == sorted(orders, key=lambda pi: (
+            pi.n, tuple(c if c <= pi.n else 0 for c in pi.profile())))
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_constructor_accepts_exactly_closures_that_are_nuios(self, n):
         # every set of off-diagonal pairs: accepted exactly when its

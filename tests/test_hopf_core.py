@@ -9,6 +9,7 @@ reports, and the oracle's numerator sums (parabolic_coproduct,
 specialize_tensor) against the collect sums they replaced.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -569,7 +570,7 @@ class TestCoproduct:
 
 
 class TestSharedCoefficients:
-    """Coefficients of a connected order's coproduct are interned: one
+    """Coefficients of every basis coproduct and antipode are interned: one
     LaurentT per value, printed once when it is interned."""
 
     @staticmethod
@@ -586,9 +587,9 @@ class TestSharedCoefficients:
             assert value.to_dict() == LaurentT._trusted((), counts).to_dict()
 
     def test_connected_coproducts_hold_interned_values(self):
-        for pi in self.all_orders(6):
-            if pi.top_piece()[0].n:
-                continue
+        # connected or not: a connected order interns its sums, any other
+        # order multiplies and sums interned values of its pieces (_product)
+        for pi in self.all_orders():
             for c in basis(pi).coproduct().terms.values():
                 assert c is hopf_core._INTERNED[tuple(sorted(c.terms.items()))]
 
@@ -610,6 +611,21 @@ class TestSharedCoefficients:
             fresh = hopf_core._antipode_basis.__wrapped__(pi)
             assert hopf_core._antipode_basis(pi) == fresh == reference_antipode_basis(pi)
             assert basis(pi).antipode().to_dict() == fresh.to_dict()
+
+    def test_coproduct_to_dict_hands_out_fresh_dicts(self):
+        for pi in self.all_orders():
+            data = basis(pi).coproduct().to_dict()
+            again = basis(pi).coproduct().to_dict()
+            assert data == again
+            for term, other in zip(data["terms"], again["terms"]):
+                assert term["coeff"] is not other["coeff"]
+                term["left"]["n"] = term["right"]["strict"] = None
+                term["coeff"]["0"] = "9/1"
+                term["coeff"].clear()
+            data["terms"].clear()
+            fresh = hopf_core._coproduct_basis.__wrapped__(pi)
+            assert hopf_core._coproduct_basis(pi) == fresh == reference_coproduct_basis(pi)
+            assert basis(pi).coproduct().to_dict() == fresh.to_dict() == again
 
     def test_products_of_interned_values_are_interned(self):
         values = [c for pi in self.all_orders(4)
@@ -663,6 +679,76 @@ class TestSharedCoefficients:
                 ((l1.shifted_sum(l2), r1.shifted_sum(r2)), a * b)
                 for (l1, r1), a in x.terms.items()
                 for (l2, r2), b in y.terms.items())
+
+
+class TestProductSums:
+    """ScfElement and TensorScf products sum in place (_product): against
+    collect, with no zero kept, and a sum interned exactly when both of its
+    summands are."""
+
+    @staticmethod
+    def interned(c):
+        return id(c) in hopf_core._PRINTED
+
+    def operands(self, rng, cls, keys):
+        # interned values and their interned negatives, mostly; else values
+        # that are not interned, equal to interned ones or not, Fraction
+        # coefficients among them
+        interned = [hopf_core._interned(dict(terms)) for terms in [
+            {0: 1}, {0: -1}, {0: 1, 1: 2}, {0: -1, 1: -2}, {1: 1}, {1: -1}]]
+        plain = [-interned[2], LaurentT({1: 1}), T + ONE,
+                 LaurentT({0: Fraction(1, 2), 2: -1}), LaurentT({0: Fraction(-1, 2), 2: 1})]
+        return cls._adopt((), {
+            rng.choice(keys): rng.choice(interned if rng.random() < 0.75 else plain)
+            for _ in range(rng.randrange(1, 6))})
+
+    def expected(self, x, y, join):
+        """(value, interned) per key, folded over the products in the order
+        _product meets them, with collect's sum as the reference value."""
+        state = {}
+        for k1, a in x.terms.items():
+            for k2, b in y.terms.items():
+                key, c = join(k1, k2), hopf_core._times(a, b)
+                if key in state:
+                    total, both = state.pop(key)
+                    total = total + c
+                    if total:
+                        state[key] = total, both and self.interned(c)
+                else:
+                    state[key] = c, self.interned(c)
+        return state
+
+    @pytest.mark.parametrize("cls", [ScfElement, TensorScf])
+    def test_sums_against_collect(self, cls):
+        rng = random.Random(3)
+        orders = [pi for n in range(3) for pi in natural_unit_interval_orders(n)]
+        if cls is ScfElement:
+            keys, join = orders, Nuio.shifted_sum
+        else:
+            keys = list(itertools.product(orders[:3], orders[:3]))
+
+            def join(k1, k2):
+                return k1[0].shifted_sum(k2[0]), k1[1].shifted_sum(k2[1])
+
+        seen = {"cancelled": 0, "plain": 0, "interned": 0}
+        for _ in range(1000):
+            x, y = self.operands(rng, cls, keys), self.operands(rng, cls, keys)
+            got = x * y
+            want = cls.collect((join(k1, k2), a * b) for k1, a in x.terms.items()
+                               for k2, b in y.terms.items())
+            assert got == want
+            assert_trusted_form(got)
+            assert all(c.terms for c in got.terms.values())
+            state = self.expected(x, y, join)
+            assert {key: self.interned(c) for key, c in got.terms.items()} == {
+                key: both for key, (_, both) in state.items()}
+            products = collections.Counter(
+                join(k1, k2) for k1 in x.terms for k2 in y.terms)
+            seen["cancelled"] += len(products.keys() - got.terms.keys())
+            for key, c in got.terms.items():
+                if products[key] > 1:
+                    seen["interned" if self.interned(c) else "plain"] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 class TestAntipode:
@@ -816,7 +902,7 @@ class TestSerialization:
         cop = basis(A2).coproduct()
         keys = [(l.n, r.n) for (l, r), _ in cop.sorted_terms()]
         assert keys == sorted(keys)
-        # key() starts with n, so the order is the one that sorted on
+        # key() sorts by n first, so the order is the one that sorted on
         # (left n, left key, right key)
         for pi in [pi for n in range(7) for pi in natural_unit_interval_orders(n)]:
             cop = basis(pi).coproduct()
