@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 
-from .group_engine import Codes, FqMatrix, GroupTable, _check_gl_budget, \
-    _gl_generators, gl_table, kernel
+from .group_engine import Codes, GroupTable, _check_gl_budget, _gl_generators, \
+    _unit, gl_table, kernel
 # deflate_cf is bound here too: perfbench/test_perfbench.py checks that
 # the tracer rebinds this copy of it.
 from .class_functions import deflate_cf, induce_cf, induce_tensor  # noqa: F401
@@ -35,9 +35,9 @@ from .hopf_core import (
 
 
 def _levi_generators(n, i, q):
-    """The generators of gl_table(i, q) on the labels 1, ..., i followed by
-    those of gl_table(n - i, q) on i+1, ..., n, each in the identity of
-    degree n."""
+    """The codes of the generators of gl_table(i, q) on the labels 1, ..., i
+    followed by those of gl_table(n - i, q) on i+1, ..., n, each in the
+    identity of degree n."""
     ground = tuple(range(1, n + 1))
     return _gl_generators(q, ground, ground[:i]) + _gl_generators(q, ground, ground[i:])
 
@@ -51,13 +51,14 @@ def parabolic_table(n, i, q):
     The product builds no parabolic group; this table is a reference for
     the tests, and perfbench/tracer.py wraps it by name.
 
-    Generated by the Levi generators and one elementary radical matrix: the
-    Levi conjugates diag(A, B) of I + X are I + A X B^-1, so one nonzero X
-    yields every rank one X, and their products give the whole radical."""
+    Generated by the Levi generators and one elementary radical matrix, the
+    corner I + e_(i,i+1), all passed as codes: the Levi conjugates
+    diag(A, B) of I + X are I + A X B^-1, so one nonzero X yields every rank
+    one X, and their products give the whole radical."""
     gl = gl_table(n, q)
     if i in (0, n):
         return gl
-    corner = FqMatrix.one_off(q, gl.ground, i, i + 1, 1)
+    corner = kernel(q, n).one + _unit(q, gl.ground, i, i + 1)
     lower = kernel(q, n).mask((r, c) for r in range(i, n) for c in range(i))
     return GroupTable(
         Codes(q, gl.ground, [c for c in gl.codes if not c & lower]),

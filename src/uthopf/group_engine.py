@@ -9,11 +9,12 @@ moved to a given cell; relabelling, straightening and the flip of class
 functions run on two of them, the block pick and the transpose-flip.
 
 A group table is the list of the codes of its elements, indexed by them;
-one pass of batched products over it per given generator yields the
-inverses, the proof of generation and the conjugacy classes
-(GroupTable._ensure_generating).  The matrices of its element list are
-built on first read, which no library path makes.  A pattern group adds the
-unit code of each cell, the lowest bit of its field, to the identity's.
+one pass of batched products over it per generator, given as codes too,
+yields the inverses, the proof of generation and the conjugacy classes
+(GroupTable._ensure_generating).  So no matrix is made while a table is
+built, and the matrices of its element list are built on first read, which
+no library path makes.  The builders add unit codes (_unit, the lowest bit
+of a cell's field) to the identity's.
 Enumeration order is always lexicographic on the row-major entry vector,
 and the enumeration budget (combinatorics.enumeration_budget) is enforced
 before any element is built.
@@ -165,6 +166,14 @@ def kernel(p, n):
                   sum(1 << shifts[r][r] for r in range(n)))
 
 
+def _unit(p, ground, i, j):
+    """The code of the matrix on ground, a sorted tuple, with entry 1 at the
+    labelled cell (i, j) and 0 elsewhere: the lowest bit of its field."""
+    pos = _positions(ground)
+    bits = kernel(p, len(ground)).mask([(pos[i], pos[j])])
+    return bits & -bits
+
+
 @functools.lru_cache(maxsize=None)
 def cell_move(p, n, m, cells):
     """The map of codes moving the field of each cell (r, c) of kernel(p, n)
@@ -231,14 +240,6 @@ class FqMatrix:
     @property
     def rows(self):
         return kernel(self.p, len(self.ground)).decode(self.code)
-
-    @classmethod
-    def one_off(cls, p, ground, i, j, value):
-        """Identity plus value in the labelled cell (i, j)."""
-        pos = _positions(tuple(ground))
-        rows = [[int(r == c) for c in range(len(pos))] for r in range(len(pos))]
-        rows[pos[i]][pos[j]] = (rows[pos[i]][pos[j]] + value) % p
-        return cls(p, tuple(ground), rows)
 
     def entry(self, i, j):
         pos = _positions(self.ground)
@@ -341,14 +342,16 @@ Codes = collections.namedtuple("Codes", "p ground codes")
 class GroupTable:
     """A finite matrix group held as p, ground and the codes of its elements.
 
-    elements is a list of matrices over one field and ground, or Codes(p,
-    ground, codes) built over a checked prime; the matrices of elements are
-    built on first read.  The order is preserved as given; constructors in
-    this module always supply lexicographic row-major order.  The
-    generators are given; two batched products per generator at
-    construction check that they generate the whole list and give each
-    element's conjugate under it.  The classes, the orbits of those
-    conjugates, are walked on first read.  There is no product cache.
+    elements is Codes(p, ground, codes) built over a checked prime, with
+    generators codes, or a list of matrices over one field and ground, with
+    generators matrices, turned into codes on entry (a generator over
+    another field or ground is not in the list); the matrices of elements
+    are built on first read.  The order is preserved as given; constructors
+    in this module always supply lexicographic row-major order.  Two batched
+    products per generator at construction check that they generate the
+    whole list and give each element's conjugate under it.  The classes,
+    the orbits of those conjugates, are walked on first read.  There is no
+    product cache.
     """
 
     def __init__(self, elements, generators, name=""):
@@ -361,6 +364,8 @@ class GroupTable:
             if any(m.p != p or m.ground != ground for m in self._elements):
                 raise ValueError("elements over different fields or grounds")
             elements = Codes(p, ground, [m.code for m in self._elements])
+            generators = [g.code if (g.p, g.ground) == (p, ground) else None
+                          for g in generators]
         self.p, self.ground, codes = elements
         self.codes = list(codes)
         self.index = {c: i for i, c in enumerate(self.codes)}
@@ -373,7 +378,7 @@ class GroupTable:
             raise ValueError("identity missing")
         self._classes = None
         self._factorizations = {}
-        gens = [self.position(g) for g in generators]
+        gens = list(map(self.index.get, generators))
         if None in gens:
             raise ValueError("a generator of %s is not in its element list"
                              % self.name)
@@ -514,13 +519,14 @@ class GroupTable:
 @functools.lru_cache(maxsize=None)
 def pattern_group(order, p):
     """All matrices with unit diagonal supported on the strict cells, each
-    code the identity's plus v times the unit code of each cell, v < p;
-    the unit code is the lowest bit of the cell's field in the kernel's mask.
+    code the identity's plus v times the unit code (_unit) of each cell,
+    v < p.
 
     The order must be a PartialOrder; transitivity of its relation is what
     makes the matrix set a group.  It is generated by the elementary
-    matrices at the covering pairs, as the commutator of x_ij(a) and x_jk(b)
-    is x_ik(ab); the construction pass proves it.
+    matrices at the covering pairs, passed as the identity's code plus the
+    cell's unit code, as the commutator of x_ij(a) and x_jk(b) is x_ik(ab);
+    the construction pass proves it.
     """
     _check_prime(p)
     if not isinstance(order, PartialOrder):
@@ -529,15 +535,13 @@ def pattern_group(order, p):
     cells = list(order.strict_pairs)
     _check_budget(lambda: p ** len(cells), f"pattern group on {len(cells)} cells",
                   bits=len(cells) * (p.bit_length() - 1))
-    kern, pos, strict = kernel(p, len(ground)), _positions(ground), set(cells)
-    ident, mask = kern.one, kern.mask
+    ident, strict = kernel(p, len(ground)).one, set(cells)
     codes, gens = [ident], []
     for i, j in cells:
-        bits = mask([(pos[i], pos[j])])
-        unit = bits & -bits
+        unit = _unit(p, ground, i, j)
         codes = [c + v * unit for c in codes for v in range(p)]
         if not any((i, k) in strict and (k, j) in strict for k in ground):
-            gens.append(FqMatrix._from_code(p, ground, ident + unit))
+            gens.append(ident + unit)
     name = "UT[%s|%s]q%d" % (
         ",".join(map(str, ground)),
         ";".join("%d<%d" % c for c in cells),
@@ -631,47 +635,31 @@ def gl_table(n, p):
 
 
 def _gl_generators(p, ground, block):
-    """Generators of the invertible matrices on the labels of block, a
-    tuple, embedded into the identity on ground (Waterhouse, Linear and
-    Multilinear Algebra 24, 1989): for two labels or more the transvection
-    at the first two, then for two labels or more, or for p > 2, the matrix
-    w of the cycle through block in order with the column of its first
-    label scaled by s = r (-1)^(k-1), r the primitive root and k the number
-    of labels (the identity when block is empty).  As p is prime the
-    transvection gives every x_12(a), its conjugates under w give SL, and
-    det w = (-1)^(k-1) s = r generates the determinants.  At p = 2, s = 1
-    and w is the cycle.
+    """The codes of generators of the invertible matrices on the labels of
+    block, a tuple, embedded into the identity on ground (Waterhouse,
+    Linear and Multilinear Algebra 24, 1989): for two labels or more the
+    transvection at the first two, then for two labels or more, or for
+    p > 2, the matrix w of the cycle through block in order, 1 at (c, b)
+    for c the label after b, with the column of its first label scaled by
+    s = r (-1)^(k-1), r the primitive root and k the number of labels (the
+    identity when block is empty).  As p is prime the transvection gives
+    every x_12(a), its conjugates under w give SL, and det w = (-1)^(k-1) s
+    = r generates the determinants.  At p = 2, s = 1 and w is the cycle.
 
-    >>> t, w = _gl_generators(3, (1, 2), (1, 2))
-    >>> t.rows, w.rows, primitive_root(3)
+    >>> t, w = map(kernel(3, 2).decode, _gl_generators(3, (1, 2), (1, 2)))
+    >>> t, w, primitive_root(3)
     (((1, 1), (0, 1)), ((0, 1), (1, 0)), 2)
-    >>> [(a * d - b * c) % 3 for (a, b), (c, d) in (t.rows, w.rows)]
+    >>> [(a * d - b * c) % 3 for (a, b), (c, d) in (t, w)]
     [1, 2]
     """
-    k = len(block)
-    gens = [FqMatrix.one_off(p, ground, block[0], block[1], 1)] if k >= 2 else []
+    k, one = len(block), kernel(p, len(ground)).one
+    gens = [one + _unit(p, ground, block[0], block[1])] if k >= 2 else []
     if k >= 2 or p > 2:
-        cycle = dict(zip(ground, ground))
-        cycle.update(zip(block, block[1:] + block[:1]))
-        w = permutation_matrix(cycle, p, ground)
+        cycle = block[1:] + block[:1]
+        w = one + sum(_unit(p, ground, c, b) - _unit(p, ground, b, b)
+                      for b, c in zip(block, cycle))
         if block:
-            pos = _positions(ground)
-            one = w.code & kernel(p, len(ground)).mask(
-                [(pos[cycle[block[0]]], pos[block[0]])])
             s = primitive_root(p) * (-1) ** (k - 1) % p
-            w = FqMatrix._from_code(p, ground, w.code + (s - 1) * one)
+            w += (s - 1) * _unit(p, ground, cycle[0], block[0])
         gens.append(w)
     return gens
-
-
-def permutation_matrix(perm, p, ground):
-    """Matrix acting as the relabelling by perm under conjugation."""
-    ground = tuple(ground)
-    if set(perm) != set(ground) or set(perm.values()) != set(ground):
-        raise ValueError("perm must be a permutation of the ground")
-    pos = _positions(ground)
-    n = len(ground)
-    rows = [[0] * n for _ in range(n)]
-    for i in ground:
-        rows[pos[perm[i]]][pos[i]] = 1
-    return FqMatrix(p, ground, rows)

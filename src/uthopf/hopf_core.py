@@ -26,8 +26,9 @@ pattern subgroup inside the full unitriangular group, and the symbolic
 operations match inflation and parabolic deflation of those indicators; that
 match is what the oracle checks in this module verify.  Its group side
 reads codes and ints: a unit coefficient takes its own copy of the cached
-indicator, neither evaluated nor scaled (specialize), an int coefficient
-is evaluated at 1/q as an int over a power of q (_at_inverse), the
+indicator, neither evaluated nor scaled (specialize), a coefficient is
+evaluated at 1/q as one sum over a power of q, an int when its
+coefficients are (_at_inverse), the
 pattern certificate compares flag lists, and every division keeps an exact
 quotient as an int (class_functions._ratio).
 
@@ -644,16 +645,13 @@ def ut_coproduct(a):
 
 
 def _at_inverse(c, q):
-    """The value of the LaurentT c at t = 1/q as (numerator, denominator).
-    With int coefficients a_k and hi = max(0, top exponent) it is the int
-    sum of a_k q^(hi - k) over q^hi, not reduced; otherwise the numerator
-    and denominator of evaluate."""
+    """The value of the LaurentT c at t = 1/q as (numerator, denominator):
+    with coefficients a_k and hi = max(0, top exponent), v = sum a_k
+    q^(hi - k) over q^hi, not reduced; v is an int when every a_k is."""
     terms = c.terms
-    if all(type(a) is int for a in terms.values()):
-        hi = max([0, *terms])
-        return sum(a * q ** (hi - k) for k, a in terms.items()), q ** hi
-    v = c.evaluate(Fraction(1, q))
-    return v.numerator, v.denominator
+    hi = max([0, *terms])
+    v = sum(a * q ** (hi - k) for k, a in terms.items())
+    return v.numerator, v.denominator * q ** hi
 
 
 def specialize_tensor(tx, q):

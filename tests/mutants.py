@@ -45,6 +45,8 @@ PRODUCT_SUMS = "tests/test_hopf_core.py::TestProductSums::test_sums_against_coll
 INT_KEY = "tests/test_combinatorics.py::TestProfileAgainstStrictPairs::"
 ROW_BUILT = "tests/test_group_engine.py::TestGl::test_row_built_elements_equal_the_scan"
 CELL_MOVE = "tests/test_group_engine.py::TestCellMove::"
+GL_GENERATORS = ("tests/test_gl_bridge.py::TestParabolicTables::"
+                 "test_gl_generators_are_the_listed_ones")
 
 MUTANTS = [
     # the byte table reducing each byte as one number, not as two nibbles;
@@ -163,12 +165,21 @@ MUTANTS = [
     # class members kept in orbit order, not sorted
     (KERNEL, "classes.append(tuple(sorted(orbit)))", "classes.append(tuple(orbit))",
      ["tests/test_group_engine.py::TestGroupTable::test_conjugacy_equals_the_orbit_search"]),
-    # a pattern group cell's unit code taken as its whole field, not its
-    # lowest bit; the two agree at p = 2, where the fields are one bit wide
-    (KERNEL, "unit = bits & -bits", "unit = bits",
+    # a cell's unit code taken as its whole field, not its lowest bit; the
+    # two agree at p = 2, where the fields are one bit wide
+    (KERNEL, "return bits & -bits", "return bits",
      [FROM_CODES + "test_nuio_pattern_tables_against_one_off[2-3]",
       "tests/test_group_engine.py::TestElementBuildersAgainstReference::"
       "test_pattern_groups_on_three_labels[5]"]),
+    # the cycle generator keeping the identity's diagonal under its cycle
+    (KERNEL, "_unit(p, ground, c, b) - _unit(p, ground, b, b)", "_unit(p, ground, c, b)",
+     [GL_GENERATORS + "[2-2]"]),
+    # the first column of the cycle generator scaled by s + 1, not s
+    (KERNEL, "w += (s - 1) * _unit(", "w += s * _unit(", [GL_GENERATORS + "[2-3]"]),
+    # the matrix form taking each generator's code whatever its field and
+    # ground
+    (KERNEL, "g.code if (g.p, g.ground) == (p, ground) else None", "g.code",
+     [AGAINST_MATRICES + "test_bad_code_lists_raise_as_matrix_lists_do[generator-over-f5]"]),
     # each generator's inverse read as the element its left products send
     # to the first element, the identity only in the pattern groups
     (KERNEL, "lefts[-1].index(self.identity_index)", "lefts[-1].index(0)",
@@ -220,6 +231,10 @@ MUTANTS = [
     (HOPF, "sum(a * q ** (hi - k) for k, a in terms.items())", "sum(terms.values())",
      [ORACLE_SUMS + "test_int_value_at_one_over_q_equals_evaluate[2]",
       "tests/test_hopf_core.py::TestSpecialize::test_ut_coproduct_matches_symbolic"]),
+    # the value at 1/q of Fraction coefficients taken over q^hi alone, not
+    # over the denominator of their sum times q^hi
+    (HOPF, "v.denominator * q ** hi", "q ** hi",
+     [ORACLE_SUMS + "test_int_value_at_one_over_q_equals_evaluate[3]"]),
     # deflation adding each pair of a column once, not k times
     (COMBINATIONS, "sums[l] += k * v", "sums[l] += v",
      ["tests/test_class_functions.py::TestClassMapsAgainstReference::test_deflate[ut-4-2]"]),

@@ -29,14 +29,14 @@ from uthopf.gl_bridge import (
     radical_table,
 )
 from uthopf.group_engine import FqMatrix, GroupTable, _gl_generators, gl_order, \
-    gl_table, pattern_group, permutation_matrix, primitive_root, ut_table
+    gl_table, pattern_group, primitive_root, ut_table
 from uthopf.hopf_core import ScfElement, specialize, split_tables, ut_coproduct, \
     verify_reports
 
 from test_class_functions import reference_pullback_cf
 from test_combinatorics import parabolic_pattern
-from test_group_engine import coset_rep_permutation, cover_generators, direct_sum, \
-    identity, search_generators
+from test_group_engine import coset_rep_permutation, cover_generators, decoded, \
+    direct_sum, identity, one_off, permutation_matrix, search_generators
 
 
 def block_predicate(n, i):
@@ -63,7 +63,7 @@ def listed_gl_generators(n, p):
     ground = tuple(range(1, n + 1))
     gens = []
     if n >= 2:
-        gens.append(FqMatrix.one_off(p, ground, 1, 2, 1))
+        gens.append(one_off(p, ground, 1, 2, 1))
     if n >= 2 or p > 2:
         s = primitive_root(p) * (-1) ** (n - 1) % p
         gens.append(FqMatrix(p, ground, [
@@ -82,12 +82,12 @@ def three_generator_reference(p, ground, block):
     is empty)."""
     gens = []
     if len(block) >= 2:
-        gens.append(FqMatrix.one_off(p, ground, block[0], block[1], 1))
+        gens.append(one_off(p, ground, block[0], block[1], 1))
         cycle = dict(zip(ground, ground))
         cycle.update(zip(block, block[1:] + block[:1]))
         gens.append(permutation_matrix(cycle, p, ground))
     if p > 2:
-        gens.append(FqMatrix.one_off(
+        gens.append(one_off(
             p, ground, block[0], block[0], primitive_root(p) - 1
         ) if block else identity(p, ground))
     return gens
@@ -114,10 +114,11 @@ def monomial_determinant(m):
 
 
 def parabolic_generators(n, i, q):
-    """The generators parabolic_table(n, i, q) is built from, for 0 < i < n:
-    the Levi generators and the elementary matrix at (i, i + 1)."""
-    corner = FqMatrix.one_off(q, tuple(range(1, n + 1)), i, i + 1, 1)
-    return _levi_generators(n, i, q) + [corner]
+    """The generators parabolic_table(n, i, q) is built from, for 0 < i < n,
+    as matrices: the Levi generators and the elementary matrix at
+    (i, i + 1)."""
+    ground = tuple(range(1, n + 1))
+    return decoded(q, ground, _levi_generators(n, i, q)) + [one_off(q, ground, i, i + 1, 1)]
 
 
 def direct_sum_levi(n, i, q):
@@ -313,8 +314,9 @@ class TestParabolicTables:
     def test_known_generators_are_kept(self, n, i, q):
         # the generators each table is built from generate it, and the
         # classes match those found under a searched generating set
+        ground = tuple(range(1, n + 1))
         for table, given in (
-            (levi_table(n, i, q), _levi_generators(n, i, q)),
+            (levi_table(n, i, q), decoded(q, ground, _levi_generators(n, i, q))),
             (parabolic_table(n, i, q), parabolic_generators(n, i, q)),
         ):
             searched = search_generators(table.elements)
@@ -331,8 +333,11 @@ class TestParabolicTables:
         (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 5),
     ])
     def test_gl_generators_are_the_listed_ones(self, n, q):
+        # the codes the library passes, against the matrices listed entry
+        # by entry
         ground = tuple(range(1, n + 1))
-        assert _gl_generators(q, ground, ground) == listed_gl_generators(n, q)
+        assert _gl_generators(q, ground, ground) == [
+            g.code for g in listed_gl_generators(n, q)]
 
     @pytest.mark.parametrize("n,i,q", [
         (1, 1, 3), (2, 2, 3), (3, 3, 3), (1, 1, 5), (2, 2, 5), (2, 2, 7),
@@ -356,7 +361,7 @@ class TestParabolicTables:
     def test_monomial_generator_has_the_primitive_root_as_determinant(self, k, p):
         ground = tuple(range(1, 6))
         block = ground[1:k + 1]
-        gens = _gl_generators(p, ground, block)
+        gens = decoded(p, ground, _gl_generators(p, ground, block))
         assert len(gens) == min(k, 2)
         assert monomial_determinant(gens[-1]) == primitive_root(p)
 
@@ -366,7 +371,7 @@ class TestParabolicTables:
     def test_levi_slice_equals_direct_sums(self, n, i, q):
         elements, gens = direct_sum_levi(n, i, q)
         assert levi_table(n, i, q).elements == elements
-        assert _levi_generators(n, i, q) == gens
+        assert _levi_generators(n, i, q) == [g.code for g in gens]
 
     def test_levi_blocks(self):
         levi = levi_table(3, 1, 2)

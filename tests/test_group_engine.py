@@ -33,7 +33,6 @@ from uthopf.group_engine import (
     gl_table,
     kernel,
     pattern_group,
-    permutation_matrix,
     pick_move,
     primitive_root,
     ut_table,
@@ -56,6 +55,34 @@ def identity(p, ground):
     """The identity matrix on ground, through the validating constructor."""
     n = len(tuple(ground))
     return FqMatrix(p, ground, [[int(r == c) for c in range(n)] for r in range(n)])
+
+
+def one_off(p, ground, i, j, value):
+    """Identity plus value in the labelled cell (i, j), through the
+    validating constructor."""
+    pos = {label: k for k, label in enumerate(ground)}
+    rows = [[int(r == c) for c in range(len(pos))] for r in range(len(pos))]
+    rows[pos[i]][pos[j]] = (rows[pos[i]][pos[j]] + value) % p
+    return FqMatrix(p, ground, rows)
+
+
+def permutation_matrix(perm, p, ground):
+    """Matrix acting as the relabelling by perm under conjugation: entry 1
+    at (perm[i], i) for each label i."""
+    ground = tuple(ground)
+    if set(perm) != set(ground) or set(perm.values()) != set(ground):
+        raise ValueError("perm must be a permutation of the ground")
+    n = len(ground)
+    rows = [[0] * n for _ in range(n)]
+    for i in ground:
+        rows[ground.index(perm[i])][ground.index(i)] = 1
+    return FqMatrix(p, ground, rows)
+
+
+def decoded(p, ground, codes):
+    """The matrices of codes, generators as the library passes them, through
+    the validating constructor."""
+    return [FqMatrix(p, ground, kernel(p, len(ground)).decode(c)) for c in codes]
 
 
 def from_digits(digits, p, ground):
@@ -191,7 +218,7 @@ class TestFqMatrix:
 
     def test_identity_and_one_off(self):
         e = identity(3, (1, 2, 3))
-        m = FqMatrix.one_off(3, (1, 2, 3), 1, 3, 2)
+        m = one_off(3, (1, 2, 3), 1, 3, 2)
         assert e * m == m and m * e == m
         assert m.entry(1, 3) == 2 and m.entry(1, 1) == 1 and m.entry(2, 3) == 0
 
@@ -232,11 +259,11 @@ class TestFqMatrix:
             assert (a * b).dagger() == b.dagger() * a.dagger()
 
     def test_relabel_pushforward(self):
-        m = FqMatrix.one_off(2, (1, 2, 3), 1, 2, 1)
+        m = one_off(2, (1, 2, 3), 1, 2, 1)
         sigma = {1: 3, 2: 1, 3: 2}
         moved = m.relabel(sigma)
         assert moved.entry(3, 1) == 1
-        assert moved == FqMatrix.one_off(2, (1, 2, 3), 3, 1, 1)
+        assert moved == one_off(2, (1, 2, 3), 3, 1, 1)
 
     def test_relabel_composes(self):
         rng = random.Random(17)
@@ -258,7 +285,7 @@ class TestFqMatrix:
         assert s.entry(1, 3) == 0 and s.entry(3, 1) == 0
 
     def test_relabel_needs_a_bijection_from_the_ground(self):
-        m = FqMatrix.one_off(2, (1, 2), 1, 2, 1)
+        m = one_off(2, (1, 2), 1, 2, 1)
         for mapping in ({1: 2}, {1: 2, 2: 3, 3: 1}, {1: 3, 2: 3}):
             with pytest.raises(ValueError):
                 m.relabel(mapping)
@@ -309,11 +336,11 @@ class TestFqMatrix:
     def test_product_needs_one_field_and_ground(self):
         # an F_2 matrix times an F_3 matrix on the same ground, and two
         # grounds of the same size over one field
-        a = FqMatrix.one_off(2, (1, 2), 1, 2, 1)
+        a = one_off(2, (1, 2), 1, 2, 1)
         with pytest.raises(ValueError):
-            a * FqMatrix.one_off(3, (1, 2), 1, 2, 1)
+            a * one_off(3, (1, 2), 1, 2, 1)
         with pytest.raises(ValueError):
-            a * FqMatrix.one_off(2, (1, 3), 1, 3, 1)
+            a * one_off(2, (1, 3), 1, 3, 1)
 
     def test_prime_field_required(self):
         with pytest.raises(ValueError):
@@ -616,7 +643,7 @@ def cover_generators(order, p):
     """The elementary matrices at the covering pairs of order, the
     generators that pattern_group is documented to pass."""
     strict = set(order.strict_pairs)
-    return [FqMatrix.one_off(p, order.ground, i, j, 1) for i, j in order.strict_pairs
+    return [one_off(p, order.ground, i, j, 1) for i, j in order.strict_pairs
             if not any((i, k) in strict and (k, j) in strict for k in order.ground)]
 
 
@@ -750,7 +777,7 @@ class TestGroupTable:
                   for q in (2, 3)]
         tables += [ut_table(n, 2) for n in range(6)]
         for table in tables:
-            gens = [FqMatrix.one_off(table.p, table.ground, i, j, 1)
+            gens = [one_off(table.p, table.ground, i, j, 1)
                     for i, j in table.pattern.strict_pairs]
             full = GroupTable(table.elements, gens, name="all cells")
             covers = GroupTable(table.elements, cover_generators(table.pattern, table.p))
@@ -815,7 +842,7 @@ class TestGroupTable:
 
     def test_bad_element_lists_raise(self):
         ident = identity(2, (1, 2))
-        x = FqMatrix.one_off(2, (1, 2), 1, 2, 1)
+        x = one_off(2, (1, 2), 1, 2, 1)
         with pytest.raises(ValueError):
             GroupTable([], [])
         with pytest.raises(ValueError):
@@ -827,7 +854,7 @@ class TestGroupTable:
             GroupTable([ident], [x])
         # not closed: (I + e12)^2 = I + 2 e12 over F_3
         ident3 = identity(3, (1, 2))
-        x3 = FqMatrix.one_off(3, (1, 2), 1, 2, 1)
+        x3 = one_off(3, (1, 2), 1, 2, 1)
         with pytest.raises(ValueError):
             GroupTable([ident3, x3], [x3])
         # one list over two fields or two grounds
@@ -844,7 +871,7 @@ class TestGroupTable:
 
     def test_generators_that_do_not_generate_raise(self):
         g = ut_table(3, 2)
-        corner = FqMatrix.one_off(2, g.ground, 1, 3, 1)
+        corner = one_off(2, g.ground, 1, 3, 1)
         with pytest.raises(ValueError):
             GroupTable(g.elements, [])
         with pytest.raises(ValueError):
@@ -854,7 +881,7 @@ class TestGroupTable:
 
     def test_generators_generate(self):
         g = gl_table(2, 3)
-        gens = _gl_generators(3, g.ground, g.ground)
+        gens = decoded(3, g.ground, _gl_generators(3, g.ground, g.ground))
         span = {g.identity_index}
         frontier = [g.identity_index]
         while frontier:
@@ -956,15 +983,15 @@ def nuio_patterns(n):
 class TestTablesFromCodes:
     """pattern_group takes each cell's unit code from the kernel's mask and
     GroupTable reads each generator's inverse from its left products; both
-    against the paths they replaced, FqMatrix.one_off and FqMatrix.inverse."""
+    against the matrix references they replaced, one_off and
+    FqMatrix.inverse."""
 
     @pytest.mark.parametrize("n, q", [(n, q) for q in (2, 3, 5) for n in range(5)])
     def test_nuio_pattern_tables_against_one_off(self, monkeypatch, n, q):
         for order in nuio_patterns(n):
             table, gens = built_with_generators(monkeypatch, pattern_group, order, q)
             want_gens = cover_generators(order, q)
-            assert [g.code for g in gens] == [g.code for g in want_gens]
-            assert gens == want_gens
+            assert gens == [g.code for g in want_gens]
             want = GroupTable(reference_pattern_elements(order, q), want_gens)
             assert table.elements == want.elements
             assert [m.code for m in table.elements] == [m.code for m in want.elements]
@@ -991,8 +1018,8 @@ class TestTablesFromCodes:
 
         with monkeypatch.context() as patch:
             patch.setattr(group_engine, "kernel", lambda p, n: k._replace(right=right))
-            again = GroupTable(table.elements, gens)
-        assert used == [g.inverse().code for g in gens]
+            again = GroupTable(Codes(table.p, table.ground, table.codes), gens)
+        assert used == [g.inverse().code for g in decoded(table.p, table.ground, gens)]
         assert len(gens) >= 2
         assert (again.classes, again.class_of) == (table.classes, table.class_of)
 
@@ -1007,9 +1034,10 @@ class TestTablesFromCodes:
 
 
 def assert_equals_the_matrix_table(table, gens):
-    """table, built from codes, against GroupTable of its matrices and gens."""
+    """table, built from codes, against GroupTable of its matrices and the
+    matrices of the generator codes gens."""
     assert table._elements is None  # no matrix is built before this read
-    want = GroupTable(table.elements, gens)
+    want = GroupTable(table.elements, decoded(table.p, table.ground, gens))
     ident = identity(table.p, table.ground)
     assert table.codes == want.codes == [m.code for m in want.elements]
     assert all((m.p, m.ground) == (table.p, table.ground) for m in table.elements)
@@ -1066,8 +1094,30 @@ class TestCodesAgainstMatrices:
         monkeypatch.setattr(FqMatrix, "_from_code", classmethod(spy))
         table = gl_table.__wrapped__(3, 3)
         assert len(table.classes) == 24 and table.order == 11232
-        # the one scaled cycle among the generators, and no element
-        assert len(made) == 1 and table._elements is None
+        # no generator and no element
+        assert len(made) == 0 and table._elements is None
+
+    def test_split_and_pattern_tables_build_no_matrix(self, monkeypatch):
+        # neither the validating constructor nor _from_code runs while the
+        # Levi, parabolic and pattern group tables are built
+        orders = [(order, q) for q in (2, 3) for n in range(5) for order in nuio_patterns(n)]
+        made = []
+        init, from_code = FqMatrix.__init__, FqMatrix._from_code.__func__
+
+        def init_spy(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        def from_code_spy(cls, *args):
+            made.append(args)
+            return from_code(cls, *args)
+
+        monkeypatch.setattr(FqMatrix, "__init__", init_spy)
+        monkeypatch.setattr(FqMatrix, "_from_code", classmethod(from_code_spy))
+        tables = [build.__wrapped__(3, i, 3) for build in (levi_table, parabolic_table)
+                  for i in (1, 2)]
+        tables += [pattern_group.__wrapped__(order, q) for order, q in orders]
+        assert made == [] and all(t._elements is None for t in tables)
 
     def test_one_by_one_tables_hold_no_square_of_p(self):
         # a table of sums or multiples at n = 1 would hold p^2 = 1,018,081 entries
@@ -1089,14 +1139,21 @@ class TestCodesAgainstMatrices:
     ], ids=["repeated", "identity-missing", "generator-over-f5", "generator-on-1-3"])
     def test_bad_code_lists_raise_as_matrix_lists_do(self, p, ground, codes, gens,
                                                      match):
-        # over F_2 on (1, 2) the identity has code 9 and I + e12 code 11; a
-        # generator's code is in the list, but over another field or ground
-        gens = [FqMatrix._from_code(*g) for g in gens]
-        with pytest.raises(ValueError, match=match) as from_codes:
-            GroupTable(Codes(p, ground, codes), gens)
-        with pytest.raises(ValueError) as from_matrices:
-            GroupTable([FqMatrix._from_code(p, ground, c) for c in codes], gens)
-        assert str(from_codes.value) == str(from_matrices.value)
+        # over F_2 on (1, 2) the identity has code 9 and I + e12 code 11.  A
+        # code list takes generator codes; a generator matrix whose code is
+        # in the list, but over another field or ground, is refused by the
+        # matrix form, while its code over the table's own field and ground
+        # generates the table
+        matrices = [FqMatrix._from_code(*g) for g in gens]
+        with pytest.raises(ValueError, match=match) as from_matrices:
+            GroupTable([FqMatrix._from_code(p, ground, c) for c in codes], matrices)
+        gens = [code for *_, code in gens]
+        if all((m.p, m.ground) == (p, ground) for m in matrices):
+            with pytest.raises(ValueError) as from_codes:
+                GroupTable(Codes(p, ground, codes), gens)
+            assert str(from_codes.value) == str(from_matrices.value)
+        else:
+            assert GroupTable(Codes(p, ground, codes), gens).order == len(codes)
 
 
 class TestGl:

@@ -1182,13 +1182,17 @@ class TestOracleSums:
     @pytest.mark.parametrize("q", [2, 3, 5, 11])
     def test_int_value_at_one_over_q_equals_evaluate(self, q, monkeypatch):
         # int coefficients, negative exponents among them, are summed as
-        # ints; Fraction coefficients fall back to evaluate
+        # ints over q^hi, hi = max(0, top exponent); Fraction coefficients,
+        # alone or among ints, by the same sum, and evaluate is never called
         rng = random.Random(q)
         ints = [LaurentT({}), ONE, T, t_power(-2), ONE - T, T2 - t_power(-1)]
         ints += [LaurentT({rng.randrange(-4, 5): rng.randrange(-3, 4) for _ in range(4)})
                  for _ in range(40)]
         fractions = [LaurentT({1: Fraction(1, 2)}),
                      LaurentT({-1: Fraction(2, 3), 2: 5}), ONE.scale(Fraction(q, q + 1))]
+        fractions += [LaurentT({rng.randrange(-5, 4): rng.choice([
+            rng.randrange(-6, 7), Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))])
+            for _ in range(rng.randrange(1, 6))}) for _ in range(200)]
         evaluate, evaluated = LaurentT.evaluate, []
         monkeypatch.setattr(LaurentT, "evaluate", lambda c, x: evaluated.append(c) or
                             evaluate(c, x))
@@ -1196,7 +1200,9 @@ class TestOracleSums:
             num, den = hopf_core._at_inverse(c, q)
             assert type(num) is int and type(den) is int and den > 0
             assert Fraction(num, den) == evaluate(c, Fraction(1, q))
-        assert evaluated == fractions
+        for c in ints:
+            assert hopf_core._at_inverse(c, q)[1] == q ** max([0, *c.terms])
+        assert evaluated == []
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_specialize_tensor(self, q):
