@@ -27,10 +27,10 @@ operations match inflation and parabolic deflation of those indicators; that
 match is what the oracle checks in this module verify.  Its group side
 reads codes and ints: a unit coefficient takes its own copy of the cached
 indicator, neither evaluated nor scaled (specialize), a coefficient is
-evaluated at 1/q as one sum over a power of q, an int when its
-coefficients are (_at_inverse), the
-pattern certificate compares flag lists, and every division keeps an exact
-quotient as an int (class_functions._ratio).
+evaluated at 1/q by the formula of every evaluation, one sum over a power
+of q, an int when its coefficients are (_value), the pattern certificate
+compares flag lists, and every division keeps an exact quotient as an int
+(class_functions._ratio).
 
 Species side: the same operations before quotienting by relabelling,
 realized on explicit pattern groups over a composition of the ground set.
@@ -114,6 +114,18 @@ def frac_str(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def _value(c, n, d):
+    """The value of the LaurentT c at n/d, d > 0, as (numerator,
+    denominator), not reduced: with coefficients a_k, lo = min(0, least
+    exponent) and hi = max(0, top exponent), v = sum a_k n^(k - lo)
+    d^(hi - k) over n^-lo d^hi.  v is an int sum when every a_k is an
+    int, and at n/d = 1/q the denominator is q^hi."""
+    terms = c.terms
+    lo, hi = min([0, *terms]), max([0, *terms])
+    v = sum(a * n ** (k - lo) * d ** (hi - k) for k, a in terms.items())
+    return v.numerator, v.denominator * n ** -lo * d ** hi
+
+
 class LaurentT(Combination):
     """Laurent polynomial in one variable t over the rationals: a
     combination of exponents with rational coefficients, held by _exact.
@@ -151,19 +163,10 @@ class LaurentT(Combination):
         return hash(tuple(sorted(self.terms.items())))
 
     def evaluate(self, x):
-        """The value at x as a Fraction, summed over the common denominator:
-        with x = n/d and exponents lo..hi, sum v n^(k - lo) d^(hi - k) and
-        scale by n^lo d^-hi once.  A negative exponent at x = 0 raises
-        ZeroDivisionError."""
-        x = Fraction(_exact(x))
-        terms = self.terms
-        if not terms:
-            return Fraction(0)
-        n, d = x.numerator, x.denominator
-        lo, hi = min(terms), max(terms)
-        total = sum(v * n ** (k - lo) * d ** (hi - k) for k, v in terms.items())
-        return Fraction(total * n ** max(lo, 0) * d ** max(-hi, 0),
-                        n ** max(-lo, 0) * d ** max(hi, 0))
+        """The value at x as a Fraction (_value).  A negative exponent at
+        x = 0 raises ZeroDivisionError."""
+        x = _exact(x)
+        return Fraction(*_value(self, x.numerator, x.denominator))
 
     def __repr__(self):
         if not self.terms:
@@ -529,16 +532,15 @@ def _vanishing_indicator(table, mask):
 
 
 def specialize(x, q):
-    """Evaluate coefficients at t = 1/q and realize basis elements as
-    indicators; a unit coefficient takes its own copy of the cached
-    indicator, neither evaluated nor scaled."""
-    point = Fraction(1, q)
+    """Evaluate coefficients at t = 1/q (_value, _ratio) and realize basis
+    elements as indicators; a unit coefficient takes its own copy of the
+    cached indicator, neither evaluated nor scaled."""
 
     def piece(pi, c):
         f = pattern_indicator(pi, q)
         if c.terms == LaurentT._UNIT:
             return f._like(dict(f.terms))
-        return f.scale(c.evaluate(point))
+        return f.scale(_ratio(*_value(c, 1, q)))
 
     return GradedClassFunction.collect(
         ((pi.n, piece(pi, c)) for pi, c in x.terms.items()), q)
@@ -620,9 +622,10 @@ def parabolic_coproduct(a, ambient, splits):
     D = math.lcm(*(v.denominator for psi in a.terms.values() for v in psi.terms.values()))
     for n, psi in a.terms.items():
         nums = {c: v.numerator * (D // v.denominator) for c, v in psi.terms.items()}
+        tables = [ambient(k, q) for k in range(n + 1)]
         for inside, levi, radical in cuts[n]:
             k, w = len(inside), d // radical.order
-            pairs = _block_classes(levi, inside, ambient(k, q), ambient(n - k, q))
+            pairs = _block_classes(levi, inside, tables[k], tables[n - k])
             out = sums.setdefault((k, n - k), {})
             columns = _deflation(psi.group, levi, radical)
             for c, v in nums.items():
@@ -644,28 +647,19 @@ def ut_coproduct(a):
     return parabolic_coproduct(a, ut_table, _ut_splits)
 
 
-def _at_inverse(c, q):
-    """The value of the LaurentT c at t = 1/q as (numerator, denominator):
-    with coefficients a_k and hi = max(0, top exponent), v = sum a_k
-    q^(hi - k) over q^hi, not reduced; v is an int when every a_k is."""
-    terms = c.terms
-    hi = max([0, *terms])
-    v = sum(a * q ** (hi - k) for k, a in terms.items())
-    return v.numerator, v.denominator * q ** hi
-
-
 def specialize_tensor(tx, q):
-    """Evaluate coefficients at t = 1/q (_at_inverse) and realize each pair
-    of orders as the outer product of their indicators; with d the lcm of
+    """Evaluate coefficients at t = 1/q (_value) and realize each pair of
+    orders as the outer product of their indicators; with d the lcm of
     the values' denominators, each product adds into one dict of int
     numerators per bidegree, divided by d once per class pair
     (_graded_tensor)."""
-    values = [(key, *_at_inverse(c, q)) for key, c in tx.terms.items()]
+    values = [(key, *_value(c, 1, q)) for key, c in tx.terms.items()]
     d, sums = math.lcm(*(den for *_, den in values)), {}
     for (l, r), num, den in values:
         w, out = num * (d // den), sums.setdefault((l.n, r.n), {})
+        right = pattern_indicator(r, q).terms.items()
         for c1, x in pattern_indicator(l, q).terms.items():
-            for c2, y in pattern_indicator(r, q).terms.items():
+            for c2, y in right:
                 out[c1, c2] = out.get((c1, c2), 0) + x * y * w
     return _graded_tensor(q, ut_table, sums, d)
 

@@ -37,6 +37,7 @@ ANTIPODE_RECURSION = ("tests/test_hopf_core.py::TestAntipode::"
                       "test_equals_the_counit_recursion")
 AGAINST_STRICT = "tests/test_combinatorics.py::TestProfileAgainstStrictPairs::"
 ORACLE_SUMS = "tests/test_hopf_core.py::TestOracleSums::"
+LAURENT = "tests/test_hopf_core.py::TestLaurentT::"
 FROM_CODES = "tests/test_group_engine.py::TestTablesFromCodes::"
 AGAINST_MATRICES = "tests/test_group_engine.py::TestCodesAgainstMatrices::"
 BLOCKS = ("tests/test_class_functions.py::TestClassMapsAgainstReference::"
@@ -227,14 +228,30 @@ MUTANTS = [
      ["tests/test_hopf_core.py::TestSpecialize::"
       "test_unit_coefficients_skip_evaluate_and_scale[2]",
       "tests/test_hopf_core.py::TestSpecialize::test_linear"]),
-    # the int value at 1/q summed without the factors q^(hi - k)
-    (HOPF, "sum(a * q ** (hi - k) for k, a in terms.items())", "sum(terms.values())",
-     [ORACLE_SUMS + "test_int_value_at_one_over_q_equals_evaluate[2]",
+    # the value at n/d summed without the factors n^(k - lo) d^(hi - k)
+    (HOPF, "sum(a * n ** (k - lo) * d ** (hi - k) for k, a in terms.items())",
+     "sum(terms.values())",
+     [ORACLE_SUMS + "test_value_at_one_over_q_matches_the_fraction_loop[2]",
       "tests/test_hopf_core.py::TestSpecialize::test_ut_coproduct_matches_symbolic"]),
-    # the value at 1/q of Fraction coefficients taken over q^hi alone, not
-    # over the denominator of their sum times q^hi
-    (HOPF, "v.denominator * q ** hi", "q ** hi",
-     [ORACLE_SUMS + "test_int_value_at_one_over_q_equals_evaluate[3]"]),
+    # the value of Fraction coefficients taken over n^-lo d^hi alone, not
+    # over the denominator of their sum times n^-lo d^hi
+    (HOPF, "return v.numerator, v.denominator * n", "return v.numerator, n",
+     [ORACLE_SUMS + "test_value_at_one_over_q_matches_the_fraction_loop[3]"]),
+    # the value taken over d^hi alone, without n^-lo; at n/d = 1/q the two
+    # agree, so only the points with n != 1 tell them apart
+    (HOPF, "v.denominator * n ** -lo * d ** hi", "v.denominator * d ** hi",
+     [LAURENT + "test_evaluate_matches_the_fraction_loop"]),
+    # lo not capped at 0, so an order of t above 0 leaves a float power
+    (HOPF, "lo, hi = min([0, *terms]), max([0, *terms])",
+     "lo, hi = min(terms, default=0), max([0, *terms])",
+     [LAURENT + "test_evaluate_matches_the_fraction_loop",
+      ORACLE_SUMS + "test_value_at_one_over_q_matches_the_fraction_loop[2]"]),
+    # hi not capped at 0, so a value with only negative exponents leaves a
+    # float power of d
+    (HOPF, "lo, hi = min([0, *terms]), max([0, *terms])",
+     "lo, hi = min([0, *terms]), max(terms, default=0)",
+     [LAURENT + "test_evaluate_matches_the_fraction_loop",
+      ORACLE_SUMS + "test_value_at_one_over_q_matches_the_fraction_loop[2]"]),
     # deflation adding each pair of a column once, not k times
     (COMBINATIONS, "sums[l] += k * v", "sums[l] += v",
      ["tests/test_class_functions.py::TestClassMapsAgainstReference::test_deflate[ut-4-2]"]),

@@ -170,11 +170,21 @@ def reference_parabolic_coproduct(a, ambient, splits):
     return GradedTensor.collect(pieces(), q)
 
 
+def loop_evaluate(a, x):
+    """Reference value of the LaurentT a at x: a Fraction sum over its
+    terms, one power of x each."""
+    x = Fraction(x)
+    total = Fraction(0)
+    for k, v in a.terms.items():
+        total += v * x ** k
+    return total
+
+
 def reference_specialize_tensor(tx, q):
     """Reference tensor specialization: the outer product of each pair of
     indicators scaled by the coefficient at 1/q, summed by collect."""
     point = Fraction(1, q)
-    values = ((key, c.evaluate(point)) for key, c in tx.terms.items())
+    values = ((key, loop_evaluate(c, point)) for key, c in tx.terms.items())
     return GradedTensor.collect((
         ((l.n, r.n), TensorFunction.outer(
             pattern_indicator(l, q), pattern_indicator(r, q)).scale(v))
@@ -185,7 +195,7 @@ def reference_specialize(x, q):
     """Reference specialization: each indicator scaled by its coefficient
     at 1/q, summed by collect."""
     point = Fraction(1, q)
-    values = ((pi, c.evaluate(point)) for pi, c in x.terms.items())
+    values = ((pi, loop_evaluate(c, point)) for pi, c in x.terms.items())
     return GradedClassFunction.collect(
         ((pi.n, pattern_indicator(pi, q).scale(v)) for pi, v in values if v), q)
 
@@ -323,16 +333,11 @@ class TestLaurentT:
         got = LaurentT({0: Fraction(1, 2), 2: Fraction(1, 2)}) * LaurentT({1: 4})
         assert got.terms == {1: 2, 3: 2} and {type(v) for v in got.terms.values()} == {int}
 
-    @staticmethod
-    def loop_evaluate(a, x):
-        # the Fraction loop evaluate ran before it summed over one denominator
-        x = Fraction(x)
-        total = Fraction(0)
-        for k, v in a.terms.items():
-            total += v * x ** k
-        return total
-
     def test_evaluate_matches_the_fraction_loop(self):
+        # evaluate, and _value at n/d, which it calls: ints over
+        # n^-lo d^hi, lo and hi the exponent bounds capped at 0, for int
+        # coefficients, and a zero denominator at 0 past a negative
+        # exponent, where evaluate raises
         rng = random.Random(23)
         coeffs = [1, -1, 3, -7, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4)]
         polys = [LaurentT({rng.randrange(-5, 6): rng.choice(coeffs)
@@ -344,15 +349,24 @@ class TestLaurentT:
         points = [Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(7, 3),
                   Fraction(-1, 7), 1, -1, 2, 5]
         for a in polys:
-            for x in points:
+            integral = all(type(v) is int for v in a.terms.values())
+            lo, hi = min([0, *a.terms]), max([0, *a.terms])
+            for x in map(Fraction, points):
                 got = a.evaluate(x)
-                assert type(got) is Fraction and got == self.loop_evaluate(a, x)
+                assert type(got) is Fraction and got == loop_evaluate(a, x)
+                n, d = x.numerator, x.denominator
+                num, den = hopf_core._value(a, n, d)
+                assert type(num) is int and type(den) is int
+                assert Fraction(num, den) == got
+                assert den == n ** -lo * d ** hi or not integral
             if any(k < 0 for k in a.terms):
-                for evaluate in (a.evaluate, lambda x: self.loop_evaluate(a, x)):
+                assert hopf_core._value(a, 0, 1)[1] == 0
+                for evaluate in (a.evaluate, lambda x: loop_evaluate(a, x)):
                     with pytest.raises(ZeroDivisionError):
                         evaluate(0)
             else:
-                assert a.evaluate(0) == self.loop_evaluate(a, 0) == a.terms.get(0, 0)
+                assert a.evaluate(0) == loop_evaluate(a, 0) == a.terms.get(0, 0)
+                assert Fraction(*hopf_core._value(a, 0, 1)) == a.terms.get(0, 0)
 
     def test_frac_str_of_an_int_matches_its_fraction(self):
         for k in (0, 1, -1, 7, -12, 10 ** 30, -(10 ** 30) - 1):
@@ -1096,8 +1110,8 @@ class TestSpecialize:
                  for x in units]
         want = [reference_specialize(x, q) for x in units + mixed]
         calls = []
-        for cls, name in ((LaurentT, "evaluate"), (ClassFunction, "scale")):
-            monkeypatch.setattr(cls, name, lambda *args, f=getattr(cls, name):
+        for owner, name in ((hopf_core, "_value"), (ClassFunction, "scale")):
+            monkeypatch.setattr(owner, name, lambda *args, f=getattr(owner, name):
                                 calls.append(args[0]) or f(*args))
         assert [specialize(x, q) for x in units] == want[:len(units)]
         assert calls == []
@@ -1180,10 +1194,11 @@ class TestOracleSums:
         assert cancelled and Fraction in forms
 
     @pytest.mark.parametrize("q", [2, 3, 5, 11])
-    def test_int_value_at_one_over_q_equals_evaluate(self, q, monkeypatch):
-        # int coefficients, negative exponents among them, are summed as
-        # ints over q^hi, hi = max(0, top exponent); Fraction coefficients,
-        # alone or among ints, by the same sum, and evaluate is never called
+    def test_value_at_one_over_q_matches_the_fraction_loop(self, q, monkeypatch):
+        # _value(c, 1, q): int coefficients, negative exponents among them,
+        # are summed as ints over q^hi, hi = max(0, top exponent); Fraction
+        # coefficients, alone or among ints, by the same sum; neither it
+        # nor specialize nor specialize_tensor calls evaluate
         rng = random.Random(q)
         ints = [LaurentT({}), ONE, T, t_power(-2), ONE - T, T2 - t_power(-1)]
         ints += [LaurentT({rng.randrange(-4, 5): rng.randrange(-3, 4) for _ in range(4)})
@@ -1197,11 +1212,14 @@ class TestOracleSums:
         monkeypatch.setattr(LaurentT, "evaluate", lambda c, x: evaluated.append(c) or
                             evaluate(c, x))
         for c in ints + fractions:
-            num, den = hopf_core._at_inverse(c, q)
+            num, den = hopf_core._value(c, 1, q)
             assert type(num) is int and type(den) is int and den > 0
-            assert Fraction(num, den) == evaluate(c, Fraction(1, q))
+            assert Fraction(num, den) == loop_evaluate(c, Fraction(1, q))
         for c in ints:
-            assert hopf_core._at_inverse(c, q)[1] == q ** max([0, *c.terms])
+            assert hopf_core._value(c, 1, q)[1] == q ** max([0, *c.terms])
+        x = basis(A2).scale(T2 - t_power(-1)) + basis(PT).scale(Fraction(2, 3))
+        specialize(x, q)
+        specialize_tensor(x.coproduct(), q)
         assert evaluated == []
 
     @pytest.mark.parametrize("q", [2, 3])
